@@ -71,25 +71,25 @@ func RunAll(w io.Writer, opt Options) ([]*report.Table, error) {
 		luNs = []int{16000, 24000, 32000}
 	}
 	runners := map[string]func() ([]*report.Table, error){
-		"fig1":                   Fig1,
-		"fig2":                   Fig2,
-		"table3-model":           func() ([]*report.Table, error) { return one(Table3Model()) },
-		"table4-model":           func() ([]*report.Table, error) { return one(Table4Model()) },
-		"table3-real":            func() ([]*report.Table, error) { return one(Table3Real(maxBase, cfg)) },
-		"table4-real":            func() ([]*report.Table, error) { return one(Table4Real(maxBase, cfg)) },
-		"fig21":                  func() ([]*report.Table, error) { return one(Fig21(ps, sizes)) },
-		"fig22a":                 func() ([]*report.Table, error) { return one(Fig22a(mmNs)) },
-		"fig22b":                 func() ([]*report.Table, error) { return one(Fig22b(luNs, 64)) },
-		"ablation-algorithms":    func() ([]*report.Table, error) { return one(AblationAlgorithms()) },
-		"ablation-bisection":     func() ([]*report.Table, error) { return one(AblationAngleVsTangent()) },
-		"ablation-finetune":      func() ([]*report.Table, error) { return one(AblationFineTuning()) },
-		"ablation-builder":       func() ([]*report.Table, error) { return one(AblationBuilderBudget()) },
-		"ablation-communication": func() ([]*report.Table, error) { return one(AblationCommunication()) },
-		"ablation-2d":            func() ([]*report.Table, error) { return one(Ablation2DPartitioning()) },
-		"ablation-step-model":    func() ([]*report.Table, error) { return one(AblationStepModel()) },
-		"ablation-heterogeneity": func() ([]*report.Table, error) { return one(AblationHeterogeneity()) },
-		"ablation-group-block":   func() ([]*report.Table, error) { return one(AblationGroupBlock()) },
-		"ablation-overlap":       func() ([]*report.Table, error) { return one(AblationOverlap()) },
+		"fig1":                    Fig1,
+		"fig2":                    Fig2,
+		"table3-model":            func() ([]*report.Table, error) { return one(Table3Model()) },
+		"table4-model":            func() ([]*report.Table, error) { return one(Table4Model()) },
+		"table3-real":             func() ([]*report.Table, error) { return one(Table3Real(maxBase, cfg)) },
+		"table4-real":             func() ([]*report.Table, error) { return one(Table4Real(maxBase, cfg)) },
+		"fig21":                   func() ([]*report.Table, error) { return one(Fig21(ps, sizes)) },
+		"fig22a":                  func() ([]*report.Table, error) { return one(Fig22a(mmNs)) },
+		"fig22b":                  func() ([]*report.Table, error) { return one(Fig22b(luNs, 64)) },
+		"ablation-algorithms":     func() ([]*report.Table, error) { return one(AblationAlgorithms()) },
+		"ablation-bisection":      func() ([]*report.Table, error) { return one(AblationAngleVsTangent()) },
+		"ablation-finetune":       func() ([]*report.Table, error) { return one(AblationFineTuning()) },
+		"ablation-builder":        func() ([]*report.Table, error) { return one(AblationBuilderBudget()) },
+		"ablation-communication":  func() ([]*report.Table, error) { return one(AblationCommunication()) },
+		"ablation-2d":             func() ([]*report.Table, error) { return one(Ablation2DPartitioning()) },
+		"ablation-step-model":     func() ([]*report.Table, error) { return one(AblationStepModel()) },
+		"ablation-heterogeneity":  func() ([]*report.Table, error) { return one(AblationHeterogeneity()) },
+		"ablation-group-block":    func() ([]*report.Table, error) { return one(AblationGroupBlock()) },
+		"ablation-overlap":        func() ([]*report.Table, error) { return one(AblationOverlap()) },
 		"ablation-fault-recovery": func() ([]*report.Table, error) { return one(AblationFaultRecovery()) },
 		"ablation-robust-measure": func() ([]*report.Table, error) { return one(AblationRobustMeasurement()) },
 	}

@@ -49,7 +49,7 @@ func TestFabricDeterministicOwnership(t *testing.T) {
 // Bare and default-qualified spellings of the same model must hash to the
 // same owner (TenantSpan strips the default prefix into the same parts).
 func TestOwnerBareVsQualified(t *testing.T) {
-	f, err := New("http://a", []string{"http://b", "http://c"}, 0)
+	f, err := New("http://a:1", []string{"http://b:1", "http://c:1"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestOwnerBareVsQualified(t *testing.T) {
 }
 
 func TestFabricDuplicatePeersCollapse(t *testing.T) {
-	f, err := New("http://a", []string{"http://b", "http://b", "http://a", ""}, 0)
+	f, err := New("http://a:1", []string{"http://b:1", "http://b:1", "http://a:1", ""}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestTenancySnapshot(t *testing.T) {
 }
 
 func TestFabricStatus(t *testing.T) {
-	f, err := New("http://b", []string{"http://a"}, 0)
+	f, err := New("http://b:1", []string{"http://a:1"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestFabricStatus(t *testing.T) {
 	f.RemoteHits.Add(3)
 	f.ServedLocal.Add(7)
 	s := f.Status()
-	if s.Self != "http://b" || len(s.Members) != 2 {
+	if s.Self != "http://b:1" || len(s.Members) != 2 {
 		t.Fatalf("status = %+v", s)
 	}
 	if s.Forwarded != 4 || s.RemoteHits != 3 || s.ServedLocal != 7 {

@@ -21,7 +21,10 @@ import (
 type Fabric struct {
 	members []string
 	self    int
-	fwd     *forwarder
+	// pools holds the relay's keep-alive connections, one pool per
+	// member (index-aligned with members); timeout bounds one forward.
+	pools   []*pool
+	timeout time.Duration
 
 	// Forwarded counts requests this member relayed to their owner;
 	// RemoteHits the subset the owner answered from its warm cache.
@@ -38,11 +41,15 @@ type Fabric struct {
 }
 
 // New builds a fabric member: self is this daemon's advertised base URL,
-// peers the other members' (the -peers list). Duplicates collapse;
-// timeout bounds one forwarded request (default 2s).
+// peers the other members' (the -peers list). Every member URL must be
+// plain http://host:port. Duplicates and empty peers collapse; timeout
+// bounds one forwarded request (default 2s).
 func New(self string, peers []string, timeout time.Duration) (*Fabric, error) {
 	if self == "" {
 		return nil, fmt.Errorf("fabric: self URL is required")
+	}
+	if timeout <= 0 {
+		timeout = 2 * time.Second
 	}
 	seen := make(map[string]bool, len(peers)+1)
 	members := make([]string, 0, len(peers)+1)
@@ -54,8 +61,13 @@ func New(self string, peers []string, timeout time.Duration) (*Fabric, error) {
 		members = append(members, m)
 	}
 	sort.Strings(members)
-	f := &Fabric{members: members, self: -1, fwd: newForwarder(timeout)}
+	f := &Fabric{members: members, self: -1, pools: make([]*pool, len(members)), timeout: timeout}
 	for i, m := range members {
+		addr, err := memberAddr(m)
+		if err != nil {
+			return nil, err
+		}
+		f.pools[i] = newPool(addr)
 		if m == self {
 			f.self = i
 		}
@@ -122,11 +134,27 @@ func jumpHash(key uint64, buckets int) int {
 	return int(b)
 }
 
-// Forward relays a raw /v1/partition body to the member at owner and
-// returns its status, the X-Hetpart-Tier response header (set by owners
-// on forwarded singles), and the response body verbatim.
-func (f *Fabric) Forward(owner int, body []byte) (status int, tier string, resp []byte, err error) {
-	return f.fwd.partition(f.members[owner], body)
+// Forward relays a raw /v1/partition body to the member at owner with
+// the fence header set, and appends the owner's response body verbatim
+// to dst. It returns the owner's status and whether the owner answered
+// from its warm cache (its X-Hetpart-Tier header, set on forwarded
+// singles). The body bytes pass through untouched in both directions:
+// bit-identity of forwarded answers is a property of the relay, not a
+// re-encoding. On error resp still holds dst's buffer for reuse.
+func (f *Fabric) Forward(owner int, body, dst []byte) (status int, remoteHit bool, resp []byte, err error) {
+	status, remoteHit, resp, err = f.pools[owner].forward(body, dst, f.timeout)
+	if err != nil {
+		return 0, false, resp, fmt.Errorf("fabric: forward to %s: %w", f.members[owner], err)
+	}
+	return status, remoteHit, resp, nil
+}
+
+// Close closes the idle relay connections. Forwards still in flight
+// close their connections when they finish instead of pooling them.
+func (f *Fabric) Close() {
+	for _, p := range f.pools {
+		p.close()
+	}
 }
 
 // Status is the fabric block of /v1/stats.

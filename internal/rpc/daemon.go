@@ -127,7 +127,8 @@ type Config struct {
 	// FabricSelf plus Peers; non-owned /v1/partition requests are
 	// forwarded to their owner.
 	FabricSelf string
-	// FabricTimeout bounds one forwarded request (default 2s).
+	// FabricTimeout bounds one forwarded request, dial and retry
+	// included (default 2s).
 	FabricTimeout time.Duration
 
 	// TenantQPS enables per-tenant token-bucket admission: each tenant
@@ -578,7 +579,9 @@ func (d *Daemon) EnableFabric(self string) error {
 	if err != nil {
 		return err
 	}
-	d.fab.Store(f)
+	if old := d.fab.Swap(f); old != nil {
+		old.Close()
+	}
 	return nil
 }
 
@@ -859,13 +862,17 @@ func (d *Daemon) Serve() error {
 	return err
 }
 
-// Shutdown drains in-flight HTTP requests, stops the follower, closes the
-// engine, and folds the WAL into a final snapshot. Idempotent.
+// Shutdown drains in-flight HTTP requests, closes the fabric's idle relay
+// connections, stops the follower, closes the engine, and folds the WAL
+// into a final snapshot. Idempotent.
 func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.closeOnce.Do(func() {
 		var first error
 		if err := d.srv.Shutdown(ctx); err != nil && first == nil {
 			first = err
+		}
+		if f := d.fab.Load(); f != nil {
+			f.Close()
 		}
 		if wt := d.watcher.Load(); wt != nil {
 			wt.Close()

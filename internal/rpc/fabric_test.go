@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -187,6 +189,233 @@ func TestFabricOwnerDownFallback(t *testing.T) {
 	ef := daemons[edge].Fabric()
 	if ef.FallbackLocal.Load() == 0 || ef.ForwardErrors.Load() == 0 {
 		t.Fatalf("edge counters after owner death: %+v", ef.Status())
+	}
+}
+
+// uploadAll uploads doc as model "lab" to every member.
+func uploadAll(t *testing.T, bases []string, doc []byte) {
+	t.Helper()
+	for _, b := range bases {
+		if code := postJSON(t, b+"/v1/models?label=lab", doc, nil); code != 200 {
+			t.Fatalf("upload to %s: HTTP %d", b, code)
+		}
+	}
+}
+
+// TestFabricForwardChunkedBatch: a uniform-owner batch whose reply
+// crosses batchFlushBytes streams from the owner in chunked framing, and
+// the edge still relays it byte-for-byte.
+func TestFabricForwardChunkedBatch(t *testing.T) {
+	daemons, bases := startFabricCluster(t, 3, Config{})
+	uploadAll(t, bases, testClusterDoc(t, 7, 11))
+	owner, edge := 0, 1
+	n := ownedN(t, daemons[edge].Fabric(), "lab", bases[owner], 300_000)
+	elem := fmt.Sprintf(`{"model":"lab","n":%d}`, n)
+	const k = 1000
+	batch := []byte(`{"requests":[` + strings.Repeat(elem+",", k-1) + elem + `]}`)
+
+	// Warm until every element is a hit, so the owner's bytes are stable.
+	var local []byte
+	for i := 0; i < 6 && local == nil; i++ {
+		code, data, _ := postRawHdr(t, bases[owner]+"/v1/partition", batch, nil)
+		if code != 200 {
+			t.Fatalf("warming the batch: HTTP %d: %.200s", code, data)
+		}
+		if !bytes.Contains(data, []byte(`"tier":"miss"`)) && !bytes.Contains(data, []byte(`"tier":"shared"`)) {
+			local = data
+		}
+	}
+	if local == nil {
+		t.Fatal("batch never became all hits")
+	}
+	if len(local) <= batchFlushBytes {
+		t.Fatalf("batch reply is %d bytes, not past batchFlushBytes (%d)", len(local), batchFlushBytes)
+	}
+	// The owner answers a fenced ask (what the relay sends) chunked.
+	req, err := http.NewRequest(http.MethodPost, bases[owner]+"/v1/partition", bytes.NewReader(batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(fabric.ForwardedHeader, "1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fenced, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || len(resp.TransferEncoding) == 0 || resp.TransferEncoding[0] != "chunked" || !bytes.Equal(fenced, local) {
+		t.Fatalf("fenced batch: transfer encoding %v, err %v, equal to owner-local %v",
+			resp.TransferEncoding, err, bytes.Equal(fenced, local))
+	}
+
+	ef := daemons[edge].Fabric()
+	before := ef.Forwarded.Load()
+	code, viaEdge, _ := postRawHdr(t, bases[edge]+"/v1/partition", batch, nil)
+	if code != 200 || !bytes.Equal(viaEdge, local) {
+		t.Fatalf("relayed chunked batch differs from owner-local (HTTP %d, %d vs %d bytes)", code, len(viaEdge), len(local))
+	}
+	if got := ef.Forwarded.Load() - before; got != 1 {
+		t.Fatalf("edge counted %d forwards for the batch, want 1", got)
+	}
+}
+
+// TestFabricForwardAfterIdleClose: when the owner closes its idle
+// keep-alives between two forwards, the second forward still succeeds —
+// the relay retries once on a fresh dial — and is not counted as a
+// forward error.
+func TestFabricForwardAfterIdleClose(t *testing.T) {
+	daemons, bases := startFabricCluster(t, 2, Config{})
+	uploadAll(t, bases, testClusterDoc(t, 5, 9))
+	owner, edge := 1, 0
+	n := ownedN(t, daemons[edge].Fabric(), "lab", bases[owner], 100_000)
+	body := []byte(fmt.Sprintf(`{"model":"lab","n":%d}`, n))
+	local := warmHit(t, bases[owner], body)
+
+	ef := daemons[edge].Fabric()
+	if code, data, _ := postRawHdr(t, bases[edge]+"/v1/partition", body, nil); code != 200 || !bytes.Equal(data, local) {
+		t.Fatalf("first forward: HTTP %d: %s", code, data)
+	}
+	forwarded, errs := ef.Forwarded.Load(), ef.ForwardErrors.Load()
+
+	srv := daemons[owner].srv
+	srv.SetKeepAlivesEnabled(false) // closes the owner's idle connections
+	srv.SetKeepAlivesEnabled(true)
+
+	if code, data, _ := postRawHdr(t, bases[edge]+"/v1/partition", body, nil); code != 200 || !bytes.Equal(data, local) {
+		t.Fatalf("forward after the owner dropped its keep-alives: HTTP %d: %s", code, data)
+	}
+	if got := ef.Forwarded.Load(); got != forwarded+1 {
+		t.Fatalf("Forwarded = %d, want %d", got, forwarded+1)
+	}
+	if got := ef.ForwardErrors.Load(); got != errs {
+		t.Fatalf("ForwardErrors moved from %d to %d on a dropped keep-alive", errs, got)
+	}
+}
+
+// TestFabricForwardConcurrent: eight clients forwarding through one edge
+// at once share its relay pools, and every answer stays bit-identical to
+// the owner's.
+func TestFabricForwardConcurrent(t *testing.T) {
+	daemons, bases := startFabricCluster(t, 3, Config{})
+	uploadAll(t, bases, testClusterDoc(t, 6, 21))
+	edge := 0
+	ef := daemons[edge].Fabric()
+	var bodies, want [][]byte
+	for owner := 1; owner < 3; owner++ {
+		from := int64(200_000)
+		for j := 0; j < 2; j++ {
+			n := ownedN(t, ef, "lab", bases[owner], from)
+			from = n + 1000
+			body := []byte(fmt.Sprintf(`{"model":"lab","n":%d}`, n))
+			bodies = append(bodies, body)
+			want = append(want, warmHit(t, bases[owner], body))
+		}
+	}
+	before := ef.Forwarded.Load()
+	const clients, asks = 8, 25
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < asks; i++ {
+				k := (c + i) % len(bodies)
+				resp, err := http.Post(bases[edge]+"/v1/partition", "application/json", bytes.NewReader(bodies[k]))
+				if err != nil {
+					t.Errorf("client %d ask %d: %v", c, i, err)
+					return
+				}
+				data, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != 200 || !bytes.Equal(data, want[k]) {
+					t.Errorf("client %d ask %d: HTTP %d err %v, bit-identical %v", c, i, resp.StatusCode, err, bytes.Equal(data, want[k]))
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if got := ef.Forwarded.Load() - before; got != clients*asks {
+		t.Fatalf("edge forwarded %d of %d asks", got, clients*asks)
+	}
+	if got := ef.ForwardErrors.Load(); got != 0 {
+		t.Fatalf("%d forward errors under concurrency", got)
+	}
+}
+
+// TestFabricOwnerBlackholed: an owner that accepts connections and never
+// answers costs its keys one -fabric-timeout, then local compute answers
+// 200; the timed-out connection is closed, not returned to the pool.
+func TestFabricOwnerBlackholed(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hangups := make(chan struct{}, 16)
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		conns []net.Conn
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				io.Copy(io.Discard, c) // read the request, never answer
+				select {
+				case hangups <- struct{}{}:
+				default:
+				}
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		for _, c := range conns {
+			c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	hole := "http://" + ln.Addr().String()
+
+	const timeout = 300 * time.Millisecond
+	d, base := startDaemon(t, Config{Dir: t.TempDir(), FabricTimeout: timeout})
+	d.SetPeers([]string{hole})
+	if err := d.EnableFabric(base); err != nil {
+		t.Fatal(err)
+	}
+	uploadAll(t, []string{base}, testClusterDoc(t, 5, 13))
+	n := ownedN(t, d.Fabric(), "lab", hole, 100_000)
+	body := []byte(fmt.Sprintf(`{"model":"lab","n":%d}`, n))
+
+	start := time.Now()
+	code, data, _ := postRawHdr(t, base+"/v1/partition", body, nil)
+	took := time.Since(start)
+	if code != 200 || !bytes.Contains(data, []byte(`"alloc"`)) {
+		t.Fatalf("ask owned by a blackholed member: HTTP %d: %s", code, data)
+	}
+	if took > timeout+time.Second {
+		t.Fatalf("local fallback took %v, want under %v", took, timeout+time.Second)
+	}
+	if f := d.Fabric(); f.ForwardErrors.Load() != 1 || f.FallbackLocal.Load() != 1 {
+		t.Fatalf("edge counters after a blackholed forward: %+v", f.Status())
+	}
+	select {
+	case <-hangups:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the timed-out relay connection was kept open")
 	}
 }
 

@@ -538,69 +538,6 @@ func (d *Daemon) handleModelRefresh(w http.ResponseWriter, r *http.Request, labe
 	writeJSON(w, reply)
 }
 
-// partitionRequest is one partition ask on the wire.
-type partitionRequest struct {
-	// Model names the cluster: a stored label or a hex fingerprint.
-	Model string `json:"model"`
-	N     int64  `json:"n"`
-	// Algo is "basic", "modified" or "combined" (the default).
-	Algo    string          `json:"algo,omitempty"`
-	Options *requestOptions `json:"options,omitempty"`
-}
-
-// requestOptions maps the result-affecting partitioner options onto JSON.
-type requestOptions struct {
-	FineTune   *bool   `json:"fineTune,omitempty"`   // default true
-	MaxSteps   int     `json:"maxSteps,omitempty"`   // default 256
-	Elasticity float64 `json:"elasticity,omitempty"` // Combined's threshold
-	Bisection  string  `json:"bisection,omitempty"`  // "tangents" | "angles"
-}
-
-func (o *requestOptions) toOpts() ([]core.Option, error) {
-	if o == nil {
-		return nil, nil
-	}
-	var opts []core.Option
-	if o.FineTune != nil && !*o.FineTune {
-		opts = append(opts, core.WithoutFineTune())
-	}
-	if o.MaxSteps < 0 {
-		return nil, fmt.Errorf("maxSteps must be positive")
-	}
-	if o.MaxSteps > 0 {
-		opts = append(opts, core.WithMaxSteps(o.MaxSteps))
-	}
-	if o.Elasticity < 0 {
-		return nil, fmt.Errorf("elasticity must be positive")
-	}
-	if o.Elasticity > 0 {
-		opts = append(opts, core.WithElasticityThreshold(o.Elasticity))
-	}
-	switch o.Bisection {
-	case "":
-	case "tangents":
-		opts = append(opts, core.WithBisection(geometry.BisectTangents))
-	case "angles":
-		opts = append(opts, core.WithBisection(geometry.BisectAngles))
-	default:
-		return nil, fmt.Errorf("unknown bisection %q (want tangents or angles)", o.Bisection)
-	}
-	return opts, nil
-}
-
-func parseAlgoName(name string) (core.Algorithm, error) {
-	switch name {
-	case "", "combined":
-		return core.AlgoCombined, nil
-	case "basic":
-		return core.AlgoBasic, nil
-	case "modified":
-		return core.AlgoModified, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q", name)
-	}
-}
-
 func tierName(t plancache.Tier) string {
 	switch t {
 	case plancache.TierHit:
@@ -619,49 +556,6 @@ type partitionReply struct {
 	Tier  string     `json:"tier,omitempty"`
 	Stats core.Stats `json:"stats"`
 	Error string     `json:"error,omitempty"`
-}
-
-// partitionBatch wraps multiple requests in one POST.
-type partitionBatch struct {
-	Requests []partitionRequest `json:"requests"`
-}
-
-// resolveModel maps the wire model name onto speed functions.
-func (d *Daemon) resolveModel(name string) ([]speed.Function, bool) {
-	d.regMu.RLock()
-	defer d.regMu.RUnlock()
-	if fp, ok := d.byName[name]; ok {
-		return d.byFP[fp], true
-	}
-	if fp, err := strconv.ParseUint(strings.TrimPrefix(name, "0x"), 16, 64); err == nil {
-		if fns, ok := d.byFP[fp]; ok {
-			return fns, true
-		}
-	}
-	return nil, false
-}
-
-// toServeRequest validates one wire request.
-func (d *Daemon) toServeRequest(pr partitionRequest) (serve.Request, error) {
-	if pr.Model == "" {
-		return serve.Request{}, fmt.Errorf("missing model")
-	}
-	if pr.N < 0 {
-		return serve.Request{}, fmt.Errorf("negative n %d", pr.N)
-	}
-	fns, ok := d.resolveModel(pr.Model)
-	if !ok {
-		return serve.Request{}, fmt.Errorf("unknown model %q (upload it via /v1/models)", pr.Model)
-	}
-	algo, err := parseAlgoName(pr.Algo)
-	if err != nil {
-		return serve.Request{}, err
-	}
-	opts, err := pr.Options.toOpts()
-	if err != nil {
-		return serve.Request{}, err
-	}
-	return serve.Request{Algo: algo, N: pr.N, Fns: fns, Opts: opts}, nil
 }
 
 // handlePartition answers one request or a batch through the pooled wire
@@ -747,13 +641,14 @@ func writeQuotaError(w http.ResponseWriter, retry int) {
 }
 
 // forwardPartition relays the raw request body to the owning member and
-// the response back verbatim. Returns false when the owner is unreachable
-// or answering 5xx — the caller serves locally instead (every member can
-// compute every plan; an owner outage costs cache warmth, not
-// availability). 2xx-4xx relay as-is: a 400 is the same 400 this member
-// would produce.
-func (d *Daemon) forwardPartition(w http.ResponseWriter, fab *fabric.Fabric, owner int, ts *fabric.TenantStats, body []byte) bool {
-	status, tier, resp, err := fab.Forward(owner, body)
+// the response back verbatim, through sc.out. Returns false when the
+// owner is unreachable or answering 5xx — the caller serves locally
+// instead (every member can compute every plan; an owner outage costs
+// cache warmth, not availability). 2xx-4xx relay as-is: a 400 is the same
+// 400 this member would produce.
+func (d *Daemon) forwardPartition(w http.ResponseWriter, sc *wireScratch, fab *fabric.Fabric, owner int, ts *fabric.TenantStats) bool {
+	status, hit, resp, err := fab.Forward(owner, sc.body, sc.out[:0])
+	sc.out = resp
 	if err != nil || status >= 500 {
 		fab.ForwardErrors.Add(1)
 		fab.FallbackLocal.Add(1)
@@ -761,15 +656,15 @@ func (d *Daemon) forwardPartition(w http.ResponseWriter, fab *fabric.Fabric, own
 	}
 	fab.Forwarded.Add(1)
 	ts.Forwarded.Add(1)
-	if tier == "hit" {
+	if hit {
 		fab.RemoteHits.Add(1)
 		ts.RemoteHits.Add(1)
 	}
-	writeBody(w, status, resp)
+	writeBody(w, status, sc.out)
 	return true
 }
 
-// wireToServe validates one parsed wire request, mirroring toServeRequest
+// wireToServe validates one parsed wire request and resolves its model,
 // over spans instead of strings so the happy path allocates nothing.
 func (d *Daemon) wireToServe(sc *wireScratch, wr *wireRequest) (serve.Request, error) {
 	model := sc.spanBytes(wr.model)
@@ -801,9 +696,11 @@ func (d *Daemon) wireToServe(sc *wireScratch, wr *wireRequest) (serve.Request, e
 	return serve.Request{Algo: algo, N: wr.n, Fns: fns, Opts: opts, Model: fp}, nil
 }
 
-// toOpts converts the flattened wire options to core options, with the
-// same validation (and error text) requestOptions.toOpts applies. The
-// common no-options request returns nil without allocating.
+// toOpts converts the flattened wire options to core options. The
+// validation error texts are part of the API (TestPartitionDispatchBehavior
+// pins them, and the differential suite holds them to wire_test.go's
+// reference). The common no-options request returns nil without
+// allocating.
 func (wr *wireRequest) toOpts(sc *wireScratch) ([]core.Option, error) {
 	bis := sc.spanBytes(wr.bisection)
 	if !wr.hasFineTune && wr.maxSteps == 0 && wr.elasticity == 0 && len(bis) == 0 {
@@ -837,9 +734,10 @@ func (wr *wireRequest) toOpts(sc *wireScratch) ([]core.Option, error) {
 	return opts, nil
 }
 
-// resolveModelBytes is resolveModel for the parser's byte spans: the
-// label lookup is a zero-copy map probe; the hex-fingerprint fallback is
-// rare and may allocate. The returned fingerprint is canonical (the store
+// resolveModelBytes maps a wire model name — a stored label or a hex
+// fingerprint — onto its speed functions: the label lookup is a
+// zero-copy map probe; the hex-fingerprint fallback is rare and may
+// allocate. The returned fingerprint is canonical (the store
 // re-hashes models on load and aliases legacy fingerprints), so callers
 // can use it as the cache key without re-hashing fns per request.
 func (d *Daemon) resolveModelBytes(name []byte) ([]speed.Function, uint64, bool) {
@@ -887,7 +785,7 @@ func (d *Daemon) servePartitionSingle(w http.ResponseWriter, r *http.Request, sc
 		}
 		if fab != nil && len(family) > 0 && wr.n >= 0 {
 			if owner := fab.OwnerIndex(tenant, family, wr.n); !fab.IsSelf(owner) {
-				if d.forwardPartition(w, fab, owner, ts, sc.body) {
+				if d.forwardPartition(w, sc, fab, owner, ts) {
 					return
 				}
 				// Owner down: fall through and compute locally.
@@ -977,12 +875,14 @@ func (d *Daemon) servePartitionBatch(w http.ResponseWriter, r *http.Request, sc 
 		// One remote owner for the whole batch: relay it verbatim so its
 		// elements coalesce in the owner's dispatch cycle and warm the
 		// owner's cache, exactly as a local batch would.
-		if status, _, resp, err := fab.Forward(owner, sc.body); err == nil && status < 500 {
+		status, _, resp, err := fab.Forward(owner, sc.body, sc.out[:0])
+		sc.out = resp
+		if err == nil && status < 500 {
 			fab.Forwarded.Add(1)
 			for i := range sc.items {
 				sc.items[i].ts.Forwarded.Add(1)
 			}
-			writeBody(w, status, resp)
+			writeBody(w, status, sc.out)
 			return
 		}
 		fab.ForwardErrors.Add(1)

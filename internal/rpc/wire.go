@@ -106,7 +106,7 @@ type wireItem struct {
 // warm single request touches only memory owned here.
 type wireScratch struct {
 	body   []byte        // request body
-	out    []byte        // response bytes
+	out    []byte        // response bytes, encoded here or relayed from the owner
 	strBuf []byte        // unescaped string data (spans point into it)
 	reqs   []wireRequest // parsed requests (len 1 for a single)
 	items  []wireItem    // batch serving state
@@ -147,8 +147,11 @@ func (sc *wireScratch) spanBytes(sp span) []byte {
 	return sc.body[sp.off : sp.off+sp.n]
 }
 
-// wireRequest mirrors partitionRequest without allocating: strings are
-// spans, options are flattened values with presence flags.
+// wireRequest is one parsed partition ask, held without allocating:
+// strings are spans, options are flattened values with presence flags.
+// Its fields are the wire document's {"model", "n", "algo", "options":
+// {"fineTune", "maxSteps", "elasticity", "bisection"}}; wire_test.go's
+// partitionRequest is the encoding/json reference it is checked against.
 type wireRequest struct {
 	model span
 	n     int64

@@ -18,7 +18,67 @@ import (
 	"testing"
 
 	"heteropart/internal/core"
+	"heteropart/internal/geometry"
 )
+
+// partitionRequest is the encoding/json reference for one partition ask:
+// the struct the handler decoded before the wire codec, kept as the
+// oracle the parser is checked against.
+type partitionRequest struct {
+	// Model names the cluster: a stored label or a hex fingerprint.
+	Model string `json:"model"`
+	N     int64  `json:"n"`
+	// Algo is "basic", "modified" or "combined" (the default).
+	Algo    string          `json:"algo,omitempty"`
+	Options *requestOptions `json:"options,omitempty"`
+}
+
+// partitionBatch wraps multiple requests in one POST.
+type partitionBatch struct {
+	Requests []partitionRequest `json:"requests"`
+}
+
+// requestOptions maps the result-affecting partitioner options onto JSON.
+type requestOptions struct {
+	FineTune   *bool   `json:"fineTune,omitempty"`   // default true
+	MaxSteps   int     `json:"maxSteps,omitempty"`   // default 256
+	Elasticity float64 `json:"elasticity,omitempty"` // Combined's threshold
+	Bisection  string  `json:"bisection,omitempty"`  // "tangents" | "angles"
+}
+
+// toOpts is the reference option validation wireRequest.toOpts must
+// agree with (checkOptsDifferential).
+func (o *requestOptions) toOpts() ([]core.Option, error) {
+	if o == nil {
+		return nil, nil
+	}
+	var opts []core.Option
+	if o.FineTune != nil && !*o.FineTune {
+		opts = append(opts, core.WithoutFineTune())
+	}
+	if o.MaxSteps < 0 {
+		return nil, fmt.Errorf("maxSteps must be positive")
+	}
+	if o.MaxSteps > 0 {
+		opts = append(opts, core.WithMaxSteps(o.MaxSteps))
+	}
+	if o.Elasticity < 0 {
+		return nil, fmt.Errorf("elasticity must be positive")
+	}
+	if o.Elasticity > 0 {
+		opts = append(opts, core.WithElasticityThreshold(o.Elasticity))
+	}
+	switch o.Bisection {
+	case "":
+	case "tangents":
+		opts = append(opts, core.WithBisection(geometry.BisectTangents))
+	case "angles":
+		opts = append(opts, core.WithBisection(geometry.BisectAngles))
+	default:
+		return nil, fmt.Errorf("unknown bisection %q (want tangents or angles)", o.Bisection)
+	}
+	return opts, nil
+}
 
 // goldenReply marshals a partitionReply with encoding/json exactly as the
 // old writeJSON path did (json.Encoder appends '\n').
@@ -159,6 +219,18 @@ func optionsEqual(a, b *requestOptions) bool {
 	return a.MaxSteps == b.MaxSteps && a.Elasticity == b.Elasticity && a.Bisection == b.Bisection
 }
 
+// checkOptsDifferential runs the wire option validation against the
+// reference: the same error text, or the same number of core options.
+func checkOptsDifferential(t testing.TB, body []byte, sc *wireScratch, wr *wireRequest, ref *requestOptions) {
+	t.Helper()
+	got, gotErr := wr.toOpts(sc)
+	want, wantErr := ref.toOpts()
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || len(got) != len(want) {
+		t.Fatalf("options divergence on %q: wire %d opts, err %v; ref %d opts, err %v",
+			body, len(got), gotErr, len(want), wantErr)
+	}
+}
+
 // checkParseDifferential runs one body through the wire parser and the
 // json.Decoder reference, failing on any divergence that is not a
 // documented one. Returns true if the body parsed successfully.
@@ -185,6 +257,7 @@ func checkParseDifferential(t testing.TB, body []byte) bool {
 			if got.Model != want.Model || got.N != want.N || got.Algo != want.Algo || !optionsEqual(got.Options, want.Options) {
 				t.Fatalf("batch field divergence on %q [%d]:\n got %+v\nwant %+v", body, i, got, want)
 			}
+			checkOptsDifferential(t, body, sc, &sc.reqs[i], want.Options)
 		}
 		return true
 	}
@@ -205,6 +278,7 @@ func checkParseDifferential(t testing.TB, body []byte) bool {
 	if got.Model != want.Model || got.N != want.N || got.Algo != want.Algo || !optionsEqual(got.Options, want.Options) {
 		t.Fatalf("field divergence on %q:\n got %+v\nwant %+v", body, got, want)
 	}
+	checkOptsDifferential(t, body, sc, &sc.reqs[0], want.Options)
 	return true
 }
 

@@ -12,14 +12,14 @@ func TestQualityLow(t *testing.T) {
 		target float64
 		want   bool
 	}{
-		{Quality{}, 0.05, true},                                      // no samples at all
-		{Quality{Samples: 1}, 0.05, false},                           // one clean sample
-		{Quality{Samples: 3, TimedOut: true}, 0.05, true},            // deadline hit
-		{Quality{Samples: 4, Rejected: 3}, 0.05, true},               // majority rejected
-		{Quality{Samples: 4, Rejected: 2}, 0.05, false},              // half rejected is fine
-		{Quality{Samples: 5, RelWidth: 0.2}, 0.05, true},             // too wide
-		{Quality{Samples: 5, RelWidth: 0.02}, 0.05, false},           // narrow enough
-		{Quality{Samples: 5, RelWidth: 0.2}, 0, false},               // no target, width ignored
+		{Quality{}, 0.05, true},                                       // no samples at all
+		{Quality{Samples: 1}, 0.05, false},                            // one clean sample
+		{Quality{Samples: 3, TimedOut: true}, 0.05, true},             // deadline hit
+		{Quality{Samples: 4, Rejected: 3}, 0.05, true},                // majority rejected
+		{Quality{Samples: 4, Rejected: 2}, 0.05, false},               // half rejected is fine
+		{Quality{Samples: 5, RelWidth: 0.2}, 0.05, true},              // too wide
+		{Quality{Samples: 5, RelWidth: 0.02}, 0.05, false},            // narrow enough
+		{Quality{Samples: 5, RelWidth: 0.2}, 0, false},                // no target, width ignored
 		{Quality{Samples: 5, RelWidth: 0.2, TimedOut: true}, 0, true}, // timeout always low
 	}
 	for i, c := range cases {

@@ -3,7 +3,7 @@
 # names so "what does CI run?" has exactly one answer:
 #
 #   1. tier-1: go build ./... && go test ./...
-#   2. go vet ./...
+#   2. go vet ./..., and gofmt -l . must print nothing
 #   3. go test -race ./internal/...  (the supervisor, the supervised
 #      executors, the worker pool and the experiment harness are
 #      concurrent by construction)
@@ -60,10 +60,16 @@
 #      tenant stats, token buckets and forwarding counters are hit by
 #      every concurrent request path
 #  16. forwarding gate: forwarded partition requests must be bit-identical
-#      to owner-local answers, and an owner outage must degrade to local
-#      compute instead of an error
+#      to owner-local answers (chunked batches and concurrent clients
+#      included, and across an owner dropping its idle keep-alives), and
+#      a dead or blackholed owner must degrade to local compute within
+#      the forwarding timeout instead of an error
 #  17. fabric benchmark smoke: the owned/forwarded/quota paths each run
 #      once over real loopback HTTP
+#  18. forwarding allocation guard: a forwarded request may cost at most
+#      2 x the allocs/op of an owned one + 4 — the edge's and the owner's
+#      net/http server passes, with the relay between them allocating
+#      (next to) nothing
 #
 # Usage: scripts/ci.sh
 set -e
@@ -75,6 +81,13 @@ echo "==> tier-1: go test ./..." >&2
 go test ./...
 echo "==> go vet ./..." >&2
 go vet ./...
+echo "==> gofmt -l ." >&2
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "FAIL: gofmt -l . lists unformatted files:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 echo "==> go test -race ./internal/..." >&2
 go test -race ./internal/...
 echo "==> go test -race ./internal/pool/... ./internal/kernels/... (kernel-perf gate)" >&2
@@ -149,9 +162,24 @@ END {
 }'
 echo "==> go test -race ./internal/fabric/... (fabric gate)" >&2
 go test -race ./internal/fabric/...
-echo "==> forwarding gate: go test -race -run 'FabricForward|FabricOwnerDown' ./internal/rpc/" >&2
-go test -race -count=1 -run 'FabricForward|FabricOwnerDown' ./internal/rpc/
+echo "==> forwarding gate: go test -race -run 'FabricForward|FabricOwner' ./internal/rpc/" >&2
+go test -race -count=1 -run 'FabricForward|FabricOwner' ./internal/rpc/
 echo "==> benchmark smoke: BENCHTIME=1x scripts/bench_fabric.sh /tmp/bench_fabric_smoke.json" >&2
 BENCHTIME=1x scripts/bench_fabric.sh /tmp/bench_fabric_smoke.json
 rm -f /tmp/bench_fabric_smoke.json
+echo "==> forwarding allocs/op guard: forwarded <= 2 x local + 4" >&2
+# 200x amortizes the relay pool's first dial and buffer growth.
+go test -run '^$' -bench 'FabricForward' -benchtime=200x -benchmem . |
+awk '
+/^BenchmarkFabricForward\/(local|forwarded)/ {
+	allocs = "?"
+	for (i = 3; i < NF; i++) if ($(i+1) == "allocs/op") allocs = $i
+	printf "    %s: %s allocs/op\n", $1, allocs
+	if (allocs == "?") bad = 1
+	if ($1 ~ /\/local/) local = allocs; else fwd = allocs
+}
+END {
+	if (bad || local == "" || fwd == "") { print "FAIL: no FabricForward local/forwarded allocs/op parsed" > "/dev/stderr"; exit 1 }
+	if (fwd + 0 > 2 * local + 4) { printf "FAIL: forwarded %s allocs/op > 2 x local %s + 4\n", fwd, local > "/dev/stderr"; exit 1 }
+}'
 echo "==> all gates green" >&2
