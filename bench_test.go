@@ -317,12 +317,13 @@ func benchPWLCluster(b *testing.B, p int) []speed.Function {
 // full bisection), a warm reusable Partitioner seeded with the previous
 // optimum's slope (the zero-allocation hot path — allocs/op must print 0),
 // a plan-cache exact hit, and a cache near-miss that is warm-started from a
-// neighboring size's cached slope. scripts/bench_partition.sh records these
-// rows into BENCH_partition.json, and scripts/ci.sh fails the build if the
-// warm path ever allocates again.
+// neighboring size's cached slope. p = 1080 is the largest model of
+// Figure 21 and of perfbench's cold mix. scripts/bench_partition.sh records
+// these rows into BENCH_partition.json, and scripts/ci.sh fails the build if
+// the warm path ever allocates again.
 func BenchmarkPartitionThroughput(b *testing.B) {
 	const n = 1_000_000_000
-	for _, p := range []int{12, 64, 256} {
+	for _, p := range []int{12, 64, 256, 1080} {
 		fns := benchPWLCluster(b, p)
 		b.Run(benchName("p", p), func(b *testing.B) {
 			seed, err := core.Combined(n, fns)

@@ -27,6 +27,9 @@ func Basic(n int64, fns []speed.Function, opts ...Option) (Result, error) {
 type bounds struct {
 	steep, shallow   geometry.Ray // steep under-allocates, shallow over-allocates
 	xSteep, xShallow []float64    // cached intersections of the two rays
+	// segSteep and segShallow are the knot segments of those intersections,
+	// which only the piecewise-linear fast path fills and reads.
+	segSteep, segShallow []int
 }
 
 // trivial handles n == 0 and p == 1 without any geometry. The allocation
@@ -48,31 +51,57 @@ func (s *state) trivial() (Result, bool) {
 
 // openBounds establishes the initial rays of Figure 18 and their cached
 // intersections in the reusable region s.b.
+//
+// A processor whose domain ends below n/p clamps short of the point
+// (n/p, s_min), so the shallow ray can under-allocate, and the optimum
+// then lies outside the region. Such a ray is replaced with the flat one
+// (slope 0), on which every crossing clamps to its domain; it
+// over-allocates because reset rejects any n above the total capacity.
+// Without a clamp a shortfall is float rounding of crossings at n/p
+// (identical machines put every crossing there), and the ray stays.
 func (s *state) openBounds() error {
-	steep, shallow, err := s.initialRays()
+	steep, shallow, clamped, err := s.initialRays()
 	if err != nil {
 		return err
 	}
-	s.b.steep = steep
-	s.b.shallow = shallow
-	if _, err := s.intersect(steep, s.b.xSteep); err != nil {
+	b := &s.b
+	// Search the first rays over every knot segment.
+	for i, f := range s.pwl {
+		b.segSteep[i], b.segShallow[i] = 0, f.NumPoints()
+	}
+	if _, err := s.intersect(steep); err != nil {
 		return err
 	}
-	if _, err := s.intersect(shallow, s.b.xShallow); err != nil {
+	b.steep = steep
+	copy(b.xSteep, s.xs)
+	copy(b.segSteep, s.segs)
+	sum, err := s.intersect(shallow)
+	if err != nil {
 		return err
 	}
+	if clamped && sum < s.n {
+		shallow = geometry.Ray{}
+		if _, err := s.intersect(shallow); err != nil {
+			return err
+		}
+	}
+	b.shallow = shallow
+	copy(b.xShallow, s.xs)
+	copy(b.segShallow, s.segs)
 	return nil
 }
 
-// replace installs the mid ray as the new steep or shallow bound depending
-// on the allocation sum at mid.
-func (b *bounds) replace(mid geometry.Ray, xs []float64, sum, n float64) {
+// replace installs the mid ray and its intersections as the new steep or
+// shallow bound depending on the allocation sum at mid.
+func (b *bounds) replace(mid geometry.Ray, xs []float64, segs []int, sum, n float64) {
 	if sum < n {
 		b.steep = mid
 		copy(b.xSteep, xs)
+		copy(b.segSteep, segs)
 	} else {
 		b.shallow = mid
 		copy(b.xShallow, xs)
+		copy(b.segShallow, segs)
 	}
 }
 
@@ -90,12 +119,12 @@ func (s *state) runBasic() error {
 			// remaining per-processor gaps cannot be narrowed by geometry.
 			return nil
 		}
-		sum, err := s.intersect(mid, s.xs)
+		sum, err := s.intersect(mid)
 		if err != nil {
 			return err
 		}
 		s.stats.Steps++
-		b.replace(mid, s.xs, sum, s.n)
+		b.replace(mid, s.xs, s.segs, sum, s.n)
 	}
 	return nil
 }

@@ -21,7 +21,7 @@ import (
 func (s *state) fineTune(xSteep []float64) Allocation {
 	p := len(s.fns)
 	alloc := s.dst
-	s.caps = growInts(s.caps, p)
+	s.caps = grow(s.caps, p)
 	caps := s.caps
 	var total int64
 	for i, f := range s.fns {
@@ -146,12 +146,14 @@ func (s *state) stabilize(alloc Allocation, caps []int64) {
 	}
 }
 
-// timeAt is the execution time of processor i at allocation x.
+// timeAt is the execution time of processor i at allocation x. Fine-tuning
+// evaluates next to the steep ray's crossings, so their segments are the
+// search hints.
 func (s *state) timeAt(i int, x int64) float64 {
 	if x <= 0 {
 		return 0
 	}
-	sp := s.fns[i].Eval(float64(x))
+	sp := s.eval(i, float64(x), s.b.segSteep[i])
 	if sp <= 0 {
 		return math.Inf(1)
 	}
@@ -270,7 +272,7 @@ func (s *state) roundLargestRemainder(xs []float64) Allocation {
 	}
 	fracs := make([]frac, p)
 	var total int64
-	s.caps = growInts(s.caps, p)
+	s.caps = grow(s.caps, p)
 	caps := s.caps
 	for i, x := range xs {
 		caps[i] = int64(math.Floor(s.fns[i].MaxSize()))

@@ -59,7 +59,7 @@ func (s *state) runModified() error {
 			// (possible only through clamping artifacts); geometry is done.
 			return nil
 		}
-		y := s.fns[best].Eval(bestMid)
+		y := s.eval(best, bestMid, b.segSteep[best])
 		mid, err := geometry.RayThrough(bestMid, y)
 		if err != nil {
 			return err
@@ -73,12 +73,12 @@ func (s *state) runModified() error {
 				return nil
 			}
 		}
-		sum, err := s.intersect(mid, s.xs)
+		sum, err := s.intersect(mid)
 		if err != nil {
 			return err
 		}
 		s.stats.Steps++
-		b.replace(mid, s.xs, sum, s.n)
+		b.replace(mid, s.xs, s.segs, sum, s.n)
 	}
 	return nil
 }
@@ -102,15 +102,15 @@ func (s *state) runCombined() error {
 	probe := s.cfg.rule.Bisect(b.shallow, b.steep)
 	useModified := false
 	if probe.Slope() > b.shallow.Slope() && probe.Slope() < b.steep.Slope() {
-		sum, err := s.intersect(probe, s.xs)
+		sum, err := s.intersect(probe)
 		if err != nil {
 			return err
 		}
 		s.stats.Steps++
-		if s.maxElasticity(s.xs) > s.cfg.elasticity {
+		if s.maxElasticity() > s.cfg.elasticity {
 			useModified = true
 		}
-		b.replace(probe, s.xs, sum, s.n)
+		b.replace(probe, s.xs, s.segs, sum, s.n)
 	}
 	if useModified {
 		s.stats.UsedModified = true
@@ -120,18 +120,18 @@ func (s *state) runCombined() error {
 }
 
 // maxElasticity estimates the largest |d ln s / d ln x| across processors
-// at the given abscissas by a forward log-difference. Zero or vanishing
+// at the intersections of the last ray (s.xs) by a forward log-difference,
+// with the crossings' segments as evaluation hints. Zero or vanishing
 // speeds count as infinitely steep.
-func (s *state) maxElasticity(xs []float64) float64 {
+func (s *state) maxElasticity() float64 {
 	const h = 0.01
 	var worst float64
-	for i, f := range s.fns {
-		x := xs[i]
+	for i, x := range s.xs {
 		if !(x > 0) {
 			continue
 		}
-		s0 := f.Eval(x)
-		s1 := f.Eval(x * (1 + h))
+		s0 := s.eval(i, x, s.segs[i])
+		s1 := s.eval(i, x*(1+h), s.segs[i])
 		if s0 <= 0 || s1 <= 0 {
 			return math.Inf(1)
 		}

@@ -271,8 +271,19 @@ type state struct {
 	stats Stats
 	// dst is the caller's allocation buffer the run writes into.
 	dst Allocation
-	// xs is a scratch buffer for intersection abscissas.
-	xs []float64
+	// pwl holds fns as their concrete type when every one is a
+	// *speed.PiecewiseLinear (the paper's practical representation, and
+	// the one measured models reach hetpartd in), and is empty otherwise.
+	// A non-empty pwl selects the fast path: direct calls, a crossing
+	// search bracketed by the bounds' segments, and hinted evaluations.
+	// Any other mix of functions takes the generic interface path, which
+	// the fast path matches bit for bit.
+	pwl []*speed.PiecewiseLinear
+	// xs is a scratch buffer for intersection abscissas, and segs for
+	// their knot segments (speed.PiecewiseLinear.IntersectRayIn), which
+	// only the fast path fills and reads.
+	xs   []float64
+	segs []int
 	// b is the reusable search region between the two bounding rays.
 	b bounds
 	// caps and heap are the fine-tuning scratch buffers.
@@ -280,19 +291,11 @@ type state struct {
 	heap []incrementCandidate
 }
 
-// growFloats returns a slice of length n, reusing s's backing array when
-// it is large enough.
-func growFloats(s []float64, n int) []float64 {
+// grow returns a slice of length n, reusing s's backing array when it is
+// large enough.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// growInts is growFloats for int64 slices.
-func growInts(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -337,10 +340,29 @@ func (s *state) reset(dst Allocation, n int64, fns []speed.Function, algorithm s
 	for i := range dst {
 		dst[i] = 0
 	}
-	s.xs = growFloats(s.xs, p)
-	s.b.xSteep = growFloats(s.b.xSteep, p)
-	s.b.xShallow = growFloats(s.b.xShallow, p)
+	s.xs = grow(s.xs, p)
+	s.b.xSteep = grow(s.b.xSteep, p)
+	s.b.xShallow = grow(s.b.xShallow, p)
+	s.segs = grow(s.segs, p)
+	s.b.segSteep = grow(s.b.segSteep, p)
+	s.b.segShallow = grow(s.b.segShallow, p)
+	s.resolvePWL(fns)
 	return nil
+}
+
+// resolvePWL fills s.pwl with fns as concrete piecewise-linear functions
+// when every one is, and leaves it empty otherwise.
+func (s *state) resolvePWL(fns []speed.Function) {
+	s.pwl = grow(s.pwl, len(fns))
+	for i, f := range fns {
+		pl, ok := f.(*speed.PiecewiseLinear)
+		if !ok {
+			clear(s.pwl)
+			s.pwl = s.pwl[:0]
+			return
+		}
+		s.pwl[i] = pl
+	}
 }
 
 // release drops the borrowed references so a pooled Partitioner does not
@@ -348,54 +370,96 @@ func (s *state) reset(dst Allocation, n int64, fns []speed.Function, algorithm s
 func (s *state) release() {
 	s.fns = nil
 	s.dst = nil
+	clear(s.pwl)
+	s.pwl = s.pwl[:0]
 }
 
-// intersect fills dst with the intersection abscissas of the ray with
-// every speed graph, clamped to each graph's domain, and returns their sum.
-func (s *state) intersect(ray geometry.Ray, dst []float64) (float64, error) {
+// intersect fills s.xs with the abscissas at which the ray crosses every
+// speed graph, clamped to each graph's domain, and returns their sum.
+//
+// On the fast path it also fills s.segs with each crossing's knot segment,
+// and it searches processor i's graph only from s.b.segSteep[i] to
+// s.b.segShallow[i]. The segment never increases with the slope, so that
+// bracket holds the crossing of any ray between the bounds, which is every
+// ray the search draws; openBounds opens it to the whole graph for the
+// first rays. Where the bounding rays cross in the same segment, no search
+// runs at all.
+func (s *state) intersect(ray geometry.Ray) (float64, error) {
 	var sum float64
-	for i, f := range s.fns {
-		x, err := geometry.Intersect(f, ray, f.MaxSize())
-		if err != nil {
-			return 0, fmt.Errorf("core: intersecting processor %d: %w", i, err)
+	if len(s.pwl) == 0 {
+		for i, f := range s.fns {
+			x, err := geometry.Intersect(f, ray, f.MaxSize())
+			if err != nil {
+				return 0, fmt.Errorf("core: intersecting processor %d: %w", i, err)
+			}
+			s.stats.Intersections++
+			s.xs[i] = x
+			sum += x
 		}
-		s.stats.Intersections++
-		dst[i] = x
+		return sum, nil
+	}
+	c := ray.Slope()
+	xs, segs := s.xs[:len(s.pwl)], s.segs[:len(s.pwl)]
+	lo, hi := s.b.segSteep[:len(s.pwl)], s.b.segShallow[:len(s.pwl)]
+	for i, f := range s.pwl {
+		x, k := f.IntersectRayIn(c, lo[i], hi[i])
+		if k == 0 {
+			// geometry.Intersect's clamp to the domain, which only a
+			// crossing on the left extension can exceed by rounding.
+			x = min(x, f.MaxSize())
+		}
+		xs[i] = x
+		segs[i] = k
 		sum += x
 	}
+	s.stats.Intersections += len(s.pwl)
 	return sum, nil
+}
+
+// eval returns processor i's speed at x. On the fast path a hint naming
+// the knot segment that holds x skips the search
+// (speed.PiecewiseLinear.EvalNear); the value does not depend on it.
+func (s *state) eval(i int, x float64, hint int) float64 {
+	if len(s.pwl) > 0 {
+		return s.pwl[i].EvalNear(x, hint)
+	}
+	return s.fns[i].Eval(x)
 }
 
 // initialRays computes the two starting rays of Figure 18: both pass
 // through the origin and through the points (n/p, s_max) and (n/p, s_min),
 // where s_max and s_min are the highest and lowest speeds at the even
-// allocation n/p. The steep ray under-allocates (Σx ≤ n) and the shallow
-// ray over-allocates (Σx ≥ n, up to domain clamping).
-func (s *state) initialRays() (steep, shallow geometry.Ray, err error) {
+// allocation n/p, probed inside each processor's own domain. The steep ray
+// under-allocates (Σx ≤ n). The shallow ray over-allocates (Σx ≥ n, up to
+// float rounding) unless clamped reports that some domain ends below n/p
+// (see openBounds).
+func (s *state) initialRays() (steep, shallow geometry.Ray, clamped bool, err error) {
 	p := float64(len(s.fns))
 	x0 := s.n / p
 	sMax, sMin := math.Inf(-1), math.Inf(1)
-	for _, f := range s.fns {
-		// Probe inside each processor's own domain.
-		probe := math.Min(x0, f.MaxSize())
-		v := f.Eval(probe)
+	for i, f := range s.fns {
+		probe := x0
+		if m := f.MaxSize(); m < x0 {
+			probe, clamped = m, true
+		}
+		v := s.eval(i, probe, 0)
 		sMax = math.Max(sMax, v)
 		sMin = math.Min(sMin, v)
 	}
 	if !(sMax > 0) {
-		return steep, shallow, ErrZeroSpeed
+		return steep, shallow, clamped, ErrZeroSpeed
 	}
 	steep, err = geometry.RayThrough(x0, sMax)
 	if err != nil {
-		return steep, shallow, err
+		return steep, shallow, clamped, err
 	}
 	// A zero minimum speed yields the flat ray, which over-allocates by
 	// construction (every intersection clamps to the domain maximum).
 	shallow, err = geometry.RayThrough(x0, math.Max(sMin, 0))
 	if err != nil {
-		return steep, shallow, err
+		return steep, shallow, clamped, err
 	}
-	return steep, shallow, nil
+	return steep, shallow, clamped, nil
 }
 
 // applyWarmStart tightens freshly opened bounds with up to two verified
@@ -419,12 +483,12 @@ func (s *state) applyWarmStart() error {
 		if err != nil {
 			continue
 		}
-		sum, err := s.intersect(ray, s.xs)
+		sum, err := s.intersect(ray)
 		if err != nil {
 			return err
 		}
 		s.stats.Steps++
-		s.b.replace(ray, s.xs, sum, s.n)
+		s.b.replace(ray, s.xs, s.segs, sum, s.n)
 	}
 	return nil
 }

@@ -379,3 +379,43 @@ func TestPartitionersOnMixedRepresentations(t *testing.T) {
 		}
 	}
 }
+
+// TestClampedDomainsInitialRays covers Figure 18's shallow ray when a
+// domain ends below the even share n/p: that processor clamps short of the
+// point (n/p, s_min), so the ray under-allocates, and the search must fall
+// back to the flat ray instead of converging outside the optimum and
+// leaving the whole deficit to fine-tuning. Both flat machines are built
+// as constant functions (the generic path) and as piecewise-linear ones
+// (the fast path); every algorithm must return Exact's allocation with no
+// more than 2p fine-tuning moves.
+func TestClampedDomainsInitialRays(t *testing.T) {
+	flat := func(s, max float64) speed.Function {
+		return speed.MustPiecewiseLinear([]speed.Point{{X: 1e3, Y: s}, {X: max, Y: s}})
+	}
+	models := map[string][]speed.Function{
+		"constant": {speed.MustConstant(2e7, 1e9), speed.MustConstant(1e7, 1e11)},
+		"pwl":      {flat(2e7, 1e9), flat(1e7, 1e11)},
+	}
+	for name, fns := range models {
+		for _, n := range []int64{2_500_000_000, 30_000_000_000} {
+			want, err := Exact(n, fns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for algo, part := range partitioners {
+				res, err := part(n, fns)
+				if err != nil {
+					t.Fatalf("%s %s n=%d: %v", name, algo, n, err)
+				}
+				for i := range want.Alloc {
+					if res.Alloc[i] != want.Alloc[i] {
+						t.Fatalf("%s %s n=%d: alloc %v, Exact %v", name, algo, n, res.Alloc, want.Alloc)
+					}
+				}
+				if res.Stats.FineTuneMoves > 2*len(fns) {
+					t.Fatalf("%s %s n=%d: %d fine-tune moves, want ≤ %d", name, algo, n, res.Stats.FineTuneMoves, 2*len(fns))
+				}
+			}
+		}
+	}
+}

@@ -89,13 +89,30 @@ func TestMultiFollowerFanOutLinkDown(t *testing.T) {
 	}()
 	<-done
 
+	// Both followers must hold the primary's exact plan set and confirm
+	// exactly the committed end of the primary's current generation: the
+	// position in the primary's log, since local store offsets differ when
+	// re-handoffs landed at different times. A follower confirms its last
+	// frames after applying them, so the positions join the digests in one
+	// predicate rather than being read once when the digests match.
 	primDigest := planDigest(p.prim.Plans())
-	waitFor(t, "both followers converged", func() bool {
+	var sa, sb Status
+	var end store.ReplPos
+	defer func() {
+		if t.Failed() {
+			t.Logf("follower A at (gen=%d, offset=%d, frames=%d), B at (gen=%d, offset=%d, frames=%d), primary at (gen=%d, offset=%d, frames=%d)",
+				sa.Gen, sa.Confirmed, sa.Frames, sb.Gen, sb.Confirmed, sb.Frames, end.Gen, end.Offset, end.Frames)
+		}
+	}()
+	atEnd := func(st Status) bool {
+		return st.Gen == end.Gen && st.Confirmed == end.Offset && st.Frames == end.Frames
+	}
+	waitFor(t, "both followers converged at the primary's position", func() bool {
+		sa, sb, end = fa.Status(), fb.Status(), p.prim.ReplicationPos()
 		return planDigest(p.fst.Plans()) == primDigest &&
-			planDigest(bst.Plans()) == primDigest
+			planDigest(bst.Plans()) == primDigest &&
+			atEnd(sa) && atEnd(sb)
 	})
-
-	sa, sb := fa.Status(), fb.Status()
 	for name, st := range map[string]Status{"A": sa, "B": sb} {
 		if st.Corrupt != 0 {
 			t.Errorf("follower %s saw %d corrupt frames during clean link-downs", name, st.Corrupt)
@@ -103,20 +120,5 @@ func TestMultiFollowerFanOutLinkDown(t *testing.T) {
 		if st.Reconnects == 0 {
 			t.Errorf("follower %s never reconnected — its proxy never dropped?", name)
 		}
-	}
-	// Identical replication positions: both followers confirmed exactly the
-	// primary's committed end of the primary's current generation. (Local
-	// store offsets differ when re-handoffs landed at different times; the
-	// position that must agree is the one in the primary's log.)
-	end := p.prim.ReplicationPos()
-	for name, st := range map[string]Status{"A": sa, "B": sb} {
-		if st.Gen != end.Gen || st.Confirmed != end.Offset || st.Frames != end.Frames {
-			t.Errorf("follower %s at (gen=%d, offset=%d, frames=%d), primary at (gen=%d, offset=%d, frames=%d)",
-				name, st.Gen, st.Confirmed, st.Frames, end.Gen, end.Offset, end.Frames)
-		}
-	}
-	if sa.Gen != sb.Gen || sa.Confirmed != sb.Confirmed || sa.Frames != sb.Frames {
-		t.Errorf("followers disagree: A=(%d,%d,%d) B=(%d,%d,%d)",
-			sa.Gen, sa.Confirmed, sa.Frames, sb.Gen, sb.Confirmed, sb.Frames)
 	}
 }

@@ -239,6 +239,41 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDaemonClampedDomains serves a model whose first domain ends below
+// the even share n/p, the case where Figure 18's shallow ray falls short
+// of n: each plan must be core.Exact's allocation, reached with at most 2p
+// fine-tuning moves rather than one move per missing element.
+func TestDaemonClampedDomains(t *testing.T) {
+	doc, err := json.Marshal(clusterio.Cluster{Processors: []clusterio.Processor{
+		{Name: "short", Points: []speed.Point{{X: 1e3, Y: 2e7}, {X: 1e9, Y: 2e7}}},
+		{Name: "long", Points: []speed.Point{{X: 1e3, Y: 1e7}, {X: 1e11, Y: 1e7}}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fns := docFunctions(t, doc)
+	_, base := startDaemon(t, Config{Dir: t.TempDir()})
+	if code := postJSON(t, base+"/v1/models?label=clamped", doc, nil); code != 200 {
+		t.Fatalf("upload: HTTP %d", code)
+	}
+	for _, n := range []int64{2_500_000_000, 30_000_000_000} {
+		want, err := core.Exact(n, fns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got partitionReply
+		if code := postJSON(t, base+"/v1/partition", []byte(fmt.Sprintf(`{"model":"clamped","n":%d}`, n)), &got); code != 200 {
+			t.Fatalf("n=%d: HTTP %d: %+v", n, code, got)
+		}
+		if fmt.Sprint(got.Alloc) != fmt.Sprint(want.Alloc) {
+			t.Fatalf("n=%d: served %v, Exact %v", n, got.Alloc, want.Alloc)
+		}
+		if got.Stats.FineTuneMoves > 2*len(fns) {
+			t.Fatalf("n=%d: %d fine-tune moves, want ≤ %d", n, got.Stats.FineTuneMoves, 2*len(fns))
+		}
+	}
+}
+
 func TestDaemonRejectsBadRequests(t *testing.T) {
 	doc := testClusterDoc(t, 3, 8)
 	_, base := startDaemon(t, Config{Dir: t.TempDir()})

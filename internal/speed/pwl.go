@@ -128,8 +128,19 @@ func (f *PiecewiseLinear) Points() []Point {
 func (f *PiecewiseLinear) NumPoints() int { return len(f.pts) }
 
 // Eval implements Function.
-func (f *PiecewiseLinear) Eval(x float64) float64 {
+func (f *PiecewiseLinear) Eval(x float64) float64 { return f.EvalNear(x, 0) }
+
+// EvalNear is Eval with a search hint: seg names the segment expected to
+// hold x, numbered as IntersectRayIn numbers crossings, so a caller
+// evaluating next to a known crossing passes that crossing's segment. A
+// right hint skips the search; any other, such as 0, costs Eval's full
+// search. The value is Eval's bit for bit whatever the hint: it depends
+// only on the segment holding x, which is unique.
+func (f *PiecewiseLinear) EvalNear(x float64, seg int) float64 {
 	pts := f.pts
+	if seg >= 1 && seg < len(pts) && pts[seg-1].X < x && x < pts[seg].X {
+		return interpolate(pts[seg-1], pts[seg], x)
+	}
 	if x <= pts[0].X {
 		return pts[0].Y
 	}
@@ -148,24 +159,13 @@ func (f *PiecewiseLinear) Eval(x float64) float64 {
 			hi = mid
 		}
 	}
-	a, b := pts[lo-1], pts[lo]
-	t := (x - a.X) / (b.X - a.X)
-	return a.Y + t*(b.Y-a.Y)
+	return interpolate(pts[lo-1], pts[lo], x)
 }
 
-// EvalBatch evaluates the function at every abscissa in xs, writing the
-// results into dst (reused when it has capacity, grown otherwise) and
-// returning it. It is the amortized form of Eval for callers probing many
-// sizes against one model.
-func (f *PiecewiseLinear) EvalBatch(xs, dst []float64) []float64 {
-	if cap(dst) < len(xs) {
-		dst = make([]float64, len(xs))
-	}
-	dst = dst[:len(xs)]
-	for i, x := range xs {
-		dst[i] = f.Eval(x)
-	}
-	return dst
+// interpolate evaluates the line through a and b at x.
+func interpolate(a, b Point, x float64) float64 {
+	t := (x - a.X) / (b.X - a.X)
+	return a.Y + t*(b.Y-a.Y)
 }
 
 // MaxSize implements Function.
@@ -176,21 +176,39 @@ func (f *PiecewiseLinear) MaxSize() float64 { return f.pts[len(f.pts)-1].X }
 // (MaxSize, false) when the ray stays above the graph only beyond the
 // domain (shallow rays) — the caller treats that as a clamped intersection.
 func (f *PiecewiseLinear) IntersectRay(slope float64) (float64, bool) {
+	x, seg := f.IntersectRayIn(slope, 0, len(f.pts))
+	return x, seg < len(f.pts)
+}
+
+// IntersectRayIn is IntersectRay searching only the segments lo..hi, and it
+// also returns the segment of the crossing. Segment 0 is the left constant
+// extension, segment k in 1..NumPoints()-1 the line ending at knot k, and
+// NumPoints() the clamp to MaxSize (rays that would cross only past the
+// last knot, and flat rays); 0..NumPoints() is the full range.
+//
+// The segment never increases as the slope grows, so a ray between two
+// rays that crossed in segments lo and hi crosses in lo..hi, and the
+// search may skip the rest: where lo == hi there is nothing to search.
+// Bracketed this way, the result equals the full-range search's bit for
+// bit, because both find the same segment and solve the same line.
+func (f *PiecewiseLinear) IntersectRayIn(slope float64, lo, hi int) (float64, int) {
 	pts := f.pts
 	last := len(pts) - 1
 	if slope <= 0 {
-		return pts[last].X, false
+		return pts[last].X, last + 1
 	}
-	// Left constant extension: s(x) = pts[0].Y for x ≤ pts[0].X.
-	if slope*pts[0].X >= pts[0].Y {
-		return pts[0].Y / slope, true
+	if lo == 0 {
+		// Left constant extension: s(x) = pts[0].Y for x ≤ pts[0].X.
+		if hi == 0 || slope*pts[0].X >= pts[0].Y {
+			return pts[0].Y / slope, 0
+		}
+		lo = 1
 	}
 	// Find the first knot at or below the ray; the crossing is inside the
 	// segment ending there. The knot ratios Y/X are strictly decreasing
 	// (shape constraint), so "knot at or below the ray" (Y/X ≤ slope) is a
 	// monotone predicate and the segment is found by binary search over the
-	// precomputed ratio table instead of a per-call segment scan.
-	lo, hi := 1, last+1
+	// precomputed ratio table; hi is the answer when no knot below it is.
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if f.ratios[mid] > slope {
@@ -203,7 +221,7 @@ func (f *PiecewiseLinear) IntersectRay(slope float64) (float64, bool) {
 		// Ray above the graph everywhere up to the last knot? Then it
 		// crosses the right constant extension s = lastY at
 		// x = lastY/slope > MaxSize.
-		return pts[last].X, false
+		return pts[last].X, last + 1
 	}
 	a, b := pts[lo-1], pts[lo]
 	// Solve a.Y + m(x − a.X) = slope·x with the precomputed segment slope
@@ -212,26 +230,11 @@ func (f *PiecewiseLinear) IntersectRay(slope float64) (float64, bool) {
 	m := f.slopes[lo]
 	den := slope - m
 	if den == 0 {
-		return b.X, true
+		return b.X, lo
 	}
 	x := f.icepts[lo] / den
 	// Numerical safety: keep the root inside the segment.
-	return math.Min(math.Max(x, a.X), b.X), true
-}
-
-// IntersectRayBatch intersects every ray slope in slopes with the graph,
-// writing the abscissas into dst (reused when it has capacity) and
-// returning it. Non-crossing rays clamp to the domain like IntersectRay's
-// false case; callers needing the hit flag use the scalar form.
-func (f *PiecewiseLinear) IntersectRayBatch(slopes, dst []float64) []float64 {
-	if cap(dst) < len(slopes) {
-		dst = make([]float64, len(slopes))
-	}
-	dst = dst[:len(slopes)]
-	for i, s := range slopes {
-		dst[i], _ = f.IntersectRay(s)
-	}
-	return dst
+	return min(max(x, a.X), b.X), lo
 }
 
 // MarshalJSON implements json.Marshaler, emitting the knot list.

@@ -224,3 +224,136 @@ func genCompliantPoints(seed uint32) []Point {
 	}
 	return pts
 }
+
+// refIntersectRay is the crossing computed straight from the knots, as
+// the first analytic IntersectRay did it: scan for the first knot at or
+// below the ray and solve that segment's line.
+func refIntersectRay(f *PiecewiseLinear, slope float64) (float64, int) {
+	pts := f.pts
+	last := len(pts) - 1
+	if slope <= 0 {
+		return pts[last].X, last + 1
+	}
+	if slope*pts[0].X >= pts[0].Y {
+		return pts[0].Y / slope, 0
+	}
+	for k := 1; k <= last; k++ {
+		if pts[k].Y/pts[k].X > slope {
+			continue
+		}
+		a, b := pts[k-1], pts[k]
+		m := (b.Y - a.Y) / (b.X - a.X)
+		den := slope - m
+		if den == 0 {
+			return b.X, k
+		}
+		return math.Min(math.Max((a.Y-m*a.X)/den, a.X), b.X), k
+	}
+	return pts[last].X, last + 1
+}
+
+// pwlProbeSlopes returns ray slopes that exercise every case of the
+// crossing search: flat, through each knot (exactly and one ulp either
+// side), inside each segment, and on both constant extensions.
+func pwlProbeSlopes(f *PiecewiseLinear) []float64 {
+	out := []float64{0, 1e-300, math.MaxFloat64}
+	for i, r := range f.ratios {
+		out = append(out, r, math.Nextafter(r, 0), math.Nextafter(r, math.Inf(1)))
+		if i > 0 {
+			out = append(out, (r+f.ratios[i-1])/2)
+		}
+	}
+	last := f.ratios[len(f.ratios)-1]
+	return append(out, last/2, last/1e6, f.ratios[0]*3)
+}
+
+// TestPWLBracketedIntersectMatchesFullRange checks IntersectRayIn's
+// contract on random functions: the full-range search reproduces the
+// knot-scan reference bit for bit, and any bracket taken from two rays on
+// either side of the slope returns the same crossing and segment.
+func TestPWLBracketedIntersectMatchesFullRange(t *testing.T) {
+	for seed := uint32(0); seed < 200; seed++ {
+		f, err := NewPiecewiseLinear(genCompliantPoints(seed))
+		if err != nil {
+			continue
+		}
+		slopes := pwlProbeSlopes(f)
+		n := f.NumPoints()
+		for _, c := range slopes {
+			wantX, wantSeg := refIntersectRay(f, c)
+			x, seg := f.IntersectRayIn(c, 0, n)
+			if math.Float64bits(x) != math.Float64bits(wantX) || seg != wantSeg {
+				t.Fatalf("seed %d slope %v: full range (%v, %d), reference (%v, %d)", seed, c, x, seg, wantX, wantSeg)
+			}
+			if rx, hit := f.IntersectRay(c); math.Float64bits(rx) != math.Float64bits(x) || hit != (seg < n) {
+				t.Fatalf("seed %d slope %v: IntersectRay (%v, %v) vs IntersectRayIn (%v, %d)", seed, c, rx, hit, x, seg)
+			}
+			for _, steep := range slopes {
+				if steep < c {
+					continue
+				}
+				_, lo := f.IntersectRayIn(steep, 0, n)
+				for _, shallow := range slopes {
+					if shallow > c {
+						continue
+					}
+					_, hi := f.IntersectRayIn(shallow, 0, n)
+					bx, bseg := f.IntersectRayIn(c, lo, hi)
+					if math.Float64bits(bx) != math.Float64bits(x) || bseg != seg {
+						t.Fatalf("seed %d slope %v in [%d, %d]: (%v, %d), full range (%v, %d)", seed, c, lo, hi, bx, bseg, x, seg)
+					}
+				}
+			}
+		}
+	}
+}
+
+// refEval interpolates straight from the knots, scanning for the segment.
+func refEval(f *PiecewiseLinear, x float64) float64 {
+	pts := f.pts
+	last := len(pts) - 1
+	if x <= pts[0].X {
+		return pts[0].Y
+	}
+	if x >= pts[last].X {
+		return pts[last].Y
+	}
+	k := 1
+	for pts[k].X < x {
+		k++
+	}
+	a, b := pts[k-1], pts[k]
+	t := (x - a.X) / (b.X - a.X)
+	return a.Y + t*(b.Y-a.Y)
+}
+
+// TestPWLEvalNearMatchesEval checks that Eval matches the knot-scan
+// reference and that the evaluation hint never changes a value: every
+// hint, right, wrong or out of range, at knots, between them and on both
+// constant extensions.
+func TestPWLEvalNearMatchesEval(t *testing.T) {
+	for seed := uint32(0); seed < 200; seed++ {
+		f, err := NewPiecewiseLinear(genCompliantPoints(seed))
+		if err != nil {
+			continue
+		}
+		xs := []float64{0, f.pts[0].X / 2, f.MaxSize() * 2}
+		for i, p := range f.pts {
+			xs = append(xs, p.X, math.Nextafter(p.X, 0), math.Nextafter(p.X, math.Inf(1)))
+			if i > 0 {
+				xs = append(xs, (p.X+f.pts[i-1].X)/2)
+			}
+		}
+		for _, x := range xs {
+			want := refEval(f, x)
+			if got := f.Eval(x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d: Eval(%v) = %v, reference %v", seed, x, got, want)
+			}
+			for hint := -1; hint <= f.NumPoints()+1; hint++ {
+				if got := f.EvalNear(x, hint); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d x %v hint %d: %v, Eval %v", seed, x, hint, got, want)
+				}
+			}
+		}
+	}
+}

@@ -56,6 +56,7 @@
 #      above net/http) must report 0 B/op and 0 allocs/op — the ISSUE 9
 #      budget is <= 8 B/op and <= 1 alloc/op; the gate pins the achieved
 #      zero so a regression to "just one alloc" still fails loudly
+#      (at -cpu 1, which keeps the runtime's background allocations out)
 #  15. explicit race pass for the sharded serving fabric (fabric) —
 #      tenant stats, token buckets and forwarding counters are hit by
 #      every concurrent request path
@@ -143,8 +144,10 @@ END {
 }'
 echo "==> wire-codec allocs/op guard: warm handler path 0 B/op, 0 allocs/op" >&2
 # 200x amortizes the pool warm-up allocations of the first iterations; the
-# steady-state handler path owns every byte it touches.
-go test -run '^$' -bench 'DaemonHandler/warm' -benchtime=200x -benchmem . |
+# steady-state handler path owns every byte it touches. -cpu 1 keeps the
+# runtime's background allocations out of the count: at GOMAXPROCS=2 they
+# read as 1-6 B/op over 200 iterations, on a path that allocates nothing.
+go test -run '^$' -bench 'DaemonHandler/warm' -benchtime=200x -benchmem -cpu 1 . |
 awk '
 /^BenchmarkDaemonHandler\/warm/ {
 	seen++
