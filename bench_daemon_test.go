@@ -13,7 +13,7 @@ package heteropart
 //     handler path itself with net/http's per-connection machinery
 //     excluded. ci.sh gates the warm path at <= 1 alloc/op and <= 8 B/op.
 //
-// scripts/bench_daemon.sh records both into BENCH_daemon.json.
+// scripts/bench.sh daemon records both into BENCH_daemon.json.
 
 import (
 	"bufio"

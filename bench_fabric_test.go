@@ -13,7 +13,7 @@ package heteropart
 //   - quota: local serving with per-tenant admission enabled, so the
 //     difference against local is the token-bucket probe alone.
 //
-// scripts/bench_fabric.sh records all three into BENCH_fabric.json.
+// scripts/bench.sh fabric records all three into BENCH_fabric.json.
 
 import (
 	"bytes"

@@ -318,9 +318,9 @@ func benchPWLCluster(b *testing.B, p int) []speed.Function {
 // optimum's slope (the zero-allocation hot path — allocs/op must print 0),
 // a plan-cache exact hit, and a cache near-miss that is warm-started from a
 // neighboring size's cached slope. p = 1080 is the largest model of
-// Figure 21 and of perfbench's cold mix. scripts/bench_partition.sh records
-// these rows into BENCH_partition.json, and scripts/ci.sh fails the build if
-// the warm path ever allocates again.
+// Figure 21 and of perfbench's cold mix. scripts/bench.sh partition
+// records these rows into BENCH_partition.json, and scripts/ci.sh fails the
+// build if the warm path ever allocates again.
 func BenchmarkPartitionThroughput(b *testing.B) {
 	const n = 1_000_000_000
 	for _, p := range []int{12, 64, 256, 1080} {
@@ -417,7 +417,7 @@ func refreshBenchModels(b *testing.B, p int) (fnsA, fnsB []speed.Function, sizes
 // (one O(one processor) delta record; plans whose allocation provably
 // cannot change survive the refresh). Reported per op: ns, WAL bytes
 // appended, and the percentage of cached plans invalidated.
-// scripts/bench_refresh.sh records the rows into BENCH_refresh.json.
+// scripts/bench.sh refresh records the rows into BENCH_refresh.json.
 func BenchmarkModelRefresh(b *testing.B) {
 	for _, p := range []int{12, 64, 256} {
 		fnsA, fnsB, sizes := refreshBenchModels(b, p)
@@ -545,7 +545,7 @@ func BenchmarkLUVariableGroupBlock(b *testing.B) {
 }
 
 // benchSizes are the matrix sizes of the serial-vs-parallel kernel
-// comparison recorded in EXPERIMENTS.md; scripts/bench_kernels.sh runs the
+// comparison recorded in EXPERIMENTS.md; scripts/bench.sh kernels runs the
 // Kernel benchmarks and emits the BENCH_kernels.json baseline.
 var benchSizes = []int{128, 512, 1024}
 

@@ -72,7 +72,6 @@ func main() {
 		maxBatch   = flag.Int("max-batch", 0, "max requests per engine dispatch cycle (0 = default)")
 		queueDepth = flag.Int("queue", 0, "request queue depth (0 = default)")
 		compactAt  = flag.Int64("compact-at", 0, "WAL bytes that trigger snapshot compaction (0 = default 4MiB)")
-		syncEvery  = flag.Int("sync-every", 0, "deprecated alias of -wal-sync-every (ignored when both are set)")
 		walSyncEv  = flag.Int("wal-sync-every", 0, "fsync the WAL every N records, must be >= 1 (0 = default 64, 1 = every record)")
 		drain      = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown deadline")
 		replicaOf  = flag.String("replica-of", "", "follow the primary hetpartd at this base URL (read-only until promoted)")
@@ -96,25 +95,15 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	sync := *walSyncEv
-	walSyncSet, syncEverySet := false, false
+	walSyncSet := false
 	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "wal-sync-every":
+		if f.Name == "wal-sync-every" {
 			walSyncSet = true
-		case "sync-every":
-			syncEverySet = true
 		}
 	})
 	if walSyncSet && *walSyncEv < 1 {
 		fmt.Fprintln(os.Stderr, "hetpartd: -wal-sync-every must be >= 1")
 		os.Exit(2)
-	}
-	if syncEverySet {
-		fmt.Fprintln(os.Stderr, "hetpartd: -sync-every is deprecated; use -wal-sync-every")
-		if !walSyncSet {
-			sync = *syncEvery
-		}
 	}
 	err := rpc.Run(rpc.Config{
 		Addr:            *addr,
@@ -125,7 +114,7 @@ func main() {
 		MaxBatch:        *maxBatch,
 		QueueDepth:      *queueDepth,
 		CompactAt:       *compactAt,
-		SyncEvery:       sync,
+		SyncEvery:       *walSyncEv,
 		ReplicaOf:       *replicaOf,
 		ReconnectBase:   *reconnect,
 		ReplicaWait:     *replicaWt,

@@ -115,9 +115,9 @@ func SplitLabel(s string) (tenant, model string, ok bool) {
 
 // CanonicalLabel maps any label onto its stored spelling: already-
 // qualified labels pass through, bare ones gain the default tenant. It is
-// total (never fails) because the store's replay path must accept every
-// label an older-format file recorded, valid under today's grammar or
-// not; strict validation belongs at the HTTP boundary (ParseLabel).
+// total (never fails): the store canonicalizes every label it is handed,
+// valid under today's grammar or not, and strict validation belongs at
+// the HTTP boundary (ParseLabel).
 func CanonicalLabel(s string) string {
 	if _, _, ok := SplitLabel(s); ok {
 		return s

@@ -25,14 +25,15 @@ type PlanRecord struct {
 // Valid reports whether the record can be served as a correct plan: the
 // allocation must be non-empty and sum exactly to N. Import and the store's
 // replay both gate on it — a corrupted or stale record is dropped, never
-// served.
+// served. Each share is bounded by what N leaves, so the sum never
+// overflows int64.
 func (r PlanRecord) Valid() bool {
 	if len(r.Alloc) == 0 || r.N < 0 {
 		return false
 	}
 	var sum int64
 	for _, x := range r.Alloc {
-		if x < 0 {
+		if x < 0 || x > r.N-sum {
 			return false
 		}
 		sum += x

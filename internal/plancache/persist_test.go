@@ -1,6 +1,7 @@
 package plancache
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -139,6 +140,8 @@ func TestImportRejectsInvalidRecords(t *testing.T) {
 		{Model: 7, N: 10, Alloc: core.Allocation{4, 7}},   // sum mismatch
 		{Model: 7, N: 10, Alloc: nil},                     // empty alloc
 		{Model: 7, N: 10, Alloc: core.Allocation{-1, 11}}, // negative share
+		// shares that wrap int64 around to N
+		{Model: 7, N: 6, Alloc: core.Allocation{math.MaxInt64, math.MaxInt64, 8}},
 	}
 	if got := c.Import(append(bad, good), nil); got != 1 {
 		t.Fatalf("imported %d records, want only the valid one", got)

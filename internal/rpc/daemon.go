@@ -736,7 +736,7 @@ func (d *Daemon) Demote(successor string, timeout time.Duration) (uint64, error)
 	deadline := time.Now().Add(timeout)
 	caught := false
 	for time.Now().Before(deadline) {
-		pi, err := fetchPeerInfo(client, successor)
+		pi, err := watch.FetchPeer(context.TODO(), client, successor)
 		if err == nil && pi.Role == "replica" &&
 			(pi.Gen > sealed.Gen || (pi.Gen == sealed.Gen && pi.Offset >= sealed.Offset)) {
 			caught = true
@@ -777,25 +777,6 @@ func (d *Daemon) Demote(successor string, timeout time.Duration) (uint64, error)
 	d.handovers.Add(1)
 	d.demoting.Store(false)
 	return epoch, ferr
-}
-
-// fetchPeerInfo GETs a member's /v1/replication/peer document.
-func fetchPeerInfo(client *http.Client, base string) (watch.PeerInfo, error) {
-	resp, err := client.Get(base + "/v1/replication/peer")
-	if err != nil {
-		return watch.PeerInfo{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return watch.PeerInfo{}, fmt.Errorf("rpc: peer %s: %s", base, resp.Status)
-	}
-	var pi watch.PeerInfo
-	if err := json.NewDecoder(resp.Body).Decode(&pi); err != nil {
-		return watch.PeerInfo{}, err
-	}
-	pi.URL = base
-	return pi, nil
 }
 
 // postPromote POSTs /v1/replication/promote and returns the new epoch.

@@ -364,23 +364,18 @@ func (d *Daemon) handleModelUpload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "missing ?label=")
 		return
 	}
-	// The HTTP boundary enforces the tenant grammar strictly (the store's
-	// replay path is looser by design: it must accept whatever an older
-	// file recorded). From here on the canonical spelling is the identity.
+	// The HTTP boundary enforces the tenant grammar strictly; the store
+	// only canonicalizes. From here on the canonical spelling is the
+	// identity.
 	parsed, err := fabric.ParseLabel(label)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad label %q: %v", label, err)
 		return
 	}
 	label = parsed.String()
-	defaultMax := 1e9
-	if s := r.URL.Query().Get("defaultMax"); s != "" {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || !(v > 0) {
-			httpError(w, http.StatusBadRequest, "bad defaultMax %q", s)
-			return
-		}
-		defaultMax = v
+	defaultMax, ok := defaultMaxParam(w, r)
+	if !ok {
+		return
 	}
 	cluster, err := clusterio.Load(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
@@ -453,6 +448,22 @@ type refreshReply struct {
 	DroppedPlans   int    `json:"droppedPlans"`
 }
 
+// defaultMaxParam parses the optional ?defaultMax= of a model upload or
+// refresh: the size bound of constant-speed processors that declare none
+// (default 1e9). ok is false once it has answered 400.
+func defaultMaxParam(w http.ResponseWriter, r *http.Request) (float64, bool) {
+	s := r.URL.Query().Get("defaultMax")
+	if s == "" {
+		return 1e9, true
+	}
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || !(v > 0) {
+		httpError(w, http.StatusBadRequest, "bad defaultMax %q", s)
+		return 0, false
+	}
+	return v, true
+}
+
 // handleModelRefresh is the delta drift path: replace one processor's
 // speed function in a stored model without re-uploading the cluster. The
 // store appends a compact delta record (not the whole model), and the plan
@@ -466,14 +477,9 @@ func (d *Daemon) handleModelRefresh(w http.ResponseWriter, r *http.Request, labe
 	if d.writeFenced(w) {
 		return
 	}
-	defaultMax := 1e9
-	if s := r.URL.Query().Get("defaultMax"); s != "" {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || !(v > 0) {
-			httpError(w, http.StatusBadRequest, "bad defaultMax %q", s)
-			return
-		}
-		defaultMax = v
+	defaultMax, ok := defaultMaxParam(w, r)
+	if !ok {
+		return
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
@@ -737,9 +743,10 @@ func (wr *wireRequest) toOpts(sc *wireScratch) ([]core.Option, error) {
 // resolveModelBytes maps a wire model name — a stored label or a hex
 // fingerprint — onto its speed functions: the label lookup is a
 // zero-copy map probe; the hex-fingerprint fallback is rare and may
-// allocate. The returned fingerprint is canonical (the store
-// re-hashes models on load and aliases legacy fingerprints), so callers
-// can use it as the cache key without re-hashing fns per request.
+// allocate. The returned fingerprint is the functions' own (the store
+// re-hashes every model on load and refuses one that does not reproduce
+// its recorded fingerprint), so callers can use it as the cache key
+// without re-hashing fns per request.
 func (d *Daemon) resolveModelBytes(name []byte) ([]speed.Function, uint64, bool) {
 	d.regMu.RLock()
 	if fp, ok := d.byName[string(name)]; ok {

@@ -57,22 +57,6 @@ func Fingerprint(fns []Function) uint64 {
 	return h
 }
 
-// FingerprintLegacy is the pre-delta (store format v1) model fingerprint:
-// a single FNV-1a chain threaded through every function's parameters. It
-// is not compositional — one processor's change perturbs the running hash
-// for all subsequent processors — which is why the delta path replaced it.
-// It is kept only so v1 snapshots and WALs replay: the store accepts a
-// model record whose stamped fingerprint matches either scheme and aliases
-// the legacy value to the composed one for the records that follow.
-func FingerprintLegacy(fns []Function) uint64 {
-	h := uint64(fnvOffset64)
-	h = fnvU64(h, uint64(len(fns)))
-	for _, f := range fns {
-		h = fingerprintFn(h, f)
-	}
-	return h
-}
-
 // FingerprintOne returns the fingerprint of a single speed function.
 func FingerprintOne(f Function) uint64 {
 	return fingerprintFn(fnvOffset64, f)

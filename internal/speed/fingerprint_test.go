@@ -72,12 +72,4 @@ func TestFingerprintStability(t *testing.T) {
 	if Fingerprint(fns1) != Fingerprint(fns2) {
 		t.Fatal("rebuilt model hashes differently")
 	}
-	if FingerprintLegacy(fns1) != FingerprintLegacy(fns2) {
-		t.Fatal("rebuilt model hashes differently under the legacy scheme")
-	}
-	// The composed and legacy schemes are distinct hash functions; the
-	// store relies on trying both, so they must not coincide here.
-	if Fingerprint(fns1) == FingerprintLegacy(fns1) {
-		t.Fatal("composed and legacy fingerprints collide on the test model")
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 
 	"heteropart/internal/core"
@@ -50,8 +49,8 @@ const (
 	recInvalidate = 4
 	recSnapEnd    = 5
 	recMeta       = 6
-	// recModelDelta (format v2) refreshes one processor of an existing
-	// model in place: O(one speed function) on the wire where recModel is
+	// recModelDelta refreshes one processor of an existing model in
+	// place: O(one speed function) on the wire where recModel is
 	// O(cluster). The new composed fingerprint travels with the record and
 	// is re-derived on replay — a delta that does not reproduce it is
 	// quarantined, never applied.
@@ -77,6 +76,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 var (
 	// ErrCorruptFrame reports a frame whose checksum or length is wrong.
 	ErrCorruptFrame = errors.New("store: corrupt frame")
+	// errTornFrame reports bytes that end inside a frame.
+	errTornFrame = errors.New("store: torn frame")
 	// ErrUnsupportedModel reports a speed function with no binary encoding.
 	ErrUnsupportedModel = errors.New("store: unsupported speed function type")
 )
@@ -170,14 +171,9 @@ func (d *decoder) str() string {
 
 func (d *decoder) done() bool { return d.err == nil && d.off == len(d.buf) }
 
-// writeFrame frames the payload and writes it in one Write call, so a
+// appendFrame appends one framed record to dst. Appenders write a whole
+// frame (or a group commit's concatenated frames) in one write call, so a
 // crashed process leaves at most one partial frame at the tail.
-func writeFrame(w io.Writer, payload []byte) (int, error) {
-	return w.Write(appendFrame(nil, payload))
-}
-
-// appendFrame appends one framed record to dst; group commit concatenates
-// frames this way so a whole batch reaches the kernel in a single write.
 func appendFrame(dst, payload []byte) []byte {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
@@ -186,32 +182,33 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// readFrame reads one frame, verifying length and checksum. io.EOF means a
-// clean end; ErrCorruptFrame (possibly wrapped) means a truncated or
-// bit-flipped tail.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
+// splitFrames is the one frame reader, shared by snapshot replay, WAL
+// replay and stream ingestion. It returns the payloads of the whole,
+// CRC-clean frames at the head of b and the bytes they span. err is nil
+// when b ends on a frame boundary; errTornFrame when b ends inside a frame
+// (a crash mid-append, or a chunk cut mid-send: more bytes may complete
+// it); ErrCorruptFrame when a frame has an impossible length or a wrong
+// checksum (no further bytes can repair it).
+func splitFrames(b []byte) (payloads [][]byte, n int, err error) {
+	for n < len(b) {
+		if len(b)-n < 8 {
+			return payloads, n, errTornFrame
 		}
-		return nil, fmt.Errorf("%w: short header: %v", ErrCorruptFrame, err)
+		size := binary.LittleEndian.Uint32(b[n : n+4])
+		if size == 0 || size > maxFrame {
+			return payloads, n, ErrCorruptFrame
+		}
+		if len(b)-n-8 < int(size) {
+			return payloads, n, errTornFrame
+		}
+		payload := b[n+8 : n+8+int(size)]
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(b[n+4:n+8]) {
+			return payloads, n, ErrCorruptFrame
+		}
+		payloads = append(payloads, payload)
+		n += 8 + int(size)
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n > maxFrame {
-		return nil, fmt.Errorf("%w: frame length %d", ErrCorruptFrame, n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: short payload: %v", ErrCorruptFrame, err)
-	}
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptFrame)
-	}
-	if len(payload) == 0 {
-		return nil, fmt.Errorf("%w: empty payload", ErrCorruptFrame)
-	}
-	return payload, nil
+	return payloads, n, nil
 }
 
 // encodeFunction appends one speed function.

@@ -1,8 +1,11 @@
 package store
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"heteropart/internal/speed"
@@ -209,10 +212,10 @@ func TestFingerprintMismatchQuarantinesModel(t *testing.T) {
 	if _, err := f.Write([]byte(walMagic)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := writeFrame(f, modelPayload); err != nil {
+	if _, err := f.Write(appendFrame(nil, modelPayload)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := writeFrame(f, encodePlan(plan)); err != nil {
+	if _, err := f.Write(appendFrame(nil, encodePlan(plan))); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -257,10 +260,10 @@ func TestInvalidPlanPayloadQuarantined(t *testing.T) {
 	if _, err := f.Write([]byte(walMagic)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := writeFrame(f, modelPayload); err != nil {
+	if _, err := f.Write(appendFrame(nil, modelPayload)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := writeFrame(f, encodePlan(bad)); err != nil {
+	if _, err := f.Write(appendFrame(nil, encodePlan(bad))); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -290,5 +293,72 @@ func TestUnrecognizedWALQuarantined(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, walFile+".corrupt")); err != nil {
 		t.Fatalf("foreign WAL not preserved: %v", err)
+	}
+}
+
+// TestOlderFormatRefused covers the one-format rule: a snapshot or WAL
+// written in an earlier format version fails Open with
+// ErrUnsupportedFormat and stays byte for byte as it was — neither
+// quarantined nor cut.
+func TestOlderFormatRefused(t *testing.T) {
+	src := t.TempDir()
+	fns := testModel(5, 95)
+	s := mustOpen(t, src)
+	fp, _, err := s.PutModel("m", fns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := plansFor(t, fp, fns, []int64{100_000, 200_000})
+	if err := s.AppendPlan(plans[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendPlan(plans[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// Abandon the handle: both files now hold records.
+
+	for _, tc := range []struct{ file, magic string }{
+		{snapshotFile, "HPSNAP1\n"},
+		{snapshotFile, "HPSNAP2\n"},
+		{walFile, "HPWAL01\n"},
+		{walFile, "HPWAL02\n"},
+	} {
+		t.Run(strings.TrimSpace(tc.magic), func(t *testing.T) {
+			dir := t.TempDir()
+			var old []byte
+			for _, name := range []string{snapshotFile, walFile} {
+				data, err := os.ReadFile(filepath.Join(src, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if name == tc.file {
+					copy(data, tc.magic)
+					old = data
+				}
+				if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := Open(Options{Dir: dir}); !errors.Is(err, ErrUnsupportedFormat) {
+				t.Fatalf("Open: got %v, want ErrUnsupportedFormat", err)
+			}
+			path := filepath.Join(dir, tc.file)
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, old) {
+				t.Fatalf("%s changed: %d bytes, was %d", tc.file, len(got), len(old))
+			}
+			if _, err := os.Stat(path + ".corrupt"); !os.IsNotExist(err) {
+				t.Fatalf("%s was quarantined (stat: %v)", tc.file, err)
+			}
+		})
 	}
 }

@@ -1,0 +1,134 @@
+package store
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/bits"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"heteropart/internal/speed"
+)
+
+// The fuzzers below drive the store's two byte-level entry points: the
+// files Open replays and the chunks IngestChunk takes off the network.
+// Their seeds (testdata/fuzz) are a real store's snapshot and WAL, the
+// same with a torn tail, and the same with one flipped bit.
+
+// FuzzStoreOpen writes arbitrary bytes as snapshot.bin and wal.log (an
+// empty snapshot input means no snapshot file). Open must not panic, and
+// a store it returns serves only plans that validate against their model;
+// a Close→Open round trip must give back the same models, plans and hints.
+func FuzzStoreOpen(f *testing.F) {
+	f.Fuzz(func(t *testing.T, snap, wal []byte) {
+		dir := t.TempDir()
+		if len(snap) > 0 {
+			if err := os.WriteFile(filepath.Join(dir, snapshotFile), snap, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, walFile), wal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(Options{Dir: dir, CompactAt: -1})
+		if err != nil {
+			return
+		}
+		checkServedPlans(t, s)
+		before := storeDigest(s)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := Open(Options{Dir: dir, CompactAt: -1})
+		if err != nil {
+			t.Fatalf("reopen after Close: %v", err)
+		}
+		defer re.Close()
+		if after := storeDigest(re); after != before {
+			t.Fatalf("Close→Open changed the state:\nbefore:\n%s\nafter:\n%s", before, after)
+		}
+	})
+}
+
+// FuzzIngestChunk feeds a follower store an arbitrary chunk the way the
+// replication follower does: the first half, then the rest from the
+// confirmed offset. It must not panic, the committed offset must stay on a
+// frame boundary of the local WAL, and every stored plan must validate
+// against its model.
+func FuzzIngestChunk(f *testing.F) {
+	f.Fuzz(func(t *testing.T, chunk []byte) {
+		dir := t.TempDir()
+		s := mustOpen(t, dir, Options{CompactAt: -1})
+		defer s.Close()
+		rep, _ := s.IngestChunk(s.Epoch(), chunk[:len(chunk)/2])
+		confirmed := rep.Bytes
+		rep, _ = s.IngestChunk(s.Epoch(), chunk[confirmed:])
+		confirmed += rep.Bytes
+
+		pos := s.ReplicationPos()
+		if pos.Offset != confirmed {
+			t.Fatalf("committed offset %d, confirmed %d", pos.Offset, confirmed)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, walFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(data)) < int64(len(walMagic))+pos.Offset {
+			t.Fatalf("WAL holds %d bytes, committed offset is %d", len(data), pos.Offset)
+		}
+		recs, n, err := splitFrames(data[len(walMagic) : int64(len(walMagic))+pos.Offset])
+		if err != nil || int64(n) != pos.Offset || int64(len(recs)) != pos.Frames {
+			t.Fatalf("committed offset %d (%d frames) is not a frame boundary: %d bytes in %d whole frames (%v)",
+				pos.Offset, pos.Frames, n, len(recs), err)
+		}
+		checkServedPlans(t, s)
+	})
+}
+
+// checkServedPlans asserts the store's serving invariant: every plan's
+// model exists and hashes to the plan's fingerprint, the plan has one
+// share per processor, and the shares sum to N (summed without overflow).
+func checkServedPlans(t *testing.T, s *Store) {
+	t.Helper()
+	for _, r := range s.Plans() {
+		fns, ok := s.Model(r.Model)
+		if !ok {
+			t.Fatalf("plan n=%d references unknown model %x", r.N, r.Model)
+		}
+		if fp := speed.Fingerprint(fns); fp != r.Model {
+			t.Fatalf("plan n=%d served under %x, its model hashes to %x", r.N, r.Model, fp)
+		}
+		if len(r.Alloc) != len(fns) {
+			t.Fatalf("plan n=%d has %d shares for %d processors", r.N, len(r.Alloc), len(fns))
+		}
+		var sum, carry uint64
+		for _, x := range r.Alloc {
+			if x < 0 {
+				t.Fatalf("plan n=%d has a negative share: %v", r.N, r.Alloc)
+			}
+			sum, carry = bits.Add64(sum, uint64(x), 0)
+			if carry != 0 {
+				t.Fatalf("plan n=%d: shares overflow: %v", r.N, r.Alloc)
+			}
+		}
+		if r.N < 0 || sum != uint64(r.N) {
+			t.Fatalf("plan n=%d: shares sum to %d", r.N, sum)
+		}
+	}
+}
+
+// storeDigest renders the served state — models, plans and hints — with
+// bit-exact floats.
+func storeDigest(s *Store) string {
+	var b bytes.Buffer
+	for _, m := range s.Models() {
+		fmt.Fprintf(&b, "model %x %q %d\n", m.Fingerprint, m.Label, m.Processors)
+	}
+	b.WriteString(planDigest(s.Plans()))
+	for _, h := range s.Hints() {
+		fmt.Fprintf(&b, "\nhint %x %d %x", h.Model, h.N, math.Float64bits(h.Slope))
+	}
+	return b.String()
+}

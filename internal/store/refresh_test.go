@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -214,7 +213,7 @@ func TestDeltaRefreshLyingFingerprintQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := writeFrame(f, payload); err != nil {
+	if _, err := f.Write(appendFrame(nil, payload)); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -274,128 +273,5 @@ func TestDeltaRefreshNoOp(t *testing.T) {
 	}
 	if st := s.Stats(); st.WALBytes != before || st.Refreshes != 0 {
 		t.Fatalf("no-op refresh logged something: %+v", st)
-	}
-}
-
-// TestDeltaRefreshV1WALUpgrade replays a hand-written previous-format WAL:
-// models carry the legacy chained fingerprint, plans are keyed under it.
-// Open must alias the legacy fingerprint to the composed one, resolve the
-// plans, rewrite both files in the current format, and leave a store that
-// delta-refreshes normally.
-func TestDeltaRefreshV1WALUpgrade(t *testing.T) {
-	dir := t.TempDir()
-	fns := testModel(6, 13)
-	legacy := speed.FingerprintLegacy(fns)
-	canon := speed.Fingerprint(fns)
-	if legacy == canon {
-		t.Fatal("legacy and composed fingerprints collide; test model is useless")
-	}
-	sizes := []int64{100_000, 1_000_000}
-
-	var buf bytes.Buffer
-	buf.WriteString(walMagicV1)
-	mp, err := encodeModel(legacy, "v1cluster", fns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := writeFrame(&buf, mp); err != nil {
-		t.Fatal(err)
-	}
-	plans := plansFor(t, legacy, fns, sizes)
-	for _, r := range plans {
-		if _, err := writeFrame(&buf, encodePlan(r)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(filepath.Join(dir, walFile), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s := mustOpen(t, dir, Options{CompactAt: -1})
-	st := s.Stats()
-	if st.QuarantinedRecords != 0 || st.ReplayedModels != 1 || st.ReplayedPlans != len(sizes) {
-		t.Fatalf("v1 replay: %+v", st)
-	}
-	if st.Compactions == 0 {
-		t.Fatal("v1 store was not compacted to the current format on open")
-	}
-	if got, ok := s.ModelByLabel("v1cluster"); !ok || got != canon {
-		t.Fatalf("label maps to %x (ok=%v), want composed %x", got, ok, canon)
-	}
-	for _, r := range s.Plans() {
-		if r.Model != canon {
-			t.Fatalf("plan n=%d keyed under %x, want composed %x", r.N, r.Model, canon)
-		}
-	}
-	// The upgraded store must accept deltas.
-	if _, newFP, err := s.RefreshProcessor("v1cluster", 2, driftTail(t, fns[2])); err != nil || newFP == canon {
-		t.Fatalf("refresh on upgraded store: fp=%x err=%v", newFP, err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Both files are now current-format: a reopen sees no v1 artifacts.
-	magic := make([]byte, 8)
-	wf, err := os.Open(filepath.Join(dir, walFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wf.Read(magic); err != nil {
-		t.Fatal(err)
-	}
-	wf.Close()
-	if string(magic) != walMagic {
-		t.Fatalf("WAL magic after upgrade: %q, want %q", magic, walMagic)
-	}
-	s2 := mustOpen(t, dir)
-	defer s2.Close()
-	if st := s2.Stats(); !st.LoadedFromSnapshot || st.QuarantinedRecords != 0 {
-		t.Fatalf("reopen after upgrade: %+v", st)
-	}
-}
-
-// TestDeltaRefreshV1SnapshotUpgrade loads a hand-written previous-format
-// snapshot (legacy model fingerprint) and checks the same aliasing and
-// rewrite happen on the snapshot path.
-func TestDeltaRefreshV1SnapshotUpgrade(t *testing.T) {
-	dir := t.TempDir()
-	fns := testModel(6, 29)
-	legacy := speed.FingerprintLegacy(fns)
-	canon := speed.Fingerprint(fns)
-
-	var buf bytes.Buffer
-	buf.WriteString(snapMagicV1)
-	if _, err := writeFrame(&buf, encodeMeta(1, 0)); err != nil {
-		t.Fatal(err)
-	}
-	mp, err := encodeModel(legacy, "v1snap", fns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := writeFrame(&buf, mp); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := writeFrame(&buf, encodeSnapEnd(1, 0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s := mustOpen(t, dir)
-	defer s.Close()
-	st := s.Stats()
-	if !st.LoadedFromSnapshot || st.SnapshotQuarantined || st.QuarantinedRecords != 0 {
-		t.Fatalf("v1 snapshot load: %+v", st)
-	}
-	if st.Compactions == 0 {
-		t.Fatal("v1 snapshot was not rewritten on open")
-	}
-	if got, ok := s.ModelByLabel("v1snap"); !ok || got != canon {
-		t.Fatalf("label maps to %x (ok=%v), want composed %x", got, ok, canon)
 	}
 }

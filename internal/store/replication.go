@@ -22,14 +22,10 @@ package store
 //     torn or bit-flipped frame is cut off, never half-applied.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 
 	"heteropart/internal/plancache"
 	"heteropart/internal/speed"
@@ -66,11 +62,10 @@ type ReplModel struct {
 }
 
 // ReplDelta is one replicated one-processor model refresh in decoded form:
-// OldFP is the composed fingerprint the refresh applied to (already
-// resolved through any legacy alias), NewFP the fingerprint the patched
-// model hashes to, and Fn the replacement function for processor Proc. The
-// mirror applies it with plancache.Cache.Refresh, which re-derives the
-// same survivor set the store kept.
+// OldFP is the composed fingerprint the refresh applied to, NewFP the
+// fingerprint the patched model hashes to, and Fn the replacement function
+// for processor Proc. The mirror applies it with plancache.Cache.Refresh,
+// which re-derives the same survivor set the store kept.
 type ReplDelta struct {
 	OldFP uint64
 	NewFP uint64
@@ -155,7 +150,7 @@ func (s *Store) HandoffSnapshot() ([]byte, ReplPos, error) {
 	if err != nil {
 		return nil, ReplPos{}, err
 	}
-	return buf.Bytes(), s.posLocked(), nil
+	return buf, s.posLocked(), nil
 }
 
 // ReadWALChunk reads up to maxBytes of raw frame bytes starting at offset
@@ -188,9 +183,8 @@ func (s *Store) ReadWALChunk(gen uint64, offset int64, maxBytes int) ([]byte, Re
 	if _, err := s.wal.ReadAt(chunk, int64(len(walMagic))+offset); err != nil {
 		return nil, s.posLocked(), fmt.Errorf("store: reading WAL: %w", err)
 	}
-	// Trim to the last complete frame inside the cap; everything in
-	// [offset, walBytes) is whole frames, so walking lengths suffices.
-	if whole := frameBoundary(chunk); whole > 0 {
+	// Trim to the last complete frame inside the cap.
+	if _, whole, _ := splitFrames(chunk); whole > 0 {
 		return chunk[:whole], s.posLocked(), nil
 	}
 	// The first frame alone exceeds maxBytes: return it whole.
@@ -203,21 +197,6 @@ func (s *Store) ReadWALChunk(gen uint64, offset int64, maxBytes int) ([]byte, Re
 		return nil, s.posLocked(), fmt.Errorf("store: reading WAL: %w", err)
 	}
 	return chunk, s.posLocked(), nil
-}
-
-// frameBoundary returns the byte length of the longest prefix of b that is
-// a sequence of complete frames (by length walk only; checksums are the
-// ingester's job).
-func frameBoundary(b []byte) int {
-	off := 0
-	for off+8 <= len(b) {
-		n := int(binary.LittleEndian.Uint32(b[off : off+4]))
-		if n > maxFrame || off+8+n > len(b) {
-			break
-		}
-		off += 8 + n
-	}
-	return off
 }
 
 // IngestChunk applies one chunk of streamed frame bytes: each complete,
@@ -255,38 +234,22 @@ func (s *Store) IngestChunk(epoch uint64, chunk []byte) (Replicated, error) {
 		}
 	}
 	// Split the chunk: valid whole frames | torn tail | (corrupt rest).
-	var (
-		payloads [][]byte
-		valid    int
-		corrupt  bool
-	)
-	for valid+8 <= len(chunk) {
-		n := int(binary.LittleEndian.Uint32(chunk[valid : valid+4]))
-		if n > maxFrame || n == 0 {
-			corrupt = true
-			break
-		}
-		if valid+8+n > len(chunk) {
-			break // torn tail
-		}
-		payload := chunk[valid+8 : valid+8+n]
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(chunk[valid+4:valid+8]) {
-			corrupt = true
-			break
-		}
-		payloads = append(payloads, payload)
-		valid += 8 + n
-	}
+	payloads, valid, err := splitFrames(chunk)
+	corrupt := errors.Is(err, ErrCorruptFrame)
 	tail := chunk[valid:]
 	if corrupt {
 		tail = nil // never persist a frame that failed its checksum
 	}
-	// One write call for the valid prefix plus the torn tail, mirroring
-	// the appender's single-write discipline.
-	if n := valid + len(tail); n > 0 {
-		if _, err := s.wal.Write(chunk[:valid+len(tail)]); err != nil {
+	if len(payloads) > 0 {
+		if err := s.writeFramesLocked(chunk[:valid], len(payloads)); err != nil {
+			return rep, err
+		}
+	}
+	if len(tail) > 0 {
+		if _, err := s.wal.Write(tail); err != nil {
 			return rep, fmt.Errorf("store: ingest append: %w", err)
 		}
+		s.tornBytes = int64(len(tail))
 	}
 	quarBefore := s.quarantined
 	for _, p := range payloads {
@@ -295,20 +258,6 @@ func (s *Store) IngestChunk(epoch uint64, chunk []byte) (Replicated, error) {
 	rep.Frames = len(payloads)
 	rep.Bytes = int64(valid)
 	rep.Quarantined = s.quarantined - quarBefore
-	s.walBytes += int64(valid)
-	s.walFrames += int64(len(payloads))
-	s.walTotal += uint64(len(payloads))
-	s.tornBytes = int64(len(tail))
-	s.unsynced += len(payloads)
-	if s.unsynced >= s.opts.SyncEvery {
-		s.unsynced = 0
-		if err := s.wal.Sync(); err != nil {
-			return rep, fmt.Errorf("store: WAL sync: %w", err)
-		}
-	}
-	if len(payloads) > 0 {
-		s.notifyLocked()
-	}
 	s.maybeCompactLocked()
 	if corrupt {
 		return rep, fmt.Errorf("%w: bit-flipped streamed frame", ErrCorruptFrame)
@@ -331,12 +280,14 @@ func (s *Store) truncateTornLocked() error {
 
 // ApplyHandoff replaces the store's state with a handed-off snapshot: the
 // bytes are validated end to end (magic, checksums, terminator counts)
-// while being applied through the validated-replay path, persisted as the
-// local snapshot file, and the local WAL is reset — the follower's
-// durability now starts from this state. Divergent local state (anything
-// the snapshot does not contain) is dropped; a handoff stamped with an
-// epoch older than the store's own returns ErrFencedEpoch untouched, so a
-// promoted store can never be re-absorbed by a zombie primary.
+// before any state is touched, applied through the validated-replay path,
+// persisted as the local snapshot file, and the local WAL is reset — the
+// follower's durability now starts from this state. Divergent local state
+// (anything the snapshot does not contain) is dropped. A refused handoff
+// leaves the store untouched: a foreign or damaged image returns
+// ErrCorruptFrame, another format version ErrUnsupportedFormat, and an
+// image stamped with an epoch older than the store's own ErrFencedEpoch, so
+// a promoted store can never be re-absorbed by a zombie primary.
 func (s *Store) ApplyHandoff(data []byte) (Replicated, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -344,65 +295,15 @@ func (s *Store) ApplyHandoff(data []byte) (Replicated, error) {
 	if s.closed {
 		return rep, fmt.Errorf("store: closed")
 	}
-	if len(data) < len(snapMagic) ||
-		(string(data[:len(snapMagic)]) != snapMagic &&
-			string(data[:len(snapMagic)]) != snapMagicV2 &&
-			string(data[:len(snapMagic)]) != snapMagicV1) {
-		return rep, fmt.Errorf("%w: handoff snapshot magic", ErrCorruptFrame)
-	}
-	// Fence before touching state: the meta frame leads every snapshot.
-	if epoch, ok := peekMetaEpoch(data[len(snapMagic):]); ok && epoch < s.epoch {
-		return rep, ErrFencedEpoch
-	}
-	// From here on the old state is gone; a bad snapshot leaves the store
-	// empty and the caller retries the handoff.
-	s.resetStateLocked()
 	quarBefore := s.quarantined
-	ok := func() bool {
-		r := bytes.NewReader(data[len(snapMagic):])
-		for {
-			payload, err := readFrame(r)
-			if err != nil {
-				return false // io.EOF means no terminator: truncated
-			}
-			if payload[0] == recSnapEnd {
-				d := &decoder{buf: payload[1:]}
-				wantModels, wantPlans, wantHints, err := decodeSnapEnd(d)
-				if err != nil || !d.done() || r.Len() != 0 {
-					return false
-				}
-				seen := len(rep.Models) + len(rep.Plans) + len(rep.Hints) + (s.quarantined - quarBefore)
-				return seen == wantModels+wantPlans+wantHints
-			}
-			s.applyRecord(payload, &rep)
-		}
-	}()
-	if !ok {
-		s.resetStateLocked()
-		return Replicated{}, fmt.Errorf("%w: handoff snapshot invalid", ErrCorruptFrame)
+	if err := s.replaySnapshot(data, &rep); err != nil {
+		return Replicated{}, err
 	}
 	rep.Quarantined = s.quarantined - quarBefore
 	// Persist: the received bytes are already in snapshot format.
-	tmp := filepath.Join(s.opts.Dir, snapshotTmp)
-	if err := writeFileSync(tmp, data); err != nil {
+	if err := s.installSnapshotLocked(data); err != nil {
 		return rep, err
 	}
-	if err := os.Rename(tmp, filepath.Join(s.opts.Dir, snapshotFile)); err != nil {
-		return rep, fmt.Errorf("store: %w", err)
-	}
-	if err := syncDir(s.opts.Dir); err != nil {
-		return rep, err
-	}
-	if err := s.wal.Truncate(int64(len(walMagic))); err != nil {
-		return rep, fmt.Errorf("store: %w", err)
-	}
-	if _, err := s.wal.Seek(0, io.SeekEnd); err != nil {
-		return rep, fmt.Errorf("store: %w", err)
-	}
-	if err := s.wal.Sync(); err != nil {
-		return rep, fmt.Errorf("store: %w", err)
-	}
-	s.walBytes, s.walFrames, s.tornBytes, s.unsynced = 0, 0, 0, 0
 	s.loadedSnapshot = true
 	s.sealed = false // a demoted store re-enters life as a follower
 	s.notifyLocked()
@@ -414,25 +315,9 @@ func (s *Store) ApplyHandoff(data []byte) (Replicated, error) {
 func (s *Store) resetStateLocked() {
 	s.models = make(map[uint64]*modelEntry)
 	s.labels = make(map[string]uint64)
-	s.fpAlias = make(map[uint64]uint64)
 	s.plans = make(map[planKey]plancache.PlanRecord)
 	s.planOrder = nil
 	s.hints = make(map[hintKey]float64)
-}
-
-// peekMetaEpoch extracts the epoch from the leading meta frame without
-// applying anything.
-func peekMetaEpoch(frames []byte) (uint64, bool) {
-	payload, err := readFrame(bytes.NewReader(frames))
-	if err != nil || len(payload) == 0 || payload[0] != recMeta {
-		return 0, false
-	}
-	d := &decoder{buf: payload[1:]}
-	epoch, _, err := decodeMeta(d)
-	if err != nil {
-		return 0, false
-	}
-	return epoch, true
 }
 
 // Seal freezes the committed log for a planned handover and returns the

@@ -140,8 +140,8 @@ func TestReadWALChunkFrameBoundary(t *testing.T) {
 		if len(chunk) == 0 {
 			t.Fatalf("no progress at offset %d", off)
 		}
-		if got := frameBoundary(chunk); got != len(chunk) {
-			t.Fatalf("chunk at %d not frame-aligned: %d of %d bytes", off, got, len(chunk))
+		if _, got, err := splitFrames(chunk); err != nil || got != len(chunk) {
+			t.Fatalf("chunk at %d not frame-aligned: %d of %d bytes (%v)", off, got, len(chunk), err)
 		}
 		off += int64(len(chunk))
 		frames++
@@ -211,7 +211,7 @@ func TestIngestTornTailThenResync(t *testing.T) {
 
 	// Cut mid-frame: the primary died while sending. Everything before the
 	// cut is whole frames plus 7 bytes of the next frame's header.
-	first := frameBoundary(all[:len(all)-4]) // at least one frame short of the end
+	_, first, _ := splitFrames(all[:len(all)-4]) // at least one frame short of the end
 	cut := first + 7
 	rdir := t.TempDir()
 	repl := mustOpen(t, rdir)
@@ -253,7 +253,7 @@ func TestPromoteSealsTornTailAndBumpsEpoch(t *testing.T) {
 	defer prim.Close()
 	seedPrimary(t, prim, 6, []int64{1e6, 2e6, 3e6})
 	all := streamBytes(t, prim)
-	first := frameBoundary(all[:len(all)-4])
+	_, first, _ := splitFrames(all[:len(all)-4])
 
 	dir := t.TempDir()
 	repl := mustOpen(t, dir)
@@ -358,12 +358,24 @@ func TestApplyHandoffFencedEpoch(t *testing.T) {
 	if _, err := repl.Promote(); err != nil { // epoch 2 > handoff's epoch 1
 		t.Fatal(err)
 	}
-	if _, err := repl.ApplyHandoff(data); !errors.Is(err, ErrFencedEpoch) {
-		t.Fatalf("got %v, want ErrFencedEpoch", err)
-	}
-	// The promoted state is untouched — a zombie cannot re-absorb us.
-	if _, ok := repl.Model(fpLocal); !ok {
-		t.Fatal("fenced handoff destroyed local state")
+	// Each refusal — an older epoch, a foreign magic, another format
+	// version — is decided before any state is reset.
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"older epoch", data, ErrFencedEpoch},
+		{"foreign magic", append([]byte("NOTSNAP\n"), data[len(snapMagic):]...), ErrCorruptFrame},
+		{"HPSNAP2", append([]byte("HPSNAP2\n"), data[len(snapMagic):]...), ErrUnsupportedFormat},
+	} {
+		if _, err := repl.ApplyHandoff(tc.data); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+		// The promoted state is untouched — a zombie cannot re-absorb us.
+		if _, ok := repl.Model(fpLocal); !ok {
+			t.Fatalf("%s: refused handoff destroyed local state", tc.name)
+		}
 	}
 }
 
@@ -381,8 +393,8 @@ func TestApplyHandoffTruncatedSnapshot(t *testing.T) {
 	if _, err := repl.ApplyHandoff(data[:len(data)-3]); err == nil {
 		t.Fatal("truncated handoff accepted")
 	}
-	// A fresh handoff still lands (the failed one left the store empty but
-	// consistent).
+	// A fresh handoff still lands (the refused one left the store as it
+	// was).
 	if _, err := repl.ApplyHandoff(data); err != nil {
 		t.Fatal(err)
 	}

@@ -29,14 +29,15 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 
 	"heteropart/internal/core"
@@ -52,22 +53,35 @@ const (
 	walFile      = "wal.log"
 )
 
-// 8-byte magics versioning the two file formats. v2 (delta refresh)
-// changed the model fingerprint scheme to the compositional one and added
-// the recModelDelta record. v3 (tenancy) made every stored label
-// tenant-qualified: replay canonicalizes untenanted labels into the
-// default tenant (fabric.CanonicalLabel). Older files are still read —
-// v1 models are accepted under the legacy fingerprint and aliased to the
-// composed one — and Open compacts immediately so both files are
-// rewritten in the current format with canonical labels.
+// 8-byte magics of the two files: format v3, with composed per-processor
+// model fingerprints, the recModelDelta record and tenant-qualified labels.
+// It is the only format the store reads or writes.
 const (
-	snapMagic   = "HPSNAP3\n"
-	walMagic    = "HPWAL03\n"
-	snapMagicV2 = "HPSNAP2\n"
-	walMagicV2  = "HPWAL02\n"
-	snapMagicV1 = "HPSNAP1\n"
-	walMagicV1  = "HPWAL01\n"
+	snapMagic = "HPSNAP3\n"
+	walMagic  = "HPWAL03\n"
 )
+
+// ErrUnsupportedFormat reports a snapshot or WAL written in another version
+// of the store format. Open refuses it and leaves the file as it is; only
+// foreign or damaged bytes are quarantined.
+var ErrUnsupportedFormat = errors.New("store: unsupported store format")
+
+// checkMagic reports whether b opens with magic. A magic that differs only
+// in its version (the same letters once trailing digits and the newline are
+// trimmed, like "HPSNAP2\n" for "HPSNAP3\n") is ErrUnsupportedFormat; any
+// other bytes are ErrCorruptFrame.
+func checkMagic(b []byte, magic string) error {
+	if len(b) >= len(magic) {
+		got := string(b[:len(magic)])
+		if got == magic {
+			return nil
+		}
+		if strings.TrimRight(got, "0123456789\n") == strings.TrimRight(magic, "0123456789\n") {
+			return fmt.Errorf("%w: magic %q", ErrUnsupportedFormat, got)
+		}
+	}
+	return fmt.Errorf("%w: bad magic", ErrCorruptFrame)
+}
 
 // Options tunes a Store.
 type Options struct {
@@ -174,12 +188,6 @@ type Store struct {
 	models map[uint64]*modelEntry
 	labels map[string]uint64
 
-	// fpAlias maps a legacy (format v1, chained-FNV) model fingerprint to
-	// the composed fingerprint the same functions hash to today. Replay
-	// populates it when it accepts a v1 model record; the plan, hint,
-	// invalidation and delta records that follow resolve through it.
-	fpAlias map[uint64]uint64
-
 	plans     map[planKey]plancache.PlanRecord
 	planOrder []planKey
 	hints     map[hintKey]float64
@@ -221,10 +229,6 @@ type Store struct {
 	quarantinedTail                              int64
 	snapQuarantined                              bool
 	loadedSnapshot                               bool
-	// upgradeOld is set when an older-format (v1 or v2) snapshot or WAL
-	// was read; Open compacts immediately so both files are rewritten in
-	// the current format.
-	upgradeOld bool
 
 	// sealed freezes the committed log end for a planned handover: mutators
 	// refuse with ErrSealed so the position returned by Seal stays the final
@@ -237,7 +241,8 @@ type Store struct {
 
 // Open loads (or creates) the store in opts.Dir: snapshot first, WAL
 // replayed on top, corruption quarantined, and the WAL compacted into a
-// fresh snapshot when it is oversized or had a damaged tail.
+// fresh snapshot when it is oversized or had a damaged tail. A file in
+// another format version fails Open with ErrUnsupportedFormat.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("store: Options.Dir is required")
@@ -247,14 +252,13 @@ func Open(opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{
-		opts:    opts,
-		models:  make(map[uint64]*modelEntry),
-		labels:  make(map[string]uint64),
-		fpAlias: make(map[uint64]uint64),
-		plans:   make(map[planKey]plancache.PlanRecord),
-		hints:   make(map[hintKey]float64),
-		epoch:   1,
-		notify:  make(chan struct{}),
+		opts:   opts,
+		models: make(map[uint64]*modelEntry),
+		labels: make(map[string]uint64),
+		plans:  make(map[planKey]plancache.PlanRecord),
+		hints:  make(map[hintKey]float64),
+		epoch:  1,
+		notify: make(chan struct{}),
 	}
 	if err := s.loadSnapshot(); err != nil {
 		return nil, err
@@ -262,10 +266,9 @@ func Open(opts Options) (*Store, error) {
 	if err := s.openWAL(); err != nil {
 		return nil, err
 	}
-	// A damaged tail, an oversized log or an old-format file folds into a
-	// fresh snapshot now, so the next crash replays from a clean base (and
-	// a v1 store is rewritten as v2 exactly once).
-	if s.quarantinedTail > 0 || s.upgradeOld || (s.opts.CompactAt > 0 && s.walBytes > s.opts.CompactAt) {
+	// A damaged tail or an oversized log folds into a fresh snapshot now,
+	// so the next crash replays from a clean base.
+	if s.quarantinedTail > 0 || (s.opts.CompactAt > 0 && s.walBytes > s.opts.CompactAt) {
 		if err := s.compactLocked(); err != nil {
 			s.wal.Close()
 			return nil, err
@@ -432,38 +435,27 @@ func (s *Store) refreshStateLocked(oldFP, newFP uint64, proc int, newFns []speed
 }
 
 // applyDelta validates and applies a replayed delta record: the referenced
-// model must exist (after legacy aliasing), the processor index must be in
-// range, and patching the function must reproduce the recorded composed
-// fingerprint — a delta whose fingerprint lies is quarantined, never
-// applied. Returns the resolved old fingerprint for stream capture.
-func (s *Store) applyDelta(oldFP, newFP uint64, proc int, fn speed.Function) (uint64, bool) {
-	oldFP = s.resolveFP(oldFP)
+// model must exist, the processor index must be in range, and patching the
+// function must reproduce the recorded composed fingerprint — a delta
+// whose fingerprint lies is quarantined, never applied.
+func (s *Store) applyDelta(oldFP, newFP uint64, proc int, fn speed.Function) bool {
 	m, ok := s.models[oldFP]
 	if !ok || proc < 0 || proc >= len(m.fns) {
 		s.quarantined++
-		return 0, false
+		return false
 	}
 	newFns := make([]speed.Function, len(m.fns))
 	copy(newFns, m.fns)
 	newFns[proc] = fn
 	if speed.Fingerprint(newFns) != newFP {
 		s.quarantined++
-		return 0, false
+		return false
 	}
 	if newFP != oldFP {
 		s.refreshStateLocked(oldFP, newFP, proc, newFns)
 	}
 	s.refreshes++
-	return oldFP, true
-}
-
-// resolveFP maps a legacy model fingerprint to its composed equivalent;
-// current-format fingerprints pass through unchanged.
-func (s *Store) resolveFP(fp uint64) uint64 {
-	if canon, ok := s.fpAlias[fp]; ok {
-		return canon
-	}
-	return fp
+	return true
 }
 
 // AppendPlan logs one admitted plan insertion (the cache's insert tap).
@@ -531,21 +523,9 @@ func (s *Store) AppendPlanBatch(rs []plancache.PlanRecord) error {
 	if len(kept) == 0 {
 		return nil
 	}
-	n, err := s.wal.Write(buf)
-	s.walBytes += int64(n)
-	if err != nil {
-		return fmt.Errorf("store: WAL append: %w", err)
-	}
-	s.walTotal += uint64(len(kept))
-	s.walFrames += int64(len(kept))
 	s.groupedRecs += uint64(len(kept))
-	s.unsynced += len(kept)
-	s.notifyLocked()
-	if s.unsynced >= s.opts.SyncEvery {
-		s.unsynced = 0
-		if err := s.wal.Sync(); err != nil {
-			return fmt.Errorf("store: WAL sync: %w", err)
-		}
+	if err := s.writeFramesLocked(buf, len(kept)); err != nil {
+		return err
 	}
 	for _, r := range kept {
 		s.putPlanLocked(r)
@@ -773,37 +753,24 @@ func (s *Store) dropModelState(model uint64) {
 // --- replay validation (shared by snapshot load and WAL replay) ---
 
 // applyModel validates and installs a replayed model record: the decoded
-// functions must reproduce the recorded fingerprint — composed (current
-// format) or legacy chained (format v1) — else the record is quarantined
-// (a stale or corrupted model must never validate plans). A legacy match
-// installs the model under its composed fingerprint and records the alias
-// so the records that follow resolve. Returns the canonical fingerprint
-// the model was installed under.
-func (s *Store) applyModel(fp uint64, label string, fns []speed.Function) (uint64, string, bool) {
-	canon := speed.Fingerprint(fns)
-	if label == "" || (fp != canon && speed.FingerprintLegacy(fns) != fp) {
+// functions must reproduce the recorded fingerprint, else the record is
+// quarantined (a stale or corrupted model must never validate plans).
+func (s *Store) applyModel(fp uint64, label string, fns []speed.Function) bool {
+	if label == "" || speed.Fingerprint(fns) != fp {
 		s.quarantined++
-		return 0, "", false
+		return false
 	}
-	// Pre-v3 records carry untenanted labels; fold them into the default
-	// tenant so one in-memory key space serves both spellings. After the
-	// empty check — canonicalizing "" would fabricate "default/".
-	label = fabric.CanonicalLabel(label)
-	if fp != canon {
-		s.fpAlias[fp] = canon
-	}
-	if old, ok := s.labels[label]; ok && old != canon {
+	if old, ok := s.labels[label]; ok && old != fp {
 		s.dropModelState(old)
 	}
-	s.models[canon] = &modelEntry{label: label, fns: fns}
-	s.labels[label] = canon
+	s.models[fp] = &modelEntry{label: label, fns: fns}
+	s.labels[label] = fp
 	s.replayedModels++
-	return canon, label, true
+	return true
 }
 
 // applyPlan validates and installs a replayed plan record.
 func (s *Store) applyPlan(r plancache.PlanRecord) bool {
-	r.Model = s.resolveFP(r.Model)
 	m, ok := s.models[r.Model]
 	if !ok || !r.Valid() || len(r.Alloc) != len(m.fns) {
 		s.quarantined++
@@ -816,7 +783,6 @@ func (s *Store) applyPlan(r plancache.PlanRecord) bool {
 
 // applyHint validates and installs a replayed warm hint.
 func (s *Store) applyHint(h plancache.HintRecord) bool {
-	h.Model = s.resolveFP(h.Model)
 	if _, ok := s.models[h.Model]; !ok || h.N <= 0 || !(h.Slope > 0) {
 		s.quarantined++
 		return false
@@ -841,8 +807,8 @@ func (s *Store) applyRecord(payload []byte, cap *Replicated) {
 			s.quarantined++
 			return
 		}
-		if canon, canonLabel, ok := s.applyModel(fp, label, fns); ok && cap != nil {
-			cap.Models = append(cap.Models, ReplModel{Fingerprint: canon, Label: canonLabel, Fns: fns})
+		if s.applyModel(fp, label, fns) && cap != nil {
+			cap.Models = append(cap.Models, ReplModel{Fingerprint: fp, Label: label, Fns: fns})
 		}
 	case recPlan:
 		r, err := decodePlan(d)
@@ -850,7 +816,6 @@ func (s *Store) applyRecord(payload []byte, cap *Replicated) {
 			s.quarantined++
 			return
 		}
-		r.Model = s.resolveFP(r.Model)
 		if s.applyPlan(r) && cap != nil {
 			cap.Plans = append(cap.Plans, r)
 		}
@@ -860,7 +825,6 @@ func (s *Store) applyRecord(payload []byte, cap *Replicated) {
 			s.quarantined++
 			return
 		}
-		h.Model = s.resolveFP(h.Model)
 		if s.applyHint(h) && cap != nil {
 			cap.Hints = append(cap.Hints, h)
 		}
@@ -870,7 +834,6 @@ func (s *Store) applyRecord(payload []byte, cap *Replicated) {
 			s.quarantined++
 			return
 		}
-		model = s.resolveFP(model)
 		s.dropPlansLocked(model)
 		if cap != nil {
 			cap.Invalidated = append(cap.Invalidated, model)
@@ -881,8 +844,8 @@ func (s *Store) applyRecord(payload []byte, cap *Replicated) {
 			s.quarantined++
 			return
 		}
-		if resolved, ok := s.applyDelta(oldFP, newFP, proc, fn); ok && cap != nil {
-			cap.Deltas = append(cap.Deltas, ReplDelta{OldFP: resolved, NewFP: newFP, Proc: proc, Fn: fn})
+		if s.applyDelta(oldFP, newFP, proc, fn) && cap != nil {
+			cap.Deltas = append(cap.Deltas, ReplDelta{OldFP: oldFP, NewFP: newFP, Proc: proc, Fn: fn})
 		}
 	case recMeta:
 		epoch, gen, err := decodeMeta(d)
@@ -912,12 +875,12 @@ func (s *Store) openWAL() error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	info, err := f.Stat()
+	data, err := io.ReadAll(f)
 	if err != nil {
 		f.Close()
 		return fmt.Errorf("store: %w", err)
 	}
-	if info.Size() == 0 {
+	if len(data) == 0 {
 		if _, err := f.Write([]byte(walMagic)); err != nil {
 			f.Close()
 			return fmt.Errorf("store: %w", err)
@@ -929,65 +892,59 @@ func (s *Store) openWAL() error {
 		s.wal = f
 		return nil
 	}
-	var magic [8]byte
-	_, magicErr := io.ReadFull(f, magic[:])
-	switch {
-	case magicErr == nil && string(magic[:]) == walMagic:
-	case magicErr == nil && (string(magic[:]) == walMagicV1 || string(magic[:]) == walMagicV2):
-		// Older-format log: records decode identically; v1 models carry
-		// legacy fingerprints (applyModel aliases them) and pre-v3 labels
-		// are untenanted (applyModel canonicalizes them). Open compacts
-		// right after replay, rewriting the file with the current magic.
-		s.upgradeOld = true
-	default:
-		// Unrecognized log: set it aside and start fresh rather than guess.
+	if err := checkMagic(data, walMagic); err != nil {
 		f.Close()
+		if errors.Is(err, ErrUnsupportedFormat) {
+			return fmt.Errorf("%w (%s)", err, path)
+		}
+		// Unrecognized log: set it aside and start fresh rather than guess.
 		if err := quarantineFile(path); err != nil {
 			return err
 		}
-		s.quarantinedTail += info.Size()
+		s.quarantinedTail += int64(len(data))
 		return s.openWAL()
 	}
-	// Replay frames; stop at the first corrupt one and cut the tail there.
-	r := bufio.NewReader(f)
-	good := int64(len(walMagic))
-	for {
-		payload, err := readFrame(r)
-		if err == io.EOF {
-			break
+	// Replay the whole frames; a torn or corrupt one ends the log, and the
+	// tail from it on is cut.
+	recs, good, err := splitFrames(data[len(walMagic):])
+	for _, p := range recs {
+		s.applyRecord(p, nil)
+	}
+	if err != nil {
+		s.quarantinedTail += int64(len(data) - len(walMagic) - good)
+		if err := f.Truncate(int64(len(walMagic) + good)); err != nil {
+			f.Close()
+			return fmt.Errorf("store: truncating corrupt WAL tail: %w", err)
 		}
-		if err != nil {
-			s.quarantinedTail += info.Size() - good
-			if err := f.Truncate(good); err != nil {
-				f.Close()
-				return fmt.Errorf("store: truncating corrupt WAL tail: %w", err)
-			}
-			break
-		}
-		s.applyRecord(payload, nil)
-		good += int64(8 + len(payload))
-		s.walFrames++
 	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
 		return fmt.Errorf("store: %w", err)
 	}
 	s.wal = f
-	s.walBytes = good - int64(len(walMagic))
+	s.walBytes = int64(good)
+	s.walFrames = int64(len(recs))
 	return nil
 }
 
-// appendLocked frames and writes one record to the WAL in a single write
-// call, syncing every SyncEvery records.
+// appendLocked frames and writes one record to the WAL.
 func (s *Store) appendLocked(payload []byte) error {
-	n, err := writeFrame(s.wal, payload)
+	return s.writeFramesLocked(appendFrame(nil, payload), 1)
+}
+
+// writeFramesLocked writes already-framed records to the WAL in a single
+// write call, counts them, wakes the WAL streamers, and fsyncs every
+// SyncEvery records: the bookkeeping every WAL append shares, local
+// records and ingested stream frames alike.
+func (s *Store) writeFramesLocked(buf []byte, frames int) error {
+	n, err := s.wal.Write(buf)
 	s.walBytes += int64(n)
 	if err != nil {
 		return fmt.Errorf("store: WAL append: %w", err)
 	}
-	s.walTotal++
-	s.walFrames++
-	s.unsynced++
+	s.walTotal += uint64(frames)
+	s.walFrames += int64(frames)
+	s.unsynced += frames
 	s.notifyLocked()
 	if s.unsynced >= s.opts.SyncEvery {
 		s.unsynced = 0
@@ -1027,36 +984,10 @@ func (s *Store) compactLocked() error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(s.opts.Dir, snapshotTmp)
-	if err := writeFileSync(tmp, buf.Bytes()); err != nil {
+	if err := s.installSnapshotLocked(buf); err != nil {
 		return err
-	}
-	final := filepath.Join(s.opts.Dir, snapshotFile)
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := syncDir(s.opts.Dir); err != nil {
-		return err
-	}
-	// The snapshot now covers everything; restart the log. The magic is
-	// rewritten, not preserved, so compacting a v1 log upgrades it.
-	if err := s.wal.Truncate(0); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if _, err := s.wal.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if _, err := s.wal.Write([]byte(walMagic)); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("store: %w", err)
 	}
 	s.gen++
-	s.walBytes = 0
-	s.walFrames = 0
-	s.tornBytes = 0
-	s.unsynced = 0
 	s.compacted++
 	s.notifyLocked()
 	return nil
@@ -1066,28 +997,28 @@ func (s *Store) compactLocked() error {
 // frame, models, plans, hints, terminator) for the given epoch and
 // generation — compaction stamps the next generation, a replication
 // handoff the current one.
-func (s *Store) encodeStateLocked(epoch, gen uint64) (*bytes.Buffer, error) {
+func (s *Store) encodeStateLocked(epoch, gen uint64) ([]byte, error) {
+	// A bytes.Buffer rather than a bare append: its doubling growth keeps
+	// the copying linear for a snapshot of many large plans, and each
+	// frame lands straight in its spare capacity.
 	var buf bytes.Buffer
+	frame := func(payload []byte) { buf.Write(appendFrame(buf.AvailableBuffer(), payload)) }
 	buf.WriteString(snapMagic)
-	if _, err := writeFrame(&buf, encodeMeta(epoch, gen)); err != nil {
-		return nil, err
-	}
+	frame(encodeMeta(epoch, gen))
 	var nModels, nPlans, nHints int
 
-	models := make([]ModelInfo, 0, len(s.models))
-	for fp, m := range s.models {
-		models = append(models, ModelInfo{Fingerprint: fp, Label: m.label})
+	models := make([]uint64, 0, len(s.models))
+	for fp := range s.models {
+		models = append(models, fp)
 	}
-	sort.Slice(models, func(i, j int) bool { return models[i].Fingerprint < models[j].Fingerprint })
-	for _, mi := range models {
-		m := s.models[mi.Fingerprint]
-		payload, err := encodeModel(mi.Fingerprint, m.label, m.fns)
+	sort.Slice(models, func(i, j int) bool { return models[i] < models[j] })
+	for _, fp := range models {
+		m := s.models[fp]
+		payload, err := encodeModel(fp, m.label, m.fns)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := writeFrame(&buf, payload); err != nil {
-			return nil, err
-		}
+		frame(payload)
 		nModels++
 	}
 	for _, k := range s.planOrder {
@@ -1095,9 +1026,7 @@ func (s *Store) encodeStateLocked(epoch, gen uint64) (*bytes.Buffer, error) {
 		if !ok {
 			continue
 		}
-		if _, err := writeFrame(&buf, encodePlan(r)); err != nil {
-			return nil, err
-		}
+		frame(encodePlan(r))
 		nPlans++
 	}
 	hints := s.hintsLocked()
@@ -1110,22 +1039,68 @@ func (s *Store) encodeStateLocked(epoch, gen uint64) (*bytes.Buffer, error) {
 		if _, ok := s.models[h.Model]; !ok {
 			continue
 		}
-		if _, err := writeFrame(&buf, encodeHint(h)); err != nil {
-			return nil, err
-		}
+		frame(encodeHint(h))
 		s.hints[hintKey{model: h.Model, n: h.N}] = h.Slope
 		nHints++
 	}
-	if _, err := writeFrame(&buf, encodeSnapEnd(nModels, nPlans, nHints)); err != nil {
-		return nil, err
-	}
-	return &buf, nil
+	frame(encodeSnapEnd(nModels, nPlans, nHints))
+	return buf.Bytes(), nil
 }
 
-// loadSnapshot reads the snapshot if present. Any corruption — bad magic,
-// bad frame, decode failure, missing or inconsistent terminator —
-// quarantines the whole file (renamed aside) and starts empty: WAL records
-// depending on snapshot state then quarantine individually during replay.
+// replaySnapshot replaces the in-memory state with a snapshot image. Boot
+// and replication handoff both load through it. The image is checked end
+// to end before any state is touched: the current magic, whole CRC-clean
+// frames, and a terminator that closes the image and counts every record
+// frame before it but the meta frame — any other count means frames went
+// missing without breaking a CRC. The leading meta frame's epoch is then
+// fenced: an image older than the store's epoch is ErrFencedEpoch. Every
+// refusal leaves the state as it was. The records apply through
+// applyRecord, so a lying one is quarantined exactly as in WAL replay.
+func (s *Store) replaySnapshot(data []byte, cap *Replicated) error {
+	if err := checkMagic(data, snapMagic); err != nil {
+		return err
+	}
+	recs, _, err := splitFrames(data[len(snapMagic):])
+	if err != nil || len(recs) == 0 || recs[len(recs)-1][0] != recSnapEnd {
+		return fmt.Errorf("%w: snapshot does not end with a terminator", ErrCorruptFrame)
+	}
+	d := &decoder{buf: recs[len(recs)-1][1:]}
+	wantModels, wantPlans, wantHints, err := decodeSnapEnd(d)
+	if err != nil || !d.done() {
+		return fmt.Errorf("%w: snapshot terminator", ErrCorruptFrame)
+	}
+	recs = recs[:len(recs)-1]
+	seen := 0
+	for _, p := range recs {
+		switch p[0] {
+		case recSnapEnd:
+			return fmt.Errorf("%w: snapshot terminator before the end", ErrCorruptFrame)
+		case recMeta:
+		default:
+			seen++
+		}
+	}
+	if seen != wantModels+wantPlans+wantHints {
+		return fmt.Errorf("%w: snapshot terminator counts %d records, image holds %d",
+			ErrCorruptFrame, wantModels+wantPlans+wantHints, seen)
+	}
+	if len(recs) > 0 && recs[0][0] == recMeta {
+		d := &decoder{buf: recs[0][1:]}
+		if epoch, _, err := decodeMeta(d); err == nil && epoch < s.epoch {
+			return ErrFencedEpoch
+		}
+	}
+	s.resetStateLocked()
+	for _, p := range recs {
+		s.applyRecord(p, cap)
+	}
+	return nil
+}
+
+// loadSnapshot reads the snapshot if present. An image replaySnapshot
+// refuses is quarantined as a whole (renamed aside) and the store starts
+// empty: WAL records depending on snapshot state then quarantine
+// individually during replay. Another format version fails Open instead.
 func (s *Store) loadSnapshot() error {
 	path := filepath.Join(s.opts.Dir, snapshotFile)
 	data, err := os.ReadFile(path)
@@ -1135,63 +1110,43 @@ func (s *Store) loadSnapshot() error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	ok := func() bool {
-		if len(data) < len(snapMagic) {
-			return false
-		}
-		switch string(data[:len(snapMagic)]) {
-		case snapMagic:
-		case snapMagicV1, snapMagicV2:
-			// Older-format snapshot: frames decode identically; v1 models
-			// carry legacy fingerprints (applyModel aliases them), pre-v3
-			// labels are untenanted (applyModel canonicalizes them); Open
-			// compacts right after replay to rewrite the current format.
-			s.upgradeOld = true
-		default:
-			return false
-		}
-		r := bytes.NewReader(data[len(snapMagic):])
-		for {
-			payload, err := readFrame(r)
-			if err == io.EOF {
-				return false // no terminator: truncated snapshot
-			}
-			if err != nil {
-				return false
-			}
-			if payload[0] == recSnapEnd {
-				d := &decoder{buf: payload[1:]}
-				wantModels, wantPlans, wantHints, err := decodeSnapEnd(d)
-				if err != nil || !d.done() || r.Len() != 0 {
-					return false
-				}
-				// The terminator counts every record written; every record
-				// seen was either applied or quarantined. Any other total
-				// means frames went missing without breaking a CRC.
-				seen := s.replayedModels + s.replayedPlans + s.replayedHints + s.quarantined
-				return seen == wantModels+wantPlans+wantHints
-			}
-			s.applyRecord(payload, nil)
-		}
-	}()
-	if !ok {
-		// Reset whatever half-applied state the bad snapshot left behind.
-		s.models = make(map[uint64]*modelEntry)
-		s.labels = make(map[string]uint64)
-		s.fpAlias = make(map[uint64]uint64)
-		s.plans = make(map[planKey]plancache.PlanRecord)
-		s.planOrder = nil
-		s.hints = make(map[hintKey]float64)
-		s.replayedModels, s.replayedPlans, s.replayedHints = 0, 0, 0
-		s.quarantined = 0
-		s.epoch, s.gen = 1, 0
-		s.snapQuarantined = true
-		if err := quarantineFile(path); err != nil {
-			return err
-		}
+	switch err := s.replaySnapshot(data, nil); {
+	case err == nil:
+		s.loadedSnapshot = true
 		return nil
+	case errors.Is(err, ErrUnsupportedFormat):
+		return fmt.Errorf("%w (%s)", err, path)
+	default:
+		s.snapQuarantined = true
+		return quarantineFile(path)
 	}
-	s.loadedSnapshot = true
+}
+
+// installSnapshotLocked makes buf the snapshot file — atomically: temp
+// file, fsync, rename, fsync dir, so a crash mid-write never destroys the
+// previous one — and, since the snapshot now covers everything, cuts the
+// WAL back to its header. Compaction and replication handoff share it.
+func (s *Store) installSnapshotLocked(buf []byte) error {
+	tmp := filepath.Join(s.opts.Dir, snapshotTmp)
+	if err := writeFileSync(tmp, buf); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, filepath.Join(s.opts.Dir, snapshotFile)); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	if err := syncDir(s.opts.Dir); err != nil {
+		return err
+	}
+	if err := s.wal.Truncate(int64(len(walMagic))); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	if _, err := s.wal.Seek(0, io.SeekEnd); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	if err := s.wal.Sync(); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	s.walBytes, s.walFrames, s.tornBytes, s.unsynced = 0, 0, 0, 0
 	return nil
 }
 

@@ -1,92 +1,14 @@
 package store
 
-import (
-	"bytes"
-	"os"
-	"path/filepath"
-	"testing"
-
-	"heteropart/internal/speed"
-)
-
-// TestTenancyV2WALUpgrade replays a hand-written v2 WAL whose model label
-// predates tenant namespaces. Open must canonicalize the label into the
-// default tenant, keep resolving the bare spelling, and rewrite both
-// files in the v3 format.
-func TestTenancyV2WALUpgrade(t *testing.T) {
-	dir := t.TempDir()
-	fns := testModel(5, 21)
-	fp := speed.Fingerprint(fns)
-	sizes := []int64{50_000, 400_000}
-
-	var buf bytes.Buffer
-	buf.WriteString(walMagicV2)
-	mp, err := encodeModel(fp, "m", fns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := writeFrame(&buf, mp); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range plansFor(t, fp, fns, sizes) {
-		if _, err := writeFrame(&buf, encodePlan(r)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(filepath.Join(dir, walFile), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s := mustOpen(t, dir, Options{CompactAt: -1})
-	st := s.Stats()
-	if st.QuarantinedRecords != 0 || st.ReplayedModels != 1 || st.ReplayedPlans != len(sizes) {
-		t.Fatalf("v2 replay: %+v", st)
-	}
-	if st.Compactions == 0 {
-		t.Fatal("v2 store was not compacted to the current format on open")
-	}
-	// Both spellings resolve; the stored identity is the canonical one.
-	if got, ok := s.ModelByLabel("m"); !ok || got != fp {
-		t.Fatalf("bare label maps to %x (ok=%v), want %x", got, ok, fp)
-	}
-	if got, ok := s.ModelByLabel("default/m"); !ok || got != fp {
-		t.Fatalf("qualified label maps to %x (ok=%v), want %x", got, ok, fp)
-	}
-	models := s.Models()
-	if len(models) != 1 || models[0].Label != "default/m" {
-		t.Fatalf("models after upgrade: %+v, want one entry labeled default/m", models)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	for file, want := range map[string]string{walFile: walMagic, snapshotFile: snapMagic} {
-		data, err := os.ReadFile(filepath.Join(dir, file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(data[:8]) != want {
-			t.Fatalf("%s magic after upgrade: %q, want %q", file, data[:8], want)
-		}
-	}
-
-	s2 := mustOpen(t, dir)
-	defer s2.Close()
-	if st := s2.Stats(); !st.LoadedFromSnapshot || st.QuarantinedRecords != 0 {
-		t.Fatalf("reopen after upgrade: %+v", st)
-	}
-	if _, ok := s2.ModelByLabel("m"); !ok {
-		t.Fatal("bare label lost across reopen")
-	}
-}
+import "testing"
 
 // TestTenancyLabelNamespaces checks the live write path: bare labels fold
-// into the default tenant, qualified labels are distinct models, and
-// RefreshProcessor follows either spelling.
+// into the default tenant, qualified labels are distinct models,
+// RefreshProcessor follows either spelling, and both spellings still
+// resolve after Close→Open.
 func TestTenancyLabelNamespaces(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	defer s.Close()
 
 	fnsA := testModel(4, 3)
 	fnsB := testModel(4, 9)
@@ -118,6 +40,18 @@ func TestTenancyLabelNamespaces(t *testing.T) {
 	for _, mi := range s.Models() {
 		if mi.Label != "default/m" && mi.Label != "acme/m" {
 			t.Fatalf("non-canonical stored label %q", mi.Label)
+		}
+	}
+	fpM, _ := s.ModelByLabel("m")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := mustOpen(t, dir)
+	defer s2.Close()
+	for label, want := range map[string]uint64{"m": fpM, "default/m": fpM, "acme/m": fpB} {
+		if got, ok := s2.ModelByLabel(label); !ok || got != want {
+			t.Fatalf("%s after reopen -> %x (ok=%v), want %x", label, got, ok, want)
 		}
 	}
 }

@@ -317,16 +317,14 @@ func (d *Detector) probe(ctx context.Context) bool {
 	return true
 }
 
-// fetchPeer GETs one member's /v1/replication/peer under the probe
-// deadline.
-func (d *Detector) fetchPeer(ctx context.Context, base string) (PeerInfo, error) {
-	ctx, cancel := context.WithTimeout(ctx, d.cfg.ProbeTimeout)
-	defer cancel()
+// FetchPeer GETs one member's /v1/replication/peer document and stamps
+// its URL. ctx and the client's own timeout both bound the request.
+func FetchPeer(ctx context.Context, client *http.Client, base string) (PeerInfo, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/replication/peer", nil)
 	if err != nil {
 		return PeerInfo{}, err
 	}
-	resp, err := d.cfg.Client.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		return PeerInfo{}, err
 	}
@@ -341,6 +339,13 @@ func (d *Detector) fetchPeer(ctx context.Context, base string) (PeerInfo, error)
 	}
 	pi.URL = base
 	return pi, nil
+}
+
+// fetchPeer is FetchPeer under the probe deadline.
+func (d *Detector) fetchPeer(ctx context.Context, base string) (PeerInfo, error) {
+	ctx, cancel := context.WithTimeout(ctx, d.cfg.ProbeTimeout)
+	defer cancel()
+	return FetchPeer(ctx, d.cfg.Client, base)
 }
 
 // elect runs one election round. It returns true only when this member
