@@ -71,7 +71,7 @@ func main() {
 		noDoor     = flag.Bool("no-doorkeeper", false, "admit plans on first miss instead of second")
 		maxBatch   = flag.Int("max-batch", 0, "max requests per engine dispatch cycle (0 = default)")
 		queueDepth = flag.Int("queue", 0, "request queue depth (0 = default)")
-		compactAt  = flag.Int64("compact-at", 0, "WAL bytes that trigger snapshot compaction (0 = default 4MiB)")
+		compactAt  = flag.Int64("compact-at", 0, "floor of the compaction trigger: the WAL is compacted past the larger of this and the last snapshot's bytes (0 = default 4MiB)")
 		walSyncEv  = flag.Int("wal-sync-every", 0, "fsync the WAL every N records, must be >= 1 (0 = default 64, 1 = every record)")
 		drain      = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown deadline")
 		replicaOf  = flag.String("replica-of", "", "follow the primary hetpartd at this base URL (read-only until promoted)")

@@ -475,15 +475,20 @@ func (c *Cache) warmHint(model uint64, n int64) (slope, spread float64, ok bool)
 	return h.slope, spread, true
 }
 
-// rememberHint records the optimal slope for (model, n), keeping the index
-// bounded and sorted by n.
+// rememberHint records the optimal slope for (model, n) in the warm index.
 func (c *Cache) rememberHint(model uint64, n int64, slope float64) {
+	c.warm.mu.Lock()
+	addHint(c.warm.models, model, n, slope)
+	c.warm.mu.Unlock()
+}
+
+// addHint records the optimal slope for (model, n) in a warm-index map,
+// keeping each model's hints bounded and sorted by n.
+func addHint(models map[uint64][]hint, model uint64, n int64, slope float64) {
 	if !(slope > 0) {
 		return
 	}
-	c.warm.mu.Lock()
-	defer c.warm.mu.Unlock()
-	hints := c.warm.models[model]
+	hints := models[model]
 	i := sort.Search(len(hints), func(i int) bool { return hints[i].n >= n })
 	if i < len(hints) && hints[i].n == n {
 		hints[i].slope = slope
@@ -504,7 +509,7 @@ func (c *Cache) rememberHint(model uint64, n int64, slope float64) {
 	hints = append(hints, hint{})
 	copy(hints[i+1:], hints[i:])
 	hints[i] = hint{n: n, slope: slope}
-	c.warm.models[model] = hints
+	models[model] = hints
 }
 
 // Invalidate drops every cached plan and warm hint for the cluster model
@@ -541,23 +546,51 @@ func (c *Cache) InvalidateFingerprint(model uint64) int {
 	return dropped
 }
 
-// Reset drops every cached plan and warm hint without firing taps or
-// counting invalidations — the mirror-rebuild primitive a replica uses
-// after a snapshot handoff replaced its store's state wholesale (the
-// handoff's contents are re-Imported right after). In-flight computations
-// are left to finish; their results are simply not admitted into the
-// post-reset cache until recomputed.
-func (c *Cache) Reset() {
+// Replace swaps the cache's contents for plans and hints — the
+// mirror-rebuild primitive a replica uses after a snapshot handoff replaced
+// its store's state wholesale. Each shard's new entry map and LRU list, and
+// the new warm index, are built outside the locks and swapped in under
+// them, so a plan present both before and after the swap never misses for
+// a concurrent reader. Plans install as Import installs them (invalid
+// records skipped, later records more recent); no tap fires and no
+// invalidation is counted. In-flight computations are left to finish and
+// insert into the new contents. It returns how many plans were installed.
+func (c *Cache) Replace(plans []PlanRecord, hints []HintRecord) int {
+	var fresh [numShards]shard
+	for i := range fresh {
+		fresh[i].entries = make(map[key]*entry)
+		fresh[i].cap = c.shards[i].cap
+	}
+	var installed int
+	var evicted uint64
+	for _, r := range plans {
+		if !r.Valid() {
+			continue
+		}
+		k, res := r.entry()
+		ev, inserted := fresh[k.hash()&(numShards-1)].insert(k, res)
+		evicted += ev
+		if inserted {
+			installed++
+		}
+	}
+	warm := make(map[uint64][]hint)
+	for _, h := range hints {
+		if h.N > 0 {
+			addHint(warm, h.Model, h.N, h.Slope)
+		}
+	}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		sh.entries = make(map[key]*entry)
-		sh.head, sh.tail = nil, nil
+		sh.entries, sh.head, sh.tail = fresh[i].entries, fresh[i].head, fresh[i].tail
 		sh.mu.Unlock()
 	}
 	c.warm.mu.Lock()
-	c.warm.models = make(map[uint64][]hint)
+	c.warm.models = warm
 	c.warm.mu.Unlock()
+	c.evictions.Add(evicted)
+	return installed
 }
 
 // SetReadOnly toggles read-only admission. While set, misses still compute

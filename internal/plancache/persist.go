@@ -41,6 +41,16 @@ func (r PlanRecord) Valid() bool {
 	return sum == r.N
 }
 
+// entry returns the record's cache key and a Result owning a private copy
+// of its allocation.
+func (r PlanRecord) entry() (key, core.Result) {
+	return key{model: r.Model, n: r.N, algo: r.Algo, opts: r.OptsKey}, core.Result{
+		Slope: r.Slope,
+		Alloc: append(core.Allocation(nil), r.Alloc...),
+		Stats: r.Stats,
+	}
+}
+
 // HintRecord is one warm-start hint in exportable form.
 type HintRecord struct {
 	Model uint64
@@ -112,12 +122,7 @@ func (c *Cache) Import(plans []PlanRecord, hints []HintRecord) int {
 		if !r.Valid() {
 			continue
 		}
-		k := key{model: r.Model, n: r.N, algo: r.Algo, opts: r.OptsKey}
-		res := core.Result{
-			Slope: r.Slope,
-			Alloc: append(core.Allocation(nil), r.Alloc...),
-			Stats: r.Stats,
-		}
+		k, res := r.entry()
 		sh := &c.shards[k.hash()&(numShards-1)]
 		sh.mu.Lock()
 		evicted, inserted := sh.insert(k, res)

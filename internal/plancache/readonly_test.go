@@ -89,7 +89,7 @@ func TestReadOnlyImportStillWrites(t *testing.T) {
 	}
 }
 
-func TestResetDropsEverythingSilently(t *testing.T) {
+func TestReplaceSwapsContentsSilently(t *testing.T) {
 	c := New(0)
 	var invalidations int
 	c.SetInvalidateTap(func(uint64) { invalidations++ })
@@ -98,20 +98,70 @@ func TestResetDropsEverythingSilently(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.Stats().Size == 0 {
-		t.Fatal("nothing cached to reset")
+		t.Fatal("nothing cached to replace")
 	}
-	c.Reset()
+	if n := c.Replace(nil, nil); n != 0 {
+		t.Fatalf("Replace(nil, nil) installed %d plans", n)
+	}
 	if st := c.Stats(); st.Size != 0 {
-		t.Fatalf("Reset left %d entries", st.Size)
+		t.Fatalf("Replace left %d entries", st.Size)
 	}
 	if invalidations != 0 {
-		t.Fatalf("Reset fired the invalidate tap %d times", invalidations)
+		t.Fatalf("Replace fired the invalidate tap %d times", invalidations)
 	}
 	// The warm index is gone too: the next miss computes cold.
 	if _, err := c.Get(core.AlgoCombined, 1_100_000, fns); err != nil {
 		t.Fatal(err)
 	}
 	if ws := c.Stats().WarmStarts; ws != 0 {
-		t.Fatalf("warm index survived Reset (%d warm starts)", ws)
+		t.Fatalf("warm index survived Replace (%d warm starts)", ws)
+	}
+}
+
+// TestReplaceNeverMissesResidentKey swaps the cache's contents over and
+// over while a reader probes a plan that is present both before and after
+// every swap: the reader must never miss. Emptying the cache and then
+// re-importing it would open a window in which that plan is gone.
+func TestReplaceNeverMissesResidentKey(t *testing.T) {
+	c := New(0)
+	const model = 0x5eed
+	plans := make([]PlanRecord, 2000)
+	for i := range plans {
+		n := int64(1_000_000 + i)
+		plans[i] = PlanRecord{
+			Model: model, N: n, Algo: core.AlgoCombined, OptsKey: core.OptionsKey(),
+			Slope: 1, Alloc: core.Allocation{n / 2, n - n/2},
+		}
+	}
+	probe := plans[len(plans)-1] // installed last on every swap
+	c.Import(plans, nil)
+
+	stop := make(chan struct{})
+	var probes, misses int
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var dst core.Allocation
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var ok bool
+			dst, _, ok = c.PeekInto(dst[:0], model, probe.Algo, probe.N)
+			probes++
+			if !ok {
+				misses++
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		c.Replace(plans, nil)
+	}
+	close(stop)
+	<-done
+	if misses != 0 {
+		t.Fatalf("reader missed a resident plan %d times in %d probes across the swaps", misses, probes)
 	}
 }

@@ -407,11 +407,12 @@ func (d *Daemon) regSetLocked(label string, fp uint64) {
 }
 
 // mirrorReset rebuilds the live mirror (registry + cache) from the store
-// after a snapshot handoff replaced its state wholesale.
+// after a snapshot handoff replaced its state wholesale. The cache swaps
+// its contents in one step per shard, so a plan the handoff kept never
+// misses while the mirror is rebuilt.
 func (d *Daemon) mirrorReset() {
 	d.rebuildRegistry()
-	d.cache.Reset()
-	d.cache.Import(d.store.Plans(), d.store.Hints())
+	d.cache.Replace(d.store.Plans(), d.store.Hints())
 }
 
 // mirrorApply folds one ingested chunk into the live mirror: models join

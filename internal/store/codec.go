@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"heteropart/internal/core"
 	"heteropart/internal/plancache"
@@ -82,8 +83,30 @@ var (
 	ErrUnsupportedModel = errors.New("store: unsupported speed function type")
 )
 
-// encoder appends primitive values to a byte buffer.
+// encoder appends framed records to a byte buffer, each written in place:
+// open reserves the frame header and writes the record type, the body is
+// appended behind it, and close back-fills the payload's length and
+// checksum. No payload is built on its own and copied into a frame, so a
+// buffer presized for its frames (a group commit's, a snapshot's) is
+// filled without a single further allocation.
 type encoder struct{ buf []byte }
+
+// open starts a frame for a record of type rec and returns its offset.
+func (e *encoder) open(rec uint8) int {
+	at := len(e.buf)
+	e.buf = append(e.buf, 0, 0, 0, 0, 0, 0, 0, 0, rec)
+	return at
+}
+
+// close back-fills the header of the frame opened at offset at. Appenders
+// write a whole frame (or a group commit's concatenated frames) in one
+// write call, so a crashed process leaves at most one partial frame at the
+// tail.
+func (e *encoder) close(at int) {
+	payload := e.buf[at+8:]
+	binary.LittleEndian.PutUint32(e.buf[at:at+4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(e.buf[at+4:at+8], crc32.Checksum(payload, castagnoli))
+}
 
 func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
 func (e *encoder) u16(v uint16) { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
@@ -170,17 +193,6 @@ func (d *decoder) str() string {
 }
 
 func (d *decoder) done() bool { return d.err == nil && d.off == len(d.buf) }
-
-// appendFrame appends one framed record to dst. Appenders write a whole
-// frame (or a group commit's concatenated frames) in one write call, so a
-// crashed process leaves at most one partial frame at the tail.
-func appendFrame(dst, payload []byte) []byte {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
 
 // splitFrames is the one frame reader, shared by snapshot replay, WAL
 // replay and stream ingestion. It returns the payloads of the whole,
@@ -321,19 +333,20 @@ func decodeFunction(d *decoder) (speed.Function, error) {
 	}
 }
 
-// encodeModel builds a model record payload.
-func encodeModel(fp uint64, label string, fns []speed.Function) ([]byte, error) {
-	e := &encoder{}
-	e.u8(recModel)
+// model appends a framed model record. On error nothing is appended.
+func (e *encoder) model(fp uint64, label string, fns []speed.Function) error {
+	at := e.open(recModel)
 	e.u64(fp)
 	e.str(label)
 	e.u32(uint32(len(fns)))
 	for _, f := range fns {
 		if err := encodeFunction(e, f); err != nil {
-			return nil, err
+			e.buf = e.buf[:at]
+			return err
 		}
 	}
-	return e.buf, nil
+	e.close(at)
+	return nil
 }
 
 // decodeModel parses a model record body (after the type byte).
@@ -358,10 +371,14 @@ func decodeModel(d *decoder) (fp uint64, label string, fns []speed.Function, err
 	return fp, label, fns, nil
 }
 
-// encodePlan builds a plan record payload.
-func encodePlan(r plancache.PlanRecord) []byte {
-	e := &encoder{}
-	e.u8(recPlan)
+// planFrameSize is the size of r's framed plan record: the header, 51
+// bytes of fixed fields and 8 bytes per share.
+func planFrameSize(r *plancache.PlanRecord) int { return 8 + 51 + 8*len(r.Alloc) }
+
+// plan appends a framed plan record of planFrameSize(r) bytes.
+func (e *encoder) plan(r *plancache.PlanRecord) {
+	e.buf = slices.Grow(e.buf, planFrameSize(r))
+	at := e.open(recPlan)
 	e.u64(r.Model)
 	e.i64(r.N)
 	e.u8(uint8(r.Algo))
@@ -376,10 +393,12 @@ func encodePlan(r plancache.PlanRecord) []byte {
 		e.u8(0)
 	}
 	e.u32(uint32(len(r.Alloc)))
-	for _, x := range r.Alloc {
-		e.i64(x)
+	shares := e.buf[len(e.buf) : len(e.buf)+8*len(r.Alloc)]
+	for i, x := range r.Alloc {
+		binary.LittleEndian.PutUint64(shares[8*i:], uint64(x))
 	}
-	return e.buf
+	e.buf = e.buf[:len(e.buf)+len(shares)]
+	e.close(at)
 }
 
 // decodePlan parses a plan record body. Stats.Algorithm is reconstructed
@@ -411,14 +430,16 @@ func decodePlan(d *decoder) (plancache.PlanRecord, error) {
 	return r, nil
 }
 
-// encodeHint builds a hint record payload.
-func encodeHint(h plancache.HintRecord) []byte {
-	e := &encoder{}
-	e.u8(recHint)
+// hintFrameSize is the size of a framed hint record.
+const hintFrameSize = 8 + 25
+
+// hint appends a framed hint record.
+func (e *encoder) hint(h plancache.HintRecord) {
+	at := e.open(recHint)
 	e.u64(h.Model)
 	e.i64(h.N)
 	e.f64(h.Slope)
-	return e.buf
+	e.close(at)
 }
 
 func decodeHint(d *decoder) (plancache.HintRecord, error) {
@@ -426,12 +447,11 @@ func decodeHint(d *decoder) (plancache.HintRecord, error) {
 	return h, d.err
 }
 
-// encodeInvalidate builds an invalidation record payload.
-func encodeInvalidate(model uint64) []byte {
-	e := &encoder{}
-	e.u8(recInvalidate)
+// invalidate appends a framed invalidation record.
+func (e *encoder) invalidate(model uint64) {
+	at := e.open(recInvalidate)
 	e.u64(model)
-	return e.buf
+	e.close(at)
 }
 
 func decodeInvalidate(d *decoder) (uint64, error) {
@@ -439,19 +459,21 @@ func decodeInvalidate(d *decoder) (uint64, error) {
 	return model, d.err
 }
 
-// encodeDelta builds a one-processor model refresh record: the composed
+// delta appends a framed one-processor model refresh record: the composed
 // fingerprint of the model being patched, the composed fingerprint the
 // patched model must hash to, the processor index and its new function.
-func encodeDelta(oldFP, newFP uint64, proc int, fn speed.Function) ([]byte, error) {
-	e := &encoder{}
-	e.u8(recModelDelta)
+// On error nothing is appended.
+func (e *encoder) delta(oldFP, newFP uint64, proc int, fn speed.Function) error {
+	at := e.open(recModelDelta)
 	e.u64(oldFP)
 	e.u64(newFP)
 	e.u32(uint32(proc))
 	if err := encodeFunction(e, fn); err != nil {
-		return nil, err
+		e.buf = e.buf[:at]
+		return err
 	}
-	return e.buf, nil
+	e.close(at)
+	return nil
 }
 
 // decodeDelta parses a delta record body (after the type byte).
@@ -469,15 +491,14 @@ func decodeDelta(d *decoder) (oldFP, newFP uint64, proc int, fn speed.Function, 
 	return oldFP, newFP, proc, fn, nil
 }
 
-// encodeMeta builds the replication meta record: the fencing epoch and the
-// compaction generation. It is the first frame of every snapshot and is
-// appended to the WAL whenever the epoch is bumped (promotion).
-func encodeMeta(epoch, gen uint64) []byte {
-	e := &encoder{}
-	e.u8(recMeta)
+// meta appends a framed replication meta record: the fencing epoch and
+// the compaction generation. It is the first frame of every snapshot and
+// is appended to the WAL whenever the epoch is bumped (promotion).
+func (e *encoder) meta(epoch, gen uint64) {
+	at := e.open(recMeta)
 	e.u64(epoch)
 	e.u64(gen)
-	return e.buf
+	e.close(at)
 }
 
 func decodeMeta(d *decoder) (epoch, gen uint64, err error) {
@@ -485,14 +506,14 @@ func decodeMeta(d *decoder) (epoch, gen uint64, err error) {
 	return epoch, gen, d.err
 }
 
-// encodeSnapEnd builds the snapshot terminator carrying the record counts.
-func encodeSnapEnd(models, plans, hints int) []byte {
-	e := &encoder{}
-	e.u8(recSnapEnd)
+// snapEnd appends the framed snapshot terminator carrying the record
+// counts.
+func (e *encoder) snapEnd(models, plans, hints int) {
+	at := e.open(recSnapEnd)
 	e.u32(uint32(models))
 	e.u32(uint32(plans))
 	e.u32(uint32(hints))
-	return e.buf
+	e.close(at)
 }
 
 func decodeSnapEnd(d *decoder) (models, plans, hints int, err error) {

@@ -196,8 +196,8 @@ func TestFingerprintMismatchQuarantinesModel(t *testing.T) {
 	fns := testModel(5, 93)
 	fp := speed.Fingerprint(fns)
 	wrong := fp ^ 0xdeadbeef
-	modelPayload, err := encodeModel(wrong, "m", fns)
-	if err != nil {
+	model := &encoder{}
+	if err := model.model(wrong, "m", fns); err != nil {
 		t.Fatal(err)
 	}
 	plan := plansFor(t, wrong, fns, []int64{100_000})[0]
@@ -212,10 +212,12 @@ func TestFingerprintMismatchQuarantinesModel(t *testing.T) {
 	if _, err := f.Write([]byte(walMagic)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(appendFrame(nil, modelPayload)); err != nil {
+	if _, err := f.Write(model.buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(appendFrame(nil, encodePlan(plan))); err != nil {
+	planFrame := &encoder{}
+	planFrame.plan(&plan)
+	if _, err := f.Write(planFrame.buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -242,8 +244,8 @@ func TestInvalidPlanPayloadQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	fns := testModel(4, 94)
 	fp := speed.Fingerprint(fns)
-	modelPayload, err := encodeModel(fp, "m", fns)
-	if err != nil {
+	model := &encoder{}
+	if err := model.model(fp, "m", fns); err != nil {
 		t.Fatal(err)
 	}
 	// A plan whose shares do not sum to n: CRC-clean, semantically wrong.
@@ -260,10 +262,12 @@ func TestInvalidPlanPayloadQuarantined(t *testing.T) {
 	if _, err := f.Write([]byte(walMagic)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(appendFrame(nil, modelPayload)); err != nil {
+	if _, err := f.Write(model.buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(appendFrame(nil, encodePlan(bad))); err != nil {
+	planFrame := &encoder{}
+	planFrame.plan(&bad)
+	if _, err := f.Write(planFrame.buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -205,15 +205,15 @@ func TestDeltaRefreshLyingFingerprintQuarantined(t *testing.T) {
 	// Forge a delta whose recorded new fingerprint does not match what
 	// patching actually produces, append it past the live store's writes,
 	// and crash. Replay must refuse to apply it.
-	payload, err := encodeDelta(fp, fp^0xdeadbeef, proc, driftTail(t, fns[proc]))
-	if err != nil {
+	forged := &encoder{}
+	if err := forged.delta(fp, fp^0xdeadbeef, proc, driftTail(t, fns[proc])); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(appendFrame(nil, payload)); err != nil {
+	if _, err := f.Write(forged.buf); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
 
 	"heteropart/internal/plancache"
 	"heteropart/internal/speed"
@@ -116,9 +117,11 @@ func (s *Store) AppendWait() <-chan struct{} {
 
 // PinCompaction defers automatic WAL compaction until the returned release
 // runs, keeping a handed-off (gen, offset) position alive while the
-// snapshot travels to a replica. Pins nest; explicit Snapshot and Close
-// still compact (a closing store owes nothing to its streamers — they
-// re-handoff). Release is idempotent.
+// snapshot travels to a replica: no compaction starts while a pin is held,
+// and one already encoding abandons its image at the switch. Pins nest;
+// explicit Snapshot and Close still compact (a closing store owes nothing
+// to its streamers — they re-handoff). Release is idempotent, and the
+// last release re-checks the compaction trigger.
 func (s *Store) PinCompaction() (release func()) {
 	s.mu.Lock()
 	s.pins++
@@ -132,25 +135,30 @@ func (s *Store) PinCompaction() (release func()) {
 		}
 		released = true
 		s.pins--
+		s.maybeCompactLocked()
 	}
 }
 
 // HandoffSnapshot encodes the full state in snapshot format and returns it
 // with the log position it is consistent with: the frames that follow
-// pos.Offset in pos.Gen are exactly the delta. It does not reset the WAL.
-// Callers that cannot tolerate a re-handoff should PinCompaction around
-// the window between this call and the replica's first chunk read.
+// pos.Offset in pos.Gen are exactly the delta. The state is captured under
+// the store lock exactly as a compaction captures it and encoded without
+// it; the WAL is not reset. Callers that cannot tolerate a re-handoff
+// should PinCompaction around the window between this call and the
+// replica's first chunk read.
 func (s *Store) HandoffSnapshot() ([]byte, ReplPos, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return nil, ReplPos{}, fmt.Errorf("store: closed")
 	}
-	buf, err := s.encodeStateLocked(s.epoch, s.gen)
+	c, pos := s.captureLocked(), s.posLocked()
+	s.mu.Unlock()
+	buf, err := c.encode(c.gen)
 	if err != nil {
 		return nil, ReplPos{}, err
 	}
-	return buf, s.posLocked(), nil
+	return buf, pos, nil
 }
 
 // ReadWALChunk reads up to maxBytes of raw frame bytes starting at offset
@@ -287,8 +295,19 @@ func (s *Store) truncateTornLocked() error {
 // leaves the store untouched: a foreign or damaged image returns
 // ErrCorruptFrame, another format version ErrUnsupportedFormat, and an
 // image stamped with an epoch older than the store's own ErrFencedEpoch, so
-// a promoted store can never be re-absorbed by a zombie primary.
+// a promoted store can never be re-absorbed by a zombie primary. The image
+// is installed through the same crash-atomic switch a compaction uses,
+// with an empty WAL, and waits for an in-flight compaction to finish
+// first.
 func (s *Store) ApplyHandoff(data []byte) (Replicated, error) {
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	var w *walTemp
+	defer func() {
+		if w != nil {
+			w.closeRetired() // after the deferred unlock below
+		}
+	}()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var rep Replicated
@@ -296,12 +315,22 @@ func (s *Store) ApplyHandoff(data []byte) (Replicated, error) {
 		return rep, fmt.Errorf("store: closed")
 	}
 	quarBefore := s.quarantined
-	if err := s.replaySnapshot(data, &rep); err != nil {
+	gen, err := s.replaySnapshot(data, &rep)
+	if err != nil {
 		return Replicated{}, err
 	}
 	rep.Quarantined = s.quarantined - quarBefore
 	// Persist: the received bytes are already in snapshot format.
-	if err := s.installSnapshotLocked(data); err != nil {
+	if err := writeFileSync(filepath.Join(s.opts.Dir, snapshotTmp), data); err != nil {
+		return rep, err
+	}
+	// The handoff's WAL starts empty: nothing of the current one carries
+	// over.
+	w, err = s.createWAL(gen, s.walBytes)
+	if err != nil {
+		return rep, err
+	}
+	if _, err := s.switchLocked(w, 0, int64(len(data))); err != nil {
 		return rep, err
 	}
 	s.loadedSnapshot = true
@@ -346,7 +375,26 @@ func (s *Store) Unseal() {
 // a torn WAL tail, the epoch is bumped and logged (fencing every frame the
 // dead primary may still emit), and the state is folded into a fresh
 // snapshot so the new primary restarts clean. It returns the new epoch.
+// An in-flight compaction finishes before the epoch moves.
 func (s *Store) Promote() (uint64, error) {
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	epoch, err := s.bumpEpoch()
+	if err != nil {
+		return 0, err
+	}
+	if err := s.compact(false); err != nil {
+		return 0, err
+	}
+	s.mu.Lock()
+	s.sealed = false
+	s.mu.Unlock()
+	return epoch, nil
+}
+
+// bumpEpoch is Promote's first half, under the store lock: cut the torn
+// tail, then bump the epoch and log it durably.
+func (s *Store) bumpEpoch() (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -358,16 +406,14 @@ func (s *Store) Promote() (uint64, error) {
 		}
 	}
 	s.epoch++
-	if err := s.appendLocked(encodeMeta(s.epoch, s.gen)); err != nil {
+	e := &encoder{}
+	e.meta(s.epoch, s.gen)
+	if err := s.appendLocked(e.buf); err != nil {
 		return 0, err
 	}
 	s.unsynced = 0
 	if err := s.wal.Sync(); err != nil {
 		return 0, fmt.Errorf("store: WAL sync: %w", err)
 	}
-	if err := s.compactLocked(); err != nil {
-		return 0, err
-	}
-	s.sealed = false
 	return s.epoch, nil
 }

@@ -187,6 +187,7 @@ func TestPinCompactionDefersUntilRelease(t *testing.T) {
 	if err := prim.AppendPlan(plansFor(t, fp, fns, []int64{5e6})[0]); err != nil {
 		t.Fatal(err)
 	}
+	waitCompactions(prim)
 	if pos := prim.ReplicationPos(); pos.Gen == 0 {
 		t.Fatalf("released store never compacted: %+v", pos)
 	}

@@ -21,15 +21,16 @@
 //     dropped, corrupt files renamed aside) — a wrong plan is never
 //     served;
 //   - compaction folds the WAL into a fresh snapshot whenever it outgrows
-//     Options.CompactAt, and Close writes a final snapshot so a graceful
-//     shutdown restarts with an empty log.
+//     the larger of Options.CompactAt and the last snapshot, on a
+//     background goroutine that holds the store lock only to capture the
+//     state and to switch files (compact.go), and Close writes a final
+//     snapshot so a graceful shutdown restarts with an empty log.
 //
 // The store is single-process, single-writer; all methods are safe for
 // concurrent use within that process.
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -87,8 +88,10 @@ func checkMagic(b []byte, magic string) error {
 type Options struct {
 	// Dir is the store directory (created if missing). Required.
 	Dir string
-	// CompactAt triggers snapshot compaction when the WAL exceeds this
-	// many bytes (default 4 MiB; <0 disables automatic compaction).
+	// CompactAt is the floor of the compaction trigger: the WAL is folded
+	// into a fresh snapshot when it exceeds the larger of CompactAt and the
+	// last snapshot's size (default 4 MiB; <0 disables automatic
+	// compaction).
 	CompactAt int64
 	// SyncEvery fsyncs the WAL every N appended records (default 64;
 	// 1 syncs on every append). Appends always reach the kernel
@@ -123,6 +126,16 @@ type Stats struct {
 	WALBytes    int64  `json:"walBytes"`    // current WAL size past the header
 	WALFrames   int64  `json:"walFrames"`   // frames in the WAL this generation
 	Compactions uint64 `json:"compactions"` // snapshots written this run
+
+	// Write amplification: WALAppendedBytes counts the frame bytes appended
+	// to the WAL this run, CompactedBytes the snapshot bytes automatic
+	// compactions wrote, so their ratio is the bytes rewritten per byte
+	// appended. CompactionsAbandoned counts background compactions whose
+	// image was discarded at the switch (the store was pinned, sealed or
+	// replaced while it encoded).
+	WALAppendedBytes     int64  `json:"walAppendedBytes"`
+	CompactedBytes       int64  `json:"compactedBytes"`
+	CompactionsAbandoned uint64 `json:"compactionsAbandoned"`
 
 	Epoch uint64 `json:"epoch"` // replication fencing epoch
 	Gen   uint64 `json:"gen"`   // compaction generation (WAL stream identity)
@@ -182,6 +195,10 @@ type hintKey struct {
 // Store is the durable model/plan store. Construct with Open; Close writes
 // the final snapshot.
 type Store struct {
+	// compactMu serializes compactions and handoff installs; it is taken
+	// before mu, never while mu is held (see compact.go).
+	compactMu sync.Mutex
+
 	mu   sync.Mutex
 	opts Options
 
@@ -201,6 +218,21 @@ type Store struct {
 	unsynced  int
 	walTotal  uint64
 	compacted uint64
+
+	// Compaction state (see compact.go): lastSnap is the size of the
+	// snapshot the WAL is layered on; kick signals the compactor goroutine
+	// (started on the first signal), compactQueued is set while a signalled
+	// compaction is pending or running, quit stops the goroutine and exited
+	// closes when it has, stopped keeps it from starting again after Close;
+	// failHook, set only by tests, stops a compaction after a step.
+	lastSnap           int64
+	walAppended        int64
+	compactedBytes     int64
+	abandoned          uint64
+	kick, quit, exited chan struct{}
+	compactQueued      bool
+	stopped            bool
+	failHook           func(compactStep) error
 
 	// Group-commit counters (see Stats).
 	groupCommits uint64
@@ -239,10 +271,11 @@ type Store struct {
 	closed bool
 }
 
-// Open loads (or creates) the store in opts.Dir: snapshot first, WAL
-// replayed on top, corruption quarantined, and the WAL compacted into a
-// fresh snapshot when it is oversized or had a damaged tail. A file in
-// another format version fails Open with ErrUnsupportedFormat.
+// Open loads (or creates) the store in opts.Dir: snapshot first, an
+// interrupted compaction settled, the WAL replayed on top, corruption
+// quarantined, and the WAL compacted into a fresh snapshot when it is past
+// the compaction trigger or had a damaged tail. A file in another format
+// version fails Open with ErrUnsupportedFormat.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("store: Options.Dir is required")
@@ -263,13 +296,16 @@ func Open(opts Options) (*Store, error) {
 	if err := s.loadSnapshot(); err != nil {
 		return nil, err
 	}
+	if err := s.settleTemps(); err != nil {
+		return nil, err
+	}
 	if err := s.openWAL(); err != nil {
 		return nil, err
 	}
 	// A damaged tail or an oversized log folds into a fresh snapshot now,
 	// so the next crash replays from a clean base.
-	if s.quarantinedTail > 0 || (s.opts.CompactAt > 0 && s.walBytes > s.opts.CompactAt) {
-		if err := s.compactLocked(); err != nil {
+	if s.quarantinedTail > 0 || s.compactDueLocked() {
+		if err := s.compact(false); err != nil {
 			s.wal.Close()
 			return nil, err
 		}
@@ -301,8 +337,9 @@ func (s *Store) PutModel(label string, fns []speed.Function) (uint64, bool, erro
 	// default tenant. Canonicalize before encoding so the WAL record
 	// already carries the canonical spelling.
 	label = fabric.CanonicalLabel(label)
-	payload, fp, err := encodeModelChecked(label, fns)
-	if err != nil {
+	fp := speed.Fingerprint(fns)
+	e := &encoder{}
+	if err := e.model(fp, label, fns); err != nil {
 		return 0, false, err
 	}
 	s.mu.Lock()
@@ -318,11 +355,13 @@ func (s *Store) PutModel(label string, fns []speed.Function) (uint64, bool, erro
 		// Same label, same model: nothing to refresh.
 		return fp, false, nil
 	}
-	if err := s.appendLocked(payload); err != nil {
+	if err := s.appendLocked(e.buf); err != nil {
 		return 0, false, err
 	}
 	if replaced {
-		if err := s.appendLocked(encodeInvalidate(old)); err != nil {
+		inv := &encoder{}
+		inv.invalidate(old)
+		if err := s.appendLocked(inv.buf); err != nil {
 			return 0, false, err
 		}
 		s.dropModelState(old)
@@ -330,16 +369,6 @@ func (s *Store) PutModel(label string, fns []speed.Function) (uint64, bool, erro
 	s.models[fp] = &modelEntry{label: label, fns: append([]speed.Function(nil), fns...)}
 	s.labels[label] = fp
 	return fp, replaced, nil
-}
-
-// encodeModelChecked fingerprints fns and encodes the model record.
-func encodeModelChecked(label string, fns []speed.Function) ([]byte, uint64, error) {
-	fp := speed.Fingerprint(fns)
-	payload, err := encodeModel(fp, label, fns)
-	if err != nil {
-		return nil, 0, err
-	}
-	return payload, fp, nil
 }
 
 // RefreshProcessor replaces one processor's speed function in the model a
@@ -377,11 +406,11 @@ func (s *Store) RefreshProcessor(label string, proc int, fn speed.Function) (old
 	if newFP == fp {
 		return fp, fp, nil
 	}
-	payload, err := encodeDelta(fp, newFP, proc, fn)
-	if err != nil {
+	e := &encoder{}
+	if err := e.delta(fp, newFP, proc, fn); err != nil {
 		return 0, 0, err
 	}
-	if err := s.appendLocked(payload); err != nil {
+	if err := s.appendLocked(e.buf); err != nil {
 		return 0, 0, err
 	}
 	s.refreshStateLocked(fp, newFP, proc, newFns)
@@ -476,7 +505,9 @@ func (s *Store) AppendPlan(r plancache.PlanRecord) error {
 	if _, ok := s.models[r.Model]; !ok {
 		return nil
 	}
-	if err := s.appendLocked(encodePlan(r)); err != nil {
+	e := &encoder{}
+	e.plan(&r)
+	if err := s.appendLocked(e.buf); err != nil {
 		return err
 	}
 	s.putPlanLocked(r)
@@ -511,20 +542,24 @@ func (s *Store) AppendPlanBatch(rs []plancache.PlanRecord) error {
 	}
 	s.groupCommits++
 	s.groupHist[commitBucket(len(rs))]++
-	var buf []byte
-	kept := rs[:0:0]
-	for _, r := range rs {
-		if _, ok := s.models[r.Model]; !ok {
-			continue
+	kept, size := rs[:0:0], 0
+	for i := range rs {
+		if _, ok := s.models[rs[i].Model]; ok {
+			kept = append(kept, rs[i])
+			size += planFrameSize(&rs[i])
 		}
-		buf = appendFrame(buf, encodePlan(r))
-		kept = append(kept, r)
 	}
 	if len(kept) == 0 {
 		return nil
 	}
+	// The group's frames are encoded in place into one buffer of exactly
+	// their size, and written with one write call.
+	e := &encoder{buf: make([]byte, 0, size)}
+	for i := range kept {
+		e.plan(&kept[i])
+	}
 	s.groupedRecs += uint64(len(kept))
-	if err := s.writeFramesLocked(buf, len(kept)); err != nil {
+	if err := s.writeFramesLocked(e.buf, len(kept)); err != nil {
 		return err
 	}
 	for _, r := range kept {
@@ -556,7 +591,9 @@ func (s *Store) AppendInvalidate(model uint64) error {
 	if s.sealed {
 		return ErrSealed
 	}
-	if err := s.appendLocked(encodeInvalidate(model)); err != nil {
+	e := &encoder{}
+	e.invalidate(model)
+	if err := s.appendLocked(e.buf); err != nil {
 		return err
 	}
 	s.dropPlansLocked(model)
@@ -619,21 +656,12 @@ func (s *Store) Plans() []plancache.PlanRecord {
 // Hints returns the stored warm-start hints.
 func (s *Store) Hints() []plancache.HintRecord {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hintsLocked()
-}
-
-func (s *Store) hintsLocked() []plancache.HintRecord {
 	out := make([]plancache.HintRecord, 0, len(s.hints))
 	for k, slope := range s.hints {
 		out = append(out, plancache.HintRecord{Model: k.model, N: k.n, Slope: slope})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Model != out[j].Model {
-			return out[i].Model < out[j].Model
-		}
-		return out[i].N < out[j].N
-	})
+	s.mu.Unlock()
+	sortHints(out)
 	return out
 }
 
@@ -648,25 +676,30 @@ func (s *Store) Sync() error {
 	return s.wal.Sync()
 }
 
-// Snapshot writes a full snapshot and resets the WAL.
+// Snapshot writes a full snapshot and starts a new WAL generation holding
+// only the records appended while it was written.
 func (s *Store) Snapshot() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: closed")
-	}
-	return s.compactLocked()
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	return s.compact(false)
 }
 
-// Close writes a final snapshot (the graceful-drain path: the WAL is
-// flushed into it) and releases the files. Idempotent.
+// Close stops the background compactor, writes a final snapshot (the
+// graceful-drain path: the WAL is flushed into it) and releases the files.
+// Idempotent.
 func (s *Store) Close() error {
+	s.stopCompactor()
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
 		return nil
 	}
-	err := s.compactLocked()
+	err := s.compact(false)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if cerr := s.wal.Close(); err == nil {
 		err = cerr
 	}
@@ -679,28 +712,31 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Models:              len(s.models),
-		Plans:               len(s.plans),
-		Hints:               len(s.hints),
-		WALRecords:          s.walTotal,
-		WALBytes:            s.walBytes,
-		WALFrames:           s.walFrames,
-		Compactions:         s.compacted,
-		Epoch:               s.epoch,
-		Gen:                 s.gen,
-		Refreshes:           s.refreshes,
-		Sealed:              s.sealed,
-		ReplayedModels:      s.replayedModels,
-		ReplayedPlans:       s.replayedPlans,
-		ReplayedHints:       s.replayedHints,
-		QuarantinedRecords:  s.quarantined,
-		QuarantinedTail:     s.quarantinedTail,
-		SnapshotQuarantined: s.snapQuarantined,
-		LoadedFromSnapshot:  s.loadedSnapshot,
-		SyncEvery:           s.opts.SyncEvery,
-		GroupCommits:        s.groupCommits,
-		GroupedRecords:      s.groupedRecs,
-		GroupCommitHist:     s.groupHist,
+		Models:               len(s.models),
+		Plans:                len(s.plans),
+		Hints:                len(s.hints),
+		WALRecords:           s.walTotal,
+		WALBytes:             s.walBytes,
+		WALFrames:            s.walFrames,
+		Compactions:          s.compacted,
+		WALAppendedBytes:     s.walAppended,
+		CompactedBytes:       s.compactedBytes,
+		CompactionsAbandoned: s.abandoned,
+		Epoch:                s.epoch,
+		Gen:                  s.gen,
+		Refreshes:            s.refreshes,
+		Sealed:               s.sealed,
+		ReplayedModels:       s.replayedModels,
+		ReplayedPlans:        s.replayedPlans,
+		ReplayedHints:        s.replayedHints,
+		QuarantinedRecords:   s.quarantined,
+		QuarantinedTail:      s.quarantinedTail,
+		SnapshotQuarantined:  s.snapQuarantined,
+		LoadedFromSnapshot:   s.loadedSnapshot,
+		SyncEvery:            s.opts.SyncEvery,
+		GroupCommits:         s.groupCommits,
+		GroupedRecords:       s.groupedRecs,
+		GroupCommitHist:      s.groupHist,
 	}
 }
 
@@ -927,9 +963,9 @@ func (s *Store) openWAL() error {
 	return nil
 }
 
-// appendLocked frames and writes one record to the WAL.
-func (s *Store) appendLocked(payload []byte) error {
-	return s.writeFramesLocked(appendFrame(nil, payload), 1)
+// appendLocked writes one framed record to the WAL.
+func (s *Store) appendLocked(frame []byte) error {
+	return s.writeFramesLocked(frame, 1)
 }
 
 // writeFramesLocked writes already-framed records to the WAL in a single
@@ -939,6 +975,7 @@ func (s *Store) appendLocked(payload []byte) error {
 func (s *Store) writeFramesLocked(buf []byte, frames int) error {
 	n, err := s.wal.Write(buf)
 	s.walBytes += int64(n)
+	s.walAppended += int64(n)
 	if err != nil {
 		return fmt.Errorf("store: WAL append: %w", err)
 	}
@@ -955,17 +992,6 @@ func (s *Store) writeFramesLocked(buf []byte, frames int) error {
 	return nil
 }
 
-// maybeCompactLocked compacts when the WAL has outgrown CompactAt. Pinned
-// stores (a snapshot handoff is mid-flight, see PinCompaction) defer: the
-// WAL keeps growing and the next append retries after the pin lifts.
-func (s *Store) maybeCompactLocked() {
-	if s.pins == 0 && s.opts.CompactAt > 0 && s.walBytes > s.opts.CompactAt {
-		// Compaction failure must not fail the append that triggered it;
-		// the WAL keeps growing and the next append retries.
-		_ = s.compactLocked()
-	}
-}
-
 // notifyLocked wakes every WAL-stream long-poller: the committed region of
 // the log changed (an append or a generation change).
 func (s *Store) notifyLocked() {
@@ -975,80 +1001,9 @@ func (s *Store) notifyLocked() {
 
 // --- snapshot ---
 
-// compactLocked writes the full state to a fresh snapshot (atomically:
-// temp file, fsync, rename, fsync dir) and resets the WAL, starting a new
-// generation: byte offsets into the previous WAL are no longer valid, and
-// attached replication streams must re-handoff.
-func (s *Store) compactLocked() error {
-	buf, err := s.encodeStateLocked(s.epoch, s.gen+1)
-	if err != nil {
-		return err
-	}
-	if err := s.installSnapshotLocked(buf); err != nil {
-		return err
-	}
-	s.gen++
-	s.compacted++
-	s.notifyLocked()
-	return nil
-}
-
-// encodeStateLocked renders the full state in snapshot format (magic, meta
-// frame, models, plans, hints, terminator) for the given epoch and
-// generation — compaction stamps the next generation, a replication
-// handoff the current one.
-func (s *Store) encodeStateLocked(epoch, gen uint64) ([]byte, error) {
-	// A bytes.Buffer rather than a bare append: its doubling growth keeps
-	// the copying linear for a snapshot of many large plans, and each
-	// frame lands straight in its spare capacity.
-	var buf bytes.Buffer
-	frame := func(payload []byte) { buf.Write(appendFrame(buf.AvailableBuffer(), payload)) }
-	buf.WriteString(snapMagic)
-	frame(encodeMeta(epoch, gen))
-	var nModels, nPlans, nHints int
-
-	models := make([]uint64, 0, len(s.models))
-	for fp := range s.models {
-		models = append(models, fp)
-	}
-	sort.Slice(models, func(i, j int) bool { return models[i] < models[j] })
-	for _, fp := range models {
-		m := s.models[fp]
-		payload, err := encodeModel(fp, m.label, m.fns)
-		if err != nil {
-			return nil, err
-		}
-		frame(payload)
-		nModels++
-	}
-	for _, k := range s.planOrder {
-		r, ok := s.plans[k]
-		if !ok {
-			continue
-		}
-		frame(encodePlan(r))
-		nPlans++
-	}
-	hints := s.hintsLocked()
-	if s.hintSource != nil {
-		if fresh := s.hintSource(); fresh != nil {
-			hints = fresh
-		}
-	}
-	for _, h := range hints {
-		if _, ok := s.models[h.Model]; !ok {
-			continue
-		}
-		frame(encodeHint(h))
-		s.hints[hintKey{model: h.Model, n: h.N}] = h.Slope
-		nHints++
-	}
-	frame(encodeSnapEnd(nModels, nPlans, nHints))
-	return buf.Bytes(), nil
-}
-
-// replaySnapshot replaces the in-memory state with a snapshot image. Boot
-// and replication handoff both load through it. The image is checked end
+// replaySnapshot replaces the in-memory state with a snapshot image and
+// returns the generation its meta frame is stamped with. Boot and
+// replication handoff both load through it. The image is checked end
 // to end before any state is touched: the current magic, whole CRC-clean
 // frames, and a terminator that closes the image and counts every record
 // frame before it but the meta frame — any other count means frames went
@@ -1056,45 +1011,47 @@ func (s *Store) encodeStateLocked(epoch, gen uint64) ([]byte, error) {
 // fenced: an image older than the store's epoch is ErrFencedEpoch. Every
 // refusal leaves the state as it was. The records apply through
 // applyRecord, so a lying one is quarantined exactly as in WAL replay.
-func (s *Store) replaySnapshot(data []byte, cap *Replicated) error {
+func (s *Store) replaySnapshot(data []byte, cap *Replicated) (gen uint64, err error) {
 	if err := checkMagic(data, snapMagic); err != nil {
-		return err
+		return 0, err
 	}
 	recs, _, err := splitFrames(data[len(snapMagic):])
 	if err != nil || len(recs) == 0 || recs[len(recs)-1][0] != recSnapEnd {
-		return fmt.Errorf("%w: snapshot does not end with a terminator", ErrCorruptFrame)
+		return 0, fmt.Errorf("%w: snapshot does not end with a terminator", ErrCorruptFrame)
 	}
 	d := &decoder{buf: recs[len(recs)-1][1:]}
 	wantModels, wantPlans, wantHints, err := decodeSnapEnd(d)
 	if err != nil || !d.done() {
-		return fmt.Errorf("%w: snapshot terminator", ErrCorruptFrame)
+		return 0, fmt.Errorf("%w: snapshot terminator", ErrCorruptFrame)
 	}
 	recs = recs[:len(recs)-1]
 	seen := 0
 	for _, p := range recs {
 		switch p[0] {
 		case recSnapEnd:
-			return fmt.Errorf("%w: snapshot terminator before the end", ErrCorruptFrame)
+			return 0, fmt.Errorf("%w: snapshot terminator before the end", ErrCorruptFrame)
 		case recMeta:
 		default:
 			seen++
 		}
 	}
 	if seen != wantModels+wantPlans+wantHints {
-		return fmt.Errorf("%w: snapshot terminator counts %d records, image holds %d",
+		return 0, fmt.Errorf("%w: snapshot terminator counts %d records, image holds %d",
 			ErrCorruptFrame, wantModels+wantPlans+wantHints, seen)
 	}
 	if len(recs) > 0 && recs[0][0] == recMeta {
 		d := &decoder{buf: recs[0][1:]}
-		if epoch, _, err := decodeMeta(d); err == nil && epoch < s.epoch {
-			return ErrFencedEpoch
+		epoch, g, err := decodeMeta(d)
+		if err == nil && epoch < s.epoch {
+			return 0, ErrFencedEpoch
 		}
+		gen = g
 	}
 	s.resetStateLocked()
 	for _, p := range recs {
 		s.applyRecord(p, cap)
 	}
-	return nil
+	return gen, nil
 }
 
 // loadSnapshot reads the snapshot if present. An image replaySnapshot
@@ -1110,9 +1067,10 @@ func (s *Store) loadSnapshot() error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	switch err := s.replaySnapshot(data, nil); {
+	switch _, err := s.replaySnapshot(data, nil); {
 	case err == nil:
 		s.loadedSnapshot = true
+		s.lastSnap = int64(len(data))
 		return nil
 	case errors.Is(err, ErrUnsupportedFormat):
 		return fmt.Errorf("%w (%s)", err, path)
@@ -1122,55 +1080,7 @@ func (s *Store) loadSnapshot() error {
 	}
 }
 
-// installSnapshotLocked makes buf the snapshot file — atomically: temp
-// file, fsync, rename, fsync dir, so a crash mid-write never destroys the
-// previous one — and, since the snapshot now covers everything, cuts the
-// WAL back to its header. Compaction and replication handoff share it.
-func (s *Store) installSnapshotLocked(buf []byte) error {
-	tmp := filepath.Join(s.opts.Dir, snapshotTmp)
-	if err := writeFileSync(tmp, buf); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(s.opts.Dir, snapshotFile)); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := syncDir(s.opts.Dir); err != nil {
-		return err
-	}
-	if err := s.wal.Truncate(int64(len(walMagic))); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if _, err := s.wal.Seek(0, io.SeekEnd); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.walBytes, s.walFrames, s.tornBytes, s.unsynced = 0, 0, 0, 0
-	return nil
-}
-
 // --- file helpers ---
-
-// writeFileSync writes data to path and fsyncs it.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
 
 // syncDir fsyncs a directory so a rename survives power loss.
 func syncDir(dir string) error {

@@ -14,12 +14,15 @@
 #	refresh    ModelRefresh         200x  ns/op B/op allocs/op WALbytes/op %invalidated
 #	daemon     Daemon               2s    ns/op req/s B/op allocs/op
 #	fabric     Fabric               2s    ns/op req/s B/op allocs/op
+#	store      StoreAppend          1x    ns/op p99-us p999-us compactions rewritten/appended
 #
-# kernels runs without -benchmem, the others with it. partition's 100x
+# kernels and store run without -benchmem, the others with it. partition's 100x
 # lets the warm path's one-time scratch growth amortize to 0 allocs/op.
 # daemon covers BenchmarkDaemonThroughput over real HTTP and
 # BenchmarkDaemonHandler without the socket; fabric the owned/forwarded
-# pair of BenchmarkFabricForward and BenchmarkFabricQuota.
+# pair of BenchmarkFabricForward and BenchmarkFabricQuota; store the
+# 8,000-append run of BenchmarkStoreAppend (append latency tail, automatic
+# compactions, compaction write amplification).
 #
 # Environment:
 #
@@ -30,7 +33,8 @@
 # The JSON is an array: a leading metadata object describing the host,
 # then one object per benchmark, {"name": ..., "n": <iterations>, ...},
 # with one key per kept unit (ns_per_op, mb_per_s, gflop_per_s, b_per_op,
-# allocs_per_op, wal_bytes_per_op, pct_invalidated, req_per_s) and null
+# allocs_per_op, wal_bytes_per_op, pct_invalidated, req_per_s,
+# append_p99_us, append_p999_us, compactions, rewritten_per_appended) and null
 # where the benchmark did not report that unit.
 set -e
 cd "$(dirname "$0")/.."
@@ -42,8 +46,9 @@ partition) pattern=PartitionThroughput benchtime=100x units="ns/op B/op allocs/o
 refresh) pattern=ModelRefresh benchtime=200x units="ns/op B/op allocs/op WALbytes/op %invalidated" ;;
 daemon) pattern=Daemon benchtime=2s units="ns/op req/s B/op allocs/op" ;;
 fabric) pattern=Fabric benchtime=2s units="ns/op req/s B/op allocs/op" ;;
+store) pattern=StoreAppend benchtime=1x units="ns/op p99-us p999-us compactions rewritten/appended" mem= ;;
 *)
-	echo "usage: scripts/bench.sh kernels|partition|refresh|daemon|fabric [output.json]" >&2
+	echo "usage: scripts/bench.sh kernels|partition|refresh|daemon|fabric|store [output.json]" >&2
 	exit 2
 	;;
 esac
@@ -61,6 +66,8 @@ BEGIN {
 	key["ns/op"] = "ns_per_op"; key["MB/s"] = "mb_per_s"; key["GFLOP/s"] = "gflop_per_s"
 	key["B/op"] = "b_per_op"; key["allocs/op"] = "allocs_per_op"; key["req/s"] = "req_per_s"
 	key["WALbytes/op"] = "wal_bytes_per_op"; key["%invalidated"] = "pct_invalidated"
+	key["p99-us"] = "append_p99_us"; key["p999-us"] = "append_p999_us"
+	key["compactions"] = "compactions"; key["rewritten/appended"] = "rewritten_per_appended"
 	printf "[\n"
 }
 /^goos:/   { goos = $2 }

@@ -26,30 +26,35 @@
 #   8. delta-refresh gate: the per-processor refresh tests (delta WAL
 #      records, validated replay, selective plan invalidation) under the
 #      race detector in both the store and the plan cache
-#   9. benchmark smoke: every kernel benchmark, every partition-serving
-#      benchmark, the model-refresh benchmark, and the over-HTTP daemon
+#   9. compaction gate: the store's compaction tests under the race
+#      detector — a crash injected after every step of the off-lock
+#      compaction must reopen to exactly the acknowledged records, appends
+#      racing background compactions must all survive Close → Open, and a
+#      pinned or sealed store's compaction must abandon its image
+#  10. benchmark smoke: every kernel benchmark, every partition-serving
+#      benchmark, the model-refresh benchmark, the over-HTTP daemon
 #      benchmark (a real listening daemon driven by a raw keep-alive
-#      client) each run once
-#  10. allocation regression guard: the warm partitioner hot path must
+#      client) and the store append benchmark each run once
+#  11. allocation regression guard: the warm partitioner hot path must
 #      report exactly 0 allocs/op, the property the serving engine's
 #      throughput rests on (the store's persistence taps fire off the
 #      hot path, so this gate also guards the daemon's serving loop);
 #      and the near-miss warm-start path must stay within its 4 allocs/op
 #      budget
-#  11. wire-codec allocation guard: the daemon's warm single-request
+#  12. wire-codec allocation guard: the daemon's warm single-request
 #      handler path (pooled codec + synchronous cache hit, everything
 #      above net/http) must report 0 B/op and 0 allocs/op — the ISSUE 9
 #      budget is <= 8 B/op and <= 1 alloc/op; the gate pins the achieved
 #      zero so a regression to "just one alloc" still fails loudly
 #      (at -cpu 1, which keeps the runtime's background allocations out)
-#  12. forwarding gate: forwarded partition requests must be bit-identical
+#  13. forwarding gate: forwarded partition requests must be bit-identical
 #      to owner-local answers (chunked batches and concurrent clients
 #      included, and across an owner dropping its idle keep-alives), and
 #      a dead or blackholed owner must degrade to local compute within
 #      the forwarding timeout instead of an error
-#  13. fabric benchmark smoke: the owned/forwarded/quota paths each run
+#  14. fabric benchmark smoke: the owned/forwarded/quota paths each run
 #      once over real loopback HTTP
-#  14. forwarding allocation guard: a forwarded request may cost at most
+#  15. forwarding allocation guard: a forwarded request may cost at most
 #      2 x the allocs/op of an owned one + 4 — the edge's and the owner's
 #      net/http server passes, with the relay between them allocating
 #      (next to) nothing
@@ -84,6 +89,8 @@ echo "==> handover gate: go test -race -run Handover ./internal/rpc/" >&2
 go test -race -count=1 -run Handover ./internal/rpc/
 echo "==> delta-refresh gate: go test -race -run DeltaRefresh ./internal/store/ ./internal/plancache/" >&2
 go test -race -count=1 -run DeltaRefresh ./internal/store/ ./internal/plancache/
+echo "==> compaction gate: go test -race -run Compaction ./internal/store/" >&2
+go test -race -count=1 -run Compaction ./internal/store/
 echo "==> benchmark smoke: go test -run '^$' -bench Kernel -benchtime=1x ." >&2
 go test -run '^$' -bench Kernel -benchtime=1x .
 echo "==> benchmark smoke: go test -run '^$' -bench PartitionThroughput -benchtime=1x ." >&2
@@ -93,6 +100,9 @@ go test -run '^$' -bench ModelRefresh -benchtime=5x .
 echo "==> benchmark smoke: BENCHTIME=1x scripts/bench.sh daemon /tmp/bench_daemon_smoke.json" >&2
 BENCHTIME=1x scripts/bench.sh daemon /tmp/bench_daemon_smoke.json
 rm -f /tmp/bench_daemon_smoke.json
+echo "==> benchmark smoke: BENCHTIME=1x scripts/bench.sh store /tmp/bench_store_smoke.json" >&2
+BENCHTIME=1x scripts/bench.sh store /tmp/bench_store_smoke.json
+rm -f /tmp/bench_store_smoke.json
 echo "==> allocs/op guard: warm path 0 allocs, near-miss path <= 4 allocs" >&2
 # 100x amortizes the one-time scratch growth of iteration 1; any steady-state
 # allocation pushes the reported allocs/op above the budget and fails the gate.
