@@ -68,7 +68,6 @@ func main() {
 		dir        = flag.String("dir", "", "store directory (required; created if missing)")
 		addrFile   = flag.String("addr-file", "", "write the bound address to this file once listening")
 		cacheCap   = flag.Int("cache", 0, "plan cache capacity (0 = default)")
-		noDoor     = flag.Bool("no-doorkeeper", false, "admit plans on first miss instead of second")
 		maxBatch   = flag.Int("max-batch", 0, "max requests per engine dispatch cycle (0 = default)")
 		queueDepth = flag.Int("queue", 0, "request queue depth (0 = default)")
 		compactAt  = flag.Int64("compact-at", 0, "floor of the compaction trigger: the WAL is compacted past the larger of this and the last snapshot's bytes (0 = default 4MiB)")
@@ -110,7 +109,6 @@ func main() {
 		Dir:             *dir,
 		AddrFile:        *addrFile,
 		CacheCapacity:   *cacheCap,
-		NoDoorkeeper:    *noDoor,
 		MaxBatch:        *maxBatch,
 		QueueDepth:      *queueDepth,
 		CompactAt:       *compactAt,

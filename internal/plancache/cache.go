@@ -11,8 +11,14 @@
 //   - warm miss: no plan for this n, but the same cluster has plans for
 //     nearby sizes; the nearest one's optimal-ray slope seeds the bisection
 //     (core.WithWarmStart), collapsing convergence to a few steps. The
-//     result is bit-identical to a cold run, so serving it from a warm
-//     start is indistinguishable from recomputing.
+//     allocation is bit-identical to a cold run's; the slope and Stats are
+//     by-products of the search path and differ from it.
+//
+// With the admission policy on (Config.Doorkeeper), a plan enters the LRU
+// only on its second ask: the first miss's plan waits in a small per-shard
+// admission window, and the second ask admits it from there as a hit. That
+// answer is the first miss's plan bit for bit; the plan is not computed
+// again.
 //
 // Models are identified by speed.Fingerprint, which hashes function
 // values, not object identity — callers that rebuild their model slice per
@@ -44,6 +50,11 @@ const (
 	// its LRU capacity: remembering 8× more once-seen keys than resident
 	// plans lets a second miss arrive well after the first even under churn.
 	doorkeeperScale = 8
+	// windowScale sizes each shard's admission window: perShard/windowScale
+	// slots, at least windowMin, so the plans waiting for their second ask
+	// hold at most an eighth of the LRU's plan count.
+	windowScale = 8
+	windowMin   = 4
 	// warmHintsPerModel bounds the per-model warm-start hint index.
 	warmHintsPerModel = 64
 	// warmSpreadFloor keeps the warm bracket open even for an exact-n hint
@@ -117,6 +128,61 @@ func (d *doorkeeper) remember(h uint64) {
 	d.cur[h] = struct{}{}
 }
 
+// window is a shard's admission window, the A1in queue of 2Q (Johnson and
+// Shasha, VLDB 1994): a fixed-size FIFO of the first-miss plans the
+// doorkeeper kept out of the LRU. A second ask takes its plan from here
+// and admits it instead of partitioning again. A full window overwrites
+// its own oldest slot, never an LRU resident.
+type window struct {
+	slots []winSlot
+	index map[key]int // key -> its slot
+	next  int         // the slot the next push overwrites
+}
+
+type winSlot struct {
+	k    key
+	res  core.Result
+	used bool
+}
+
+func (w *window) push(k key, res core.Result) {
+	s := &w.slots[w.next]
+	if s.used {
+		delete(w.index, s.k)
+	}
+	*s = winSlot{k: k, res: res, used: true}
+	w.index[k] = w.next
+	w.next = (w.next + 1) % len(w.slots)
+}
+
+// take removes k's plan from the window.
+func (w *window) take(k key) (core.Result, bool) {
+	i, ok := w.index[k]
+	if !ok {
+		return core.Result{}, false
+	}
+	res := w.slots[i].res
+	delete(w.index, k)
+	w.slots[i] = winSlot{}
+	return res, true
+}
+
+// dropModel empties the slots holding plans of one model.
+func (w *window) dropModel(model uint64) {
+	for i := range w.slots {
+		if s := &w.slots[i]; s.used && s.k.model == model {
+			delete(w.index, s.k)
+			*s = winSlot{}
+		}
+	}
+}
+
+func (w *window) reset() {
+	clear(w.slots)
+	clear(w.index)
+	w.next = 0
+}
+
 // shard is an independently locked slice of the cache.
 type shard struct {
 	mu       sync.Mutex
@@ -125,8 +191,9 @@ type shard struct {
 	// Intrusive LRU list: head is most recent, tail least.
 	head, tail *entry
 	cap        int
-	// door is nil unless the admission policy is enabled.
+	// door and win are nil unless the admission policy is enabled.
 	door *doorkeeper
+	win  *window
 }
 
 // hint is one warm-start seed: the optimal-ray slope for size n.
@@ -143,14 +210,14 @@ type warmIndex struct {
 
 // Stats is a snapshot of the cache counters.
 type Stats struct {
-	Hits          uint64 // exact hits served from the LRU
+	Hits          uint64 // exact hits: served from the LRU or admitted from the admission window
 	Misses        uint64 // plans computed (cold or warm)
 	WarmStarts    uint64 // misses that ran with a warm-start hint
 	Shared        uint64 // requests that waited on another's computation
 	Evictions     uint64 // entries dropped by LRU pressure
 	Invalidations uint64 // entries dropped by Invalidate
 	Admitted      uint64 // computed plans inserted into the LRU
-	Rejected      uint64 // computed plans the doorkeeper kept out (first miss)
+	Rejected      uint64 // first-miss plans the doorkeeper kept out of the LRU; they wait in the admission window
 
 	// Delta-refresh counters (see Refresh): a one-processor model refresh
 	// re-keys the plans whose allocation provably cannot change and drops
@@ -178,9 +245,12 @@ type Config struct {
 	// <= 0).
 	Capacity int
 	// Doorkeeper enables the admission policy: a plan is only inserted on
-	// its second miss, so one-shot sizes pass through without evicting
-	// anything. Warm-start hints are still recorded on every computed miss,
-	// so a rejected size's neighbors keep seeding the bisection.
+	// its second ask, so one-shot sizes pass through without evicting
+	// anything. The first miss's plan waits in a per-shard admission window
+	// (perShard/8 slots, at least 4) and the second ask admits it as a hit,
+	// without computing again. Warm-start hints are still recorded on every
+	// computed miss, so a rejected size's neighbors keep seeding the
+	// bisection.
 	Doorkeeper bool
 }
 
@@ -266,6 +336,8 @@ func NewWithConfig(cfg Config) *Cache {
 				cap: dcap,
 				cur: make(map[uint64]struct{}),
 			}
+			slots := max(perShard/windowScale, windowMin)
+			c.shards[i].win = &window{slots: make([]winSlot, slots), index: make(map[key]int, slots)}
 		}
 	}
 	c.warm.models = make(map[uint64][]hint)
@@ -349,6 +421,21 @@ func (c *Cache) GetTierFP(model uint64, algo core.Algorithm, n int64, fns []spee
 		c.hits.Add(1)
 		return res, TierHit, nil
 	}
+	if sh.win != nil && !c.readOnly.Load() {
+		if res, ok := sh.win.take(k); ok {
+			// The second ask admits the plan the first miss computed. Once
+			// in the LRU its Alloc is never written again, so it is read
+			// outside the lock.
+			evicted, inserted := sh.insert(k, res)
+			sh.mu.Unlock()
+			c.evictions.Add(evicted)
+			c.hits.Add(1)
+			if inserted {
+				c.admit(k, res)
+			}
+			return copyResult(res), TierHit, nil
+		}
+	}
 	if cl, ok := sh.inflight[k]; ok {
 		if cl.done == nil {
 			cl.done = make(chan struct{})
@@ -366,35 +453,41 @@ func (c *Cache) GetTierFP(model uint64, algo core.Algorithm, n int64, fns []spee
 	sh.inflight[k] = cl
 	sh.mu.Unlock()
 
-	// Publish the result into the call before taking the lock: a waiter
-	// that registered during compute reads cl.res only after done closes,
-	// and done closes after these writes.
+	// res goes to this caller, who may mutate it; the cache keeps its own
+	// copy, and waiters copy from that one.
 	res, err := c.compute(k, n, fns, opts)
-	cl.res, cl.err = res, err
-
 	readOnly := c.readOnly.Load()
-	var inserted, doorRejected bool
+	var owned core.Result
+	if err == nil && !readOnly {
+		owned = copyResult(res)
+	}
+	var inserted, windowed bool
 	sh.mu.Lock()
 	delete(sh.inflight, k)
 	done := cl.done
 	if err == nil && !readOnly {
 		if sh.door == nil || sh.door.seen(h) {
 			var evicted uint64
-			evicted, inserted = sh.insert(k, copyResult(res))
+			evicted, inserted = sh.insert(k, owned)
 			c.evictions.Add(evicted)
 		} else {
 			sh.door.remember(h)
-			doorRejected = true
+			sh.win.push(k, owned)
+			windowed = true
 		}
 	}
 	sh.mu.Unlock()
 	if done != nil {
-		// Waiters hold the call; closing hands it to them for good.
+		if err == nil && readOnly {
+			owned = copyResult(res)
+		}
+		// Waiters hold the call; closing hands it to them for good. They
+		// read res/err only after done closes.
+		cl.res, cl.err = owned, err
 		close(done)
 	} else {
 		// No waiter ever saw this call (none can after the inflight
-		// delete), so recycle it.
-		cl.res, cl.err = core.Result{}, nil
+		// delete), and its res/err were never set: recycle it.
 		c.calls.Put(cl)
 	}
 	c.misses.Add(1)
@@ -402,21 +495,28 @@ func (c *Cache) GetTierFP(model uint64, algo core.Algorithm, n int64, fns []spee
 		return core.Result{}, TierMiss, err
 	}
 	if inserted {
-		c.admitted.Add(1)
-		if tap := c.insertTap.Load(); tap != nil {
-			(*tap)(PlanRecord{
-				Model: k.model, N: n, Algo: algo, OptsKey: k.opts,
-				Slope: res.Slope, Alloc: append(core.Allocation(nil), res.Alloc...),
-				Stats: res.Stats,
-			})
-		}
-	} else if doorRejected {
+		c.admit(k, owned)
+	} else if windowed {
 		c.rejected.Add(1)
 	}
 	if n > 0 && !readOnly {
 		c.rememberHint(k.model, n, res.Slope)
 	}
 	return res, TierMiss, nil
+}
+
+// admit counts a plan's admission into the LRU and hands the insert tap a
+// private copy of it, on the admitting goroutine, so a WAL append completes
+// before the plan is returned.
+func (c *Cache) admit(k key, res core.Result) {
+	c.admitted.Add(1)
+	if tap := c.insertTap.Load(); tap != nil {
+		(*tap)(PlanRecord{
+			Model: k.model, N: k.n, Algo: k.algo, OptsKey: k.opts,
+			Slope: res.Slope, Alloc: append(core.Allocation(nil), res.Alloc...),
+			Stats: res.Stats,
+		})
+	}
 }
 
 // compute runs the partitioner for a miss, warm-started from the nearest
@@ -513,10 +613,12 @@ func addHint(models map[uint64][]hint, model uint64, n int64, slope float64) {
 }
 
 // Invalidate drops every cached plan and warm hint for the cluster model
-// described by fns. Call it when speed.Drift (or any other monitor) flags
-// the model as stale; in-flight computations for the old model are left to
-// finish and their results are still installed — callers race with them
-// anyway, and the next Invalidate sweeps them out.
+// described by fns, and the model's plans waiting in the admission
+// windows; it returns how many cached plans it dropped. Call it when
+// speed.Drift (or any other monitor) flags the model as stale; in-flight
+// computations for the old model are left to finish and their results are
+// still installed — callers race with them anyway, and the next Invalidate
+// sweeps them out.
 func (c *Cache) Invalidate(fns []speed.Function) int {
 	return c.InvalidateFingerprint(speed.Fingerprint(fns))
 }
@@ -533,6 +635,9 @@ func (c *Cache) InvalidateFingerprint(model uint64) int {
 				delete(sh.entries, k)
 				dropped++
 			}
+		}
+		if sh.win != nil {
+			sh.win.dropModel(model)
 		}
 		sh.mu.Unlock()
 	}
@@ -553,8 +658,9 @@ func (c *Cache) InvalidateFingerprint(model uint64) int {
 // them, so a plan present both before and after the swap never misses for
 // a concurrent reader. Plans install as Import installs them (invalid
 // records skipped, later records more recent); no tap fires and no
-// invalidation is counted. In-flight computations are left to finish and
-// insert into the new contents. It returns how many plans were installed.
+// invalidation is counted. The admission windows are emptied. In-flight
+// computations are left to finish and insert into the new contents. It
+// returns how many plans were installed.
 func (c *Cache) Replace(plans []PlanRecord, hints []HintRecord) int {
 	var fresh [numShards]shard
 	for i := range fresh {
@@ -584,6 +690,9 @@ func (c *Cache) Replace(plans []PlanRecord, hints []HintRecord) int {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		sh.entries, sh.head, sh.tail = fresh[i].entries, fresh[i].head, fresh[i].tail
+		if sh.win != nil {
+			sh.win.reset()
+		}
 		sh.mu.Unlock()
 	}
 	c.warm.mu.Lock()

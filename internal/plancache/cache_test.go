@@ -238,9 +238,14 @@ func TestErrorsAreNotCached(t *testing.T) {
 }
 
 // TestConcurrentHammer drives the cache from many goroutines across
-// overlapping models, sizes, and invalidations; run with -race.
+// overlapping models, sizes, and invalidations, with admission off and on
+// (the admission window included); run with -race.
 func TestConcurrentHammer(t *testing.T) {
-	c := New(64)
+	hammer(t, New(64))
+	hammer(t, NewWithConfig(Config{Capacity: 64, Doorkeeper: true}))
+}
+
+func hammer(t *testing.T, c *Cache) {
 	models := [][]speed.Function{
 		testCluster(6, 10), testCluster(6, 11), testCluster(6, 12),
 	}

@@ -11,34 +11,58 @@ import (
 
 func TestDoorkeeperAdmitsOnSecondMiss(t *testing.T) {
 	c := NewWithConfig(Config{Doorkeeper: true})
+	var taps []PlanRecord
+	c.SetInsertTap(func(r PlanRecord) { taps = append(taps, r) })
 	fns := testCluster(8, 21)
-	// First request: computed but not inserted.
-	if _, tier, err := c.GetTier(core.AlgoCombined, 700_000, fns); err != nil || tier != TierMiss {
+	// First request: computed, kept out of the LRU, waiting in the window.
+	first, tier, err := c.GetTier(core.AlgoCombined, 700_000, fns)
+	if err != nil || tier != TierMiss {
 		t.Fatalf("first request: tier=%v err=%v", tier, err)
 	}
 	st := c.Stats()
-	if st.Size != 0 || st.Rejected != 1 || st.Admitted != 0 {
-		t.Fatalf("after first miss: %+v, want rejected=1 size=0", st)
+	if st.Size != 0 || st.Rejected != 1 || st.Admitted != 0 || len(taps) != 0 {
+		t.Fatalf("after first miss: %+v, %d taps; want rejected=1 size=0, no tap", st, len(taps))
 	}
-	// Second request: still a miss, but now admitted.
-	first, tier, err := c.GetTier(core.AlgoCombined, 700_000, fns)
-	if err != nil || tier != TierMiss {
+	// Second request: the window's plan is admitted and served as a hit,
+	// without computing again.
+	second, tier, err := c.GetTier(core.AlgoCombined, 700_000, fns)
+	if err != nil || tier != TierHit {
 		t.Fatalf("second request: tier=%v err=%v", tier, err)
 	}
 	st = c.Stats()
-	if st.Size != 1 || st.Admitted != 1 {
-		t.Fatalf("after second miss: %+v, want admitted=1 size=1", st)
+	if st.Size != 1 || st.Admitted != 1 || st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("after second ask: %+v, want admitted=1 size=1 misses=1 hits=1", st)
 	}
-	// Third request: an exact hit, bit-identical.
-	got, tier, err := c.GetTier(core.AlgoCombined, 700_000, fns)
+	if len(taps) != 1 {
+		t.Fatalf("insert tap fired %d times, want 1", len(taps))
+	}
+	// Third request: an exact LRU hit.
+	third, tier, err := c.GetTier(core.AlgoCombined, 700_000, fns)
 	if err != nil || tier != TierHit {
 		t.Fatalf("third request: tier=%v err=%v", tier, err)
 	}
-	for i := range first.Alloc {
-		if got.Alloc[i] != first.Alloc[i] {
-			t.Fatalf("proc %d: hit %d != computed %d", i, got.Alloc[i], first.Alloc[i])
+	// Every answer, and the plan logged, is the first answer bit for bit.
+	rec := taps[0]
+	logged := core.Result{Slope: rec.Slope, Alloc: rec.Alloc, Stats: rec.Stats}
+	for name, got := range map[string]core.Result{"second": second, "third": third, "logged": logged} {
+		if !sameResult(got, first) {
+			t.Fatalf("%s plan %+v differs from the first answer %+v", name, got, first)
 		}
 	}
+}
+
+// sameResult reports whether two plans agree bit for bit: allocation,
+// slope bits and Stats.
+func sameResult(a, b core.Result) bool {
+	if math.Float64bits(a.Slope) != math.Float64bits(b.Slope) || a.Stats != b.Stats || len(a.Alloc) != len(b.Alloc) {
+		return false
+	}
+	for i := range a.Alloc {
+		if a.Alloc[i] != b.Alloc[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestDoorkeeperStillRecordsWarmHints(t *testing.T) {

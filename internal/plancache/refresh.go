@@ -83,8 +83,9 @@ func planSurvives(alloc core.Allocation, changed []int, oldFns, newFns []speed.F
 // re-keyed to the new fingerprint and kept; the rest are dropped, and
 // their slopes — plus the model's whole warm-hint index — carry over to
 // the new fingerprint, so the dropped sizes recompute warm-started from
-// their own previous bisection state. Returns how many plans were kept
-// and dropped.
+// their own previous bisection state. The old model's plans waiting in the
+// admission windows are dropped, uncounted. Returns how many plans were
+// kept and dropped.
 //
 // Refresh works in read-only mode: like Import and Invalidate it IS the
 // write path while a replica mirrors its primary's delta records. It never
@@ -123,6 +124,9 @@ func (c *Cache) Refresh(oldFns, newFns []speed.Function) (kept, dropped int) {
 				}
 				dropped++
 			}
+		}
+		if sh.win != nil {
+			sh.win.dropModel(oldFP)
 		}
 		sh.mu.Unlock()
 	}

@@ -72,13 +72,12 @@ type Config struct {
 	// up — how tests and scripts find a ":0" daemon.
 	AddrFile string
 
-	// CacheCapacity sizes the plan cache (0 = plancache default).
+	// CacheCapacity sizes the plan cache (0 = plancache default). The
+	// cache always runs doorkeeper admission: a network-facing cache sees
+	// one-shot scans that would otherwise wash out the working set, and
+	// the admission window serves a plan's second ask without computing
+	// it again.
 	CacheCapacity int
-	// NoDoorkeeper disables the cache admission policy (admit on first
-	// miss, as a private engine would). The daemon defaults to doorkeeper
-	// admission: a network-facing cache sees one-shot scans that would
-	// otherwise wash out the working set.
-	NoDoorkeeper bool
 
 	// MaxBatch and QueueDepth pass through to serve.Config.
 	MaxBatch   int
@@ -175,6 +174,9 @@ type Daemon struct {
 	// demoting is true during the sealed window of a planned handover.
 	demoting  atomic.Bool
 	handovers atomic.Int64
+	// walAppendFailures counts the WAL appends the persistence taps could
+	// not make (see installPrimaryTaps).
+	walAppendFailures atomic.Uint64
 
 	// booted flips once the store is open and replayed; until then every
 	// data route answers 503 (Run listens before booting so a long WAL
@@ -284,7 +286,7 @@ func (d *Daemon) boot() error {
 	}
 	cache := plancache.NewWithConfig(plancache.Config{
 		Capacity:   cfg.CacheCapacity,
-		Doorkeeper: !cfg.NoDoorkeeper,
+		Doorkeeper: true,
 	})
 	// Seed before installing the taps: imported plans are already in the
 	// store and must not be re-logged.
@@ -369,12 +371,23 @@ func (d *Daemon) newWatcher(primary string) (*watch.Detector, error) {
 // daemon needs: admitted plans and drift invalidations reach the WAL
 // before the response leaves, and snapshots fold the warm index in.
 // Plan inserts go through a group-commit Committer so concurrent cache
-// misses share one store lock acquisition and one kernel write.
+// misses share one store lock acquisition and one kernel write. A failed
+// append (a store sealed by Demote between its SetReadOnly and Seal, a
+// closed store, a write error) still lets the plan be served, but it is
+// counted: that plan is lost at the next restart or failover.
 func (d *Daemon) installPrimaryTaps() {
 	st, cache := d.store, d.cache
 	committer := store.NewCommitter(st)
-	cache.SetInsertTap(func(r plancache.PlanRecord) { _ = committer.AppendPlan(r) })
-	cache.SetInvalidateTap(func(model uint64) { _ = st.AppendInvalidate(model) })
+	cache.SetInsertTap(func(r plancache.PlanRecord) {
+		if committer.AppendPlan(r) != nil {
+			d.walAppendFailures.Add(1)
+		}
+	})
+	cache.SetInvalidateTap(func(model uint64) {
+		if st.AppendInvalidate(model) != nil {
+			d.walAppendFailures.Add(1)
+		}
+	})
 	st.SetHintSource(func() []plancache.HintRecord {
 		_, hints := cache.Export()
 		return hints

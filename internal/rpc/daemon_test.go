@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"testing"
 	"time"
@@ -140,17 +141,37 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("fingerprint %s != local %s", models[0].Fingerprint, fpString(speed.Fingerprint(fns)))
 	}
 
-	// The daemon runs doorkeeper admission: miss, miss (admitted), hit.
+	// The daemon runs doorkeeper admission: the first ask computes the plan
+	// and keeps it in the admission window, the second admits that very
+	// plan as a hit, the third hits the LRU. All three answers carry the
+	// same bytes apart from the tier: allocation, slope bits and Stats.
 	const n = 700_000
 	ask := []byte(fmt.Sprintf(`{"model":"lab","n":%d}`, n))
-	var first, second, third partitionReply
-	postJSON(t, base+"/v1/partition", ask, &first)
-	postJSON(t, base+"/v1/partition", ask, &second)
-	if code := postJSON(t, base+"/v1/partition", ask, &third); code != 200 {
-		t.Fatalf("partition: HTTP %d", code)
+	var raw [3][]byte
+	var replies [3]partitionReply
+	for i := range raw {
+		code, data, _ := postRawHdr(t, base+"/v1/partition", ask, nil)
+		if code != 200 {
+			t.Fatalf("ask %d: HTTP %d: %s", i+1, code, data)
+		}
+		if err := json.Unmarshal(data, &replies[i]); err != nil {
+			t.Fatalf("ask %d: bad body %q: %v", i+1, data, err)
+		}
+		raw[i] = data
 	}
-	if first.Tier != "miss" || second.Tier != "miss" || third.Tier != "hit" {
-		t.Fatalf("tiers %s/%s/%s, want miss/miss/hit", first.Tier, second.Tier, third.Tier)
+	first, second, third := replies[0], replies[1], replies[2]
+	if first.Tier != "miss" || second.Tier != "hit" || third.Tier != "hit" {
+		t.Fatalf("tiers %s/%s/%s, want miss/hit/hit", first.Tier, second.Tier, third.Tier)
+	}
+	if want := bytes.Replace(raw[0], []byte(`"tier":"miss"`), []byte(`"tier":"hit"`), 1); !bytes.Equal(raw[1], want) {
+		t.Fatalf("second answer is not the first one's plan:\n%s\n%s", raw[1], raw[0])
+	}
+	if !bytes.Equal(raw[2], raw[1]) {
+		t.Fatalf("third answer differs from the second:\n%s\n%s", raw[2], raw[1])
+	}
+	if math.Float64bits(second.Slope) != math.Float64bits(first.Slope) || second.Stats != first.Stats ||
+		fmt.Sprint(second.Alloc) != fmt.Sprint(first.Alloc) {
+		t.Fatalf("second answer %+v differs from the first %+v", second, first)
 	}
 	// The served allocation is bit-identical to a cold local computation
 	// (warm starts change the search path and its slope by-product, never
@@ -231,11 +252,37 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if stats.Cache.Rejected == 0 || stats.Cache.Admitted == 0 {
 		t.Fatalf("doorkeeper counters flat: %+v", stats.Cache)
 	}
+	if stats.WALAppendFailures != 0 {
+		t.Fatalf("%d WAL appends failed on a healthy store", stats.WALAppendFailures)
+	}
 
 	// Health.
 	var health map[string]any
 	if code := getJSON(t, base+"/healthz", &health); code != 200 || health["status"] != "ok" {
 		t.Fatalf("healthz: %d %v", code, health)
+	}
+}
+
+// TestDaemonCountsWALAppendFailures seals a primary's store, as Demote does
+// between its SetReadOnly and Seal, and admits a plan into it: the plan is
+// still served, but the refused WAL append must show in /v1/stats.
+func TestDaemonCountsWALAppendFailures(t *testing.T) {
+	d, base := startDaemon(t, Config{Dir: t.TempDir()})
+	if code := postJSON(t, base+"/v1/models?label=lab", testClusterDoc(t, 6, 12), nil); code != 200 {
+		t.Fatalf("upload: HTTP %d", code)
+	}
+	d.Store().Seal()
+	ask := []byte(`{"model":"lab","n":450000}`)
+	for i := 0; i < 2; i++ { // the second ask admits the plan
+		var r partitionReply
+		if code := postJSON(t, base+"/v1/partition", ask, &r); code != 200 {
+			t.Fatalf("ask %d on a sealed store: HTTP %d: %+v", i+1, code, r)
+		}
+	}
+	var stats statsReply
+	getJSON(t, base+"/v1/stats", &stats)
+	if stats.Cache.Admitted != 1 || stats.WALAppendFailures != 1 {
+		t.Fatalf("admitted %d, walAppendFailures %d; want 1 and 1", stats.Cache.Admitted, stats.WALAppendFailures)
 	}
 }
 

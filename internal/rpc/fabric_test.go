@@ -82,7 +82,7 @@ func ownedN(t *testing.T, f *fabric.Fabric, model string, wantBase string, from 
 }
 
 // warmHit posts the body until the daemon answers it from the warm cache
-// (the doorkeeper admits on the second miss), returning the warm bytes.
+// (the doorkeeper admits on the second ask), returning the warm bytes.
 func warmHit(t *testing.T, base string, body []byte) []byte {
 	t.Helper()
 	for i := 0; i < 6; i++ {
@@ -557,7 +557,7 @@ func TestPartitionBatchStreaming(t *testing.T) {
 		}
 	}
 	// Once every plan is cached (the doorkeeper admits on the second
-	// miss), consecutive asks are all warm hits and the stream must be
+	// ask), consecutive asks are all warm hits and the stream must be
 	// byte-stable.
 	_, warm1, _ := postRawHdr(t, base+"/v1/partition", body, nil)
 	for i := 0; i < 3 && bytes.Contains(warm1, []byte(`"tier":"miss"`)); i++ {

@@ -227,6 +227,9 @@ type statsReply struct {
 	Replication replicationStats                 `json:"replication"`
 	Tenants     map[string]fabric.TenantSnapshot `json:"tenants,omitempty"`
 	Fabric      *fabric.Status                   `json:"fabric,omitempty"`
+	// WALAppendFailures counts admitted plans and invalidations the WAL
+	// refused: served from the cache, but lost at the next restart.
+	WALAppendFailures uint64 `json:"walAppendFailures"`
 }
 
 // replicationStats reports both sides of the log: this daemon's committed
@@ -306,6 +309,7 @@ func (d *Daemon) handleStats(w http.ResponseWriter, r *http.Request) {
 			s := f.Status()
 			return &s
 		}(),
+		WALAppendFailures: d.walAppendFailures.Load(),
 	})
 }
 

@@ -46,7 +46,7 @@ func TestDaemonDeltaRefreshEndpoint(t *testing.T) {
 		t.Fatalf("upload: HTTP %d", code)
 	}
 	// Cache two plans (asked twice each: the daemon's doorkeeper admits on
-	// the second miss): one far below the drifted knots, one inside them.
+	// the second ask): one far below the drifted knots, one inside them.
 	smallN, bigN := int64(400_000), int64(8_000_000_000)
 	for _, n := range []int64{smallN, bigN} {
 		ask := []byte(fmt.Sprintf(`{"model":"lab","n":%d}`, n))

@@ -379,13 +379,17 @@ func (e *Engine) runBatch(batch []*pending) {
 		if err == nil {
 			e.algoTiers[algoRow(first.Algo)][tier].Add(uint64(len(members)))
 		}
-		for _, p := range members {
+		// The cache's answer belongs to this group. Copy it for the other
+		// members first: the first member gets the answer itself and may
+		// write to it as soon as it is answered.
+		for _, p := range members[1:] {
 			resp := Response{Err: err, Tier: tier}
 			if err == nil {
 				resp.Result = copyResult(res)
 			}
 			e.answer(p, resp)
 		}
+		e.answer(members[0], Response{Result: res, Err: err, Tier: tier})
 	})
 }
 
@@ -395,8 +399,8 @@ func (e *Engine) answer(p *pending, resp Response) {
 	p.reply <- resp
 }
 
-// copyResult gives each coalesced requester its own allocation; the cache
-// already returned a private copy, so members after the first need one too.
+// copyResult gives a coalesced requester its own allocation; the cache
+// already returned a private copy, so only members after the first need one.
 func copyResult(r core.Result) core.Result {
 	out := r
 	out.Alloc = append(core.Allocation(nil), r.Alloc...)

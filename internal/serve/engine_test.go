@@ -115,6 +115,45 @@ func TestEngineCoalescesDuplicates(t *testing.T) {
 	}
 }
 
+// TestEngineCoalescedAnswersArePrivate has every requester of one plan
+// overwrite its allocation the moment it arrives: the first member of a
+// coalesced group gets the cache's answer itself, so the copies for the
+// others must all be made before it is answered (-race checks the order).
+func TestEngineCoalescedAnswersArePrivate(t *testing.T) {
+	e := New(Config{MaxBatch: 64, QueueDepth: 256})
+	defer e.Close()
+	fns := testCluster(24, 4)
+	want, err := core.Combined(3_000_000, fns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const reqs = 32
+	replies := make([]<-chan Response, reqs)
+	for i := range replies {
+		replies[i] = e.Submit(Request{Algo: core.AlgoCombined, N: 3_000_000, Fns: fns})
+	}
+	var wg sync.WaitGroup
+	for i := range replies {
+		wg.Add(1)
+		go func(reply <-chan Response) {
+			defer wg.Done()
+			r := <-reply
+			if r.Err != nil {
+				t.Error(r.Err)
+				return
+			}
+			for j := range r.Result.Alloc {
+				if r.Result.Alloc[j] != want.Alloc[j] {
+					t.Errorf("proc %d: served %d, want %d", j, r.Result.Alloc[j], want.Alloc[j])
+					return
+				}
+				r.Result.Alloc[j] = -1
+			}
+		}(replies[i])
+	}
+	wg.Wait()
+}
+
 func TestEngineRepartitionMatchesCore(t *testing.T) {
 	e := New(Config{})
 	defer e.Close()

@@ -31,30 +31,37 @@
 #      compaction must reopen to exactly the acknowledged records, appends
 #      racing background compactions must all survive Close → Open, and a
 #      pinned or sealed store's compaction must abandon its image
-#  10. benchmark smoke: every kernel benchmark, every partition-serving
+#  10. admission-window gate: the plan cache's admission-window tests and
+#      the result-ownership race tests at -race -count=10 — a second ask
+#      is served the first miss's plan as a hit and admitted exactly once,
+#      invalidation, refresh, Replace and read-only mode keep the window
+#      honest, one-shot sizes never evict a resident plan, and no caller's
+#      mutation of its answer reaches a request that joined the same
+#      computation
+#  11. benchmark smoke: every kernel benchmark, every partition-serving
 #      benchmark, the model-refresh benchmark, the over-HTTP daemon
 #      benchmark (a real listening daemon driven by a raw keep-alive
 #      client) and the store append benchmark each run once
-#  11. allocation regression guard: the warm partitioner hot path must
+#  12. allocation regression guard: the warm partitioner hot path must
 #      report exactly 0 allocs/op, the property the serving engine's
 #      throughput rests on (the store's persistence taps fire off the
 #      hot path, so this gate also guards the daemon's serving loop);
 #      and the near-miss warm-start path must stay within its 4 allocs/op
 #      budget
-#  12. wire-codec allocation guard: the daemon's warm single-request
+#  13. wire-codec allocation guard: the daemon's warm single-request
 #      handler path (pooled codec + synchronous cache hit, everything
 #      above net/http) must report 0 B/op and 0 allocs/op — the ISSUE 9
 #      budget is <= 8 B/op and <= 1 alloc/op; the gate pins the achieved
 #      zero so a regression to "just one alloc" still fails loudly
 #      (at -cpu 1, which keeps the runtime's background allocations out)
-#  13. forwarding gate: forwarded partition requests must be bit-identical
+#  14. forwarding gate: forwarded partition requests must be bit-identical
 #      to owner-local answers (chunked batches and concurrent clients
 #      included, and across an owner dropping its idle keep-alives), and
 #      a dead or blackholed owner must degrade to local compute within
 #      the forwarding timeout instead of an error
-#  14. fabric benchmark smoke: the owned/forwarded/quota paths each run
+#  15. fabric benchmark smoke: the owned/forwarded/quota paths each run
 #      once over real loopback HTTP
-#  15. forwarding allocation guard: a forwarded request may cost at most
+#  16. forwarding allocation guard: a forwarded request may cost at most
 #      2 x the allocs/op of an owned one + 4 — the edge's and the owner's
 #      net/http server passes, with the relay between them allocating
 #      (next to) nothing
@@ -91,6 +98,8 @@ echo "==> delta-refresh gate: go test -race -run DeltaRefresh ./internal/store/ 
 go test -race -count=1 -run DeltaRefresh ./internal/store/ ./internal/plancache/
 echo "==> compaction gate: go test -race -run Compaction ./internal/store/" >&2
 go test -race -count=1 -run Compaction ./internal/store/
+echo "==> admission-window gate: go test -race -count=10 -run 'Window|Doorkeeper|SharedAnswers|CoalescedAnswers' ./internal/plancache/ ./internal/serve/" >&2
+go test -race -count=10 -run 'Window|Doorkeeper|SharedAnswers|CoalescedAnswers' ./internal/plancache/ ./internal/serve/
 echo "==> benchmark smoke: go test -run '^$' -bench Kernel -benchtime=1x ." >&2
 go test -run '^$' -bench Kernel -benchtime=1x .
 echo "==> benchmark smoke: go test -run '^$' -bench PartitionThroughput -benchtime=1x ." >&2
