@@ -49,7 +49,7 @@ func BenchmarkStoreAppend(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := st.PutModel("fig21", fns); err != nil {
+		if _, err := st.PutModel("fig21", speed.NewModel(fns)); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()

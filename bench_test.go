@@ -317,14 +317,18 @@ func benchPWLCluster(b *testing.B, p int) []speed.Function {
 // full bisection), a warm reusable Partitioner seeded with the previous
 // optimum's slope (the zero-allocation hot path — allocs/op must print 0),
 // a plan-cache exact hit, and a cache near-miss that is warm-started from a
-// neighboring size's cached slope. p = 1080 is the largest model of
+// neighboring size's cached slope. The cached and nearmiss rows build the
+// model handle once, outside the timed loop, as a model upload does; their
+// requests never hash the model. p = 1080 is the largest model of
 // Figure 21 and of perfbench's cold mix. scripts/bench.sh partition
 // records these rows into BENCH_partition.json, and scripts/ci.sh fails the
-// build if the warm path ever allocates again.
+// build if the warm path ever allocates again or a cached hit costs more
+// than a tenth of a warm partition.
 func BenchmarkPartitionThroughput(b *testing.B) {
 	const n = 1_000_000_000
 	for _, p := range []int{12, 64, 256, 1080} {
 		fns := benchPWLCluster(b, p)
+		m := speed.NewModel(fns)
 		b.Run(benchName("p", p), func(b *testing.B) {
 			seed, err := core.Combined(n, fns)
 			if err != nil {
@@ -352,20 +356,20 @@ func BenchmarkPartitionThroughput(b *testing.B) {
 			})
 			b.Run("cached", func(b *testing.B) {
 				c := plancache.New(0)
-				if _, err := c.Get(core.AlgoCombined, n, fns); err != nil {
+				if _, err := c.Get(core.AlgoCombined, n, m); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := c.Get(core.AlgoCombined, n, fns); err != nil {
+					if _, err := c.Get(core.AlgoCombined, n, m); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 			b.Run("nearmiss", func(b *testing.B) {
 				c := plancache.New(0)
-				if _, err := c.Get(core.AlgoCombined, n, fns); err != nil {
+				if _, err := c.Get(core.AlgoCombined, n, m); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
@@ -373,7 +377,7 @@ func BenchmarkPartitionThroughput(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					// Every size is new to the cache, so each iteration is a
 					// genuine miss warm-started from the n's cached slope.
-					if _, err := c.Get(core.AlgoCombined, n+int64(i)+1, fns); err != nil {
+					if _, err := c.Get(core.AlgoCombined, n+int64(i)+1, m); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -415,23 +419,27 @@ func refreshBenchModels(b *testing.B, p int) (fnsA, fnsB []speed.Function, sizes
 // serving daemon: a full model re-upload (full model + invalidation WAL
 // records, every cached plan dropped) against the per-processor delta path
 // (one O(one processor) delta record; plans whose allocation provably
-// cannot change survive the refresh). Reported per op: ns, WAL bytes
-// appended, and the percentage of cached plans invalidated.
-// scripts/bench.sh refresh records the rows into BENCH_refresh.json.
+// cannot change survive the refresh). The full step builds the uploaded
+// model's handle inside the timed step, because a re-upload pays for
+// hashing the whole model; the delta step hashes only the replaced
+// function. Reported per op: ns, WAL bytes appended, and the percentage of
+// cached plans invalidated. scripts/bench.sh refresh records the rows into
+// BENCH_refresh.json.
 func BenchmarkModelRefresh(b *testing.B) {
 	for _, p := range []int{12, 64, 256} {
 		fnsA, fnsB, sizes := refreshBenchModels(b, p)
+		mA := speed.NewModel(fnsA)
 		b.Run(benchName("p", p), func(b *testing.B) {
 			// Probe the drift scenario once, untimed: the delta path's whole
 			// point is selectivity, so the benchmark refuses to measure a
 			// degenerate split (everything kept, or everything dropped).
 			probe := plancache.New(0)
 			for _, n := range sizes {
-				if _, err := probe.Get(core.AlgoCombined, n, fnsA); err != nil {
+				if _, err := probe.Get(core.AlgoCombined, n, mA); err != nil {
 					b.Fatal(err)
 				}
 			}
-			kept, dropped := probe.Refresh(fnsA, fnsB)
+			kept, dropped := probe.Refresh(mA, speed.NewModel(fnsB))
 			if kept < len(sizes)/2 || dropped == 0 {
 				b.Fatalf("drift scenario off target: kept=%d dropped=%d of %d plans", kept, dropped, len(sizes))
 			}
@@ -442,7 +450,7 @@ func BenchmarkModelRefresh(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.Cleanup(func() { st.Close() })
-				if _, _, err := st.PutModel("bench", fnsA); err != nil {
+				if _, err := st.PutModel("bench", mA); err != nil {
 					b.Fatal(err)
 				}
 				return st
@@ -450,7 +458,7 @@ func BenchmarkModelRefresh(b *testing.B) {
 			newCache := func(b *testing.B) *plancache.Cache {
 				c := plancache.New(0)
 				for _, n := range sizes {
-					if _, err := c.Get(core.AlgoCombined, n, fnsA); err != nil {
+					if _, err := c.Get(core.AlgoCombined, n, mA); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -460,14 +468,15 @@ func BenchmarkModelRefresh(b *testing.B) {
 			b.Run("delta", func(b *testing.B) {
 				st, c := newStore(b), newCache(b)
 				step := func(i int) {
-					old, next := fnsA, fnsB
+					next := fnsB
 					if i%2 == 1 {
-						old, next = fnsB, fnsA
+						next = fnsA
 					}
-					if _, _, err := st.RefreshProcessor("bench", 0, next[0]); err != nil {
+					old, refreshed, err := st.RefreshProcessor("bench", 0, next[0])
+					if err != nil {
 						b.Fatal(err)
 					}
-					c.Refresh(old, next)
+					c.Refresh(old, refreshed)
 				}
 				// One untimed toggle pair measures WAL bytes per refresh while
 				// the log is far from its compaction threshold; the timed loop
@@ -487,16 +496,16 @@ func BenchmarkModelRefresh(b *testing.B) {
 			})
 			b.Run("full", func(b *testing.B) {
 				st, c := newStore(b), newCache(b)
-				fps := [2]uint64{speed.Fingerprint(fnsA), speed.Fingerprint(fnsB)}
 				step := func(i int) {
 					next := fnsB
 					if i%2 == 1 {
 						next = fnsA
 					}
-					if _, _, err := st.PutModel("bench", next); err != nil {
+					old, err := st.PutModel("bench", speed.NewModel(next))
+					if err != nil {
 						b.Fatal(err)
 					}
-					c.InvalidateFingerprint(fps[i%2])
+					c.InvalidateFingerprint(old.Fingerprint())
 				}
 				w0 := st.Stats().WALBytes
 				step(0)

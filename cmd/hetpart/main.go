@@ -8,7 +8,6 @@
 //	hetpart -n 100000000 -machines cluster.json -limits 1e7,5e8,...   # bounded
 //	hetpart -grid 8000x8000 -machines cluster.json                    # 2D rectangles
 //	hetpart -n 100000000 -machines cluster.json -fail p3@t=1.5s       # fault drill
-//	hetpart -n 100000000 -machines cluster.json -serve -bench-requests 100000  # serving engine
 //
 // The cluster file holds a list of processors, each with a piecewise
 // linear speed function ("points"), a constant speed ("speed"/"max"), a
@@ -58,14 +57,6 @@ func run() error {
 		drift    = flag.Float64("drift", 0, "EWMA relative-error threshold of the model drift detector; >0 adds drift-aware makespan notes to fault drills")
 		workers  = flag.Int("workers", 0, "worker pool width for any real kernel execution (0 = GOMAXPROCS)")
 
-		serveMode   = flag.Bool("serve", false, "benchmark the partition-serving engine instead of printing one plan (requires -bench-requests)")
-		benchReqs   = flag.Int("bench-requests", 0, "with -serve: total partition requests to fire through the engine")
-		reqWorkers  = flag.Int("req-workers", 8, "with -serve: concurrent request submitters")
-		reqSpread   = flag.Float64("req-spread", 0.2, "with -serve: relative spread of request sizes around -n, in [0, 1)")
-		reqDistinct = flag.Int("req-distinct", 16, "with -serve: distinct request sizes in the stream")
-		reqAlgos    = flag.String("req-algos", "", "with -serve: comma-separated algorithms cycled through the stream, or \"mixed\" for all three (default: the -algo value)")
-		reqMixOpts  = flag.Bool("req-mix-options", false, "with -serve: also cycle partitioner option sets through the stream")
-
 		fail repeatedFlag
 	)
 	flag.Var(&fail, "fail", "fault spec, repeatable: p3@t=1.5s, X2@t=1s,slow=0.4,for=2s, p1@t=2s,stall,for=0.5s, link@t=0.5s,for=1s (see internal/faults); added to the cluster file's own \"faults\"")
@@ -83,25 +74,6 @@ func run() error {
 	}
 	if *n <= 0 {
 		return fmt.Errorf("-n must be positive")
-	}
-	if *serveMode {
-		list := *reqAlgos
-		if list == "" {
-			list = *algo
-		}
-		algos, err := parseAlgos(list)
-		if err != nil {
-			return err
-		}
-		return runServeBench(cluster, *n, serveBenchOptions{
-			Requests:   *benchReqs,
-			Workers:    *reqWorkers,
-			Distinct:   *reqDistinct,
-			Spread:     *reqSpread,
-			Algos:      algos,
-			MixOptions: *reqMixOpts,
-			CSV:        *csv,
-		})
 	}
 	fns, names, err := cluster.Functions(float64(*n))
 	if err != nil {

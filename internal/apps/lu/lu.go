@@ -76,8 +76,10 @@ func VariableGroupBlockEngine(e *serve.Engine, n, b int, flopRates []speed.Funct
 	if e == nil {
 		return VariableGroupBlock(n, b, flopRates, opts...)
 	}
-	return variableGroupBlock(n, b, flopRates, func(elements int64, fns []speed.Function, opts []core.Option) (core.Result, error) {
-		return e.Partition(serve.Request{Algo: core.AlgoCombined, N: elements, Fns: fns, Opts: opts})
+	// Every group partitions the same processors: hash the model once.
+	m := speed.NewModel(flopRates)
+	return variableGroupBlock(n, b, flopRates, func(elements int64, _ []speed.Function, opts []core.Option) (core.Result, error) {
+		return e.Partition(serve.Request{Algo: core.AlgoCombined, N: elements, Model: m, Opts: opts})
 	}, opts)
 }
 

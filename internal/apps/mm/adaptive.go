@@ -103,9 +103,9 @@ func ExecuteAdaptive(ctx context.Context, p Plan, a, b *matrix.Dense, flopRates 
 	dead := make([]bool, nw)
 	staleSeen := make([]bool, nw)
 	rows := make([][]int, nw)
-	// lastServed remembers the model set whose plans the serving engine
-	// may be caching, so a drift refresh can invalidate them.
-	var lastServed []speed.Function
+	// lastServed is the model whose plans the serving engine may be
+	// caching, so a drift refresh can migrate them.
+	var lastServed *speed.Model
 	var left int
 	for w, s := range stripes {
 		for r := s[0]; r < s[1]; r++ {
@@ -180,9 +180,8 @@ func ExecuteAdaptive(ctx context.Context, p Plan, a, b *matrix.Dense, flopRates 
 				// dropping them all — plans this worker's drift provably
 				// cannot move keep serving as exact hits.
 				if acfg.Engine != nil && lastServed != nil {
-					newServed := append([]speed.Function(nil), lastServed...)
-					newServed[w] = refreshed
-					acfg.Engine.Refresh(lastServed, newServed)
+					newServed := lastServed.WithProc(w, refreshed)
+					acfg.Engine.Cache().Refresh(lastServed, newServed)
 					lastServed = newServed
 				}
 				rowFns[w] = refreshed
@@ -222,8 +221,8 @@ func ExecuteAdaptive(ctx context.Context, p Plan, a, b *matrix.Dense, flopRates 
 		var alloc core.Allocation
 		var moved int64
 		if acfg.Engine != nil {
-			alloc, moved, err = acfg.Engine.Repartition(current, capped, slack)
-			lastServed = capped
+			lastServed = speed.NewModel(capped)
+			alloc, moved, err = acfg.Engine.Repartition(current, lastServed, slack)
 		} else {
 			alloc, moved, err = core.Repartition(current, capped, slack)
 		}

@@ -20,11 +20,12 @@
 // answer is the first miss's plan bit for bit; the plan is not computed
 // again.
 //
-// Models are identified by speed.Fingerprint, which hashes function
-// values, not object identity — callers that rebuild their model slice per
-// request (as mm.ExecuteAdaptive does) still hit. When a model drifts
-// (speed.Drift flags it stale), Invalidate drops every plan and warm hint
-// derived from the old fingerprint.
+// Models arrive as speed.Model handles and are keyed by the handle's
+// fingerprint, which hashes function values, not object identity: two
+// handles built from equal functions share plans, and a probe never
+// rehashes a model. When a model drifts (speed.Drift flags it stale),
+// Refresh migrates its plans to the refreshed handle, or
+// InvalidateFingerprint drops every plan and warm hint derived from it.
 //
 // The cache is sharded by key hash: each shard has its own mutex, LRU list
 // and in-flight table, so concurrent requests for different plans do not
@@ -67,7 +68,7 @@ const (
 
 // key identifies one plan.
 type key struct {
-	model uint64 // speed.Fingerprint of the cluster model
+	model uint64 // the cluster model's fingerprint
 	n     int64
 	algo  core.Algorithm
 	opts  uint64 // core.OptionsKey of the option list
@@ -215,7 +216,7 @@ type Stats struct {
 	WarmStarts    uint64 // misses that ran with a warm-start hint
 	Shared        uint64 // requests that waited on another's computation
 	Evictions     uint64 // entries dropped by LRU pressure
-	Invalidations uint64 // entries dropped by Invalidate
+	Invalidations uint64 // entries dropped by InvalidateFingerprint
 	Admitted      uint64 // computed plans inserted into the LRU
 	Rejected      uint64 // first-miss plans the doorkeeper kept out of the LRU; they wait in the admission window
 
@@ -272,16 +273,16 @@ type Cache struct {
 	refreshKept    atomic.Uint64
 	refreshDropped atomic.Uint64
 
-	// insertTap and invalidateTap observe admitted insertions and model
-	// invalidations (see SetInsertTap); loaded atomically so taps can be
-	// installed before traffic without locking the hot path.
-	insertTap     atomic.Pointer[func(PlanRecord)]
-	invalidateTap atomic.Pointer[func(uint64)]
+	// insertTap observes admitted insertions (see SetInsertTap); loaded
+	// atomically so the tap can be installed before traffic without
+	// locking the hot path.
+	insertTap atomic.Pointer[func(PlanRecord)]
 
 	// readOnly suspends admission: misses still compute and return, but
-	// nothing is inserted, no doorkeeper state advances, no taps fire and
-	// no hints are remembered. Import and Invalidate are unaffected — they
-	// ARE the write path while a replica mirrors its primary.
+	// nothing is inserted, no doorkeeper state advances, no tap fires and
+	// no hints are remembered. Import, Refresh and InvalidateFingerprint
+	// are unaffected — they ARE the write path while a replica mirrors its
+	// primary.
 	readOnly atomic.Bool
 
 	// scratch pools the per-miss compute state (partitioner, option slice,
@@ -364,14 +365,13 @@ const (
 
 // PeekInto probes for an exact hit without computing on a miss, appending
 // the cached allocation to dst (which the caller reuses across calls —
-// with enough spare capacity the probe allocates nothing). model is the
-// precomputed speed.Fingerprint of the cluster. On a hit the returned
-// Result's Alloc is dst's appended tail and the entry is refreshed in the
-// LRU, indistinguishable from a GetTier hit; on a miss nothing changes —
-// no doorkeeper state, no counters — so a caller falling back to the
-// engine costs one extra map lookup, not skewed stats.
-func (c *Cache) PeekInto(dst core.Allocation, model uint64, algo core.Algorithm, n int64, opts ...core.Option) (core.Allocation, core.Result, bool) {
-	k := key{model: model, n: n, algo: algo, opts: core.OptionsKey(opts...)}
+// with enough spare capacity the probe allocates nothing). On a hit the
+// returned Result's Alloc is dst's appended tail and the entry is
+// refreshed in the LRU, indistinguishable from a GetTier hit; on a miss
+// nothing changes — no doorkeeper state, no counters — so a caller
+// falling back to the engine costs one extra map lookup, not skewed stats.
+func (c *Cache) PeekInto(dst core.Allocation, m *speed.Model, algo core.Algorithm, n int64, opts ...core.Option) (core.Allocation, core.Result, bool) {
+	k := key{model: m.Fingerprint(), n: n, algo: algo, opts: core.OptionsKey(opts...)}
 	sh := &c.shards[k.hash()&(numShards-1)]
 
 	sh.mu.Lock()
@@ -391,25 +391,19 @@ func (c *Cache) PeekInto(dst core.Allocation, model uint64, algo core.Algorithm,
 }
 
 // Get returns the plan for running algo over n elements on the cluster
-// described by fns with the given options, computing and caching it on a
-// miss. The returned Result owns its Alloc — callers may mutate it freely.
-func (c *Cache) Get(algo core.Algorithm, n int64, fns []speed.Function, opts ...core.Option) (core.Result, error) {
-	res, _, err := c.GetTier(algo, n, fns, opts...)
+// model m with the given options, computing and caching it on a miss. The
+// returned Result owns its Alloc — callers may mutate it freely. A nil or
+// empty model answers core.ErrNoProcessors.
+func (c *Cache) Get(algo core.Algorithm, n int64, m *speed.Model, opts ...core.Option) (core.Result, error) {
+	res, _, err := c.GetTier(algo, n, m, opts...)
 	return res, err
 }
 
 // GetTier is Get plus the serving tier of this particular request, for
 // callers keeping their own hit-rate accounting (the serving engine reports
 // per-algorithm rates from it).
-func (c *Cache) GetTier(algo core.Algorithm, n int64, fns []speed.Function, opts ...core.Option) (core.Result, Tier, error) {
-	return c.GetTierFP(speed.Fingerprint(fns), algo, n, fns, opts...)
-}
-
-// GetTierFP is GetTier with the cluster fingerprint precomputed by the
-// caller — the serving path resolves models by fingerprint already, so
-// re-hashing every speed function per request would be pure waste.
-func (c *Cache) GetTierFP(model uint64, algo core.Algorithm, n int64, fns []speed.Function, opts ...core.Option) (core.Result, Tier, error) {
-	k := key{model: model, n: n, algo: algo, opts: core.OptionsKey(opts...)}
+func (c *Cache) GetTier(algo core.Algorithm, n int64, m *speed.Model, opts ...core.Option) (core.Result, Tier, error) {
+	k := key{model: m.Fingerprint(), n: n, algo: algo, opts: core.OptionsKey(opts...)}
 	h := k.hash()
 	sh := &c.shards[h&(numShards-1)]
 
@@ -455,7 +449,7 @@ func (c *Cache) GetTierFP(model uint64, algo core.Algorithm, n int64, fns []spee
 
 	// res goes to this caller, who may mutate it; the cache keeps its own
 	// copy, and waiters copy from that one.
-	res, err := c.compute(k, n, fns, opts)
+	res, err := c.compute(k, n, m.Fns(), opts)
 	readOnly := c.readOnly.Load()
 	var owned core.Result
 	if err == nil && !readOnly {
@@ -612,18 +606,15 @@ func addHint(models map[uint64][]hint, model uint64, n int64, slope float64) {
 	models[model] = hints
 }
 
-// Invalidate drops every cached plan and warm hint for the cluster model
-// described by fns, and the model's plans waiting in the admission
-// windows; it returns how many cached plans it dropped. Call it when
-// speed.Drift (or any other monitor) flags the model as stale; in-flight
-// computations for the old model are left to finish and their results are
-// still installed — callers race with them anyway, and the next Invalidate
-// sweeps them out.
-func (c *Cache) Invalidate(fns []speed.Function) int {
-	return c.InvalidateFingerprint(speed.Fingerprint(fns))
-}
-
-// InvalidateFingerprint is Invalidate for a precomputed fingerprint.
+// InvalidateFingerprint drops every cached plan and warm hint for the
+// cluster model with the given fingerprint, and the model's plans waiting
+// in the admission windows; it returns how many cached plans it dropped.
+// Call it when a model is replaced, or when speed.Drift (or any other
+// monitor) flags it as stale; in-flight computations for the old model are
+// left to finish and their results are still installed — callers race with
+// them anyway, and the next invalidation sweeps them out. It takes a
+// fingerprint, not a handle, because the store's invalidation records
+// carry only the fingerprint.
 func (c *Cache) InvalidateFingerprint(model uint64) int {
 	var dropped int
 	for i := range c.shards {
@@ -645,9 +636,6 @@ func (c *Cache) InvalidateFingerprint(model uint64) int {
 	delete(c.warm.models, model)
 	c.warm.mu.Unlock()
 	c.invalidations.Add(uint64(dropped))
-	if tap := c.invalidateTap.Load(); tap != nil {
-		(*tap)(model)
-	}
 	return dropped
 }
 
@@ -704,9 +692,9 @@ func (c *Cache) Replace(plans []PlanRecord, hints []HintRecord) int {
 
 // SetReadOnly toggles read-only admission. While set, misses still compute
 // and return correct plans, but the cache's contents change only through
-// Import and Invalidate — the replication feed — so a replica's cache stays
-// a faithful mirror of its primary's instead of diverging on local traffic.
-// Promotion flips it back off.
+// Import, Refresh and InvalidateFingerprint — the replication feed — so a
+// replica's cache stays a faithful mirror of its primary's instead of
+// diverging on local traffic. Promotion flips it back off.
 func (c *Cache) SetReadOnly(ro bool) { c.readOnly.Store(ro) }
 
 // ReadOnly reports whether admission is suspended.

@@ -36,11 +36,12 @@ func testCluster(p int, seed uint32) []speed.Function {
 func TestCacheHitReturnsIdenticalPlan(t *testing.T) {
 	c := New(0)
 	fns := testCluster(12, 1)
-	first, err := c.Get(core.AlgoCombined, 1_000_000, fns)
+	m := speed.NewModel(fns)
+	first, err := c.Get(core.AlgoCombined, 1_000_000, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := c.Get(core.AlgoCombined, 1_000_000, fns)
+	second, err := c.Get(core.AlgoCombined, 1_000_000, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestCacheHitReturnsIdenticalPlan(t *testing.T) {
 	}
 	// Mutating the returned plan must not corrupt the cache.
 	second.Alloc[0] = -999
-	third, err := c.Get(core.AlgoCombined, 1_000_000, fns)
+	third, err := c.Get(core.AlgoCombined, 1_000_000, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,22 +68,23 @@ func TestCacheHitReturnsIdenticalPlan(t *testing.T) {
 func TestCacheKeying(t *testing.T) {
 	c := New(0)
 	fns := testCluster(8, 2)
+	m := speed.NewModel(fns)
 	other := testCluster(8, 3)
-	base, err := c.Get(core.AlgoCombined, 500_000, fns)
+	base, err := c.Get(core.AlgoCombined, 500_000, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Different n, algorithm, options, and model must all miss.
-	if _, err := c.Get(core.AlgoCombined, 500_001, fns); err != nil {
+	if _, err := c.Get(core.AlgoCombined, 500_001, m); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(core.AlgoBasic, 500_000, fns); err != nil {
+	if _, err := c.Get(core.AlgoBasic, 500_000, m); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(core.AlgoCombined, 500_000, fns, core.WithoutFineTune()); err != nil {
+	if _, err := c.Get(core.AlgoCombined, 500_000, m, core.WithoutFineTune()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(core.AlgoCombined, 500_000, other); err != nil {
+	if _, err := c.Get(core.AlgoCombined, 500_000, speed.NewModel(other)); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Misses != 5 || st.Hits != 0 {
@@ -90,7 +92,7 @@ func TestCacheKeying(t *testing.T) {
 	}
 	// A rebuilt (value-identical) model slice must hit.
 	rebuilt := testCluster(8, 2)
-	again, err := c.Get(core.AlgoCombined, 500_000, rebuilt)
+	again, err := c.Get(core.AlgoCombined, 500_000, speed.NewModel(rebuilt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,15 +109,16 @@ func TestCacheKeying(t *testing.T) {
 func TestWarmStartServedPlansBitIdentical(t *testing.T) {
 	c := New(0)
 	fns := testCluster(16, 4)
+	m := speed.NewModel(fns)
 	// Populate hints across a range of sizes, then request in-between
 	// sizes; every plan must equal a cold Combined run exactly.
 	for n := int64(1_000_000); n <= 16_000_000; n *= 2 {
-		if _, err := c.Get(core.AlgoCombined, n, fns); err != nil {
+		if _, err := c.Get(core.AlgoCombined, n, m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for n := int64(1_100_000); n <= 15_000_000; n = n * 3 / 2 {
-		got, err := c.Get(core.AlgoCombined, n, fns)
+		got, err := c.Get(core.AlgoCombined, n, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +148,7 @@ func TestSingleflightSharesComputation(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g], errs[g] = c.Get(core.AlgoCombined, 9_000_000, fns)
+			results[g], errs[g] = c.Get(core.AlgoCombined, 9_000_000, speed.NewModel(fns))
 		}(g)
 	}
 	wg.Wait()
@@ -172,7 +175,7 @@ func TestLRUEviction(t *testing.T) {
 	c := New(numShards) // one entry per shard
 	fns := testCluster(4, 6)
 	for n := int64(10_000); n < 10_000+200; n++ {
-		if _, err := c.Get(core.AlgoCombined, n, fns); err != nil {
+		if _, err := c.Get(core.AlgoCombined, n, speed.NewModel(fns)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,16 +191,18 @@ func TestLRUEviction(t *testing.T) {
 func TestInvalidate(t *testing.T) {
 	c := New(0)
 	fns := testCluster(8, 7)
+	m := speed.NewModel(fns)
 	other := testCluster(8, 8)
+	mOther := speed.NewModel(other)
 	for n := int64(100_000); n <= 400_000; n += 100_000 {
-		if _, err := c.Get(core.AlgoCombined, n, fns); err != nil {
+		if _, err := c.Get(core.AlgoCombined, n, m); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Get(core.AlgoCombined, n, other); err != nil {
+		if _, err := c.Get(core.AlgoCombined, n, mOther); err != nil {
 			t.Fatal(err)
 		}
 	}
-	dropped := c.Invalidate(fns)
+	dropped := c.InvalidateFingerprint(speed.Fingerprint(fns))
 	if dropped != 4 {
 		t.Fatalf("dropped %d plans, want 4", dropped)
 	}
@@ -206,10 +211,10 @@ func TestInvalidate(t *testing.T) {
 		t.Fatalf("size %d after invalidate, want 4 (other model intact)", st.Size)
 	}
 	// The invalidated model recomputes; the other still hits.
-	if _, err := c.Get(core.AlgoCombined, 100_000, fns); err != nil {
+	if _, err := c.Get(core.AlgoCombined, 100_000, m); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(core.AlgoCombined, 100_000, other); err != nil {
+	if _, err := c.Get(core.AlgoCombined, 100_000, mOther); err != nil {
 		t.Fatal(err)
 	}
 	after := c.Stats()
@@ -221,11 +226,12 @@ func TestInvalidate(t *testing.T) {
 func TestErrorsAreNotCached(t *testing.T) {
 	c := New(0)
 	fns := testCluster(4, 9)
+	m := speed.NewModel(fns)
 	// Infeasible n: errors must propagate and not poison the cache.
-	if _, err := c.Get(core.AlgoCombined, 1<<62, fns); err == nil {
+	if _, err := c.Get(core.AlgoCombined, 1<<62, m); err == nil {
 		t.Fatal("expected infeasibility error")
 	}
-	if _, err := c.Get(core.AlgoCombined, 1<<62, fns); err == nil {
+	if _, err := c.Get(core.AlgoCombined, 1<<62, m); err == nil {
 		t.Fatal("expected infeasibility error on retry")
 	}
 	st := c.Stats()
@@ -273,10 +279,10 @@ func hammer(t *testing.T, c *Cache) {
 				rng = rng*1664525 + 1013904223
 				n := sizes[rng%uint32(len(sizes))]
 				if rng%97 == 0 {
-					c.Invalidate(models[mi])
+					c.InvalidateFingerprint(speed.Fingerprint(models[mi]))
 					continue
 				}
-				got, err := c.Get(core.AlgoCombined, n, models[mi])
+				got, err := c.Get(core.AlgoCombined, n, speed.NewModel(models[mi]))
 				if err != nil {
 					t.Error(err)
 					return

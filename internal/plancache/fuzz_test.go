@@ -78,11 +78,11 @@ func FuzzWarmStartBitIdentical(f *testing.F) {
 		// Cache-served: first Get seeds the warm index, second Get is
 		// warm-started internally, third is an exact hit.
 		c := New(0)
-		if _, err := c.Get(core.AlgoCombined, n1, fns); err != nil {
+		if _, err := c.Get(core.AlgoCombined, n1, speed.NewModel(fns)); err != nil {
 			t.Fatalf("cache Get(n1): %v", err)
 		}
 		for pass := 0; pass < 2; pass++ {
-			served, err := c.Get(core.AlgoCombined, n2, fns)
+			served, err := c.Get(core.AlgoCombined, n2, speed.NewModel(fns))
 			if err != nil {
 				t.Fatalf("cache Get(n2) pass %d: %v", pass, err)
 			}

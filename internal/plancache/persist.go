@@ -13,7 +13,7 @@ import (
 
 // PlanRecord is one cached plan in exportable form.
 type PlanRecord struct {
-	Model   uint64         // speed.Fingerprint of the cluster model
+	Model   uint64         // the cluster model's fingerprint
 	N       int64          // problem size
 	Algo    core.Algorithm // partitioning algorithm
 	OptsKey uint64         // core.OptionsKey of the option list
@@ -70,17 +70,6 @@ func (c *Cache) SetInsertTap(fn func(PlanRecord)) {
 		return
 	}
 	c.insertTap.Store(&fn)
-}
-
-// SetInvalidateTap installs fn to be called after every model invalidation
-// with the invalidated fingerprint, outside any cache lock. A nil fn
-// removes the tap.
-func (c *Cache) SetInvalidateTap(fn func(model uint64)) {
-	if fn == nil {
-		c.invalidateTap.Store(nil)
-		return
-	}
-	c.invalidateTap.Store(&fn)
 }
 
 // Export snapshots the cache contents: every resident plan (least recently

@@ -14,8 +14,9 @@ func TestDoorkeeperAdmitsOnSecondMiss(t *testing.T) {
 	var taps []PlanRecord
 	c.SetInsertTap(func(r PlanRecord) { taps = append(taps, r) })
 	fns := testCluster(8, 21)
+	m := speed.NewModel(fns)
 	// First request: computed, kept out of the LRU, waiting in the window.
-	first, tier, err := c.GetTier(core.AlgoCombined, 700_000, fns)
+	first, tier, err := c.GetTier(core.AlgoCombined, 700_000, m)
 	if err != nil || tier != TierMiss {
 		t.Fatalf("first request: tier=%v err=%v", tier, err)
 	}
@@ -25,7 +26,7 @@ func TestDoorkeeperAdmitsOnSecondMiss(t *testing.T) {
 	}
 	// Second request: the window's plan is admitted and served as a hit,
 	// without computing again.
-	second, tier, err := c.GetTier(core.AlgoCombined, 700_000, fns)
+	second, tier, err := c.GetTier(core.AlgoCombined, 700_000, m)
 	if err != nil || tier != TierHit {
 		t.Fatalf("second request: tier=%v err=%v", tier, err)
 	}
@@ -37,7 +38,7 @@ func TestDoorkeeperAdmitsOnSecondMiss(t *testing.T) {
 		t.Fatalf("insert tap fired %d times, want 1", len(taps))
 	}
 	// Third request: an exact LRU hit.
-	third, tier, err := c.GetTier(core.AlgoCombined, 700_000, fns)
+	third, tier, err := c.GetTier(core.AlgoCombined, 700_000, m)
 	if err != nil || tier != TierHit {
 		t.Fatalf("third request: tier=%v err=%v", tier, err)
 	}
@@ -68,14 +69,15 @@ func sameResult(a, b core.Result) bool {
 func TestDoorkeeperStillRecordsWarmHints(t *testing.T) {
 	c := NewWithConfig(Config{Doorkeeper: true})
 	fns := testCluster(8, 22)
+	m := speed.NewModel(fns)
 	// One-shot sizes: never inserted, but their hints must still seed
 	// nearby misses.
 	for n := int64(1_000_000); n <= 8_000_000; n *= 2 {
-		if _, err := c.Get(core.AlgoCombined, n, fns); err != nil {
+		if _, err := c.Get(core.AlgoCombined, n, m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Get(core.AlgoCombined, 3_000_000, fns); err != nil {
+	if _, err := c.Get(core.AlgoCombined, 3_000_000, m); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -110,10 +112,11 @@ func TestDoorkeeperGenerationsRotate(t *testing.T) {
 func TestExportImportRoundTrip(t *testing.T) {
 	c := New(0)
 	fns := testCluster(10, 23)
+	m := speed.NewModel(fns)
 	sizes := []int64{200_000, 300_000, 400_000, 500_000}
 	want := make(map[int64]core.Result)
 	for _, n := range sizes {
-		res, err := c.Get(core.AlgoCombined, n, fns)
+		res, err := c.Get(core.AlgoCombined, n, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +135,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("imported %d plans, want %d", got, len(sizes))
 	}
 	for _, n := range sizes {
-		got, tier, err := fresh.GetTier(core.AlgoCombined, n, fns)
+		got, tier, err := fresh.GetTier(core.AlgoCombined, n, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +152,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 		}
 	}
 	// Imported hints must warm-start new sizes.
-	if _, err := fresh.Get(core.AlgoCombined, 350_000, fns); err != nil {
+	if _, err := fresh.Get(core.AlgoCombined, 350_000, m); err != nil {
 		t.Fatal(err)
 	}
 	if st := fresh.Stats(); st.WarmStarts == 0 {
@@ -178,6 +181,7 @@ func TestImportRejectsInvalidRecords(t *testing.T) {
 func TestInsertTapSeesAdmittedPlans(t *testing.T) {
 	c := New(0)
 	fns := testCluster(6, 24)
+	m := speed.NewModel(fns)
 	var mu sync.Mutex
 	var tapped []PlanRecord
 	c.SetInsertTap(func(r PlanRecord) {
@@ -185,17 +189,11 @@ func TestInsertTapSeesAdmittedPlans(t *testing.T) {
 		tapped = append(tapped, r)
 		mu.Unlock()
 	})
-	var invalidated []uint64
-	c.SetInvalidateTap(func(model uint64) {
-		mu.Lock()
-		invalidated = append(invalidated, model)
-		mu.Unlock()
-	})
-	res, err := c.Get(core.AlgoCombined, 600_000, fns)
+	res, err := c.Get(core.AlgoCombined, 600_000, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(core.AlgoCombined, 600_000, fns); err != nil { // hit: no tap
+	if _, err := c.Get(core.AlgoCombined, 600_000, m); err != nil { // hit: no tap
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -215,29 +213,19 @@ func TestInsertTapSeesAdmittedPlans(t *testing.T) {
 	}
 	// Mutating the tapped record must not corrupt the cache.
 	rec.Alloc[0] = -5
-	again, _ := c.Get(core.AlgoCombined, 600_000, fns)
+	again, _ := c.Get(core.AlgoCombined, 600_000, m)
 	if again.Alloc[0] != res.Alloc[0] {
 		t.Fatal("tap record aliases the cached plan")
 	}
 
-	c.Invalidate(fns)
-	mu.Lock()
-	if len(invalidated) != 1 || invalidated[0] != speed.Fingerprint(fns) {
-		mu.Unlock()
-		t.Fatalf("invalidate tap got %v", invalidated)
-	}
-	mu.Unlock()
-
-	// Removing the taps stops the callbacks.
+	// Removing the tap stops the callbacks.
 	c.SetInsertTap(nil)
-	c.SetInvalidateTap(nil)
-	if _, err := c.Get(core.AlgoCombined, 601_000, fns); err != nil {
+	if _, err := c.Get(core.AlgoCombined, 601_000, m); err != nil {
 		t.Fatal(err)
 	}
-	c.Invalidate(fns)
 	mu.Lock()
 	defer mu.Unlock()
-	if len(tapped) != 1 || len(invalidated) != 1 {
-		t.Fatalf("taps fired after removal: %d/%d", len(tapped), len(invalidated))
+	if len(tapped) != 1 {
+		t.Fatalf("tap fired after removal: %d", len(tapped))
 	}
 }

@@ -11,8 +11,9 @@ func TestReadOnlySuspendsAdmissionButNotCorrectness(t *testing.T) {
 	c := New(0)
 	c.SetReadOnly(true)
 	fns := testCluster(8, 41)
+	m := speed.NewModel(fns)
 
-	res, tier, err := c.GetTier(core.AlgoCombined, 1_000_000, fns)
+	res, tier, err := c.GetTier(core.AlgoCombined, 1_000_000, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func TestReadOnlySuspendsAdmissionButNotCorrectness(t *testing.T) {
 	}
 	// Nothing was admitted, no hint remembered: the same ask misses again
 	// and computes cold (no warm start).
-	_, tier2, err := c.GetTier(core.AlgoCombined, 1_000_000, fns)
+	_, tier2, err := c.GetTier(core.AlgoCombined, 1_000_000, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestReadOnlyTapsNeverFire(t *testing.T) {
 	c.SetInsertTap(func(PlanRecord) { taps++ })
 	c.SetReadOnly(true)
 	fns := testCluster(6, 42)
-	if _, err := c.Get(core.AlgoCombined, 2_000_000, fns); err != nil {
+	if _, err := c.Get(core.AlgoCombined, 2_000_000, speed.NewModel(fns)); err != nil {
 		t.Fatal(err)
 	}
 	if taps != 0 {
@@ -70,7 +71,7 @@ func TestReadOnlyImportStillWrites(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("Import admitted %d, want 1", n)
 	}
-	got, tier, err := c.GetTier(core.AlgoCombined, 3_000_000, fns)
+	got, tier, err := c.GetTier(core.AlgoCombined, 3_000_000, speed.NewModel(fns))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +92,9 @@ func TestReadOnlyImportStillWrites(t *testing.T) {
 
 func TestReplaceSwapsContentsSilently(t *testing.T) {
 	c := New(0)
-	var invalidations int
-	c.SetInvalidateTap(func(uint64) { invalidations++ })
 	fns := testCluster(8, 44)
-	if _, err := c.Get(core.AlgoCombined, 1_000_000, fns); err != nil {
+	m := speed.NewModel(fns)
+	if _, err := c.Get(core.AlgoCombined, 1_000_000, m); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().Size == 0 {
@@ -106,11 +106,8 @@ func TestReplaceSwapsContentsSilently(t *testing.T) {
 	if st := c.Stats(); st.Size != 0 {
 		t.Fatalf("Replace left %d entries", st.Size)
 	}
-	if invalidations != 0 {
-		t.Fatalf("Replace fired the invalidate tap %d times", invalidations)
-	}
 	// The warm index is gone too: the next miss computes cold.
-	if _, err := c.Get(core.AlgoCombined, 1_100_000, fns); err != nil {
+	if _, err := c.Get(core.AlgoCombined, 1_100_000, m); err != nil {
 		t.Fatal(err)
 	}
 	if ws := c.Stats().WarmStarts; ws != 0 {
@@ -124,7 +121,8 @@ func TestReplaceSwapsContentsSilently(t *testing.T) {
 // re-importing it would open a window in which that plan is gone.
 func TestReplaceNeverMissesResidentKey(t *testing.T) {
 	c := New(0)
-	const model = 0x5eed
+	m := speed.NewModel(testCluster(2, 45))
+	model := m.Fingerprint()
 	plans := make([]PlanRecord, 2000)
 	for i := range plans {
 		n := int64(1_000_000 + i)
@@ -149,7 +147,7 @@ func TestReplaceNeverMissesResidentKey(t *testing.T) {
 			default:
 			}
 			var ok bool
-			dst, _, ok = c.PeekInto(dst[:0], model, probe.Algo, probe.N)
+			dst, _, ok = c.PeekInto(dst[:0], m, probe.Algo, probe.N)
 			probes++
 			if !ok {
 				misses++

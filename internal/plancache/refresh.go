@@ -77,8 +77,8 @@ func planSurvives(alloc core.Allocation, changed []int, oldFns, newFns []speed.F
 	return true
 }
 
-// Refresh migrates the cache across an in-place model refresh from oldFns
-// to newFns (same processor count, typically one changed function). Plans
+// Refresh migrates the cache across an in-place model refresh from old to
+// new (same processor count, typically one changed function). Plans
 // that provably cannot change (SurvivesProc at every changed index) are
 // re-keyed to the new fingerprint and kept; the rest are dropped, and
 // their slopes — plus the model's whole warm-hint index — carry over to
@@ -87,18 +87,20 @@ func planSurvives(alloc core.Allocation, changed []int, oldFns, newFns []speed.F
 // admission windows are dropped, uncounted. Returns how many plans were
 // kept and dropped.
 //
-// Refresh works in read-only mode: like Import and Invalidate it IS the
-// write path while a replica mirrors its primary's delta records. It never
-// fires the insert tap — the store logs the delta record itself and
-// applies the same survival rule, so the WAL stays O(one processor) per
-// refresh instead of O(surviving plans).
-func (c *Cache) Refresh(oldFns, newFns []speed.Function) (kept, dropped int) {
-	oldFP := speed.Fingerprint(oldFns)
-	newFP := speed.Fingerprint(newFns)
+// The changed processors come from the handles' per-processor
+// fingerprints, so a refresh hashes nothing.
+//
+// Refresh works in read-only mode: like Import and InvalidateFingerprint
+// it IS the write path while a replica mirrors its primary's delta
+// records. It never fires the insert tap — the store logs the delta record
+// itself and applies the same survival rule, so the WAL stays O(one
+// processor) per refresh instead of O(surviving plans).
+func (c *Cache) Refresh(old, new *speed.Model) (kept, dropped int) {
+	oldFP, newFP := old.Fingerprint(), new.Fingerprint()
 	if oldFP == newFP {
 		return 0, 0
 	}
-	changed, ok := speed.Diff(oldFns, newFns)
+	changed, ok := speed.Diff(old, new)
 	if !ok {
 		// Processor count changed: no allocation can carry over.
 		return 0, c.InvalidateFingerprint(oldFP)
@@ -116,7 +118,7 @@ func (c *Cache) Refresh(oldFns, newFns []speed.Function) (kept, dropped int) {
 			}
 			sh.unlink(e)
 			delete(sh.entries, k)
-			if planSurvives(e.res.Alloc, changed, oldFns, newFns) {
+			if planSurvives(e.res.Alloc, changed, old.Fns(), new.Fns()) {
 				moved = append(moved, e)
 			} else {
 				if k.n > 0 && e.res.Slope > 0 {

@@ -35,14 +35,16 @@ func driftProc(fns []speed.Function, proc int) []speed.Function {
 
 func TestDeltaRefreshSelectiveSurvival(t *testing.T) {
 	fns := refreshCluster(8)
+	m := speed.NewModel(fns)
 	const proc = 3
 	newFns := driftProc(fns, proc)
+	mNew := speed.NewModel(newFns)
 	sizes := []int64{40_000, 200_000, 1_000_000, 3_000_000, 900_000_000, 2_500_000_000, 6_000_000_000}
 
 	c := New(0)
 	allocs := make(map[int64]core.Allocation, len(sizes))
 	for _, n := range sizes {
-		res, err := c.Get(core.AlgoCombined, n, fns)
+		res, err := c.Get(core.AlgoCombined, n, m)
 		if err != nil {
 			t.Fatalf("populate n=%d: %v", n, err)
 		}
@@ -61,7 +63,7 @@ func TestDeltaRefreshSelectiveSurvival(t *testing.T) {
 		t.Fatalf("degenerate drift scenario: %d/%d survive", nSurvive, len(sizes))
 	}
 
-	kept, dropped := c.Refresh(fns, newFns)
+	kept, dropped := c.Refresh(m, mNew)
 	if kept != nSurvive || kept+dropped != len(sizes) {
 		t.Fatalf("Refresh kept=%d dropped=%d, want kept=%d dropped=%d", kept, dropped, nSurvive, len(sizes)-nSurvive)
 	}
@@ -77,7 +79,7 @@ func TestDeltaRefreshSelectiveSurvival(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cold Combined(n=%d, new): %v", n, err)
 		}
-		res, tier, err := c.GetTier(core.AlgoCombined, n, newFns)
+		res, tier, err := c.GetTier(core.AlgoCombined, n, mNew)
 		if err != nil {
 			t.Fatalf("Get(n=%d, new): %v", n, err)
 		}
@@ -94,43 +96,45 @@ func TestDeltaRefreshSelectiveSurvival(t *testing.T) {
 		}
 	}
 	// The old model's entries are gone.
-	if _, tier, err := c.GetTier(core.AlgoCombined, sizes[0], fns); err != nil || tier != TierMiss {
+	if _, tier, err := c.GetTier(core.AlgoCombined, sizes[0], m); err != nil || tier != TierMiss {
 		t.Fatalf("old model still cached after refresh (tier %d, err %v)", tier, err)
 	}
 }
 
 func TestDeltaRefreshLengthChangeInvalidatesAll(t *testing.T) {
 	fns := refreshCluster(6)
+	m := speed.NewModel(fns)
 	sizes := []int64{100_000, 1_000_000}
 	c := New(0)
 	for _, n := range sizes {
-		if _, err := c.Get(core.AlgoCombined, n, fns); err != nil {
+		if _, err := c.Get(core.AlgoCombined, n, m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	kept, dropped := c.Refresh(fns, refreshCluster(7))
+	kept, dropped := c.Refresh(m, speed.NewModel(refreshCluster(7)))
 	if kept != 0 || dropped != len(sizes) {
 		t.Fatalf("length change: kept=%d dropped=%d, want 0/%d", kept, dropped, len(sizes))
 	}
-	if _, tier, _ := c.GetTier(core.AlgoCombined, sizes[0], fns); tier != TierMiss {
+	if _, tier, _ := c.GetTier(core.AlgoCombined, sizes[0], m); tier != TierMiss {
 		t.Fatalf("old entries survived a processor-count change")
 	}
 }
 
 func TestDeltaRefreshNoChange(t *testing.T) {
 	fns := refreshCluster(5)
+	m := speed.NewModel(fns)
 	c := New(0)
-	if _, err := c.Get(core.AlgoCombined, 1_000_000, fns); err != nil {
+	if _, err := c.Get(core.AlgoCombined, 1_000_000, m); err != nil {
 		t.Fatal(err)
 	}
 	same := append([]speed.Function(nil), fns...)
-	if kept, dropped := c.Refresh(fns, same); kept != 0 || dropped != 0 {
+	if kept, dropped := c.Refresh(m, speed.NewModel(same)); kept != 0 || dropped != 0 {
 		t.Fatalf("identical model refresh moved plans: kept=%d dropped=%d", kept, dropped)
 	}
 	if st := c.Stats(); st.Refreshes != 0 {
 		t.Fatalf("no-op refresh counted: %+v", st)
 	}
-	if _, tier, _ := c.GetTier(core.AlgoCombined, 1_000_000, fns); tier != TierHit {
+	if _, tier, _ := c.GetTier(core.AlgoCombined, 1_000_000, m); tier != TierHit {
 		t.Fatal("entry lost by no-op refresh")
 	}
 }
@@ -139,24 +143,26 @@ func TestDeltaRefreshNoChange(t *testing.T) {
 // part of the replication write path (like Import) and must still migrate.
 func TestDeltaRefreshReadOnly(t *testing.T) {
 	fns := refreshCluster(8)
+	m := speed.NewModel(fns)
 	const proc = 3
 	newFns := driftProc(fns, proc)
+	mNew := speed.NewModel(newFns)
 	sizes := []int64{40_000, 200_000, 6_000_000_000}
 
 	c := New(0)
 	for _, n := range sizes {
-		if _, err := c.Get(core.AlgoCombined, n, fns); err != nil {
+		if _, err := c.Get(core.AlgoCombined, n, m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.SetReadOnly(true)
-	kept, dropped := c.Refresh(fns, newFns)
+	kept, dropped := c.Refresh(m, mNew)
 	if kept == 0 || kept+dropped != len(sizes) {
 		t.Fatalf("read-only refresh: kept=%d dropped=%d over %d plans", kept, dropped, len(sizes))
 	}
 	// A surviving plan serves as a hit under the new fingerprint even
 	// though the cache admits nothing new.
-	if _, tier, err := c.GetTier(core.AlgoCombined, 40_000, newFns); err != nil || tier != TierHit {
+	if _, tier, err := c.GetTier(core.AlgoCombined, 40_000, mNew); err != nil || tier != TierHit {
 		t.Fatalf("survivor not served from read-only cache: tier=%d err=%v", tier, err)
 	}
 }
@@ -194,18 +200,18 @@ func FuzzDeltaRefreshBitIdentical(f *testing.F) {
 
 		c := New(0)
 		for _, n := range []int64{n1, n2} {
-			if _, err := c.Get(core.AlgoCombined, n, fns); err != nil {
+			if _, err := c.Get(core.AlgoCombined, n, speed.NewModel(fns)); err != nil {
 				t.Skip() // degenerate random model
 			}
 		}
-		c.Refresh(fns, newFns)
+		c.Refresh(speed.NewModel(fns), speed.NewModel(newFns))
 		for pass := 0; pass < 2; pass++ {
 			for _, n := range []int64{n1, n2} {
 				cold, err := core.Combined(n, newFns)
 				if err != nil {
 					t.Skip()
 				}
-				res, err := c.Get(core.AlgoCombined, n, newFns)
+				res, err := c.Get(core.AlgoCombined, n, speed.NewModel(newFns))
 				if err != nil {
 					t.Fatalf("Get after refresh failed where cold succeeded: %v", err)
 				}

@@ -14,7 +14,7 @@ import (
 // at the wanted tier.
 func askTier(t *testing.T, c *Cache, n int64, fns []speed.Function, want Tier) core.Result {
 	t.Helper()
-	res, tier, err := c.GetTier(core.AlgoCombined, n, fns)
+	res, tier, err := c.GetTier(core.AlgoCombined, n, speed.NewModel(fns))
 	if err != nil {
 		t.Fatalf("n=%d: %v", n, err)
 	}
@@ -39,7 +39,7 @@ func TestWindowDroppedByInvalidateAndRefresh(t *testing.T) {
 	drifted := append([]speed.Function(nil), fns...)
 	drifted[3] = testCluster(8, 32)[3]
 	askTier(t, c, 900_000, fns, TierMiss)
-	c.Refresh(fns, drifted)
+	c.Refresh(speed.NewModel(fns), speed.NewModel(drifted))
 	askTier(t, c, 900_000, fns, TierMiss)
 }
 
@@ -78,7 +78,8 @@ func TestWindowNeverEvictsResidents(t *testing.T) {
 	// Eight plans per shard, four window slots per shard.
 	c := NewWithConfig(Config{Capacity: numShards * 8, Doorkeeper: true})
 	fns := testCluster(6, 34)
-	fp := speed.Fingerprint(fns)
+	m := speed.NewModel(fns)
+	fp := m.Fingerprint()
 	sh := &c.shards[0]
 	slots := len(sh.win.slots)
 	// Sizes whose plans all live in shard 0.
@@ -100,7 +101,7 @@ func TestWindowNeverEvictsResidents(t *testing.T) {
 		t.Fatalf("one-shot sizes displaced residents: %+v", st)
 	}
 	for _, n := range residents {
-		if _, _, ok := c.PeekInto(nil, fp, core.AlgoCombined, n); !ok {
+		if _, _, ok := c.PeekInto(nil, m, core.AlgoCombined, n); !ok {
 			t.Fatalf("resident n=%d evicted", n)
 		}
 	}
@@ -146,7 +147,7 @@ func TestWindowConcurrentSecondAsksAdmitOnce(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			results[g], tiers[g], _ = c.GetTier(core.AlgoCombined, 1_200_000, fns)
+			results[g], tiers[g], _ = c.GetTier(core.AlgoCombined, 1_200_000, speed.NewModel(fns))
 		}(g)
 	}
 	close(start)
@@ -203,8 +204,10 @@ func TestSharedAnswersSurviveCallerMutation(t *testing.T) {
 	for i, f := range fns {
 		gated[i] = gatedFn{Function: f, g: g}
 	}
-	fp := speed.Fingerprint(fns)
-	k := key{model: fp, n: n, algo: core.AlgoCombined, opts: core.OptionsKey()}
+	// The handle hashes the gated functions' Eval probes: build it before
+	// the gate is armed.
+	m := speed.NewModel(gated)
+	k := key{model: m.Fingerprint(), n: n, algo: core.AlgoCombined, opts: core.OptionsKey()}
 	sh := &c.shards[k.hash()&(numShards-1)]
 	g.armed.Store(true)
 
@@ -217,7 +220,7 @@ func TestSharedAnswersSurviveCallerMutation(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], tiers[i], errs[i] = c.GetTierFP(fp, core.AlgoCombined, n, gated)
+			results[i], tiers[i], errs[i] = c.GetTier(core.AlgoCombined, n, m)
 			if errs[i] == nil && tiers[i] == TierMiss {
 				computed := copyResult(results[i])
 				for j := range results[i].Alloc {

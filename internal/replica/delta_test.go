@@ -43,10 +43,11 @@ func TestFollowerMirrorsDeltaStream(t *testing.T) {
 	// computed and keyed under the refreshed model.
 	newFns := append([]speed.Function(nil), p.fns...)
 	newFns[2] = slowerCopy(t, p.fns[2])
-	oldFP, fp1, err := p.prim.RefreshProcessor("cluster", 2, newFns[2])
+	old, m1, err := p.prim.RefreshProcessor("cluster", 2, newFns[2])
 	if err != nil {
 		t.Fatal(err)
 	}
+	oldFP, fp1 := old.Fingerprint(), m1.Fingerprint()
 	if oldFP != p.fp || fp1 == p.fp {
 		t.Fatalf("refresh fingerprints: old=%x new=%x seed=%x", oldFP, fp1, p.fp)
 	}
@@ -55,29 +56,35 @@ func TestFollowerMirrorsDeltaStream(t *testing.T) {
 	// Second delta in the same live stream, different processor.
 	newFns2 := append([]speed.Function(nil), newFns...)
 	newFns2[0] = slowerCopy(t, newFns[0])
-	_, fp2, err := p.prim.RefreshProcessor("cluster", 0, newFns2[0])
+	_, m2, err := p.prim.RefreshProcessor("cluster", 0, newFns2[0])
 	if err != nil {
 		t.Fatal(err)
 	}
+	fp2 := m2.Fingerprint()
 	appendPlans(t, p.prim, fp2, newFns2, 6e6)
 
 	waitFor(t, "delta stream to mirror", func() bool {
-		got, ok := p.fst.ModelByLabel("cluster")
-		return ok && got == fp2 && p.converged()
+		got, ok := p.fst.ModelByLabel([]byte("cluster"))
+		return ok && got.Fingerprint() == fp2 && p.converged()
 	})
 	st := p.fst.Stats()
 	if st.Refreshes != 2 || st.QuarantinedRecords != 0 {
 		t.Fatalf("follower store after delta stream: %+v", st)
 	}
-	fns, ok := p.fst.Model(fp2)
-	if !ok || speed.Fingerprint(fns) != fp2 {
+	m, ok := p.fst.Model(fp2)
+	if !ok || speed.Fingerprint(m.Fns()) != fp2 {
 		t.Fatalf("follower model does not reproduce fingerprint %x", fp2)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(deltas) != 2 || deltas[0].Proc != 2 || deltas[0].OldFP != p.fp || deltas[0].NewFP != fp1 ||
-		deltas[1].Proc != 0 || deltas[1].NewFP != fp2 {
+	if len(deltas) != 2 || deltas[0].Old.Fingerprint() != p.fp || deltas[0].New.Fingerprint() != fp1 ||
+		deltas[1].New.Fingerprint() != fp2 {
 		t.Fatalf("OnApply deltas: %+v", deltas)
+	}
+	for i, want := range []int{2, 0} {
+		if changed, ok := speed.Diff(deltas[i].Old, deltas[i].New); !ok || len(changed) != 1 || changed[0] != want {
+			t.Fatalf("OnApply delta %d changes processors %v (ok=%v), want [%d]", i, changed, ok, want)
+		}
 	}
 }
 
@@ -89,7 +96,9 @@ func syncedManualPair(t *testing.T) (prim, fst *store.Store, fns []speed.Functio
 	prim = mustOpen(t, t.TempDir(), store.Options{})
 	fns = testModel(5, 21)
 	var err error
-	fp, _, err = prim.PutModel("cluster", fns)
+	m := speed.NewModel(fns)
+	fp = m.Fingerprint()
+	_, err = prim.PutModel("cluster", m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +126,8 @@ func refreshChunk(t *testing.T, prim *store.Store, fns []speed.Function, confirm
 	t.Helper()
 	newFns := append([]speed.Function(nil), fns...)
 	newFns[1] = slowerCopy(t, fns[1])
-	_, newFP, err := prim.RefreshProcessor("cluster", 1, newFns[1])
+	_, refreshed, err := prim.RefreshProcessor("cluster", 1, newFns[1])
+	newFP := refreshed.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +163,8 @@ func TestIngestQuarantinesLyingDelta(t *testing.T) {
 	if rep.Quarantined == 0 || len(rep.Deltas) != 0 {
 		t.Fatalf("lying delta applied: %+v", rep)
 	}
-	if got, _ := fst.ModelByLabel("cluster"); got != fp {
-		t.Fatalf("label moved to %x on a quarantined delta", got)
+	if got, _ := fst.ModelByLabel([]byte("cluster")); got.Fingerprint() != fp {
+		t.Fatalf("label moved to %x on a quarantined delta", got.Fingerprint())
 	}
 
 	// The honest bytes re-sent (a resync) converge the pair bit-identically;
@@ -162,8 +172,8 @@ func TestIngestQuarantinesLyingDelta(t *testing.T) {
 	if _, err := fst.IngestChunk(1, chunk); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := fst.ModelByLabel("cluster"); got != newFP {
-		t.Fatalf("follower label %x after honest delta, want %x", got, newFP)
+	if got, _ := fst.ModelByLabel([]byte("cluster")); got.Fingerprint() != newFP {
+		t.Fatalf("follower label %x after honest delta, want %x", got.Fingerprint(), newFP)
 	}
 	if planDigest(prim.Plans()) != planDigest(fst.Plans()) {
 		t.Fatal("follower diverged after lying-then-honest delta stream")
@@ -199,8 +209,8 @@ func TestIngestRecoversTornDeltaTail(t *testing.T) {
 	if len(rep.Deltas) != 1 || rep.Quarantined != 0 {
 		t.Fatalf("resent chunk: %+v", rep)
 	}
-	if got, _ := fst.ModelByLabel("cluster"); got != newFP {
-		t.Fatalf("follower label %x after resend, want %x", got, newFP)
+	if got, _ := fst.ModelByLabel([]byte("cluster")); got.Fingerprint() != newFP {
+		t.Fatalf("follower label %x after resend, want %x", got.Fingerprint(), newFP)
 	}
 	if planDigest(prim.Plans()) != planDigest(fst.Plans()) {
 		t.Fatal("follower diverged after torn-tail recovery")

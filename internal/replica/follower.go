@@ -38,7 +38,7 @@ type Config struct {
 	MaxChunk int
 
 	// OnReset is called after a snapshot handoff replaced the store's
-	// state; the receiver must rebuild any live mirror (cache, registry)
+	// state; the receiver must rebuild any live mirror (its plan cache)
 	// from scratch.
 	OnReset func(store.Replicated)
 	// OnApply is called after each ingested chunk with what it installed,

@@ -79,8 +79,9 @@ func newPair(t *testing.T, seed uint32, base string, fcfg Config) *pair {
 	p := &pair{}
 	p.prim = mustOpen(t, t.TempDir(), store.Options{})
 	p.fns = testModel(5, seed)
-	var err error
-	p.fp, _, err = p.prim.PutModel("cluster", p.fns)
+	m := speed.NewModel(p.fns)
+	p.fp = m.Fingerprint()
+	_, err := p.prim.PutModel("cluster", m)
 	if err != nil {
 		t.Fatal(err)
 	}

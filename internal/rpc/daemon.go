@@ -21,8 +21,11 @@
 //
 // Wiring: the plan cache's insert tap appends every admitted plan to the
 // store's WAL before the response leaves the process, so any answered
-// request is recoverable; the invalidate tap logs drift invalidations; the
-// store's hint source pulls the cache's warm index into every snapshot.
+// request is recoverable; the store's hint source pulls the cache's warm
+// index into every snapshot. Requests resolve their model in the store's
+// catalog, the only model table: a model upload or delta refresh goes to
+// the store first, and the cache then acts on the handles the store
+// returns (DESIGN §9).
 // With -replica-of the daemon instead starts as a read-only follower of
 // another hetpartd: it bootstraps from a snapshot handoff, streams the
 // primary's WAL frames into its own store through the validated-replay
@@ -57,7 +60,6 @@ import (
 	"heteropart/internal/plancache"
 	"heteropart/internal/replica"
 	"heteropart/internal/serve"
-	"heteropart/internal/speed"
 	"heteropart/internal/store"
 	"heteropart/internal/watch"
 )
@@ -174,7 +176,7 @@ type Daemon struct {
 	// demoting is true during the sealed window of a planned handover.
 	demoting  atomic.Bool
 	handovers atomic.Int64
-	// walAppendFailures counts the WAL appends the persistence taps could
+	// walAppendFailures counts the WAL appends the insert tap could
 	// not make (see installPrimaryTaps).
 	walAppendFailures atomic.Uint64
 
@@ -188,16 +190,6 @@ type Daemon struct {
 	// primary is true when this daemon accepts writes (born primary, or
 	// promoted).
 	primary atomic.Bool
-
-	// registry mirrors the store's models for lock-cheap request-time
-	// lookup by label or fingerprint. byName holds every model under its
-	// canonical tenant-qualified label, plus a bare-name alias for
-	// default-tenant models so pre-tenancy clients resolve without
-	// allocating (aliases have no '/', so they cannot collide with a
-	// canonical "tenant/model" key).
-	regMu  sync.RWMutex
-	byFP   map[uint64][]speed.Function
-	byName map[string]uint64
 
 	// tenancy is the per-tenant stats registry + optional quota
 	// controller; always non-nil.
@@ -253,8 +245,6 @@ func newShell(cfg Config) (*Daemon, error) {
 	d := &Daemon{
 		cfg:     cfg,
 		id:      cfg.ID,
-		byFP:    make(map[uint64][]speed.Function),
-		byName:  make(map[string]uint64),
 		tenancy: fabric.NewTenancy(cfg.TenantQPS, cfg.TenantBurst),
 		start:   time.Now(),
 	}
@@ -296,7 +286,6 @@ func (d *Daemon) boot() error {
 	d.cache = cache
 	d.engine = serve.New(serve.Config{Cache: cache, MaxBatch: cfg.MaxBatch, QueueDepth: cfg.QueueDepth})
 	d.shipper = replica.NewShipper(st, 0)
-	d.rebuildRegistry()
 
 	if cfg.ReplicaOf == "" {
 		d.installPrimaryTaps()
@@ -368,8 +357,9 @@ func (d *Daemon) newWatcher(primary string) (*watch.Detector, error) {
 }
 
 // installPrimaryTaps wires the cache→store persistence path a writable
-// daemon needs: admitted plans and drift invalidations reach the WAL
-// before the response leaves, and snapshots fold the warm index in.
+// daemon needs: admitted plans reach the WAL before the response leaves,
+// and snapshots fold the warm index in. Invalidations need no tap: the
+// store logs one when a model upload replaces a label's model.
 // Plan inserts go through a group-commit Committer so concurrent cache
 // misses share one store lock acquisition and one kernel write. A failed
 // append (a store sealed by Demote between its SetReadOnly and Seal, a
@@ -383,116 +373,51 @@ func (d *Daemon) installPrimaryTaps() {
 			d.walAppendFailures.Add(1)
 		}
 	})
-	cache.SetInvalidateTap(func(model uint64) {
-		if st.AppendInvalidate(model) != nil {
-			d.walAppendFailures.Add(1)
-		}
-	})
 	st.SetHintSource(func() []plancache.HintRecord {
 		_, hints := cache.Export()
 		return hints
 	})
 }
 
-// rebuildRegistry reloads the label/fingerprint mirror from the store.
-func (d *Daemon) rebuildRegistry() {
-	d.regMu.Lock()
-	defer d.regMu.Unlock()
-	d.byFP = make(map[uint64][]speed.Function)
-	d.byName = make(map[string]uint64)
-	for _, mi := range d.store.Models() {
-		if fns, ok := d.store.Model(mi.Fingerprint); ok {
-			d.byFP[mi.Fingerprint] = fns
-			d.regSetLocked(mi.Label, mi.Fingerprint)
-		}
-	}
-}
-
-// regSetLocked maps a canonical label to its fingerprint, and — for
-// default-tenant models — also the bare model name, so untenanted request
-// spellings resolve without a canonicalizing allocation on the hot path.
-// Callers hold regMu.
-func (d *Daemon) regSetLocked(label string, fp uint64) {
-	d.byName[label] = fp
-	if tenant, model, ok := fabric.SplitLabel(label); ok && tenant == fabric.DefaultTenant {
-		d.byName[model] = fp
-	}
-}
-
-// mirrorReset rebuilds the live mirror (registry + cache) from the store
-// after a snapshot handoff replaced its state wholesale. The cache swaps
-// its contents in one step per shard, so a plan the handoff kept never
-// misses while the mirror is rebuilt.
+// mirrorReset rebuilds the live cache from the store after a snapshot
+// handoff replaced its state wholesale. The cache swaps its contents in
+// one step per shard, so a plan the handoff kept never misses while the
+// mirror is rebuilt. Models need no mirror: requests resolve them in the
+// store's catalog.
 func (d *Daemon) mirrorReset() {
-	d.rebuildRegistry()
 	d.cache.Replace(d.store.Plans(), d.store.Hints())
 }
 
-// mirrorApply folds one ingested chunk into the live mirror: models join
-// the registry, delta refreshes migrate it (and the cache) the same way
-// the primary's did, plans and hints are imported (Import bypasses
-// read-only admission — it IS the replication write path), invalidations
-// drop the same entries the primary dropped.
+// mirrorApply folds one ingested chunk into the live cache: delta
+// refreshes migrate it the same way the primary's did, plans and hints are
+// imported (Import bypasses read-only admission — it IS the replication
+// write path), invalidations drop the same entries the primary dropped.
 //
 // Replicated flattens a chunk by record type, so the interleaving of plans
 // and deltas inside one chunk is lost here (the store replayed them in
 // true order). When a chunk carries deltas, plans keyed under a
-// fingerprint the deltas retired are skipped rather than imported under a
-// dead model; a later request for such a plan misses and recomputes
-// bit-identically, so this loses warmth, never correctness.
+// fingerprint the store no longer holds are skipped rather than imported
+// under a dead model; a later request for such a plan misses and
+// recomputes bit-identically, so this loses warmth, never correctness.
 func (d *Daemon) mirrorApply(rep store.Replicated) {
-	if len(rep.Models) > 0 {
-		d.regMu.Lock()
-		for _, m := range rep.Models {
-			if old, ok := d.byName[m.Label]; ok && old != m.Fingerprint {
-				delete(d.byFP, old)
-			}
-			d.byFP[m.Fingerprint] = m.Fns
-			d.regSetLocked(m.Label, m.Fingerprint)
-		}
-		d.regMu.Unlock()
-	}
 	for _, del := range rep.Deltas {
-		d.regMu.Lock()
-		oldFns := d.byFP[del.OldFP]
-		var newFns []speed.Function
-		if del.Proc >= 0 && del.Proc < len(oldFns) {
-			newFns = append([]speed.Function(nil), oldFns...)
-			newFns[del.Proc] = del.Fn
-			delete(d.byFP, del.OldFP)
-			d.byFP[del.NewFP] = newFns
-			for label, fp := range d.byName {
-				if fp == del.OldFP {
-					d.byName[label] = del.NewFP
-				}
-			}
-		}
-		d.regMu.Unlock()
-		if newFns != nil {
-			d.cache.Refresh(oldFns, newFns)
-		} else {
-			// The registry never saw this model (e.g. it predates a handoff
-			// race); drop whatever the cache holds under it.
-			d.cache.InvalidateFingerprint(del.OldFP)
-		}
+		d.cache.Refresh(del.Old, del.New)
 	}
 	if len(rep.Plans) > 0 || len(rep.Hints) > 0 {
 		plans, hints := rep.Plans, rep.Hints
 		if len(rep.Deltas) > 0 {
-			d.regMu.RLock()
 			keep := plans[:0:0]
 			for _, p := range plans {
-				if _, ok := d.byFP[p.Model]; ok {
+				if _, ok := d.store.Model(p.Model); ok {
 					keep = append(keep, p)
 				}
 			}
 			keepH := hints[:0:0]
 			for _, h := range hints {
-				if _, ok := d.byFP[h.Model]; ok {
+				if _, ok := d.store.Model(h.Model); ok {
 					keepH = append(keepH, h)
 				}
 			}
-			d.regMu.RUnlock()
 			plans, hints = keep, keepH
 		}
 		for _, p := range plans {
@@ -773,7 +698,6 @@ func (d *Daemon) Demote(successor string, timeout time.Duration) (uint64, error)
 	// store's frames would be fenced anyway. Flip to follower; the first
 	// chunk ingested under the successor's epoch clears the seal.
 	d.cache.SetInsertTap(nil)
-	d.cache.SetInvalidateTap(nil)
 	d.store.SetHintSource(nil)
 	d.primary.Store(false)
 	d.upstream.Store(successor)

@@ -190,9 +190,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// Fingerprint addressing works too.
-	byFP := []byte(fmt.Sprintf(`{"model":"%s","n":%d}`, fpString(speed.Fingerprint(fns)), n))
+	viaHex := []byte(fmt.Sprintf(`{"model":"%s","n":%d}`, fpString(speed.Fingerprint(fns)), n))
 	var viaFP partitionReply
-	if code := postJSON(t, base+"/v1/partition", byFP, &viaFP); code != 200 || viaFP.Tier != "hit" {
+	if code := postJSON(t, base+"/v1/partition", viaHex, &viaFP); code != 200 || viaFP.Tier != "hit" {
 		t.Fatalf("by fingerprint: HTTP %d, tier %s", code, viaFP.Tier)
 	}
 
@@ -355,12 +355,18 @@ func TestDaemonModelRefreshInvalidates(t *testing.T) {
 	postJSON(t, base+"/v1/partition", ask, &r1)
 	postJSON(t, base+"/v1/partition", ask, &r2) // admitted
 
+	// A replacing upload logs exactly two records: the model and the old
+	// model's invalidation.
+	walBefore := d.Store().Stats().WALRecords
 	var up modelReply
 	if code := postJSON(t, base+"/v1/models?label=lab", docB, &up); code != 200 || !up.Replaced {
 		t.Fatalf("refresh: HTTP %d %+v", code, up)
 	}
 	if up.Invalidated == 0 {
 		t.Fatalf("refresh invalidated no plans: %+v", up)
+	}
+	if got := d.Store().Stats().WALRecords - walBefore; got != 2 {
+		t.Fatalf("replacing upload appended %d WAL records, want 2 (model + invalidation)", got)
 	}
 	// The label now serves the new model from scratch.
 	var r3 partitionReply

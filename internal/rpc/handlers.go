@@ -227,8 +227,8 @@ type statsReply struct {
 	Replication replicationStats                 `json:"replication"`
 	Tenants     map[string]fabric.TenantSnapshot `json:"tenants,omitempty"`
 	Fabric      *fabric.Status                   `json:"fabric,omitempty"`
-	// WALAppendFailures counts admitted plans and invalidations the WAL
-	// refused: served from the cache, but lost at the next restart.
+	// WALAppendFailures counts admitted plans the WAL refused: served
+	// from the cache, but lost at the next restart.
 	WALAppendFailures uint64 `json:"walAppendFailures"`
 }
 
@@ -264,9 +264,7 @@ type engineStats struct {
 
 func (d *Daemon) handleStats(w http.ResponseWriter, r *http.Request) {
 	m := d.engine.Metrics()
-	d.regMu.RLock()
-	models := len(d.byFP)
-	d.regMu.RUnlock()
+	st := d.store.Stats()
 	writeJSON(w, statsReply{
 		Uptime: time.Since(d.start).String(),
 		Engine: engineStats{
@@ -279,8 +277,8 @@ func (d *Daemon) handleStats(w http.ResponseWriter, r *http.Request) {
 			ByAlgo:       m.ByAlgo,
 		},
 		Cache:  m.Cache,
-		Store:  d.store.Stats(),
-		Models: models,
+		Store:  st,
+		Models: st.Models,
 		Replication: func() replicationStats {
 			rs := replicationStats{
 				ID:        d.id,
@@ -328,22 +326,10 @@ func fpString(fp uint64) string { return fmt.Sprintf("%016x", fp) }
 func (d *Daemon) handleModels(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		d.regMu.RLock()
-		out := make([]modelReply, 0, len(d.byName))
-		for label, fp := range d.byName {
-			// byName also carries bare-name aliases for default-tenant
-			// models (no '/'); list each model once, canonically.
-			if _, _, ok := fabric.SplitLabel(label); !ok {
-				continue
-			}
-			out = append(out, modelReply{Label: label, Fingerprint: fpString(fp), Processors: len(d.byFP[fp])})
-		}
-		d.regMu.RUnlock()
-		// Stable order for scripts and tests.
-		for i := 1; i < len(out); i++ {
-			for j := i; j > 0 && out[j].Label < out[j-1].Label; j-- {
-				out[j], out[j-1] = out[j-1], out[j]
-			}
+		models := d.store.Models()
+		out := make([]modelReply, len(models))
+		for i, mi := range models {
+			out[i] = modelReply{Label: mi.Label, Fingerprint: fpString(mi.Fingerprint), Processors: mi.Processors}
 		}
 		writeJSON(w, out)
 	case http.MethodPost:
@@ -391,28 +377,21 @@ func (d *Daemon) handleModelUpload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	old, hadOld := d.store.ModelByLabel(label)
-	fp, replaced, err := d.store.PutModel(label, fns)
+	m := speed.NewModel(fns)
+	old, err := d.store.PutModel(label, m)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	var invalidated int
-	if replaced && hadOld {
-		// Dropping the cache entries fires the invalidate tap, which logs
-		// the drift to the WAL as well.
-		invalidated = d.cache.InvalidateFingerprint(old)
+	if old != nil {
+		// The store logged the invalidation and dropped its own copies;
+		// drop the cache's.
+		invalidated = d.cache.InvalidateFingerprint(old.Fingerprint())
 	}
-	d.regMu.Lock()
-	if replaced && hadOld {
-		delete(d.byFP, old)
-	}
-	d.byFP[fp] = fns
-	d.regSetLocked(label, fp)
-	d.regMu.Unlock()
 	writeJSON(w, modelReply{
-		Label: label, Fingerprint: fpString(fp), Processors: len(fns),
-		Replaced: replaced, Invalidated: invalidated,
+		Label: label, Fingerprint: fpString(m.Fingerprint()), Processors: len(m.Fns()),
+		Replaced: old != nil, Invalidated: invalidated,
 	})
 }
 
@@ -508,42 +487,26 @@ func (d *Daemon) handleModelRefresh(w http.ResponseWriter, r *http.Request, labe
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	fn := fns1[0]
-
-	oldFP, okLabel := d.store.ModelByLabel(label)
-	if !okLabel {
+	proc := *req.Proc
+	old, refreshed, err := d.store.RefreshProcessor(label, proc, fns1[0])
+	switch {
+	case errors.Is(err, store.ErrUnknownLabel):
 		httpError(w, http.StatusNotFound, "unknown model %q (upload it via /v1/models)", label)
 		return
-	}
-	d.regMu.RLock()
-	oldFns := d.byFP[oldFP]
-	d.regMu.RUnlock()
-	proc := *req.Proc
-	if proc < 0 || proc >= len(oldFns) {
-		httpError(w, http.StatusBadRequest, "proc %d out of range for model %q with %d processors", proc, label, len(oldFns))
+	case errors.Is(err, store.ErrProcOutOfRange):
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	oldFP, newFP, err := d.store.RefreshProcessor(label, proc, fn)
-	if err != nil {
-		// Label and index were validated above; what remains is an
-		// encode/append failure.
+	case err != nil:
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	reply := refreshReply{
 		Label: label, Proc: proc,
-		Fingerprint: fpString(newFP), OldFingerprint: fpString(oldFP),
-		Changed: newFP != oldFP,
+		Fingerprint: fpString(refreshed.Fingerprint()), OldFingerprint: fpString(old.Fingerprint()),
+		Changed: refreshed.Fingerprint() != old.Fingerprint(),
 	}
 	if reply.Changed {
-		newFns := append([]speed.Function(nil), oldFns...)
-		newFns[proc] = fn
-		reply.KeptPlans, reply.DroppedPlans = d.cache.Refresh(oldFns, newFns)
-		d.regMu.Lock()
-		delete(d.byFP, oldFP)
-		d.byFP[newFP] = newFns
-		d.regSetLocked(fabric.CanonicalLabel(label), newFP)
-		d.regMu.Unlock()
+		reply.KeptPlans, reply.DroppedPlans = d.cache.Refresh(old, refreshed)
 	}
 	writeJSON(w, reply)
 }
@@ -684,7 +647,7 @@ func (d *Daemon) wireToServe(sc *wireScratch, wr *wireRequest) (serve.Request, e
 	if wr.n < 0 {
 		return serve.Request{}, fmt.Errorf("negative n %d", wr.n)
 	}
-	fns, fp, ok := d.resolveModelBytes(model)
+	m, ok := d.resolveModelBytes(model)
 	if !ok {
 		return serve.Request{}, fmt.Errorf("unknown model %q (upload it via /v1/models)", model)
 	}
@@ -703,7 +666,7 @@ func (d *Daemon) wireToServe(sc *wireScratch, wr *wireRequest) (serve.Request, e
 	if err != nil {
 		return serve.Request{}, err
 	}
-	return serve.Request{Algo: algo, N: wr.n, Fns: fns, Opts: opts, Model: fp}, nil
+	return serve.Request{Algo: algo, N: wr.n, Model: m, Opts: opts}, nil
 }
 
 // toOpts converts the flattened wire options to core options. The
@@ -745,28 +708,19 @@ func (wr *wireRequest) toOpts(sc *wireScratch) ([]core.Option, error) {
 }
 
 // resolveModelBytes maps a wire model name — a stored label or a hex
-// fingerprint — onto its speed functions: the label lookup is a
-// zero-copy map probe; the hex-fingerprint fallback is rare and may
-// allocate. The returned fingerprint is the functions' own (the store
-// re-hashes every model on load and refuses one that does not reproduce
-// its recorded fingerprint), so callers can use it as the cache key
-// without re-hashing fns per request.
-func (d *Daemon) resolveModelBytes(name []byte) ([]speed.Function, uint64, bool) {
-	d.regMu.RLock()
-	if fp, ok := d.byName[string(name)]; ok {
-		fns := d.byFP[fp]
-		d.regMu.RUnlock()
-		return fns, fp, true
+// fingerprint — onto its model in the store's catalog: the label lookup is
+// a lock-free map probe that copies nothing; the hex-fingerprint fallback
+// is rare and may allocate. The handle's fingerprint is its functions' own
+// (the store hashes every model it installs, and refuses a record that
+// does not reproduce its recorded fingerprint).
+func (d *Daemon) resolveModelBytes(name []byte) (*speed.Model, bool) {
+	if m, ok := d.store.ModelByLabel(name); ok {
+		return m, true
 	}
-	d.regMu.RUnlock()
 	if fp, err := strconv.ParseUint(strings.TrimPrefix(string(name), "0x"), 16, 64); err == nil {
-		d.regMu.RLock()
-		defer d.regMu.RUnlock()
-		if fns, ok := d.byFP[fp]; ok {
-			return fns, fp, true
-		}
+		return d.store.Model(fp)
 	}
-	return nil, 0, false
+	return nil, false
 }
 
 // servePartitionSingle answers sc.reqs[0]: an exact cache hit is served

@@ -1,9 +1,13 @@
 package rpc
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"heteropart/internal/clusterio"
@@ -216,5 +220,89 @@ func TestDaemonRejectsMismatchedQualities(t *testing.T) {
 	if code := postJSON(t, base+"/v1/models/lab/refresh", refreshBody(t, 0, bad), &errReply); code != 400 ||
 		!strings.Contains(errReply["error"], "duplicate quality") {
 		t.Fatalf("refresh with bad qualities: HTTP %d %v", code, errReply)
+	}
+}
+
+// TestDeltaRefreshConcurrentUpload races model uploads against
+// one-processor refreshes of the same label: one goroutine alternately
+// uploads two documents to "lab" while two others refresh different
+// processors of it with varied drift. After every round the daemon must
+// count exactly the models its store holds, and every fingerprint a reply
+// named that the store no longer holds must be unknown to the daemon, so
+// a dropped model can never serve a plan.
+func TestDeltaRefreshConcurrentUpload(t *testing.T) {
+	docs := [2][]byte{testClusterDoc(t, 6, 31), testClusterDoc(t, 6, 32)}
+	d, base := startDaemon(t, Config{Dir: t.TempDir()})
+	if code := postJSON(t, base+"/v1/models?label=lab", docs[0], nil); code != 200 {
+		t.Fatalf("upload: HTTP %d", code)
+	}
+	const rounds, perRound = 5, 60 // 300 requests per goroutine
+	var mu sync.Mutex
+	named := make(map[string]bool)
+	post := func(url string, body []byte, out any) {
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil || resp.StatusCode != 200 {
+			t.Errorf("POST %s: HTTP %d, %v", url, resp.StatusCode, err)
+		}
+	}
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perRound; i++ {
+				var up modelReply
+				post(base+"/v1/models?label=lab", docs[i%2], &up)
+				mu.Lock()
+				named[up.Fingerprint] = true
+				mu.Unlock()
+			}
+		}()
+		for _, proc := range []int{1, 4} {
+			drifted := driftedProcessor(t, docs[0], proc)
+			go func(proc int) {
+				defer wg.Done()
+				for i := 0; i < perRound; i++ {
+					p := drifted
+					p.Points = append([]speed.Point(nil), drifted.Points...)
+					p.Points[len(p.Points)-1].Y *= 1 - float64(round*perRound+i)/1000
+					body, _ := json.Marshal(map[string]any{"proc": proc, "processor": p})
+					var rr refreshReply
+					post(base+"/v1/models/lab/refresh", body, &rr)
+					mu.Lock()
+					named[rr.Fingerprint], named[rr.OldFingerprint] = true, true
+					mu.Unlock()
+				}
+			}(proc)
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+
+		var st statsReply
+		getJSON(t, base+"/v1/stats", &st)
+		if st.Models != st.Store.Models {
+			t.Fatalf("round %d: daemon counts %d models, its store holds %d", round, st.Models, st.Store.Models)
+		}
+		for hex := range named {
+			fp, err := strconv.ParseUint(hex, 16, 64)
+			if err != nil {
+				t.Fatalf("reply named fingerprint %q", hex)
+			}
+			if _, ok := d.Store().Model(fp); ok {
+				continue
+			}
+			var reply map[string]any
+			code := postJSON(t, base+"/v1/partition", []byte(`{"model":"`+hex+`","n":500000}`), &reply)
+			if msg, _ := reply["error"].(string); code != 400 || !strings.Contains(msg, "unknown model") {
+				t.Fatalf("round %d: dropped model %s answers HTTP %d %v", round, hex, code, reply)
+			}
+		}
 	}
 }

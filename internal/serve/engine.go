@@ -9,8 +9,8 @@
 // load, many requests arrive while one is being computed, and the marginal
 // cost of answering a duplicate inside a batch is zero. The adaptive
 // executors re-partition on drift, a grid of simulations asks for the same
-// handful of plans, and a CLI benchmark can drive millions of requests —
-// all through one Engine whose counters expose throughput, latency, batch
+// handful of plans, and the daemon serves every client's requests — all
+// through one Engine whose counters expose throughput, latency, batch
 // shape, and cache hit rates.
 package serve
 
@@ -30,27 +30,15 @@ import (
 // closed engine.
 var ErrClosed = errors.New("serve: engine closed")
 
-// Request asks for one partition plan.
+// Request asks for one partition plan. Model is the cluster model's
+// handle, built once by the caller (speed.NewModel, or the store's
+// catalog), so no request rehashes its speed functions; a nil Model
+// answers core.ErrNoProcessors.
 type Request struct {
-	Algo core.Algorithm
-	N    int64
-	Fns  []speed.Function
-	Opts []core.Option
-	// Model is the precomputed speed.Fingerprint of Fns; zero means
-	// unknown and the engine hashes Fns itself. Callers that already
-	// resolve models by fingerprint (the rpc daemon's registry) pass it
-	// through so the cache key costs a copy instead of re-hashing every
-	// speed function on every request.
-	Model uint64
-}
-
-// fingerprint returns the request's model fingerprint, hashing Fns only
-// when the caller did not supply it.
-func (r *Request) fingerprint() uint64 {
-	if r.Model != 0 {
-		return r.Model
-	}
-	return speed.Fingerprint(r.Fns)
+	Algo  core.Algorithm
+	N     int64
+	Model *speed.Model
+	Opts  []core.Option
 }
 
 // Response carries the plan (or the partitioner's error) back to the
@@ -204,7 +192,7 @@ func (e *Engine) Submit(req Request) <-chan Response {
 // Counters stay coherent: a TryHit answer counts as a request and an
 // exact hit, same as the dispatcher would have recorded it.
 func (e *Engine) TryHit(req Request, dst core.Allocation) (core.Allocation, Response, bool) {
-	dst, res, ok := e.cache.PeekInto(dst, req.fingerprint(), req.Algo, req.N, req.Opts...)
+	dst, res, ok := e.cache.PeekInto(dst, req.Model, req.Algo, req.N, req.Opts...)
 	if !ok {
 		return dst, Response{}, false
 	}
@@ -219,38 +207,22 @@ func (e *Engine) Partition(req Request) (core.Result, error) {
 	return r.Result, r.Err
 }
 
-// Repartition adapts an existing allocation to updated speed functions as
+// Repartition adapts an existing allocation to the updated model m as
 // core.Repartition would, but serves the underlying optimal plan through
 // the engine — the repartition loop of an adaptive executor hits the cache
 // instead of recomputing the optimum every phase.
-func (e *Engine) Repartition(old core.Allocation, fns []speed.Function, slack float64, opts ...core.Option) (core.Allocation, int64, error) {
+func (e *Engine) Repartition(old core.Allocation, m *speed.Model, slack float64, opts ...core.Option) (core.Allocation, int64, error) {
+	fns := m.Fns()
 	n := old.Sum()
 	if n == 0 || len(old) != len(fns) || slack < 0 {
 		// Degenerate and error cases carry no cacheable plan; delegate.
 		return core.Repartition(old, fns, slack, opts...)
 	}
-	opt, err := e.Partition(Request{Algo: core.AlgoCombined, N: n, Fns: fns, Opts: opts})
+	opt, err := e.Partition(Request{Algo: core.AlgoCombined, N: n, Model: m, Opts: opts})
 	if err != nil {
 		return nil, 0, err
 	}
 	return core.RepartitionWith(old, fns, slack, opt)
-}
-
-// Invalidate drops every cached plan for the cluster model — call it when
-// drift detection refreshes the model.
-func (e *Engine) Invalidate(fns []speed.Function) int {
-	return e.cache.Invalidate(fns)
-}
-
-// Refresh migrates cached plans across an in-place model refresh (same
-// processor count, typically one drifted function): plans whose allocation
-// provably cannot change re-key to the new model and keep serving as exact
-// hits, the rest drop and recompute warm-started from their previous
-// slopes. This is the delta path drift-triggered refreshes should prefer
-// over Invalidate — it preserves most of a warm cache instead of resetting
-// the hit rate to zero. Returns how many plans were kept and dropped.
-func (e *Engine) Refresh(oldFns, newFns []speed.Function) (kept, dropped int) {
-	return e.cache.Refresh(oldFns, newFns)
 }
 
 // Close stops the dispatcher. Requests already queued are answered
@@ -360,7 +332,7 @@ func (e *Engine) runBatch(batch []*pending) {
 	order := make([]groupKey, 0, len(batch))
 	for _, p := range batch {
 		k := groupKey{
-			model: p.req.fingerprint(),
+			model: p.req.Model.Fingerprint(),
 			n:     p.req.N,
 			algo:  p.req.Algo,
 			opts:  core.OptionsKey(p.req.Opts...),
@@ -375,7 +347,7 @@ func (e *Engine) runBatch(batch []*pending) {
 	e.pool.Run(len(order), func(i int) {
 		members := groups[order[i]]
 		first := members[0].req
-		res, tier, err := e.cache.GetTierFP(order[i].model, first.Algo, first.N, first.Fns, first.Opts...)
+		res, tier, err := e.cache.GetTier(first.Algo, first.N, first.Model, first.Opts...)
 		if err == nil {
 			e.algoTiers[algoRow(first.Algo)][tier].Add(uint64(len(members)))
 		}

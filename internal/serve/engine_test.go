@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"heteropart/internal/core"
@@ -42,7 +44,7 @@ func TestEngineServesBitIdenticalPlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.Partition(Request{Algo: core.AlgoCombined, N: n, Fns: fns})
+		got, err := e.Partition(Request{Algo: core.AlgoCombined, N: n, Model: speed.NewModel(fns)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,10 +63,11 @@ func TestEngineErrorsPropagate(t *testing.T) {
 	e := New(Config{})
 	defer e.Close()
 	fns := testCluster(4, 2)
-	if _, err := e.Partition(Request{Algo: core.AlgoCombined, N: 1 << 62, Fns: fns}); err == nil {
+	m := speed.NewModel(fns)
+	if _, err := e.Partition(Request{Algo: core.AlgoCombined, N: 1 << 62, Model: m}); err == nil {
 		t.Fatal("expected infeasibility error")
 	}
-	if _, err := e.Partition(Request{Algo: core.Algorithm(42), N: 100, Fns: fns}); err == nil {
+	if _, err := e.Partition(Request{Algo: core.Algorithm(42), N: 100, Model: m}); err == nil {
 		t.Fatal("expected unknown-algorithm error")
 	}
 }
@@ -82,7 +85,7 @@ func TestEngineCoalescesDuplicates(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := e.Partition(Request{Algo: core.AlgoCombined, N: 2_000_000, Fns: fns})
+			res, err := e.Partition(Request{Algo: core.AlgoCombined, N: 2_000_000, Model: speed.NewModel(fns)})
 			if err != nil {
 				t.Error(err)
 				return
@@ -130,7 +133,7 @@ func TestEngineCoalescedAnswersArePrivate(t *testing.T) {
 	const reqs = 32
 	replies := make([]<-chan Response, reqs)
 	for i := range replies {
-		replies[i] = e.Submit(Request{Algo: core.AlgoCombined, N: 3_000_000, Fns: fns})
+		replies[i] = e.Submit(Request{Algo: core.AlgoCombined, N: 3_000_000, Model: speed.NewModel(fns)})
 	}
 	var wg sync.WaitGroup
 	for i := range replies {
@@ -167,7 +170,7 @@ func TestEngineRepartitionMatchesCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pass := 0; pass < 2; pass++ { // second pass served from cache
-		got, gotMoved, err := e.Repartition(old, fns, 0.05)
+		got, gotMoved, err := e.Repartition(old, speed.NewModel(fns), 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +190,7 @@ func TestEngineRepartitionMatchesCore(t *testing.T) {
 	if _, _, err := e.Repartition(core.Allocation{}, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Repartition(old, fns, -1); err == nil {
+	if _, _, err := e.Repartition(old, speed.NewModel(fns), -1); err == nil {
 		t.Fatal("expected negative-slack error")
 	}
 }
@@ -197,10 +200,10 @@ func TestEngineInvalidate(t *testing.T) {
 	e := New(Config{Cache: cache})
 	defer e.Close()
 	fns := testCluster(8, 5)
-	if _, err := e.Partition(Request{Algo: core.AlgoCombined, N: 500_000, Fns: fns}); err != nil {
+	if _, err := e.Partition(Request{Algo: core.AlgoCombined, N: 500_000, Model: speed.NewModel(fns)}); err != nil {
 		t.Fatal(err)
 	}
-	if dropped := e.Invalidate(fns); dropped != 1 {
+	if dropped := e.Cache().InvalidateFingerprint(speed.Fingerprint(fns)); dropped != 1 {
 		t.Fatalf("dropped %d, want 1", dropped)
 	}
 	if st := cache.Stats(); st.Size != 0 {
@@ -211,12 +214,13 @@ func TestEngineInvalidate(t *testing.T) {
 func TestEngineClose(t *testing.T) {
 	e := New(Config{})
 	fns := testCluster(4, 6)
-	if _, err := e.Partition(Request{Algo: core.AlgoCombined, N: 10_000, Fns: fns}); err != nil {
+	m := speed.NewModel(fns)
+	if _, err := e.Partition(Request{Algo: core.AlgoCombined, N: 10_000, Model: m}); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()
 	e.Close() // idempotent
-	if _, err := e.Partition(Request{Algo: core.AlgoCombined, N: 10_000, Fns: fns}); err != ErrClosed {
+	if _, err := e.Partition(Request{Algo: core.AlgoCombined, N: 10_000, Model: m}); err != ErrClosed {
 		t.Fatalf("got %v, want ErrClosed", err)
 	}
 }
@@ -251,10 +255,10 @@ func TestEngineConcurrentHammer(t *testing.T) {
 				rng = rng*1664525 + 1013904223
 				si := int(rng % uint32(len(sizes)))
 				if rng%101 == 0 {
-					e.Invalidate(models[mi])
+					e.Cache().InvalidateFingerprint(speed.Fingerprint(models[mi]))
 					continue
 				}
-				res, err := e.Partition(Request{Algo: core.AlgoCombined, N: sizes[si], Fns: models[mi]})
+				res, err := e.Partition(Request{Algo: core.AlgoCombined, N: sizes[si], Model: speed.NewModel(models[mi])})
 				if err != nil {
 					t.Error(err)
 					return
@@ -286,7 +290,7 @@ func TestEngineCloseUnderLoad(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				_, err := e.Partition(Request{Algo: core.AlgoCombined, N: int64(10_000 + i), Fns: fns})
+				_, err := e.Partition(Request{Algo: core.AlgoCombined, N: int64(10_000 + i), Model: speed.NewModel(fns)})
 				if err != nil && err != ErrClosed {
 					t.Error(err)
 					return
@@ -296,4 +300,76 @@ func TestEngineCloseUnderLoad(t *testing.T) {
 	}
 	e.Close()
 	wg.Wait() // hangs here if any request is stranded
+}
+
+// countingFn is a speed function of a type the fingerprint does not know,
+// so hashing it falls back to Eval probes: its call count shows whether a
+// path rehashed the model.
+type countingFn struct {
+	calls *atomic.Int64
+}
+
+func (f countingFn) Eval(float64) float64 { f.calls.Add(1); return 1e8 }
+func (f countingFn) MaxSize() float64     { return 2e9 }
+
+// TestHitsAndRefreshesDoNotHash builds a model handle once and then serves
+// it through every hit path and a refresh of another processor: none of
+// them may evaluate the model's functions, so none rehashes it.
+func TestHitsAndRefreshesDoNotHash(t *testing.T) {
+	var calls atomic.Int64
+	m := speed.NewModel([]speed.Function{
+		countingFn{&calls}, speed.MustConstant(2e7, 2e9), speed.MustConstant(3e7, 2e9),
+	})
+	cache := plancache.New(0)
+	e := New(Config{Cache: cache})
+	defer e.Close()
+	req := Request{Algo: core.AlgoCombined, N: 1_000_000, Model: m}
+	if _, err := e.Partition(req); err != nil {
+		t.Fatal(err)
+	}
+	check := func(path string) {
+		t.Helper()
+		if n := calls.Swap(0); n != 0 {
+			t.Fatalf("%s evaluated the model %d times", path, n)
+		}
+	}
+	calls.Store(0)
+
+	if _, tier, err := cache.GetTier(req.Algo, req.N, m); err != nil || tier != plancache.TierHit {
+		t.Fatalf("GetTier: tier %v, err %v; want a hit", tier, err)
+	}
+	check("a Cache.GetTier hit")
+	if _, _, ok := e.TryHit(req, nil); !ok {
+		t.Fatal("TryHit missed")
+	}
+	check("an Engine.TryHit hit")
+	if r := <-e.Submit(req); r.Err != nil || r.Tier != plancache.TierHit {
+		t.Fatalf("Submit: tier %v, err %v; want a hit", r.Tier, r.Err)
+	}
+	check("a Submit hit")
+	next := m.WithProc(1, speed.MustConstant(2.5e7, 2e9))
+	if kept, dropped := cache.Refresh(m, next); kept+dropped != 1 {
+		t.Fatalf("Refresh kept %d, dropped %d; want the one plan migrated", kept, dropped)
+	}
+	check("a Cache.Refresh of another processor")
+}
+
+// TestNilModelAnswersNoProcessors: a request without a model is an empty
+// cluster, answered with core.ErrNoProcessors on every path, never a panic.
+func TestNilModelAnswersNoProcessors(t *testing.T) {
+	e := New(Config{})
+	defer e.Close()
+	req := Request{Algo: core.AlgoCombined, N: 1000}
+	if _, _, ok := e.TryHit(req, nil); ok {
+		t.Fatal("TryHit hit a nil model")
+	}
+	if _, err := e.Partition(req); !errors.Is(err, core.ErrNoProcessors) {
+		t.Fatalf("Partition(nil model) = %v, want ErrNoProcessors", err)
+	}
+	if _, err := e.Cache().Get(core.AlgoCombined, 1000, nil); !errors.Is(err, core.ErrNoProcessors) {
+		t.Fatalf("Cache.Get(nil model) = %v, want ErrNoProcessors", err)
+	}
+	if _, _, err := e.Repartition(core.Allocation{500, 500}, nil, 0); err == nil {
+		t.Fatal("Repartition onto a nil model succeeded")
+	}
 }

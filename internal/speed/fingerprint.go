@@ -42,12 +42,12 @@ const fingerprintProbes = 8
 
 // Fingerprint returns the fingerprint of an ordered cluster model. It is
 // compositional: the model hash is an FNV-1a fold over the per-processor
-// fingerprints (FingerprintOne), so Fingerprint(fns) == Compose(PerProcessor(fns))
-// always holds, and replacing one processor's function changes exactly one
+// fingerprints, so replacing one processor's function changes exactly one
 // term of the composition. This is what makes single-processor delta
 // records cheap: a refresh carries one function plus the new composed
-// fingerprint, and any layer can verify the composition without rehashing
-// the unchanged processors' parameters.
+// fingerprint, and Model.WithProc re-derives it by hashing that one
+// function. Fingerprint is the reference fold; a Model computes the same
+// value once, when it is built.
 func Fingerprint(fns []Function) uint64 {
 	h := uint64(fnvOffset64)
 	h = fnvU64(h, uint64(len(fns)))
@@ -57,23 +57,65 @@ func Fingerprint(fns []Function) uint64 {
 	return h
 }
 
-// FingerprintOne returns the fingerprint of a single speed function.
-func FingerprintOne(f Function) uint64 {
-	return fingerprintFn(fnvOffset64, f)
+// Model is an immutable handle on a cluster model: the ordered speed
+// functions, their per-processor fingerprints and the composed
+// fingerprint, computed once when the handle is built. Every layer that
+// keys on the model (the plan cache, the serving engine, the store and
+// the daemon) carries the handle instead of rehashing the functions.
+// The nil *Model is the empty model: no functions, fingerprint 0.
+type Model struct {
+	fns []Function
+	fps []uint64
+	fp  uint64
 }
 
-// PerProcessor returns the per-processor fingerprint vector of a model.
-func PerProcessor(fns []Function) []uint64 {
-	fps := make([]uint64, len(fns))
+// NewModel hashes fns once and returns their handle. It keeps its own
+// copy of the slice, so the caller may reuse fns afterwards.
+func NewModel(fns []Function) *Model {
+	m := &Model{fns: append([]Function(nil), fns...), fps: make([]uint64, len(fns))}
 	for i, f := range fns {
-		fps[i] = fingerprintFn(fnvOffset64, f)
+		m.fps[i] = fingerprintFn(fnvOffset64, f)
 	}
-	return fps
+	m.fp = compose(m.fps)
+	return m
 }
 
-// Compose folds a per-processor fingerprint vector into the composed model
-// fingerprint. Compose(PerProcessor(fns)) == Fingerprint(fns).
-func Compose(fps []uint64) uint64 {
+// Fns returns the model's speed functions. The slice is shared with the
+// handle and must not be modified.
+func (m *Model) Fns() []Function {
+	if m == nil {
+		return nil
+	}
+	return m.fns
+}
+
+// Fingerprint returns the composed fingerprint, equal to
+// Fingerprint(m.Fns()).
+func (m *Model) Fingerprint() uint64 {
+	if m == nil {
+		return 0
+	}
+	return m.fp
+}
+
+// WithProc returns the model with processor i's function replaced by f:
+// it hashes f alone and re-folds the per-processor fingerprints, so
+// NewModel(patched).Fingerprint() == m.WithProc(i, f).Fingerprint()
+// without rehashing the other processors. i must index m.Fns().
+func (m *Model) WithProc(i int, f Function) *Model {
+	n := &Model{
+		fns: append([]Function(nil), m.fns...),
+		fps: append([]uint64(nil), m.fps...),
+	}
+	n.fns[i] = f
+	n.fps[i] = fingerprintFn(fnvOffset64, f)
+	n.fp = compose(n.fps)
+	return n
+}
+
+// compose folds a per-processor fingerprint vector into the composed
+// model fingerprint, the fold Fingerprint applies.
+func compose(fps []uint64) uint64 {
 	h := uint64(fnvOffset64)
 	h = fnvU64(h, uint64(len(fps)))
 	for _, fp := range fps {
@@ -86,12 +128,12 @@ func Compose(fps []uint64) uint64 {
 // whose fingerprints differ. ok is false when the models have different
 // lengths, in which case no index list is meaningful (every consumer must
 // treat the whole model as changed).
-func Diff(old, new []Function) (changed []int, ok bool) {
-	if len(old) != len(new) {
+func Diff(old, new *Model) (changed []int, ok bool) {
+	if len(old.Fns()) != len(new.Fns()) {
 		return nil, false
 	}
-	for i := range old {
-		if FingerprintOne(old[i]) != FingerprintOne(new[i]) {
+	for i := range old.Fns() {
+		if old.fps[i] != new.fps[i] {
 			changed = append(changed, i)
 		}
 	}

@@ -16,11 +16,11 @@ func TestAppendPlanBatchEquivalence(t *testing.T) {
 	grp := mustOpen(t, dirB, Options{SyncEvery: 3})
 
 	fns := testModel(5, 11)
-	fpA, _, err := one.PutModel("cluster", fns)
+	fpA, err := putFP(one, "cluster", fns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fpB, _, err := grp.PutModel("cluster", fns)
+	fpB, err := putFP(grp, "cluster", fns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestCommitterCoalesces(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{SyncEvery: 4})
 	fns := testModel(4, 3)
-	fp, _, err := s.PutModel("cluster", fns)
+	fp, err := putFP(s, "cluster", fns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestCommitterRaceHammer(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), Options{SyncEvery: 8, CompactAt: -1})
 	defer s.Close()
 	fns := testModel(4, 9)
-	fp, _, err := s.PutModel("cluster", fns)
+	fp, err := putFP(s, "cluster", fns)
 	if err != nil {
 		t.Fatal(err)
 	}

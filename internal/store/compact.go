@@ -43,6 +43,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -144,35 +145,28 @@ func (s *Store) stopCompactor() {
 }
 
 // capture is the state one snapshot image encodes, taken under s.mu in a
-// single pass. Installed records are immutable, so the capture copies
-// record headers and entry pointers, never a share vector or a function.
+// single pass. Installed records and the published catalog are immutable,
+// so the capture keeps the catalog pointer and copies plan record headers,
+// never a share vector or a function.
 type capture struct {
 	epoch, gen        uint64
 	walEnd, walFrames int64 // the WAL prefix the image covers
-	models            []capturedModel
+	cat               *catalog
 	plans             []plancache.PlanRecord
 	hints             []plancache.HintRecord
 	hintSource        func() []plancache.HintRecord
 	size              int64 // buffer presize: last snapshot plus the WAL it covers
 }
 
-type capturedModel struct {
-	fp uint64
-	*modelEntry
-}
-
 func (s *Store) captureLocked() *capture {
 	c := &capture{
 		epoch: s.epoch, gen: s.gen,
 		walEnd: s.walBytes, walFrames: s.walFrames,
-		models:     make([]capturedModel, 0, len(s.models)),
+		cat:        s.cat.Load(),
 		plans:      make([]plancache.PlanRecord, 0, len(s.plans)),
 		hints:      make([]plancache.HintRecord, 0, len(s.hints)),
 		hintSource: s.hintSource,
 		size:       s.lastSnap + s.walBytes,
-	}
-	for fp, m := range s.models {
-		c.models = append(c.models, capturedModel{fp, m})
 	}
 	for _, k := range s.planOrder {
 		if r, ok := s.plans[k]; ok {
@@ -192,7 +186,13 @@ func (s *Store) captureLocked() *capture {
 // fresh from the hint source when one is installed and supplies any,
 // from the mirror otherwise.
 func (c *capture) encode(gen uint64) ([]byte, error) {
-	sort.Slice(c.models, func(i, j int) bool { return c.models[i].fp < c.models[j].fp })
+	fps := make([]uint64, 0, c.cat.count())
+	for _, shard := range c.cat.models {
+		for fp := range shard {
+			fps = append(fps, fp)
+		}
+	}
+	slices.Sort(fps)
 	var hints []plancache.HintRecord
 	if c.hintSource != nil {
 		hints = c.hintSource()
@@ -204,8 +204,9 @@ func (c *capture) encode(gen uint64) ([]byte, error) {
 	e := &encoder{buf: make([]byte, 0, c.size+int64(hintFrameSize*len(hints))+64)}
 	e.buf = append(e.buf, snapMagic...)
 	e.meta(c.epoch, gen)
-	for _, m := range c.models {
-		if err := e.model(m.fp, m.label, m.fns); err != nil {
+	for _, fp := range fps {
+		m, _ := c.cat.entry(fp)
+		if err := e.model(fp, m.label, m.model.Fns()); err != nil {
 			return nil, err
 		}
 	}
@@ -214,14 +215,12 @@ func (c *capture) encode(gen uint64) ([]byte, error) {
 	}
 	nHints := 0
 	for _, h := range hints {
-		i := sort.Search(len(c.models), func(i int) bool { return c.models[i].fp >= h.Model })
-		if i == len(c.models) || c.models[i].fp != h.Model {
-			continue
+		if _, ok := c.cat.entry(h.Model); ok {
+			e.hint(h)
+			nHints++
 		}
-		e.hint(h)
-		nHints++
 	}
-	e.snapEnd(len(c.models), len(c.plans), nHints)
+	e.snapEnd(len(fps), len(c.plans), nHints)
 	return e.buf, nil
 }
 

@@ -59,8 +59,8 @@ func synthPlans(fp uint64, p, count int) []plancache.PlanRecord {
 func stateDigest(s *Store) string {
 	var b strings.Builder
 	for _, m := range s.Models() {
-		fns, _ := s.Model(m.Fingerprint)
-		fmt.Fprintf(&b, "model %s %x %x\n", m.Label, m.Fingerprint, speed.Fingerprint(fns))
+		model, _ := s.Model(m.Fingerprint)
+		fmt.Fprintf(&b, "model %s %x %x\n", m.Label, m.Fingerprint, speed.Fingerprint(model.Fns()))
 	}
 	for _, r := range s.Plans() {
 		fmt.Fprintf(&b, "plan %x %d %d %x %x %v %+v\n", r.Model, r.N, r.Algo, r.OptsKey, math.Float64bits(r.Slope), r.Alloc, r.Stats)
@@ -115,7 +115,7 @@ func TestCompactionCrashPoints(t *testing.T) {
 			dir := t.TempDir()
 			s := mustOpen(t, dir, Options{CompactAt: -1})
 			fnsA, fnsB := testModel(5, 21), testModel(4, 22)
-			fpA, _, err := s.PutModel("a", fnsA)
+			fpA, err := putFP(s, "a", fnsA)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,12 +129,15 @@ func TestCompactionCrashPoints(t *testing.T) {
 			if err := s.Snapshot(); err != nil {
 				t.Fatal(err)
 			}
-			fpB, _, err := s.PutModel("b", fnsB)
+			fpB, err := putFP(s, "b", fnsB)
 			if err != nil {
 				t.Fatal(err)
 			}
 			appendAll(plansFor(t, fpB, fnsB, []int64{1e6, 2e6}))
-			if err := s.AppendInvalidate(fpA); err != nil {
+			// A replacing upload of "a" logs the new model and the old
+			// one's invalidation.
+			fnsA = testModel(5, 23)
+			if fpA, err = putFP(s, "a", fnsA); err != nil {
 				t.Fatal(err)
 			}
 			appendAll(plansFor(t, fpA, fnsA, []int64{4e6, 5e6}))
@@ -142,7 +145,8 @@ func TestCompactionCrashPoints(t *testing.T) {
 			// models, plans, an invalidation and a delta refresh.
 			fnsB2 := append([]speed.Function(nil), fnsB...)
 			fnsB2[2] = driftTail(t, fnsB[2])
-			_, fpB2, err := s.RefreshProcessor("b", 2, fnsB2[2])
+			_, mB2, err := s.RefreshProcessor("b", 2, fnsB2[2])
+			fpB2 := mB2.Fingerprint()
 			if err != nil || fpB2 == fpB {
 				t.Fatalf("RefreshProcessor: fp %x → %x, %v", fpB, fpB2, err)
 			}
@@ -208,7 +212,7 @@ func TestCompactionCrashPoints(t *testing.T) {
 func TestCompactionConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{CompactAt: 4 << 10, MaxPlans: 1 << 20, SyncEvery: 16})
-	fp, _, err := s.PutModel("m", testModel(32, 31))
+	fp, err := putFP(s, "m", testModel(32, 31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +315,7 @@ func TestCompactionAbandonsPinnedOrSealed(t *testing.T) {
 				}
 				return nil
 			}
-			fp, _, err := s.PutModel("m", testModel(4, 41))
+			fp, err := putFP(s, "m", testModel(4, 41))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -348,7 +352,7 @@ func TestCompactionRewriteRatio(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{CompactAt: 16 << 10, MaxPlans: 1 << 20})
 	defer s.Close()
-	fp, _, err := s.PutModel("m", testModel(256, 51))
+	fp, err := putFP(s, "m", testModel(256, 51))
 	if err != nil {
 		t.Fatal(err)
 	}

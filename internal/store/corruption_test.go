@@ -23,7 +23,7 @@ func seedStore(t *testing.T, dir string, sizes []int64) (uint64, []speed.Functio
 	t.Helper()
 	fns := testModel(8, 90)
 	s := mustOpen(t, dir)
-	fp, _, err := s.PutModel("m", fns)
+	fp, err := putFP(s, "m", fns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,8 @@ func TestTruncatedWALTailRecovers(t *testing.T) {
 		t.Fatalf("no compaction after tail quarantine: %+v", st)
 	}
 	// The store stays writable after recovery.
-	fns2, _ := s.Model(fp)
+	m2, _ := s.Model(fp)
+	fns2 := m2.Fns()
 	for _, r := range plansFor(t, fp, fns2, []int64{500_000}) {
 		if err := s.AppendPlan(r); err != nil {
 			t.Fatal(err)
@@ -117,7 +118,7 @@ func TestBitFlippedSnapshotQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	fns := testModel(6, 91)
 	s := mustOpen(t, dir)
-	fp, _, err := s.PutModel("m", fns)
+	fp, err := putFP(s, "m", fns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestBitFlippedSnapshotQuarantined(t *testing.T) {
 		t.Fatalf("quarantined snapshot missing: %v", err)
 	}
 	// And the store starts over cleanly.
-	if _, _, err := s2.PutModel("m", fns); err != nil {
+	if _, err := s2.PutModel("m", speed.NewModel(fns)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -163,7 +164,7 @@ func TestTruncatedSnapshotQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	fns := testModel(4, 92)
 	s := mustOpen(t, dir)
-	if _, _, err := s.PutModel("m", fns); err != nil {
+	if _, err := s.PutModel("m", speed.NewModel(fns)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -308,7 +309,7 @@ func TestOlderFormatRefused(t *testing.T) {
 	src := t.TempDir()
 	fns := testModel(5, 95)
 	s := mustOpen(t, src)
-	fp, _, err := s.PutModel("m", fns)
+	fp, err := putFP(s, "m", fns)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"heteropart/internal/speed"
@@ -88,12 +90,14 @@ func FuzzIngestChunk(f *testing.F) {
 }
 
 // checkServedPlans asserts the store's serving invariant: every plan's
-// model exists and hashes to the plan's fingerprint, the plan has one
-// share per processor, and the shares sum to N (summed without overflow).
+// model exists and its functions hash to the plan's fingerprint (rehashed
+// here, not read from the handle), the plan has one share per processor,
+// and the shares sum to N (summed without overflow).
 func checkServedPlans(t *testing.T, s *Store) {
 	t.Helper()
 	for _, r := range s.Plans() {
-		fns, ok := s.Model(r.Model)
+		m, ok := s.Model(r.Model)
+		fns := m.Fns()
 		if !ok {
 			t.Fatalf("plan n=%d references unknown model %x", r.N, r.Model)
 		}
@@ -131,4 +135,69 @@ func storeDigest(s *Store) string {
 		fmt.Fprintf(&b, "\nhint %x %d %x", h.Model, h.N, math.Float64bits(h.Slope))
 	}
 	return b.String()
+}
+
+// readFuzzSeed parses a committed corpus file ("go test fuzz v1", then
+// one []byte literal per fuzz argument).
+func readFuzzSeed(t *testing.T, path string) [][]byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if lines[0] != "go test fuzz v1" {
+		t.Fatalf("%s: not a fuzz corpus file", path)
+	}
+	var args [][]byte
+	for _, l := range lines[1:] {
+		lit, ok := strings.CutPrefix(l, "[]byte(")
+		if !ok || !strings.HasSuffix(lit, ")") {
+			t.Fatalf("%s: unexpected line %q", path, l)
+		}
+		s, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		args = append(args, []byte(s))
+	}
+	return args
+}
+
+// TestOpenRealSeedReplays opens the real store image FuzzStoreOpen is
+// seeded with and requires exactly what it holds: the fingerprint bits on
+// disk must keep validating (a fuzz seed alone would quarantine a model
+// that stopped hashing to its record and still pass).
+func TestOpenRealSeedReplays(t *testing.T) {
+	args := readFuzzSeed(t, filepath.Join("testdata", "fuzz", "FuzzStoreOpen", "real"))
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), args[0], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, walFile), args[1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, dir, Options{CompactAt: -1})
+	defer s.Close()
+	st := s.Stats()
+	if st.QuarantinedRecords != 0 || st.QuarantinedTail != 0 || st.SnapshotQuarantined {
+		t.Fatalf("the real seed quarantined records: %+v", st)
+	}
+	want := []ModelInfo{
+		{Fingerprint: 0x628ce25ee34fca05, Label: "acme/m", Processors: 4},
+		{Fingerprint: 0x0a8cf92032089a93, Label: "default/m", Processors: 3},
+	}
+	if got := s.Models(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("models %+v, want %+v", got, want)
+	}
+	for _, mi := range want {
+		m, _ := s.Model(mi.Fingerprint)
+		if got := speed.Fingerprint(m.Fns()); got != mi.Fingerprint {
+			t.Fatalf("%s hashes to %#x, recorded %#x", mi.Label, got, mi.Fingerprint)
+		}
+	}
+	if st.Plans != 2 || st.Hints != 2 {
+		t.Fatalf("%d plans and %d hints, want 2 and 2", st.Plans, st.Hints)
+	}
+	checkServedPlans(t, s)
 }

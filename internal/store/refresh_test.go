@@ -38,7 +38,7 @@ func TestDeltaRefreshLiveAndReplay(t *testing.T) {
 	const proc = 2 // a piecewise linear processor in testModel
 
 	s := mustOpen(t, dir, Options{CompactAt: -1})
-	fp, _, err := s.PutModel("clusterA", fns)
+	fp, err := putFP(s, "clusterA", fns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,10 +49,11 @@ func TestDeltaRefreshLiveAndReplay(t *testing.T) {
 		}
 	}
 	newFn := driftTail(t, fns[proc])
-	oldFP, newFP, err := s.RefreshProcessor("clusterA", proc, newFn)
+	oldM, newM, err := s.RefreshProcessor("clusterA", proc, newFn)
 	if err != nil {
 		t.Fatal(err)
 	}
+	oldFP, newFP := oldM.Fingerprint(), newM.Fingerprint()
 	if oldFP != fp || newFP == fp {
 		t.Fatalf("RefreshProcessor fingerprints: old=%x new=%x want old=%x new!=old", oldFP, newFP, fp)
 	}
@@ -75,8 +76,8 @@ func TestDeltaRefreshLiveAndReplay(t *testing.T) {
 
 	checkState := func(st *Store, label string) {
 		t.Helper()
-		if got, ok := st.ModelByLabel("clusterA"); !ok || got != newFP {
-			t.Fatalf("%s: label maps to %x (ok=%v), want %x", label, got, ok, newFP)
+		if got, ok := st.ModelByLabel([]byte("clusterA")); !ok || got.Fingerprint() != newFP {
+			t.Fatalf("%s: label maps to %x (ok=%v), want %x", label, got.Fingerprint(), ok, newFP)
 		}
 		if _, ok := st.Model(oldFP); ok {
 			t.Fatalf("%s: old model %x still stored", label, oldFP)
@@ -85,7 +86,7 @@ func TestDeltaRefreshLiveAndReplay(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: new model %x missing", label, newFP)
 		}
-		if speed.Fingerprint(got) != newFP {
+		if speed.Fingerprint(got.Fns()) != newFP {
 			t.Fatalf("%s: stored model does not reproduce its fingerprint", label)
 		}
 		stored := st.Plans()
@@ -144,7 +145,7 @@ func TestDeltaRefreshCompactionFolds(t *testing.T) {
 	const proc = 2
 
 	s := mustOpen(t, dir, Options{CompactAt: -1})
-	fp, _, err := s.PutModel("clusterB", fns)
+	fp, err := putFP(s, "clusterB", fns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestDeltaRefreshLyingFingerprintQuarantined(t *testing.T) {
 	const proc = 2
 
 	s := mustOpen(t, dir, Options{CompactAt: -1})
-	fp, _, err := s.PutModel("clusterC", fns)
+	fp, err := putFP(s, "clusterC", fns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +225,8 @@ func TestDeltaRefreshLyingFingerprintQuarantined(t *testing.T) {
 	if st.QuarantinedRecords != 1 || st.Refreshes != 0 {
 		t.Fatalf("lying delta: %+v (want 1 quarantined, 0 refreshes)", st)
 	}
-	if got, ok := s2.ModelByLabel("clusterC"); !ok || got != fp {
-		t.Fatalf("label moved to %x (ok=%v) despite quarantined delta", got, ok)
+	if got, ok := s2.ModelByLabel([]byte("clusterC")); !ok || got.Fingerprint() != fp {
+		t.Fatalf("label moved to %x (ok=%v) despite quarantined delta", got.Fingerprint(), ok)
 	}
 	if len(s2.Plans()) != len(sizes) {
 		t.Fatalf("%d plans after quarantined delta, want %d untouched", len(s2.Plans()), len(sizes))
@@ -240,7 +241,7 @@ func TestDeltaRefreshWALBytesSmall(t *testing.T) {
 	s := mustOpen(t, dir, Options{CompactAt: -1})
 	defer s.Close()
 	before := s.Stats().WALBytes
-	if _, _, err := s.PutModel("big", fns); err != nil {
+	if _, err := s.PutModel("big", speed.NewModel(fns)); err != nil {
 		t.Fatal(err)
 	}
 	modelBytes := s.Stats().WALBytes - before
@@ -259,17 +260,17 @@ func TestDeltaRefreshNoOp(t *testing.T) {
 	fns := testModel(6, 17)
 	s := mustOpen(t, dir, Options{CompactAt: -1})
 	defer s.Close()
-	fp, _, err := s.PutModel("same", fns)
+	fp, err := putFP(s, "same", fns)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := s.Stats().WALBytes
-	oldFP, newFP, err := s.RefreshProcessor("same", 1, fns[1])
+	oldM, newM, err := s.RefreshProcessor("same", 1, fns[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oldFP != fp || newFP != fp {
-		t.Fatalf("no-op refresh moved the fingerprint: %x → %x", oldFP, newFP)
+	if oldM.Fingerprint() != fp || newM.Fingerprint() != fp {
+		t.Fatalf("no-op refresh moved the fingerprint: %x → %x", oldM.Fingerprint(), newM.Fingerprint())
 	}
 	if st := s.Stats(); st.WALBytes != before || st.Refreshes != 0 {
 		t.Fatalf("no-op refresh logged something: %+v", st)

@@ -54,30 +54,18 @@ type ReplPos struct {
 	Frames int64  `json:"frames"` // frames in the WAL this generation
 }
 
-// ReplModel is one replicated model in decoded form, ready for a replica's
-// model registry.
-type ReplModel struct {
-	Fingerprint uint64
-	Label       string
-	Fns         []speed.Function
-}
-
-// ReplDelta is one replicated one-processor model refresh in decoded form:
-// OldFP is the composed fingerprint the refresh applied to, NewFP the
-// fingerprint the patched model hashes to, and Fn the replacement function
-// for processor Proc. The mirror applies it with plancache.Cache.Refresh,
-// which re-derives the same survivor set the store kept.
+// ReplDelta is one replicated one-processor model refresh: Old is the
+// model the refresh applied to and New the model with one processor
+// replaced. The mirror applies it with plancache.Cache.Refresh, which
+// re-derives the same survivor set the store kept.
 type ReplDelta struct {
-	OldFP uint64
-	NewFP uint64
-	Proc  int
-	Fn    speed.Function
+	Old, New *speed.Model
 }
 
 // Replicated reports what one ingested snapshot or chunk installed, so the
-// replica can mirror the changes into its live cache and registry.
+// replica can mirror the changes into its live cache. Models are not
+// reported: the store's catalog is the only model table.
 type Replicated struct {
-	Models      []ReplModel
 	Plans       []plancache.PlanRecord
 	Hints       []plancache.HintRecord
 	Invalidated []uint64
@@ -263,6 +251,7 @@ func (s *Store) IngestChunk(epoch uint64, chunk []byte) (Replicated, error) {
 	for _, p := range payloads {
 		s.applyRecord(p, &rep)
 	}
+	s.publishLocked()
 	rep.Frames = len(payloads)
 	rep.Bytes = int64(valid)
 	rep.Quarantined = s.quarantined - quarBefore
@@ -339,11 +328,12 @@ func (s *Store) ApplyHandoff(data []byte) (Replicated, error) {
 	return rep, nil
 }
 
-// resetStateLocked drops the in-memory mirror (models, plans, hints) but
-// keeps the epoch/gen fences — a reset must never weaken them.
+// resetStateLocked drops the in-memory state (models, plans, hints) but
+// keeps the epoch/gen fences — a reset must never weaken them. The models
+// go from the draft catalog: readers keep the published one until the
+// caller's write publishes.
 func (s *Store) resetStateLocked() {
-	s.models = make(map[uint64]*modelEntry)
-	s.labels = make(map[string]uint64)
+	s.draft = &catalog{}
 	s.plans = make(map[planKey]plancache.PlanRecord)
 	s.planOrder = nil
 	s.hints = make(map[hintKey]float64)
@@ -351,7 +341,7 @@ func (s *Store) resetStateLocked() {
 
 // Seal freezes the committed log for a planned handover and returns the
 // final position of this primacy: every mutator (PutModel,
-// RefreshProcessor, AppendPlan, AppendInvalidate) refuses with ErrSealed
+// RefreshProcessor, AppendPlan, AppendPlanBatch) refuses with ErrSealed
 // until Unseal, Promote, or ApplyHandoff. Streamers keep reading — the
 // whole point is that a successor can drain up to exactly the returned
 // position and know nothing more will ever follow it under this epoch.

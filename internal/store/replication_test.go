@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"heteropart/internal/plancache"
+	"heteropart/internal/speed"
 )
 
 // seedPrimary fills a store with a model and real plans, as a serving
@@ -18,7 +19,7 @@ import (
 func seedPrimary(t *testing.T, s *Store, seed uint32, sizes []int64) (fp uint64) {
 	t.Helper()
 	fns := testModel(5, seed)
-	fp, _, err := s.PutModel("cluster", fns)
+	fp, err := putFP(s, "cluster", fns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +91,8 @@ func TestHandoffRoundTripAndStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Models) != 1 || len(rep.Plans) != 3 {
-		t.Fatalf("handoff captured %d models, %d plans; want 1, 3", len(rep.Models), len(rep.Plans))
+	if len(repl.Models()) != 1 || len(rep.Plans) != 3 {
+		t.Fatalf("handoff installed %d models, captured %d plans; want 1, 3", len(repl.Models()), len(rep.Plans))
 	}
 	samePlans(t, prim, repl)
 	if _, ok := repl.Model(fp); !ok {
@@ -99,14 +100,17 @@ func TestHandoffRoundTripAndStream(t *testing.T) {
 	}
 
 	// Live frames after the handoff stream over and land identically.
-	fns, _ := prim.Model(fp)
-	for _, r := range plansFor(t, fp, fns, []int64{4e6, 5e6}) {
+	m, _ := prim.Model(fp)
+	for _, r := range plansFor(t, fp, m.Fns(), []int64{4e6, 5e6}) {
 		if err := prim.AppendPlan(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := prim.AppendInvalidate(999); err != nil { // unknown model: replica must mirror the no-op too
-		t.Fatal(err)
+	// A replacing upload streams a model and an invalidation record.
+	for seed := uint32(7); seed < 9; seed++ {
+		if _, err := prim.PutModel("other", speed.NewModel(testModel(3, seed))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	drain(t, prim, repl, pos)
 	samePlans(t, prim, repl)
@@ -118,6 +122,68 @@ func TestHandoffRoundTripAndStream(t *testing.T) {
 	re := mustOpen(t, rdir)
 	defer re.Close()
 	samePlans(t, prim, re)
+}
+
+// TestApplyHandoffNeverHidesResidentModel re-installs an image on a
+// follower whose catalog already holds its models while a reader resolves
+// them by name without the store lock, as the daemon does: a model held
+// before and after the handoff must resolve on every probe, to the same
+// fingerprint.
+func TestApplyHandoffNeverHidesResidentModel(t *testing.T) {
+	prim := mustOpen(t, t.TempDir())
+	defer prim.Close()
+	labels := make([]string, 64)
+	want := make(map[string]uint64, len(labels))
+	for i := range labels {
+		labels[i] = fmt.Sprintf("m%02d", i)
+		fp, err := putFP(prim, labels[i], testModel(4, uint32(100+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[labels[i]] = fp
+	}
+	data, _, err := prim.HandoffSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	repl := mustOpen(t, t.TempDir())
+	defer repl.Close()
+	if _, err := repl.ApplyHandoff(data); err != nil {
+		t.Fatal(err)
+	}
+
+	started, stop := make(chan struct{}), make(chan struct{})
+	result := make(chan [2]int)
+	go func() {
+		probes, misses := 0, 0
+		for pass := 0; ; pass++ {
+			if pass == 1 {
+				close(started)
+			}
+			select {
+			case <-stop:
+				result <- [2]int{probes, misses}
+				return
+			default:
+			}
+			for _, l := range labels {
+				probes++
+				if m, ok := repl.ModelByLabel([]byte(l)); !ok || m.Fingerprint() != want[l] {
+					misses++
+				}
+			}
+		}
+	}()
+	<-started
+	for i := 0; i < 20; i++ {
+		if _, err := repl.ApplyHandoff(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if r := <-result; r[1] != 0 {
+		t.Fatalf("%d of %d probes missed a model held before and after every handoff", r[1], r[0])
+	}
 }
 
 func TestReadWALChunkFrameBoundary(t *testing.T) {
@@ -183,8 +249,8 @@ func TestPinCompactionDefersUntilRelease(t *testing.T) {
 	}
 	release()
 	release() // idempotent
-	fns, _ := prim.Model(fp)
-	if err := prim.AppendPlan(plansFor(t, fp, fns, []int64{5e6})[0]); err != nil {
+	m, _ := prim.Model(fp)
+	if err := prim.AppendPlan(plansFor(t, fp, m.Fns(), []int64{5e6})[0]); err != nil {
 		t.Fatal(err)
 	}
 	waitCompactions(prim)

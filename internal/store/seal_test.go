@@ -6,6 +6,7 @@ import (
 
 	"heteropart/internal/core"
 	"heteropart/internal/plancache"
+	"heteropart/internal/speed"
 )
 
 // TestSealFencesMutators: a sealed store refuses every mutator with
@@ -15,7 +16,7 @@ func TestSealFencesMutators(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	defer s.Close()
 	fns := testModel(3, 1)
-	fp, _, err := s.PutModel("m", fns)
+	fp, err := putFP(s, "m", fns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestSealFencesMutators(t *testing.T) {
 		t.Fatal("Stats.Sealed = false after Seal")
 	}
 
-	if _, _, err := s.PutModel("m2", testModel(2, 2)); !errors.Is(err, ErrSealed) {
+	if _, err := s.PutModel("m2", speed.NewModel(testModel(2, 2))); !errors.Is(err, ErrSealed) {
 		t.Errorf("PutModel under seal: %v, want ErrSealed", err)
 	}
 	if _, _, err := s.RefreshProcessor("m", 0, testModel(1, 9)[0]); !errors.Is(err, ErrSealed) {
@@ -38,8 +39,12 @@ func TestSealFencesMutators(t *testing.T) {
 	if err := s.AppendPlan(plan); !errors.Is(err, ErrSealed) {
 		t.Errorf("AppendPlan under seal: %v, want ErrSealed", err)
 	}
-	if err := s.AppendInvalidate(fp); !errors.Is(err, ErrSealed) {
-		t.Errorf("AppendInvalidate under seal: %v, want ErrSealed", err)
+	if err := s.AppendPlanBatch([]plancache.PlanRecord{plan}); !errors.Is(err, ErrSealed) {
+		t.Errorf("AppendPlanBatch under seal: %v, want ErrSealed", err)
+	}
+	// A replacing upload, the store's only source of invalidation records.
+	if _, err := s.PutModel("m", speed.NewModel(testModel(3, 2))); !errors.Is(err, ErrSealed) {
+		t.Errorf("replacing PutModel under seal: %v, want ErrSealed", err)
 	}
 	if got := s.ReplicationPos(); got != sealed {
 		t.Fatalf("refused mutators moved the position: %+v != %+v", got, sealed)
@@ -64,7 +69,7 @@ func TestSealClearedByPromoteAndHandoff(t *testing.T) {
 	t.Run("promote", func(t *testing.T) {
 		s := mustOpen(t, t.TempDir())
 		defer s.Close()
-		if _, _, err := s.PutModel("m", testModel(3, 1)); err != nil {
+		if _, err := s.PutModel("m", speed.NewModel(testModel(3, 1))); err != nil {
 			t.Fatal(err)
 		}
 		s.Seal()
@@ -74,7 +79,7 @@ func TestSealClearedByPromoteAndHandoff(t *testing.T) {
 		if s.Stats().Sealed {
 			t.Fatal("Promote left the store sealed")
 		}
-		if _, _, err := s.PutModel("m2", testModel(2, 2)); err != nil {
+		if _, err := s.PutModel("m2", speed.NewModel(testModel(2, 2))); err != nil {
 			t.Fatalf("PutModel after Promote: %v", err)
 		}
 	})
@@ -84,7 +89,7 @@ func TestSealClearedByPromoteAndHandoff(t *testing.T) {
 		if _, err := primary.Promote(); err != nil { // epoch 2 > follower's 1
 			t.Fatal(err)
 		}
-		if _, _, err := primary.PutModel("m", testModel(3, 1)); err != nil {
+		if _, err := primary.PutModel("m", speed.NewModel(testModel(3, 1))); err != nil {
 			t.Fatal(err)
 		}
 		snap, _, err := primary.HandoffSnapshot()

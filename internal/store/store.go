@@ -34,12 +34,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"heteropart/internal/core"
 	"heteropart/internal/fabric"
@@ -60,6 +63,15 @@ const (
 const (
 	snapMagic = "HPSNAP3\n"
 	walMagic  = "HPWAL03\n"
+)
+
+// Errors RefreshProcessor returns for a request it cannot apply.
+var (
+	// ErrUnknownLabel reports a refresh of a label no stored model has.
+	ErrUnknownLabel = errors.New("store: unknown model label")
+	// ErrProcOutOfRange reports a refresh of a processor index the model
+	// does not have.
+	ErrProcOutOfRange = errors.New("store: processor index out of range")
 )
 
 // ErrUnsupportedFormat reports a snapshot or WAL written in another version
@@ -175,9 +187,128 @@ type ModelInfo struct {
 	Processors  int
 }
 
-type modelEntry struct {
+// catalog is the store's model table: every stored model by fingerprint,
+// with its canonical label and every name that resolves to it, and every
+// name by itself. It is immutable once published: a write edits a draft
+// and publishes it whole (see editLocked), so readers resolve models with
+// one atomic load and no lock, and never see a write half done. Both
+// tables are split into shards and a draft copies only the shards it
+// writes, so a write costs the same with a thousand models stored as with
+// one. The names are the canonical tenant-qualified labels plus, for
+// default-tenant models, the bare model name, so an untenanted request
+// resolves without canonicalizing; bare names have no '/', so they cannot
+// collide with a canonical "tenant/model" key.
+type catalog struct {
+	models                     [catalogShards]map[uint64]catalogEntry
+	labels                     [catalogShards]map[string]*speed.Model
+	copiedModels, copiedLabels [catalogShards]bool // shards a draft owns
+}
+
+const catalogShards = 256
+
+type catalogEntry struct {
 	label string
-	fns   []speed.Function
+	model *speed.Model
+	names []string
+}
+
+// nameShard is FNV-1a over the name's bytes.
+func nameShard[T string | []byte](name T) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint32(name[i])) * 16777619
+	}
+	return int(h % catalogShards)
+}
+
+func (c *catalog) entry(fp uint64) (catalogEntry, bool) {
+	e, ok := c.models[fp%catalogShards][fp]
+	return e, ok
+}
+
+func (c *catalog) lookup(name string) (*speed.Model, bool) {
+	m, ok := c.labels[nameShard(name)][name]
+	return m, ok
+}
+
+func (c *catalog) count() (n int) {
+	for _, shard := range c.models {
+		n += len(shard)
+	}
+	return n
+}
+
+// modelShard and labelShard return the draft's shard for a key, copied on
+// the draft's first write to it.
+func (c *catalog) modelShard(fp uint64) map[uint64]catalogEntry {
+	return own(&c.models, &c.copiedModels, int(fp%catalogShards))
+}
+
+func (c *catalog) labelShard(name string) map[string]*speed.Model {
+	return own(&c.labels, &c.copiedLabels, nameShard(name))
+}
+
+func own[K comparable, V any](shards *[catalogShards]map[K]V, copied *[catalogShards]bool, i int) map[K]V {
+	if !copied[i] {
+		m := make(map[K]V, len(shards[i])+1)
+		maps.Copy(m, shards[i])
+		shards[i], copied[i] = m, true
+	}
+	return shards[i]
+}
+
+// put installs m under label, and a default-tenant label's model under
+// its bare name too (label's previous model, if another, must already be
+// dropped).
+func (c *catalog) put(label string, m *speed.Model) {
+	e, _ := c.entry(m.Fingerprint())
+	e.label, e.model = label, m
+	names := []string{label}
+	if tenant, name, ok := fabric.SplitLabel(label); ok && tenant == fabric.DefaultTenant && !strings.Contains(name, "/") {
+		names = append(names, name)
+	}
+	for _, name := range names {
+		c.labelShard(name)[name] = m
+	}
+	e.names = addNames(e.names, names)
+	c.modelShard(m.Fingerprint())[m.Fingerprint()] = e
+}
+
+// drop removes a model and every name that resolves to it.
+func (c *catalog) drop(fp uint64) {
+	e, _ := c.entry(fp)
+	for _, name := range e.names {
+		delete(c.labelShard(name), name)
+	}
+	delete(c.modelShard(fp), fp)
+}
+
+// move re-keys the model at oldFP to refreshed, and every name that
+// resolved to it follows (merging with the names of a model already
+// stored under the new fingerprint).
+func (c *catalog) move(oldFP uint64, refreshed *speed.Model) {
+	e, _ := c.entry(oldFP)
+	delete(c.modelShard(oldFP), oldFP)
+	if held, ok := c.entry(refreshed.Fingerprint()); ok {
+		e.names = addNames(e.names, held.names)
+	}
+	e.model = refreshed
+	for _, name := range e.names {
+		c.labelShard(name)[name] = refreshed
+	}
+	c.modelShard(refreshed.Fingerprint())[refreshed.Fingerprint()] = e
+}
+
+// addNames appends each name of add that names lacks, never writing the
+// backing array names may share with a published entry.
+func addNames(names, add []string) []string {
+	names = slices.Clip(names)
+	for _, name := range add {
+		if !slices.Contains(names, name) {
+			names = append(names, name)
+		}
+	}
+	return names
 }
 
 type planKey struct {
@@ -202,8 +333,11 @@ type Store struct {
 	mu   sync.Mutex
 	opts Options
 
-	models map[uint64]*modelEntry
-	labels map[string]uint64
+	// cat is the published model catalog. Readers load it without mu;
+	// writers hold mu, edit draft and publish it (see editLocked). draft is
+	// nil whenever mu is free.
+	cat   atomic.Pointer[catalog]
+	draft *catalog
 
 	plans     map[planKey]plancache.PlanRecord
 	planOrder []planKey
@@ -286,13 +420,12 @@ func Open(opts Options) (*Store, error) {
 	}
 	s := &Store{
 		opts:   opts,
-		models: make(map[uint64]*modelEntry),
-		labels: make(map[string]uint64),
 		plans:  make(map[planKey]plancache.PlanRecord),
 		hints:  make(map[hintKey]float64),
 		epoch:  1,
 		notify: make(chan struct{}),
 	}
+	s.cat.Store(&catalog{})
 	if err := s.loadSnapshot(); err != nil {
 		return nil, err
 	}
@@ -324,51 +457,92 @@ func (s *Store) SetHintSource(fn func() []plancache.HintRecord) {
 // PutModel registers (or refreshes) a labeled model and logs it to the
 // WAL. When the label previously mapped to a different model, the old
 // model's plans and hints are dropped and an invalidation is logged — the
-// durable form of a drift refresh. It returns the model's fingerprint and
-// whether an older model was replaced.
-func (s *Store) PutModel(label string, fns []speed.Function) (uint64, bool, error) {
-	if len(fns) == 0 {
-		return 0, false, fmt.Errorf("store: empty model")
+// durable form of a drift refresh. It returns the model it replaced: nil
+// when the label was new, or when it already held an identical model.
+func (s *Store) PutModel(label string, m *speed.Model) (*speed.Model, error) {
+	if len(m.Fns()) == 0 {
+		return nil, fmt.Errorf("store: empty model")
 	}
 	if label == "" {
-		return 0, false, fmt.Errorf("store: empty model label")
+		return nil, fmt.Errorf("store: empty model label")
 	}
 	// Labels are stored tenant-qualified; bare names belong to the
 	// default tenant. Canonicalize before encoding so the WAL record
 	// already carries the canonical spelling.
 	label = fabric.CanonicalLabel(label)
-	fp := speed.Fingerprint(fns)
 	e := &encoder{}
-	if err := e.model(fp, label, fns); err != nil {
-		return 0, false, err
+	if err := e.model(m.Fingerprint(), label, m.Fns()); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return 0, false, fmt.Errorf("store: closed")
+		return nil, fmt.Errorf("store: closed")
 	}
 	if s.sealed {
-		return 0, false, ErrSealed
+		return nil, ErrSealed
 	}
-	old, replaced := s.labels[label]
-	if replaced && old == fp {
+	old, _ := s.cat.Load().lookup(label)
+	if old != nil && old.Fingerprint() == m.Fingerprint() {
 		// Same label, same model: nothing to refresh.
-		return fp, false, nil
+		return nil, nil
 	}
 	if err := s.appendLocked(e.buf); err != nil {
-		return 0, false, err
+		return nil, err
 	}
-	if replaced {
+	if old != nil {
 		inv := &encoder{}
-		inv.invalidate(old)
+		inv.invalidate(old.Fingerprint())
 		if err := s.appendLocked(inv.buf); err != nil {
-			return 0, false, err
+			return nil, err
 		}
-		s.dropModelState(old)
 	}
-	s.models[fp] = &modelEntry{label: label, fns: append([]speed.Function(nil), fns...)}
-	s.labels[label] = fp
-	return fp, replaced, nil
+	s.putModelLocked(label, m)
+	s.publishLocked()
+	return old, nil
+}
+
+// putModelLocked installs m under label, dropping the model the label
+// named before (if another) and everything derived from it. Shared by the
+// live PutModel and model-record replay.
+func (s *Store) putModelLocked(label string, m *speed.Model) {
+	c := s.editLocked()
+	if old, ok := c.lookup(label); ok && old.Fingerprint() != m.Fingerprint() {
+		c.drop(old.Fingerprint())
+		s.dropPlansLocked(old.Fingerprint())
+	}
+	c.put(label, m)
+}
+
+// editLocked returns the draft catalog a write changes in place: a private
+// copy of the published catalog, made on the write's first edit. A write
+// is one live mutation, one ingested chunk, or one replayed snapshot or
+// log, and ends with publishLocked, so readers see all of it or none of it
+// and a write of k records copies the table once.
+func (s *Store) editLocked() *catalog {
+	if s.draft == nil {
+		d := *s.cat.Load()
+		d.copiedModels, d.copiedLabels = [catalogShards]bool{}, [catalogShards]bool{}
+		s.draft = &d
+	}
+	return s.draft
+}
+
+// viewLocked returns the catalog as the write in progress sees it.
+func (s *Store) viewLocked() *catalog {
+	if s.draft != nil {
+		return s.draft
+	}
+	return s.cat.Load()
+}
+
+// publishLocked ends a write: its draft, if it made one, becomes the
+// catalog readers see.
+func (s *Store) publishLocked() {
+	if s.draft != nil {
+		s.cat.Store(s.draft)
+		s.draft = nil
+	}
 }
 
 // RefreshProcessor replaces one processor's speed function in the model a
@@ -378,61 +552,56 @@ func (s *Store) PutModel(label string, fns []speed.Function) (uint64, bool, erro
 // (plancache.SurvivesProc): plans whose allocation provably cannot change
 // are re-keyed to the new fingerprint, the rest are dropped — no
 // per-survivor records are written, because every replayer re-derives the
-// same split deterministically from the delta alone. Returns the old and
-// new composed fingerprints; they are equal when the replacement function
-// fingerprints identically to the current one (a no-op, nothing logged).
-func (s *Store) RefreshProcessor(label string, proc int, fn speed.Function) (oldFP, newFP uint64, err error) {
+// same split deterministically from the delta alone. It returns the old
+// and new models it applied (the same handle when the replacement function
+// fingerprints identically to the current one: a no-op, nothing logged).
+// An unknown label is ErrUnknownLabel, a processor index the model does
+// not have ErrProcOutOfRange.
+func (s *Store) RefreshProcessor(label string, proc int, fn speed.Function) (old, refreshed *speed.Model, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return 0, 0, fmt.Errorf("store: closed")
+		return nil, nil, fmt.Errorf("store: closed")
 	}
 	if s.sealed {
-		return 0, 0, ErrSealed
+		return nil, nil, ErrSealed
 	}
 	label = fabric.CanonicalLabel(label)
-	fp, ok := s.labels[label]
+	m, ok := s.cat.Load().lookup(label)
 	if !ok {
-		return 0, 0, fmt.Errorf("store: no model labeled %q", label)
+		return nil, nil, fmt.Errorf("%w %q", ErrUnknownLabel, label)
 	}
-	m := s.models[fp]
-	if proc < 0 || proc >= len(m.fns) {
-		return 0, 0, fmt.Errorf("store: model %q has %d processors, refresh asked for index %d", label, len(m.fns), proc)
+	if proc < 0 || proc >= len(m.Fns()) {
+		return nil, nil, fmt.Errorf("%w: model %q has %d processors, refresh asked for index %d", ErrProcOutOfRange, label, len(m.Fns()), proc)
 	}
-	newFns := make([]speed.Function, len(m.fns))
-	copy(newFns, m.fns)
-	newFns[proc] = fn
-	newFP = speed.Fingerprint(newFns)
-	if newFP == fp {
-		return fp, fp, nil
+	refreshed = m.WithProc(proc, fn)
+	if refreshed.Fingerprint() == m.Fingerprint() {
+		return m, m, nil
 	}
 	e := &encoder{}
-	if err := e.delta(fp, newFP, proc, fn); err != nil {
-		return 0, 0, err
+	if err := e.delta(m.Fingerprint(), refreshed.Fingerprint(), proc, fn); err != nil {
+		return nil, nil, err
 	}
 	if err := s.appendLocked(e.buf); err != nil {
-		return 0, 0, err
+		return nil, nil, err
 	}
-	s.refreshStateLocked(fp, newFP, proc, newFns)
+	s.refreshStateLocked(m, refreshed, proc)
+	s.publishLocked()
 	s.refreshes++
 	s.maybeCompactLocked()
-	return fp, newFP, nil
+	return m, refreshed, nil
 }
 
 // refreshStateLocked applies a validated one-processor refresh to the
-// in-memory mirror: the model moves to its new fingerprint, the label
-// follows, and plans/hints re-key or drop per the selective rule. Shared
-// by the live RefreshProcessor and delta-record replay, so disk replay and
-// the live path converge on identical state.
-func (s *Store) refreshStateLocked(oldFP, newFP uint64, proc int, newFns []speed.Function) {
-	m := s.models[oldFP]
-	oldFn := m.fns[proc]
-	delete(s.models, oldFP)
-	s.models[newFP] = &modelEntry{label: m.label, fns: newFns}
-	if s.labels[m.label] == oldFP {
-		s.labels[m.label] = newFP
-	}
+// in-memory state: the model moves to its new fingerprint, every name
+// that resolved to it follows, and plans/hints re-key or drop per the
+// selective rule. Shared by the live RefreshProcessor and delta-record
+// replay, so disk replay and the live path converge on identical state.
+func (s *Store) refreshStateLocked(old, refreshed *speed.Model, proc int) {
+	oldFP, newFP := old.Fingerprint(), refreshed.Fingerprint()
+	s.editLocked().move(oldFP, refreshed)
 
+	oldFn, newFn := old.Fns()[proc], refreshed.Fns()[proc]
 	kept := s.planOrder[:0]
 	for _, k := range s.planOrder {
 		if k.model != oldFP {
@@ -441,7 +610,7 @@ func (s *Store) refreshStateLocked(oldFP, newFP uint64, proc int, newFns []speed
 		}
 		r := s.plans[k]
 		delete(s.plans, k)
-		if len(r.Alloc) != len(newFns) || !plancache.SurvivesProc(r.Alloc[proc], oldFn, newFns[proc]) {
+		if len(r.Alloc) != len(refreshed.Fns()) || !plancache.SurvivesProc(r.Alloc[proc], oldFn, newFn) {
 			continue
 		}
 		nk := k
@@ -466,25 +635,24 @@ func (s *Store) refreshStateLocked(oldFP, newFP uint64, proc int, newFns []speed
 // applyDelta validates and applies a replayed delta record: the referenced
 // model must exist, the processor index must be in range, and patching the
 // function must reproduce the recorded composed fingerprint — a delta
-// whose fingerprint lies is quarantined, never applied.
-func (s *Store) applyDelta(oldFP, newFP uint64, proc int, fn speed.Function) bool {
-	m, ok := s.models[oldFP]
-	if !ok || proc < 0 || proc >= len(m.fns) {
+// whose fingerprint lies is quarantined, never applied. It returns the
+// old and new models, nil when the record was quarantined.
+func (s *Store) applyDelta(oldFP, newFP uint64, proc int, fn speed.Function) (old, refreshed *speed.Model) {
+	e, ok := s.viewLocked().entry(oldFP)
+	if !ok || proc < 0 || proc >= len(e.model.Fns()) {
 		s.quarantined++
-		return false
+		return nil, nil
 	}
-	newFns := make([]speed.Function, len(m.fns))
-	copy(newFns, m.fns)
-	newFns[proc] = fn
-	if speed.Fingerprint(newFns) != newFP {
+	refreshed = e.model.WithProc(proc, fn)
+	if refreshed.Fingerprint() != newFP {
 		s.quarantined++
-		return false
+		return nil, nil
 	}
 	if newFP != oldFP {
-		s.refreshStateLocked(oldFP, newFP, proc, newFns)
+		s.refreshStateLocked(e.model, refreshed, proc)
 	}
 	s.refreshes++
-	return true
+	return e.model, refreshed
 }
 
 // AppendPlan logs one admitted plan insertion (the cache's insert tap).
@@ -502,7 +670,7 @@ func (s *Store) AppendPlan(r plancache.PlanRecord) error {
 	if s.sealed {
 		return ErrSealed
 	}
-	if _, ok := s.models[r.Model]; !ok {
+	if _, ok := s.cat.Load().entry(r.Model); !ok {
 		return nil
 	}
 	e := &encoder{}
@@ -543,8 +711,9 @@ func (s *Store) AppendPlanBatch(rs []plancache.PlanRecord) error {
 	s.groupCommits++
 	s.groupHist[commitBucket(len(rs))]++
 	kept, size := rs[:0:0], 0
+	c := s.cat.Load()
 	for i := range rs {
-		if _, ok := s.models[rs[i].Model]; ok {
+		if _, ok := c.entry(rs[i].Model); ok {
 			kept = append(kept, rs[i])
 			size += planFrameSize(&rs[i])
 		}
@@ -579,55 +748,30 @@ func commitBucket(n int) int {
 	return b
 }
 
-// AppendInvalidate logs a drift invalidation: every stored plan and hint
-// for the model is dropped. The model itself stays registered until a
-// refresh replaces it.
-func (s *Store) AppendInvalidate(model uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: closed")
-	}
-	if s.sealed {
-		return ErrSealed
-	}
-	e := &encoder{}
-	e.invalidate(model)
-	if err := s.appendLocked(e.buf); err != nil {
-		return err
-	}
-	s.dropPlansLocked(model)
-	s.maybeCompactLocked()
-	return nil
+// Model returns a stored model by fingerprint. It takes no lock and
+// copies nothing.
+func (s *Store) Model(fp uint64) (*speed.Model, bool) {
+	e, ok := s.cat.Load().entry(fp)
+	return e.model, ok
 }
 
-// Model returns the speed functions of a stored model.
-func (s *Store) Model(fp uint64) ([]speed.Function, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.models[fp]
-	if !ok {
-		return nil, false
-	}
-	return append([]speed.Function(nil), m.fns...), true
-}
-
-// ModelByLabel returns the fingerprint a label currently maps to. Bare
-// and default-qualified spellings resolve identically.
-func (s *Store) ModelByLabel(label string) (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fp, ok := s.labels[fabric.CanonicalLabel(label)]
-	return fp, ok
+// ModelByLabel returns the model a label currently maps to. Bare and
+// default-qualified spellings resolve identically. It takes no lock and
+// copies nothing: the label is taken as bytes, so a request's model name
+// resolves straight from the wire buffer.
+func (s *Store) ModelByLabel(label []byte) (*speed.Model, bool) {
+	m, ok := s.cat.Load().labels[nameShard(label)][string(label)]
+	return m, ok
 }
 
 // Models lists the stored models, sorted by label then fingerprint.
 func (s *Store) Models() []ModelInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]ModelInfo, 0, len(s.models))
-	for fp, m := range s.models {
-		out = append(out, ModelInfo{Fingerprint: fp, Label: m.label, Processors: len(m.fns)})
+	c := s.cat.Load()
+	out := make([]ModelInfo, 0, c.count())
+	for _, shard := range c.models {
+		for fp, e := range shard {
+			out = append(out, ModelInfo{Fingerprint: fp, Label: e.label, Processors: len(e.model.Fns())})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Label != out[j].Label {
@@ -712,7 +856,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Models:               len(s.models),
+		Models:               s.cat.Load().count(),
 		Plans:                len(s.plans),
 		Hints:                len(s.hints),
 		WALRecords:           s.walTotal,
@@ -775,40 +919,26 @@ func (s *Store) dropPlansLocked(model uint64) {
 	}
 }
 
-// dropModelState removes a model and everything derived from it.
-func (s *Store) dropModelState(model uint64) {
-	if m, ok := s.models[model]; ok {
-		if s.labels[m.label] == model {
-			delete(s.labels, m.label)
-		}
-		delete(s.models, model)
-	}
-	s.dropPlansLocked(model)
-}
-
 // --- replay validation (shared by snapshot load and WAL replay) ---
 
-// applyModel validates and installs a replayed model record: the decoded
-// functions must reproduce the recorded fingerprint, else the record is
-// quarantined (a stale or corrupted model must never validate plans).
-func (s *Store) applyModel(fp uint64, label string, fns []speed.Function) bool {
-	if label == "" || speed.Fingerprint(fns) != fp {
+// applyModel validates and installs a replayed model record: the handle
+// built from the decoded functions must reproduce the recorded
+// fingerprint, else the record is quarantined (a stale or corrupted model
+// must never validate plans).
+func (s *Store) applyModel(fp uint64, label string, fns []speed.Function) {
+	m := speed.NewModel(fns)
+	if label == "" || m.Fingerprint() != fp {
 		s.quarantined++
-		return false
+		return
 	}
-	if old, ok := s.labels[label]; ok && old != fp {
-		s.dropModelState(old)
-	}
-	s.models[fp] = &modelEntry{label: label, fns: fns}
-	s.labels[label] = fp
+	s.putModelLocked(label, m)
 	s.replayedModels++
-	return true
 }
 
 // applyPlan validates and installs a replayed plan record.
 func (s *Store) applyPlan(r plancache.PlanRecord) bool {
-	m, ok := s.models[r.Model]
-	if !ok || !r.Valid() || len(r.Alloc) != len(m.fns) {
+	e, ok := s.viewLocked().entry(r.Model)
+	if !ok || !r.Valid() || len(r.Alloc) != len(e.model.Fns()) {
 		s.quarantined++
 		return false
 	}
@@ -819,7 +949,7 @@ func (s *Store) applyPlan(r plancache.PlanRecord) bool {
 
 // applyHint validates and installs a replayed warm hint.
 func (s *Store) applyHint(h plancache.HintRecord) bool {
-	if _, ok := s.models[h.Model]; !ok || h.N <= 0 || !(h.Slope > 0) {
+	if _, ok := s.viewLocked().entry(h.Model); !ok || h.N <= 0 || !(h.Slope > 0) {
 		s.quarantined++
 		return false
 	}
@@ -832,8 +962,10 @@ func (s *Store) applyHint(h plancache.HintRecord) bool {
 // validation whether it came from the local snapshot, the local WAL, or a
 // replication stream. Unknown record types are quarantined, not fatal — a
 // newer writer's records degrade gracefully. When cap is non-nil, every
-// record that validated and was installed is also captured there, so a
-// replica can mirror the change into its live cache and model registry.
+// plan, hint, invalidation and delta that validated and was installed is
+// also captured there, so a replica can mirror the change into its live
+// cache; models need no capture, because the catalog is the replica's only
+// model table.
 func (s *Store) applyRecord(payload []byte, cap *Replicated) {
 	d := &decoder{buf: payload}
 	switch d.u8() {
@@ -843,9 +975,7 @@ func (s *Store) applyRecord(payload []byte, cap *Replicated) {
 			s.quarantined++
 			return
 		}
-		if s.applyModel(fp, label, fns) && cap != nil {
-			cap.Models = append(cap.Models, ReplModel{Fingerprint: fp, Label: label, Fns: fns})
-		}
+		s.applyModel(fp, label, fns)
 	case recPlan:
 		r, err := decodePlan(d)
 		if err != nil || !d.done() {
@@ -880,8 +1010,8 @@ func (s *Store) applyRecord(payload []byte, cap *Replicated) {
 			s.quarantined++
 			return
 		}
-		if s.applyDelta(oldFP, newFP, proc, fn) && cap != nil {
-			cap.Deltas = append(cap.Deltas, ReplDelta{OldFP: oldFP, NewFP: newFP, Proc: proc, Fn: fn})
+		if old, refreshed := s.applyDelta(oldFP, newFP, proc, fn); old != nil && cap != nil {
+			cap.Deltas = append(cap.Deltas, ReplDelta{Old: old, New: refreshed})
 		}
 	case recMeta:
 		epoch, gen, err := decodeMeta(d)
@@ -946,6 +1076,7 @@ func (s *Store) openWAL() error {
 	for _, p := range recs {
 		s.applyRecord(p, nil)
 	}
+	s.publishLocked()
 	if err != nil {
 		s.quarantinedTail += int64(len(data) - len(walMagic) - good)
 		if err := f.Truncate(int64(len(walMagic) + good)); err != nil {
@@ -1051,6 +1182,7 @@ func (s *Store) replaySnapshot(data []byte, cap *Replicated) (gen uint64, err er
 	for _, p := range recs {
 		s.applyRecord(p, cap)
 	}
+	s.publishLocked()
 	return gen, nil
 }
 

@@ -60,6 +60,13 @@ func plansFor(t *testing.T, fp uint64, fns []speed.Function, sizes []int64) []pl
 	return out
 }
 
+// putFP stores fns under label and returns the model's fingerprint.
+func putFP(s *Store, label string, fns []speed.Function) (uint64, error) {
+	m := speed.NewModel(fns)
+	_, err := s.PutModel(label, m)
+	return m.Fingerprint(), err
+}
+
 func mustOpen(t *testing.T, dir string, opts ...Options) *Store {
 	t.Helper()
 	o := Options{Dir: dir}
@@ -99,9 +106,10 @@ func TestWALReplayAfterCrash(t *testing.T) {
 	sizes := []int64{100_000, 250_000, 500_000, 1_000_000}
 
 	s := mustOpen(t, dir)
-	fp, replaced, err := s.PutModel("clusterA", fns)
-	if err != nil || replaced {
-		t.Fatalf("PutModel: fp=%x replaced=%v err=%v", fp, replaced, err)
+	fp := speed.Fingerprint(fns)
+	old, err := s.PutModel("clusterA", speed.NewModel(fns))
+	if err != nil || old != nil {
+		t.Fatalf("PutModel: fp=%x replaced=%v err=%v", fp, old, err)
 	}
 	want := plansFor(t, fp, fns, sizes)
 	for _, r := range want {
@@ -123,11 +131,11 @@ func TestWALReplayAfterCrash(t *testing.T) {
 	if st.ReplayedModels != 1 || st.ReplayedPlans != len(sizes) || st.QuarantinedRecords != 0 {
 		t.Fatalf("replay: %+v", st)
 	}
-	gotFns, ok := s2.Model(fp)
+	m, ok := s2.Model(fp)
 	if !ok {
 		t.Fatalf("model %x lost", fp)
 	}
-	if got := speed.Fingerprint(gotFns); got != fp {
+	if got := speed.Fingerprint(m.Fns()); got != fp {
 		t.Fatalf("restored model fingerprint %x != %x", got, fp)
 	}
 	plans := s2.Plans()
@@ -154,7 +162,7 @@ func TestCloseSnapshotsAndWALResets(t *testing.T) {
 	dir := t.TempDir()
 	fns := testModel(7, 42)
 	s := mustOpen(t, dir)
-	fp, _, err := s.PutModel("m", fns)
+	fp, err := putFP(s, "m", fns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +210,7 @@ func TestModelRefreshDropsOldPlans(t *testing.T) {
 	fns1 := testModel(5, 50)
 	fns2 := testModel(5, 51)
 	s := mustOpen(t, dir)
-	fp1, _, err := s.PutModel("node", fns1)
+	fp1, err := putFP(s, "node", fns1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,9 +219,10 @@ func TestModelRefreshDropsOldPlans(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fp2, replaced, err := s.PutModel("node", fns2)
-	if err != nil || !replaced {
-		t.Fatalf("refresh: replaced=%v err=%v", replaced, err)
+	fp2 := speed.Fingerprint(fns2)
+	old, err := s.PutModel("node", speed.NewModel(fns2))
+	if err != nil || old.Fingerprint() != fp1 {
+		t.Fatalf("refresh: replaced %v, want %x; err=%v", old, fp1, err)
 	}
 	if fp2 == fp1 {
 		t.Fatal("distinct models share a fingerprint")
@@ -224,8 +233,8 @@ func TestModelRefreshDropsOldPlans(t *testing.T) {
 	if got := s.Plans(); len(got) != 0 {
 		t.Fatalf("%d stale plans survived the refresh", len(got))
 	}
-	if fp, ok := s.ModelByLabel("node"); !ok || fp != fp2 {
-		t.Fatalf("label maps to %x, want %x", fp, fp2)
+	if m, ok := s.ModelByLabel([]byte("node")); !ok || m.Fingerprint() != fp2 {
+		t.Fatalf("label maps to %x, want %x", m.Fingerprint(), fp2)
 	}
 	s.Sync()
 
@@ -243,8 +252,8 @@ func TestModelRefreshDropsOldPlans(t *testing.T) {
 	}
 
 	// Re-putting an identical model is a no-op, not a refresh.
-	if _, replaced, err := s2.PutModel("node", fns2); err != nil || replaced {
-		t.Fatalf("idempotent put: replaced=%v err=%v", replaced, err)
+	if old, err := s2.PutModel("node", speed.NewModel(fns2)); err != nil || old != nil {
+		t.Fatalf("idempotent put: replaced=%v err=%v", old, err)
 	}
 }
 
@@ -252,7 +261,7 @@ func TestAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
 	fns := testModel(6, 60)
 	s := mustOpen(t, dir, Options{CompactAt: 512})
-	fp, _, err := s.PutModel("m", fns)
+	fp, err := putFP(s, "m", fns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +302,7 @@ func TestHintSourceFeedsSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	fns := testModel(4, 70)
 	s := mustOpen(t, dir)
-	fp, _, err := s.PutModel("m", fns)
+	fp, err := putFP(s, "m", fns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +348,7 @@ func TestPlanMirrorBounded(t *testing.T) {
 	fns := testModel(3, 80)
 	s := mustOpen(t, dir, Options{MaxPlans: 8})
 	defer s.Close()
-	fp, _, err := s.PutModel("m", fns)
+	fp, err := putFP(s, "m", fns)
 	if err != nil {
 		t.Fatal(err)
 	}

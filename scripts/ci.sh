@@ -25,7 +25,9 @@
 #      zero dropped reads, exactly swapped roles, and warm hits after
 #   8. delta-refresh gate: the per-processor refresh tests (delta WAL
 #      records, validated replay, selective plan invalidation) under the
-#      race detector in both the store and the plan cache
+#      race detector in the store, the plan cache and the daemon, where
+#      uploads race refreshes of one label and no model the store dropped
+#      may still serve a plan
 #   9. compaction gate: the store's compaction tests under the race
 #      detector — a crash injected after every step of the off-lock
 #      compaction must reopen to exactly the acknowledged records, appends
@@ -46,8 +48,10 @@
 #      report exactly 0 allocs/op, the property the serving engine's
 #      throughput rests on (the store's persistence taps fire off the
 #      hot path, so this gate also guards the daemon's serving loop);
-#      and the near-miss warm-start path must stay within its 4 allocs/op
-#      budget
+#      the near-miss warm-start path and the cached hit must stay within
+#      their 4 allocs/op budget; and at p=1080 a cached hit must cost at
+#      most a tenth of a warm partition, which holds only while a hit
+#      never rehashes the model
 #  13. wire-codec allocation guard: the daemon's warm single-request
 #      handler path (pooled codec + synchronous cache hit, everything
 #      above net/http) must report 0 B/op and 0 allocs/op — the ISSUE 9
@@ -94,8 +98,8 @@ echo "==> self-promotion gate: go test -race -run SelfPromote ./internal/rpc/" >
 go test -race -count=1 -run SelfPromote ./internal/rpc/
 echo "==> handover gate: go test -race -run Handover ./internal/rpc/" >&2
 go test -race -count=1 -run Handover ./internal/rpc/
-echo "==> delta-refresh gate: go test -race -run DeltaRefresh ./internal/store/ ./internal/plancache/" >&2
-go test -race -count=1 -run DeltaRefresh ./internal/store/ ./internal/plancache/
+echo "==> delta-refresh gate: go test -race -run DeltaRefresh ./internal/store/ ./internal/plancache/ ./internal/rpc/" >&2
+go test -race -count=1 -run DeltaRefresh ./internal/store/ ./internal/plancache/ ./internal/rpc/
 echo "==> compaction gate: go test -race -run Compaction ./internal/store/" >&2
 go test -race -count=1 -run Compaction ./internal/store/
 echo "==> admission-window gate: go test -race -count=10 -run 'Window|Doorkeeper|SharedAnswers|CoalescedAnswers' ./internal/plancache/ ./internal/serve/" >&2
@@ -112,22 +116,29 @@ rm -f /tmp/bench_daemon_smoke.json
 echo "==> benchmark smoke: BENCHTIME=1x scripts/bench.sh store /tmp/bench_store_smoke.json" >&2
 BENCHTIME=1x scripts/bench.sh store /tmp/bench_store_smoke.json
 rm -f /tmp/bench_store_smoke.json
-echo "==> allocs/op guard: warm path 0 allocs, near-miss path <= 4 allocs" >&2
+echo "==> allocs/op guard: warm path 0 allocs, near-miss and cached <= 4 allocs; p=1080 cached <= 0.1 x warm ns/op" >&2
 # 100x amortizes the one-time scratch growth of iteration 1; any steady-state
 # allocation pushes the reported allocs/op above the budget and fails the gate.
-go test -run '^$' -bench 'PartitionThroughput/.*/(warm|nearmiss)' -benchtime=100x -benchmem . |
+go test -run '^$' -bench 'PartitionThroughput/.*/(warm|nearmiss|cached)' -benchtime=100x -benchmem . |
 awk '
-/^Benchmark.*\/(warm|nearmiss)/ {
+/^Benchmark.*\/(warm|nearmiss|cached)/ {
 	seen++
-	allocs = "?"
-	for (i = 3; i < NF; i++) if ($(i+1) == "allocs/op") allocs = $i
-	printf "    %s: %s allocs/op\n", $1, allocs
+	allocs = ns = "?"
+	for (i = 3; i < NF; i++) {
+		if ($(i+1) == "allocs/op") allocs = $i
+		if ($(i+1) == "ns/op") ns = $i
+	}
+	printf "    %s: %s ns/op, %s allocs/op\n", $1, ns, allocs
 	budget = ($1 ~ /\/warm/) ? 0 : 4
 	if (allocs == "?" || allocs + 0 > budget) { bad = 1 }
+	if ($1 ~ /p=1080\/warm/) warm = ns
+	if ($1 ~ /p=1080\/cached/) cached = ns
 }
 END {
 	if (bad) { print "FAIL: partition path exceeds its allocs/op budget" > "/dev/stderr"; exit 1 }
-	if (!seen) { print "FAIL: no warm/nearmiss benchmark output parsed" > "/dev/stderr"; exit 1 }
+	if (!seen) { print "FAIL: no warm/nearmiss/cached benchmark output parsed" > "/dev/stderr"; exit 1 }
+	if (warm == "" || cached == "" || warm == "?" || cached == "?") { print "FAIL: no p=1080 warm/cached ns/op parsed" > "/dev/stderr"; exit 1 }
+	if (cached + 0 > 0.1 * warm) { printf "FAIL: p=1080 cached %s ns/op > 0.1 x warm %s ns/op\n", cached, warm > "/dev/stderr"; exit 1 }
 }'
 echo "==> wire-codec allocs/op guard: warm handler path 0 B/op, 0 allocs/op" >&2
 # 200x amortizes the pool warm-up allocations of the first iterations; the
