@@ -15,10 +15,9 @@ import (
 
 	"heteropart/internal/apps/lu"
 	"heteropart/internal/apps/mm"
-	"heteropart/internal/apps/stencil"
 	"heteropart/internal/core"
-	"heteropart/internal/dlt"
 	"heteropart/internal/experiments"
+	"heteropart/internal/geometry"
 	"heteropart/internal/grid"
 	"heteropart/internal/kernels"
 	"heteropart/internal/machine"
@@ -314,10 +313,10 @@ func benchPWLCluster(b *testing.B, p int) []speed.Function {
 
 // BenchmarkPartitionThroughput measures one partition request through each
 // serving tier: a cold free-function call (allocates its result and runs the
-// full bisection), a warm reusable Partitioner seeded with the previous
-// optimum's slope (the zero-allocation hot path — allocs/op must print 0),
-// a plan-cache exact hit, and a cache near-miss that is warm-started from a
-// neighboring size's cached slope. The cached and nearmiss rows build the
+// paper's tangent bisection), a warm reusable Partitioner running the plan
+// cache's regula-falsi search (the zero-allocation hot path — allocs/op
+// must print 0), a plan-cache exact hit, and a cache miss at a size the
+// cache has not seen (nearmiss). The cached and nearmiss rows build the
 // model handle once, outside the timed loop, as a model upload does; their
 // requests never hash the model. p = 1080 is the largest model of
 // Figure 21 and of perfbench's cold mix. scripts/bench.sh partition
@@ -330,10 +329,6 @@ func BenchmarkPartitionThroughput(b *testing.B) {
 		fns := benchPWLCluster(b, p)
 		m := speed.NewModel(fns)
 		b.Run(benchName("p", p), func(b *testing.B) {
-			seed, err := core.Combined(n, fns)
-			if err != nil {
-				b.Fatal(err)
-			}
 			b.Run("cold", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -345,11 +340,11 @@ func BenchmarkPartitionThroughput(b *testing.B) {
 			b.Run("warm", func(b *testing.B) {
 				pr := core.NewPartitioner()
 				dst := make(core.Allocation, p)
-				warm := core.WithWarmStart(seed.Slope, 0.05)
+				served := core.WithBisection(geometry.BisectRegulaFalsi)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := pr.PartitionInto(dst, core.AlgoCombined, n, fns, warm); err != nil {
+					if _, err := pr.PartitionInto(dst, core.AlgoCombined, n, fns, served); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -369,6 +364,7 @@ func BenchmarkPartitionThroughput(b *testing.B) {
 			})
 			b.Run("nearmiss", func(b *testing.B) {
 				c := plancache.New(0)
+				// Warm the cache's partitioner pool.
 				if _, err := c.Get(core.AlgoCombined, n, m); err != nil {
 					b.Fatal(err)
 				}
@@ -376,7 +372,7 @@ func BenchmarkPartitionThroughput(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					// Every size is new to the cache, so each iteration is a
-					// genuine miss warm-started from the n's cached slope.
+					// genuine miss.
 					if _, err := c.Get(core.AlgoCombined, n+int64(i)+1, m); err != nil {
 						b.Fatal(err)
 					}
@@ -682,48 +678,6 @@ func BenchmarkPartitionExact(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkDLTDistribute(b *testing.B) {
-	workers := make([]dlt.Worker, 32)
-	for i := range workers {
-		workers[i] = dlt.Worker{
-			Rate: []dlt.RatePiece{
-				{Units: 1e4, SecPerUnit: 1e-6 * float64(1+i%7)},
-				{Units: 1e18, SecPerUnit: 2e-5 * float64(1+i%7)},
-			},
-			Latency:        1e-4,
-			SecPerUnitComm: 1e-8,
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dlt.Distribute(1e6, workers); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkStencilExecute(b *testing.B) {
-	fns := []speed.Function{
-		speed.MustConstant(3e8, 1e10),
-		speed.MustConstant(1e8, 1e10),
-		speed.MustConstant(2e8, 1e10),
-	}
-	plan, err := stencil.Partition(200_000, fns)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := make([]float64, 200_000)
-	for i := range src {
-		src[i] = float64(i % 17)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := stencil.Execute(plan, src, 4); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

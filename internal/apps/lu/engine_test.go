@@ -55,11 +55,6 @@ func TestVariableGroupBlockEngineMatchesDirect(t *testing.T) {
 	if after.Cache.Misses != before.Cache.Misses {
 		t.Fatalf("repeat sweep recomputed plans: %+v vs %+v", after.Cache, before.Cache)
 	}
-	// The first sweep itself reused warm starts across nearby sizes.
-	if after.Cache.WarmStarts == 0 {
-		t.Fatalf("no warm starts across the sweep: %+v", after.Cache)
-	}
-
 	// A nil engine falls back to the direct path.
 	fallback, err := VariableGroupBlockEngine(nil, n, 32, fns)
 	if err != nil {

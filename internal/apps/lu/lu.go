@@ -69,9 +69,9 @@ func VariableGroupBlock(n, b int, flopRates []speed.Function, opts ...core.Optio
 // per-group partition through a shared serving engine: a sweep over block
 // widths b (or repeated distributions of similar matrices) re-partitions
 // the same trailing sizes over and over, so routing the calls through the
-// engine's plan cache turns most of them into exact hits and warm-started
-// misses. The distribution is bit-identical to VariableGroupBlock's —
-// cached and warm-started plans reproduce the cold allocation exactly.
+// engine's plan cache turns most of them into exact hits. The distribution
+// is bit-identical to VariableGroupBlock's: the cache's plans reproduce
+// the direct allocation exactly.
 func VariableGroupBlockEngine(e *serve.Engine, n, b int, flopRates []speed.Function, opts ...core.Option) (Distribution, error) {
 	if e == nil {
 		return VariableGroupBlock(n, b, flopRates, opts...)

@@ -27,6 +27,9 @@ func Basic(n int64, fns []speed.Function, opts ...Option) (Result, error) {
 type bounds struct {
 	steep, shallow   geometry.Ray // steep under-allocates, shallow over-allocates
 	xSteep, xShallow []float64    // cached intersections of the two rays
+	// gSteep and gShallow are the excess allocations Σx − n at the two
+	// rays, the values the regula-falsi step interpolates.
+	gSteep, gShallow float64
 	// segSteep and segShallow are the knot segments of those intersections,
 	// which only the piecewise-linear fast path fills and reads.
 	segSteep, segShallow []int
@@ -69,52 +72,79 @@ func (s *state) openBounds() error {
 	for i, f := range s.pwl {
 		b.segSteep[i], b.segShallow[i] = 0, f.NumPoints()
 	}
-	if _, err := s.intersect(steep); err != nil {
+	sum, err := s.intersect(steep)
+	if err != nil {
 		return err
 	}
-	b.steep = steep
+	b.steep, b.gSteep = steep, sum-s.n
 	copy(b.xSteep, s.xs)
 	copy(b.segSteep, s.segs)
-	sum, err := s.intersect(shallow)
-	if err != nil {
+	if sum, err = s.intersect(shallow); err != nil {
 		return err
 	}
 	if clamped && sum < s.n {
 		shallow = geometry.Ray{}
-		if _, err := s.intersect(shallow); err != nil {
+		if sum, err = s.intersect(shallow); err != nil {
 			return err
 		}
 	}
-	b.shallow = shallow
+	b.shallow, b.gShallow = shallow, sum-s.n
 	copy(b.xShallow, s.xs)
 	copy(b.segShallow, s.segs)
 	return nil
 }
 
 // replace installs the mid ray and its intersections as the new steep or
-// shallow bound depending on the allocation sum at mid.
-func (b *bounds) replace(mid geometry.Ray, xs []float64, segs []int, sum, n float64) {
+// shallow bound depending on the allocation sum at mid, and reports
+// whether it replaced the steep one.
+func (b *bounds) replace(mid geometry.Ray, xs []float64, segs []int, sum, n float64) (steep bool) {
 	if sum < n {
-		b.steep = mid
+		b.steep, b.gSteep = mid, sum-n
 		copy(b.xSteep, xs)
 		copy(b.segSteep, segs)
-	} else {
-		b.shallow = mid
-		copy(b.xShallow, xs)
-		copy(b.segShallow, segs)
+		return true
 	}
+	b.shallow, b.gShallow = mid, sum-n
+	copy(b.xShallow, xs)
+	copy(b.segShallow, segs)
+	return false
 }
 
-// runBasic executes ray bisection until the stopping criterion is met or
-// the slope interval is numerically exhausted.
+// maxOneSided is the number of one-sided regula-falsi steps in a row
+// after which runBasic draws the tangent midpoint instead.
+const maxOneSided = 3
+
+// runBasic draws rays between the bounds until the stopping criterion is
+// met or the slope interval is numerically exhausted. A bisection rule
+// halves the region at every step.
+//
+// Under geometry.BisectRegulaFalsi each ray is drawn where the chord
+// through the bounds' excess allocations crosses zero: g(c) = Σx(c) − n is
+// monotone in the slope c, so the chord needs no seed. A step that
+// replaces the same bound as the step before is one-sided: it halves the
+// retained bound's g (the Illinois step), and after maxOneSided of them in
+// a row, or when the chord's slope is not strictly inside the bounds, the
+// ray is the tangent midpoint. Both rules stop on the same test, and
+// fine-tuning reaches the same integer allocation from any converged
+// region (see stabilize).
 func (s *state) runBasic() error {
 	b := &s.b
+	falsi := s.cfg.rule == geometry.BisectRegulaFalsi
+	// last is the bound the previous step replaced: +1 steep, -1 shallow.
+	oneSided, last := 0, 0
 	for s.stats.Steps < s.cfg.maxSteps {
 		if converged(b.xSteep, b.xShallow) {
 			return nil
 		}
+		lo, hi := b.shallow.Slope(), b.steep.Slope()
 		mid := s.cfg.rule.Bisect(b.shallow, b.steep)
-		if !(mid.Slope() > b.shallow.Slope()) || !(mid.Slope() < b.steep.Slope()) {
+		if falsi && oneSided < maxOneSided {
+			if c := lo + b.gShallow*(hi-lo)/(b.gShallow-b.gSteep); c > lo && c < hi {
+				// Strictly inside the bounds, so finite and positive.
+				mid, _ = geometry.NewRay(c)
+			}
+		}
+		if !(mid.Slope() > lo) || !(mid.Slope() < hi) {
 			// The slope interval has collapsed to adjacent floats; the
 			// remaining per-processor gaps cannot be narrowed by geometry.
 			return nil
@@ -124,7 +154,21 @@ func (s *state) runBasic() error {
 			return err
 		}
 		s.stats.Steps++
-		b.replace(mid, s.xs, s.segs, sum, s.n)
+		side := -1
+		if b.replace(mid, s.xs, s.segs, sum, s.n) {
+			side = 1
+		}
+		switch {
+		case side != last:
+			oneSided = 0
+		case side > 0:
+			oneSided++
+			b.gShallow /= 2
+		default:
+			oneSided++
+			b.gSteep /= 2
+		}
+		last = side
 	}
 	return nil
 }

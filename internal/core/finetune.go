@@ -80,8 +80,9 @@ func (s *state) fineTune(xSteep []float64) Allocation {
 //
 // The greedy fill above reaches a stable allocation already, but its
 // starting base comes from the geometry of whatever region the search
-// converged in, and different searches (cold, warm-started, capped at
-// different step budgets) converge in different regions. Two failure
+// converged in, and different searches (tangent or angle bisection, the
+// regula-falsi search, different step budgets) converge in different
+// regions. Two failure
 // modes of path independence remain:
 //
 //   - floating-point rounding at the region boundary can shift a unit
@@ -98,9 +99,10 @@ func (s *state) fineTune(xSteep []float64) Allocation {
 //     eligible index — picks one allocation out of the tied family.
 //
 // Together the two rules give every search path the same integer
-// allocation bit for bit, which is the property the plan cache's
-// warm-start tier relies on. All allocations involved have identical
-// makespans, so the pass never trades quality for canonicality.
+// allocation bit for bit, which is why the plan cache may serve the
+// regula-falsi search's plans as the paper's. All allocations involved
+// have identical makespans, so the pass never trades quality for
+// canonicality.
 func (s *state) stabilize(alloc Allocation, caps []int64) {
 	// Strict exchanges shrink the sorted time multiset lexicographically
 	// and tie moves strictly decrease Σ i·alloc[i], so the loop

@@ -9,18 +9,29 @@ import (
 	"heteropart/internal/speed"
 )
 
+// exactFuzzSeeds are FuzzPartitionersAgainstExact's seeds.
+var exactFuzzSeeds = []struct {
+	seed, nSeed uint32
+	pSeed       uint8
+}{{1, 1_000_000, 3}, {42, 500_000_000, 6}, {99, 123, 2}}
+
+// exactFuzzCase builds FuzzPartitionersAgainstExact's input.
+func exactFuzzCase(seed, nSeed uint32, pSeed uint8) (int64, []speed.Function) {
+	return int64(nSeed % 1_000_000_000), testCluster(2+int(pSeed%6), seed)
+}
+
 // FuzzPartitionersAgainstExact differentially tests the paper's geometric
 // algorithms against the Exact integer-optimal oracle on seed-generated
 // clusters: every algorithm must return an allocation summing to n with a
-// makespan within 2 % of the optimum.
+// makespan within 2 % of the optimum, and the regula-falsi rule tangent
+// bisection's allocation.
 func FuzzPartitionersAgainstExact(f *testing.F) {
-	f.Add(uint32(1), uint32(1_000_000), uint8(3))
-	f.Add(uint32(42), uint32(500_000_000), uint8(6))
-	f.Add(uint32(99), uint32(123), uint8(2))
+	for _, s := range exactFuzzSeeds {
+		f.Add(s.seed, s.nSeed, s.pSeed)
+	}
 	f.Fuzz(func(t *testing.T, seed, nSeed uint32, pSeed uint8) {
-		p := 2 + int(pSeed%6)
-		n := int64(nSeed % 1_000_000_000)
-		fns := testCluster(p, seed)
+		n, fns := exactFuzzCase(seed, nSeed, pSeed)
+		p := len(fns)
 		exact, err := Exact(n, fns)
 		if err != nil {
 			t.Skip() // infeasible seeds are legitimate skips
@@ -41,17 +52,22 @@ func FuzzPartitionersAgainstExact(f *testing.F) {
 					name, got, ref, n, p, seed)
 			}
 		}
+		pr := NewPartitioner()
+		for _, algo := range []Algorithm{AlgoBasic, AlgoCombined} {
+			compareRules(t, fmt.Sprintf("%v n=%d p=%d seed=%d", algo, n, p, seed), pr, algo, n, fns)
+		}
 	})
 }
 
 // FuzzFineTuneInvariants checks that fine-tuning preserves the sum for
-// arbitrary constant-speed clusters.
+// arbitrary constant-speed clusters, and that the regula-falsi rule returns
+// tangent bisection's allocation.
 func FuzzFineTuneInvariants(f *testing.F) {
-	f.Add(uint32(77), uint16(100), uint16(250), uint16(50))
+	for _, s := range fineTuneFuzzSeeds {
+		f.Add(s.nSeed, s.s1, s.s2, s.s3)
+	}
 	f.Fuzz(func(t *testing.T, nSeed uint32, s1, s2, s3 uint16) {
-		n := int64(nSeed % 10_000_000)
-		speeds := []float64{1 + float64(s1), 1 + float64(s2), 1 + float64(s3)}
-		fns := constants(speeds, 1e12)
+		n, fns := fineTuneFuzzCase(nSeed, s1, s2, s3)
 		res, err := Combined(n, fns)
 		if err != nil {
 			t.Fatalf("Combined: %v", err)
@@ -64,8 +80,19 @@ func FuzzFineTuneInvariants(f *testing.F) {
 				t.Fatalf("negative share %d at %d", x, i)
 			}
 		}
-		_ = speed.Function(fns[0])
+		compareRules(t, fmt.Sprintf("n=%d nSeed=%d speeds=%d,%d,%d", n, nSeed, s1, s2, s3), NewPartitioner(), AlgoCombined, n, fns)
 	})
+}
+
+// fineTuneFuzzSeeds are FuzzFineTuneInvariants' seeds.
+var fineTuneFuzzSeeds = []struct {
+	nSeed      uint32
+	s1, s2, s3 uint16
+}{{77, 100, 250, 50}}
+
+// fineTuneFuzzCase builds FuzzFineTuneInvariants' input.
+func fineTuneFuzzCase(nSeed uint32, s1, s2, s3 uint16) (int64, []speed.Function) {
+	return int64(nSeed % 10_000_000), constants([]float64{1 + float64(s1), 1 + float64(s2), 1 + float64(s3)}, 1e12)
 }
 
 // opaquePWL hides a piecewise-linear function's concrete type from the
@@ -111,17 +138,49 @@ func fuzzPWLCluster(p int, seed uint32, shape uint8) []*speed.PiecewiseLinear {
 	return out
 }
 
-// knotSlope returns the slope of the ray through the knot of f whose
-// ratio is closest to slope, so a warm-start hint there draws a ray
-// exactly through a knot.
-func knotSlope(f *speed.PiecewiseLinear, slope float64) float64 {
-	best := math.Inf(1)
-	for _, pt := range f.Points() {
-		if r := pt.Y / pt.X; math.Abs(r-slope) < math.Abs(best-slope) {
-			best = r
-		}
+// pwlFuzzSeeds are FuzzPWLFastPathMatchesGeneric's seeds.
+var pwlFuzzSeeds = []struct {
+	seed         uint32
+	nSeed        uint64
+	pSeed, shape uint8
+}{
+	{1, 1_000_000, 3, 0},
+	{42, 2_500_000_000, 6, 0},
+	// Unequal domains, with the even share past the shortest domain.
+	{7, 400_000_000, 4, shapeUnequalDomains},
+	{9, 1_500_000_000, 2, shapeUnequalDomains},
+	// Identical machines: exact ties in fine-tuning.
+	{5, 1_000_003, 1, shapeIdentical},
+	// Identical machines with n = p·16000: the first rays pass exactly
+	// through the knot at 16000.
+	{11, 4 * 16_000, 2, shapeIdentical},
+	// Left constant extension: every share below the first knot (1e3).
+	{3, 1_500, 1, 0},
+	// Right constant extension: n one short of capacity, so shallow rays
+	// cross past the last knot and clamp.
+	{13, 6_000_000_000 - 1, 1, 0},
+}
+
+// pwlFuzzCase builds FuzzPWLFastPathMatchesGeneric's input: n, the
+// cluster's functions, and the same functions behind opaquePWL.
+func pwlFuzzCase(seed uint32, nSeed uint64, pSeed, shape uint8) (n int64, fast, generic []speed.Function) {
+	pwl := fuzzPWLCluster(2+int(pSeed%6), seed, shape)
+	fast, generic = pwlFunctions(pwl)
+	var capacity int64
+	for _, fn := range pwl {
+		capacity += int64(fn.MaxSize())
 	}
-	return best
+	return int64(nSeed % uint64(capacity+1)), fast, generic
+}
+
+// pwlFunctions returns the functions as they are and behind opaquePWL.
+func pwlFunctions(pwl []*speed.PiecewiseLinear) (fast, generic []speed.Function) {
+	fast = make([]speed.Function, len(pwl))
+	generic = make([]speed.Function, len(pwl))
+	for i, fn := range pwl {
+		fast[i], generic[i] = fn, opaquePWL{fn}
+	}
+	return fast, generic
 }
 
 // optionMix is one named option list of FuzzPWLFastPathMatchesGeneric.
@@ -133,63 +192,46 @@ type optionMix struct {
 // FuzzPWLFastPathMatchesGeneric differentially tests the piecewise-linear
 // fast path (bracketed crossing searches, hinted evaluations) against the
 // generic interface path on the same functions: every algorithm and option
-// mix must return the same allocation, the same slope bits and the same
-// Stats counters. The seeds cover unequal domains (including the flat-ray
-// fallback of openBounds), identical machines (exact ties), rays through
-// knots, and crossings on the left and right constant extensions.
+// mix must return the same allocation, the same slope bits, the same Stats
+// counters and the same final bracket, and the plan cache's regula-falsi
+// rule must return tangent bisection's allocation. The seeds cover unequal
+// domains (including the flat-ray fallback of openBounds), identical
+// machines (exact ties), rays through knots, and crossings on the left and
+// right constant extensions.
 func FuzzPWLFastPathMatchesGeneric(f *testing.F) {
-	f.Add(uint32(1), uint64(1_000_000), uint8(3), uint8(0))
-	f.Add(uint32(42), uint64(2_500_000_000), uint8(6), uint8(0))
-	// Unequal domains, with the even share past the shortest domain.
-	f.Add(uint32(7), uint64(400_000_000), uint8(4), uint8(shapeUnequalDomains))
-	f.Add(uint32(9), uint64(1_500_000_000), uint8(2), uint8(shapeUnequalDomains))
-	// Identical machines: exact ties in fine-tuning.
-	f.Add(uint32(5), uint64(1_000_003), uint8(1), uint8(shapeIdentical))
-	// Identical machines with n = p·16000: the first rays pass exactly
-	// through the knot at 16000.
-	f.Add(uint32(11), uint64(4*16_000), uint8(2), uint8(shapeIdentical))
-	// Left constant extension: every share below the first knot (1e3).
-	f.Add(uint32(3), uint64(1_500), uint8(1), uint8(0))
-	// Right constant extension: n one short of capacity, so shallow rays
-	// cross past the last knot and clamp.
-	f.Add(uint32(13), uint64(6_000_000_000-1), uint8(1), uint8(0))
+	for _, s := range pwlFuzzSeeds {
+		f.Add(s.seed, s.nSeed, s.pSeed, s.shape)
+	}
 	f.Fuzz(func(t *testing.T, seed uint32, nSeed uint64, pSeed uint8, shape uint8) {
-		p := 2 + int(pSeed%6)
-		pwl := fuzzPWLCluster(p, seed, shape)
-		fast := make([]speed.Function, p)
-		generic := make([]speed.Function, p)
-		var capacity int64
-		for i, fn := range pwl {
-			fast[i] = fn
-			generic[i] = opaquePWL{fn}
-			capacity += int64(fn.MaxSize())
-		}
-		n := int64(nSeed % uint64(capacity+1))
+		n, fast, generic := pwlFuzzCase(seed, nSeed, pSeed, shape)
+		p := len(fast)
 		// One Partitioner serves both paths, so each run starts from the
 		// scratch the other path left behind.
 		pr := NewPartitioner()
 		dst := make(Allocation, p)
 		for _, algo := range []Algorithm{AlgoBasic, AlgoModified, AlgoCombined} {
-			cold, err := pr.PartitionInto(dst, algo, n, fast)
-			if err != nil {
-				t.Fatalf("%v n=%d: %v", algo, n, err)
-			}
 			mixes := []optionMix{
 				{"default", nil},
-				{"warm", []Option{WithWarmStart(cold.Slope, 0.05)}},
-				{"warm-knot", []Option{WithWarmStart(knotSlope(pwl[0], cold.Slope), 0)}},
+				{"served", []Option{WithBisection(geometry.BisectRegulaFalsi)}},
 				{"no-finetune", []Option{WithoutFineTune()}},
 				{"angles", []Option{WithBisection(geometry.BisectAngles)}},
 				{"max-steps", []Option{WithMaxSteps(12), WithoutFineTune()}},
-				{"all", []Option{WithWarmStart(cold.Slope*1.3, 0.2), WithoutFineTune(), WithBisection(geometry.BisectAngles), WithMaxSteps(5)}},
+				{"all", []Option{WithoutFineTune(), WithBisection(geometry.BisectAngles), WithMaxSteps(5)}},
 			}
 			if n <= 2_000_000 {
 				// A step cap stops the search in a wide region, from which
 				// fine-tuning hands out up to n units one at a time.
 				mixes = append(mixes, optionMix{"max-steps-finetune", []Option{WithMaxSteps(4)}})
 			}
+			var tangent Result
 			for _, mix := range mixes {
 				want, wantErr := pr.PartitionInto(make(Allocation, p), algo, n, generic, mix.opts...)
+				// The final bracket: with interpolation every ray depends on
+				// the sums' values, so the paths must agree on them, not
+				// only on the signs that steer bisection.
+				b := &pr.st.b
+				wantSteep := append([]float64(nil), b.xSteep...)
+				wantShallow := append([]float64(nil), b.xShallow...)
 				got, gotErr := pr.PartitionInto(dst, algo, n, fast, mix.opts...)
 				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 					t.Fatalf("%v %s n=%d: fast path error %v, generic %v", algo, mix.name, n, gotErr, wantErr)
@@ -205,6 +247,18 @@ func FuzzPWLFastPathMatchesGeneric(f *testing.F) {
 					if got.Alloc[i] != want.Alloc[i] {
 						t.Fatalf("%v %s n=%d: fast path alloc %v, generic %v", algo, mix.name, n, got.Alloc, want.Alloc)
 					}
+					if math.Float64bits(b.xSteep[i]) != math.Float64bits(wantSteep[i]) ||
+						math.Float64bits(b.xShallow[i]) != math.Float64bits(wantShallow[i]) {
+						t.Fatalf("%v %s n=%d proc %d: fast path bracket [%v, %v], generic [%v, %v]",
+							algo, mix.name, n, i, b.xSteep[i], b.xShallow[i], wantSteep[i], wantShallow[i])
+					}
+				}
+				switch mix.name {
+				case "default":
+					tangent = got
+					tangent.Alloc = append(Allocation(nil), got.Alloc...)
+				case "served":
+					sameAllocation(t, fmt.Sprintf("%v n=%d", algo, n), tangent, got)
 				}
 			}
 		}

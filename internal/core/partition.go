@@ -127,8 +127,6 @@ type config struct {
 	fineTune   bool
 	maxSteps   int
 	elasticity float64 // Combined's flatness threshold
-	warmSlope  float64 // warm-start hint: slope of a nearby known solution
-	warmSpread float64 // relative half-width of the warm bracket
 }
 
 func defaultConfig() config {
@@ -141,7 +139,8 @@ func defaultConfig() config {
 }
 
 // WithBisection selects the ray bisection rule (tangent mean by default;
-// the paper's formal description uses the angle mean).
+// the paper's formal description uses the angle mean, and
+// geometry.BisectRegulaFalsi interpolates on the allocation sum).
 func WithBisection(rule geometry.BisectionRule) Option {
 	return func(c *config) { c.rule = rule }
 }
@@ -175,45 +174,9 @@ func WithElasticityThreshold(e float64) Option {
 	}
 }
 
-// WithWarmStart seeds the bisection with the slope of a previously known
-// nearby solution (same cluster model, nearby n): after the Figure 18
-// initial rays are opened, the two rays at slope·(1±spread) are probed and
-// installed as tighter bounds wherever they bracket the optimum, so
-// convergence drops to a few steps. The hint is verified by intersection —
-// a wrong or stale hint only costs up to two extra rays and never changes
-// the result: the fine-tuning step reaches the same integer allocation
-// from any converged region (see DESIGN §8).
-func WithWarmStart(slope, spread float64) Option {
-	return func(c *config) {
-		if slope > 0 && !math.IsInf(slope, 0) && !math.IsNaN(slope) {
-			c.warmSlope = slope
-			c.warmSpread = math.Max(spread, 0)
-		}
-	}
-}
-
-// WithWarmStartVar is WithWarmStart with late-bound parameters: the option
-// reads *slope and *spread when it is applied, not when it is built. A
-// caller that seeds warm starts on every request (the plan cache's miss
-// path) constructs the option once next to two reusable fields and pays no
-// per-call closure allocation. Semantics match WithWarmStart exactly,
-// including the rejection of non-positive, infinite and NaN slopes.
-func WithWarmStartVar(slope, spread *float64) Option {
-	return func(c *config) {
-		s := *slope
-		if s > 0 && !math.IsInf(s, 0) && !math.IsNaN(s) {
-			c.warmSlope = s
-			c.warmSpread = math.Max(*spread, 0)
-		}
-	}
-}
-
-// OptionsKey returns a stable hash of the result-affecting options, for
-// keying partition plans in a cache. Two option lists with the same key
-// produce identical allocations on the same model and n. Warm-start hints
-// are deliberately excluded: they change the search path but never the
-// result (see WithWarmStart), so plans computed with different hints are
-// interchangeable.
+// OptionsKey returns a stable hash of the options, for keying partition
+// plans in a cache. Two option lists with the same key produce identical
+// results on the same model and n.
 func OptionsKey(opts ...Option) uint64 {
 	if len(opts) == 0 {
 		// The empty list hashes the default config, a constant; skipping
@@ -460,37 +423,6 @@ func (s *state) initialRays() (steep, shallow geometry.Ray, clamped bool, err er
 		return steep, shallow, clamped, err
 	}
 	return steep, shallow, clamped, nil
-}
-
-// applyWarmStart tightens freshly opened bounds with up to two verified
-// rays bracketing a previously known solution slope (WithWarmStart). Each
-// candidate strictly inside the current region is intersected once and
-// installed on whichever side its allocation sum puts it — exactly a
-// bisection step with a chosen ray, so correctness is unaffected and a bad
-// hint costs at most two rays.
-func (s *state) applyWarmStart() error {
-	w := s.cfg.warmSlope
-	if !(w > 0) {
-		return nil
-	}
-	steepC := w * (1 + s.cfg.warmSpread)
-	shallowC := w * (1 - s.cfg.warmSpread)
-	for _, c := range [2]float64{steepC, shallowC} {
-		if !(c > s.b.shallow.Slope()) || !(c < s.b.steep.Slope()) {
-			continue
-		}
-		ray, err := geometry.NewRay(c)
-		if err != nil {
-			continue
-		}
-		sum, err := s.intersect(ray)
-		if err != nil {
-			return err
-		}
-		s.stats.Steps++
-		s.b.replace(ray, s.xs, s.segs, sum, s.n)
-	}
-	return nil
 }
 
 // converged reports the paper's stopping criterion: the region between the

@@ -43,9 +43,6 @@ func (p *Partitioner) PartitionInto(dst Allocation, algo Algorithm, n int64, fns
 	if err := s.openBounds(); err != nil {
 		return Result{}, err
 	}
-	if err := s.applyWarmStart(); err != nil {
-		return Result{}, err
-	}
 	var err error
 	switch algo {
 	case AlgoBasic:

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"heteropart/internal/speed"
@@ -118,39 +117,6 @@ func TestPartitionerZeroAllocWarm(t *testing.T) {
 	}
 }
 
-func TestWarmStartBitIdentical(t *testing.T) {
-	fns := testPWLCluster(20, 5)
-	n := int64(7_500_000)
-	cold, err := Combined(n, fns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := NewPartitioner()
-	dst := make(Allocation, 20)
-	for _, spread := range []float64{0, 0.01, 0.1, 0.5, 3} {
-		for _, hint := range []float64{cold.Slope, cold.Slope * 1.3, cold.Slope * 0.2, 1e-30, 1e30} {
-			got, err := pr.PartitionInto(dst, AlgoCombined, n, fns, WithWarmStart(hint, spread))
-			if err != nil {
-				t.Fatalf("hint=%v spread=%v: %v", hint, spread, err)
-			}
-			for i := range cold.Alloc {
-				if got.Alloc[i] != cold.Alloc[i] {
-					t.Fatalf("hint=%v spread=%v proc %d: warm=%d cold=%d",
-						hint, spread, i, got.Alloc[i], cold.Alloc[i])
-				}
-			}
-		}
-	}
-	// A good hint must actually save steps.
-	tight, err := pr.PartitionInto(dst, AlgoCombined, n, fns, WithWarmStart(cold.Slope, 0.001))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tight.Stats.Steps >= cold.Stats.Steps {
-		t.Fatalf("warm start with exact hint took %d steps, cold took %d", tight.Stats.Steps, cold.Stats.Steps)
-	}
-}
-
 func TestPartitionerValidation(t *testing.T) {
 	fns := testCluster(4, 1)
 	pr := NewPartitioner()
@@ -198,19 +164,5 @@ func TestRepartitionWithMatchesRepartition(t *testing.T) {
 	bad.Alloc[0]++
 	if _, _, err := RepartitionWith(old, fns, 0.05, bad); err == nil {
 		t.Fatal("expected sum-mismatch error")
-	}
-}
-
-func TestWithWarmStartIgnoresInvalid(t *testing.T) {
-	var c config
-	for _, bad := range []float64{0, -1, math.Inf(1), math.NaN()} {
-		WithWarmStart(bad, 0.1)(&c)
-		if c.warmSlope != 0 {
-			t.Fatalf("invalid slope %v accepted", bad)
-		}
-	}
-	WithWarmStart(2, -5)(&c)
-	if c.warmSlope != 2 || c.warmSpread != 0 {
-		t.Fatalf("negative spread not clamped: %+v", c)
 	}
 }

@@ -84,6 +84,11 @@ const (
 	// BisectAngles draws the ray whose angle is the arithmetic mean of the
 	// two bounding angles, as in the paper's formal description (Figure 7).
 	BisectAngles
+	// BisectRegulaFalsi selects a safeguarded regula-falsi search on the
+	// allocation sum (the partitioner draws each ray where the line through
+	// the bounds' excess allocations crosses zero). Its Bisect, the step
+	// the search falls back to, is the tangent mean.
+	BisectRegulaFalsi
 )
 
 // String implements fmt.Stringer.
@@ -93,6 +98,8 @@ func (b BisectionRule) String() string {
 		return "tangents"
 	case BisectAngles:
 		return "angles"
+	case BisectRegulaFalsi:
+		return "regula-falsi"
 	default:
 		return fmt.Sprintf("BisectionRule(%d)", int(b))
 	}

@@ -8,11 +8,14 @@
 //   - shared miss: another goroutine is computing exactly this plan right
 //     now; the request waits for that single computation (singleflight)
 //     instead of duplicating it;
-//   - warm miss: no plan for this n, but the same cluster has plans for
-//     nearby sizes; the nearest one's optimal-ray slope seeds the bisection
-//     (core.WithWarmStart), collapsing convergence to a few steps. The
-//     allocation is bit-identical to a cold run's; the slope and Stats are
-//     by-products of the search path and differ from it.
+//   - miss: the plan is computed.
+//
+// A computed plan is a pure function of its key: a request that names no
+// bisection rule is computed with the safeguarded regula-falsi search
+// (geometry.BisectRegulaFalsi), which needs no seed from earlier plans, so
+// its allocation, slope bits and Stats do not depend on what the cache
+// served before. The allocation equals tangent bisection's (core.Combined's
+// default) bit for bit.
 //
 // With the admission policy on (Config.Doorkeeper), a plan enters the LRU
 // only on its second ask: the first miss's plan waits in a small per-shard
@@ -25,7 +28,7 @@
 // handles built from equal functions share plans, and a probe never
 // rehashes a model. When a model drifts (speed.Drift flags it stale),
 // Refresh migrates its plans to the refreshed handle, or
-// InvalidateFingerprint drops every plan and warm hint derived from it.
+// InvalidateFingerprint drops every plan derived from it.
 //
 // The cache is sharded by key hash: each shard has its own mutex, LRU list
 // and in-flight table, so concurrent requests for different plans do not
@@ -34,11 +37,11 @@
 package plancache
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"heteropart/internal/core"
+	"heteropart/internal/geometry"
 	"heteropart/internal/speed"
 )
 
@@ -56,22 +59,34 @@ const (
 	// hold at most an eighth of the LRU's plan count.
 	windowScale = 8
 	windowMin   = 4
-	// warmHintsPerModel bounds the per-model warm-start hint index.
-	warmHintsPerModel = 64
-	// warmSpreadFloor keeps the warm bracket open even for an exact-n hint
-	// from a different options key.
-	warmSpreadFloor = 1e-3
-	// warmSpreadCap bounds the bracket for far hints; beyond ±50 % the
-	// bracket rarely lands inside the initial region anyway.
-	warmSpreadCap = 0.5
 )
+
+// servedOpts is the option list a request with no options runs with, and
+// servedKey its options hash.
+var (
+	servedOpts = []core.Option{core.WithBisection(geometry.BisectRegulaFalsi)}
+	servedKey  = core.OptionsKey(servedOpts...)
+)
+
+// served derives a request's plan key options hash and the options a miss
+// computes it with: the request's options behind the regula-falsi rule, so
+// a rule the request names still wins. A request naming tangents therefore
+// keys and computes as the paper's default. buf is storage the run options
+// may use; a request with no options needs none, and its key is a constant.
+func served(buf, opts []core.Option) (uint64, []core.Option) {
+	if len(opts) == 0 {
+		return servedKey, servedOpts
+	}
+	run := append(append(buf[:0], servedOpts...), opts...)
+	return core.OptionsKey(run...), run
+}
 
 // key identifies one plan.
 type key struct {
 	model uint64 // the cluster model's fingerprint
 	n     int64
 	algo  core.Algorithm
-	opts  uint64 // core.OptionsKey of the option list
+	opts  uint64 // core.OptionsKey of the option list a miss runs with (see served)
 }
 
 // hash mixes the key fields into a shard/index hash (splitmix64 over the
@@ -197,23 +212,10 @@ type shard struct {
 	win  *window
 }
 
-// hint is one warm-start seed: the optimal-ray slope for size n.
-type hint struct {
-	n     int64
-	slope float64
-}
-
-// warmIndex holds per-model hints sorted by n.
-type warmIndex struct {
-	mu     sync.Mutex
-	models map[uint64][]hint
-}
-
 // Stats is a snapshot of the cache counters.
 type Stats struct {
 	Hits          uint64 // exact hits: served from the LRU or admitted from the admission window
-	Misses        uint64 // plans computed (cold or warm)
-	WarmStarts    uint64 // misses that ran with a warm-start hint
+	Misses        uint64 // plans computed
 	Shared        uint64 // requests that waited on another's computation
 	Evictions     uint64 // entries dropped by LRU pressure
 	Invalidations uint64 // entries dropped by InvalidateFingerprint
@@ -249,9 +251,7 @@ type Config struct {
 	// its second ask, so one-shot sizes pass through without evicting
 	// anything. The first miss's plan waits in a per-shard admission window
 	// (perShard/8 slots, at least 4) and the second ask admits it as a hit,
-	// without computing again. Warm-start hints are still recorded on every
-	// computed miss, so a rejected size's neighbors keep seeding the
-	// bisection.
+	// without computing again.
 	Doorkeeper bool
 }
 
@@ -259,11 +259,9 @@ type Config struct {
 // call New.
 type Cache struct {
 	shards [numShards]shard
-	warm   warmIndex
 
 	hits           atomic.Uint64
 	misses         atomic.Uint64
-	warmStarts     atomic.Uint64
 	shared         atomic.Uint64
 	evictions      atomic.Uint64
 	invalidations  atomic.Uint64
@@ -279,31 +277,16 @@ type Cache struct {
 	insertTap atomic.Pointer[func(PlanRecord)]
 
 	// readOnly suspends admission: misses still compute and return, but
-	// nothing is inserted, no doorkeeper state advances, no tap fires and
-	// no hints are remembered. Import, Refresh and InvalidateFingerprint
-	// are unaffected — they ARE the write path while a replica mirrors its
-	// primary.
+	// nothing is inserted, no doorkeeper state advances and no tap fires.
+	// Import, Refresh and InvalidateFingerprint are unaffected — they ARE
+	// the write path while a replica mirrors its primary.
 	readOnly atomic.Bool
 
-	// scratch pools the per-miss compute state (partitioner, option slice,
-	// warm-start seed fields); calls pools singleflight call structs that
-	// never attracted a waiter. Together they keep the near-miss path at a
-	// couple of allocations per computed plan.
-	scratch sync.Pool
-	calls   sync.Pool
-}
-
-// missScratch bundles what the miss path would otherwise allocate per
-// request: the partitioner, a reusable option slice, and a pre-built
-// late-bound warm-start option (core.WithWarmStartVar) that reads the
-// slope/spread fields at apply time, so seeding a warm start costs no
-// closure allocation.
-type missScratch struct {
-	p      *core.Partitioner
-	opts   []core.Option
-	slope  float64
-	spread float64
-	warm   core.Option
+	// partitioners pools the miss path's core.Partitioners; calls pools
+	// singleflight call structs that never attracted a waiter. Together
+	// they keep the miss path at a couple of allocations per computed plan.
+	partitioners sync.Pool
+	calls        sync.Pool
 }
 
 // New returns a cache holding up to capacity plans (DefaultCapacity when
@@ -341,12 +324,7 @@ func NewWithConfig(cfg Config) *Cache {
 			c.shards[i].win = &window{slots: make([]winSlot, slots), index: make(map[key]int, slots)}
 		}
 	}
-	c.warm.models = make(map[uint64][]hint)
-	c.scratch.New = func() any {
-		sc := &missScratch{p: core.NewPartitioner()}
-		sc.warm = core.WithWarmStartVar(&sc.slope, &sc.spread)
-		return sc
-	}
+	c.partitioners.New = func() any { return core.NewPartitioner() }
 	c.calls.New = func() any { return new(call) }
 	return c
 }
@@ -355,7 +333,7 @@ func NewWithConfig(cfg Config) *Cache {
 type Tier uint8
 
 const (
-	// TierMiss means the plan was computed (cold or warm-started).
+	// TierMiss means the plan was computed.
 	TierMiss Tier = iota
 	// TierHit means the plan was served from the LRU.
 	TierHit
@@ -371,7 +349,9 @@ const (
 // nothing changes — no doorkeeper state, no counters — so a caller
 // falling back to the engine costs one extra map lookup, not skewed stats.
 func (c *Cache) PeekInto(dst core.Allocation, m *speed.Model, algo core.Algorithm, n int64, opts ...core.Option) (core.Allocation, core.Result, bool) {
-	k := key{model: m.Fingerprint(), n: n, algo: algo, opts: core.OptionsKey(opts...)}
+	var buf [4]core.Option
+	optsKey, _ := served(buf[:0], opts)
+	k := key{model: m.Fingerprint(), n: n, algo: algo, opts: optsKey}
 	sh := &c.shards[k.hash()&(numShards-1)]
 
 	sh.mu.Lock()
@@ -403,7 +383,9 @@ func (c *Cache) Get(algo core.Algorithm, n int64, m *speed.Model, opts ...core.O
 // callers keeping their own hit-rate accounting (the serving engine reports
 // per-algorithm rates from it).
 func (c *Cache) GetTier(algo core.Algorithm, n int64, m *speed.Model, opts ...core.Option) (core.Result, Tier, error) {
-	k := key{model: m.Fingerprint(), n: n, algo: algo, opts: core.OptionsKey(opts...)}
+	var buf [4]core.Option
+	optsKey, runOpts := served(buf[:0], opts)
+	k := key{model: m.Fingerprint(), n: n, algo: algo, opts: optsKey}
 	h := k.hash()
 	sh := &c.shards[h&(numShards-1)]
 
@@ -449,7 +431,7 @@ func (c *Cache) GetTier(algo core.Algorithm, n int64, m *speed.Model, opts ...co
 
 	// res goes to this caller, who may mutate it; the cache keeps its own
 	// copy, and waiters copy from that one.
-	res, err := c.compute(k, n, m.Fns(), opts)
+	res, err := c.compute(k, m.Fns(), runOpts)
 	readOnly := c.readOnly.Load()
 	var owned core.Result
 	if err == nil && !readOnly {
@@ -493,9 +475,6 @@ func (c *Cache) GetTier(algo core.Algorithm, n int64, m *speed.Model, opts ...co
 	} else if windowed {
 		c.rejected.Add(1)
 	}
-	if n > 0 && !readOnly {
-		c.rememberHint(k.model, n, res.Slope)
-	}
 	return res, TierMiss, nil
 }
 
@@ -513,101 +492,16 @@ func (c *Cache) admit(k key, res core.Result) {
 	}
 }
 
-// compute runs the partitioner for a miss, warm-started from the nearest
-// cached hint for the same model when one exists.
-func (c *Cache) compute(k key, n int64, fns []speed.Function, opts []core.Option) (core.Result, error) {
-	sc := c.scratch.Get().(*missScratch)
-	runOpts := opts
-	if slope, spread, ok := c.warmHint(k.model, n); ok {
-		sc.slope, sc.spread = slope, spread
-		sc.opts = append(sc.opts[:0], opts...)
-		sc.opts = append(sc.opts, sc.warm)
-		runOpts = sc.opts
-		c.warmStarts.Add(1)
-	}
-	dst := make(core.Allocation, len(fns))
-	res, err := sc.p.PartitionInto(dst, k.algo, n, fns, runOpts...)
-	for i := range sc.opts {
-		sc.opts[i] = nil // release caller option references
-	}
-	sc.opts = sc.opts[:0]
-	c.scratch.Put(sc)
+// compute runs the partitioner for a miss.
+func (c *Cache) compute(k key, fns []speed.Function, opts []core.Option) (core.Result, error) {
+	p := c.partitioners.Get().(*core.Partitioner)
+	res, err := p.PartitionInto(make(core.Allocation, len(fns)), k.algo, k.n, fns, opts...)
+	c.partitioners.Put(p)
 	return res, err
 }
 
-// warmHint returns the slope of the nearest cached solution for the model
-// and the bracket spread to search around it.
-func (c *Cache) warmHint(model uint64, n int64) (slope, spread float64, ok bool) {
-	c.warm.mu.Lock()
-	hints := c.warm.models[model]
-	if len(hints) == 0 {
-		c.warm.mu.Unlock()
-		return 0, 0, false
-	}
-	i := sort.Search(len(hints), func(i int) bool { return hints[i].n >= n })
-	best := i
-	if best == len(hints) || (i > 0 && n-hints[i-1].n < hints[i].n-n) {
-		best = i - 1
-	}
-	h := hints[best]
-	c.warm.mu.Unlock()
-	if !(h.slope > 0) || h.n <= 0 {
-		return 0, 0, false
-	}
-	// Relative distance in n maps to a relative slope bracket: the optimal
-	// slope scales roughly like speed(n/p)/(n/p), so doubling the distance
-	// doubles the bracket. The floor keeps the bracket open for exact-n
-	// hints (different options) and the cap keeps far hints cheap.
-	rel := float64(n-h.n) / float64(h.n)
-	if rel < 0 {
-		rel = -rel
-	}
-	spread = 2*rel + warmSpreadFloor
-	if spread > warmSpreadCap {
-		spread = warmSpreadCap
-	}
-	return h.slope, spread, true
-}
-
-// rememberHint records the optimal slope for (model, n) in the warm index.
-func (c *Cache) rememberHint(model uint64, n int64, slope float64) {
-	c.warm.mu.Lock()
-	addHint(c.warm.models, model, n, slope)
-	c.warm.mu.Unlock()
-}
-
-// addHint records the optimal slope for (model, n) in a warm-index map,
-// keeping each model's hints bounded and sorted by n.
-func addHint(models map[uint64][]hint, model uint64, n int64, slope float64) {
-	if !(slope > 0) {
-		return
-	}
-	hints := models[model]
-	i := sort.Search(len(hints), func(i int) bool { return hints[i].n >= n })
-	if i < len(hints) && hints[i].n == n {
-		hints[i].slope = slope
-		return
-	}
-	if len(hints) >= warmHintsPerModel {
-		// Replace the neighbor instead of growing: nearby hints are nearly
-		// interchangeable as warm-start seeds. sort.Search already proved
-		// hints[i-1].n < n < hints[i].n (exact matches returned above), so
-		// overwriting slot i — or the last slot when n lies past the end —
-		// keeps the index sorted without a re-sort.
-		if i == len(hints) {
-			i--
-		}
-		hints[i] = hint{n: n, slope: slope}
-		return
-	}
-	hints = append(hints, hint{})
-	copy(hints[i+1:], hints[i:])
-	hints[i] = hint{n: n, slope: slope}
-	models[model] = hints
-}
-
-// InvalidateFingerprint drops every cached plan and warm hint for the
-// cluster model with the given fingerprint, and the model's plans waiting
+// InvalidateFingerprint drops every cached plan for the cluster model
+// with the given fingerprint, and the model's plans waiting
 // in the admission windows; it returns how many cached plans it dropped.
 // Call it when a model is replaced, or when speed.Drift (or any other
 // monitor) flags it as stale; in-flight computations for the old model are
@@ -632,24 +526,21 @@ func (c *Cache) InvalidateFingerprint(model uint64) int {
 		}
 		sh.mu.Unlock()
 	}
-	c.warm.mu.Lock()
-	delete(c.warm.models, model)
-	c.warm.mu.Unlock()
 	c.invalidations.Add(uint64(dropped))
 	return dropped
 }
 
-// Replace swaps the cache's contents for plans and hints — the
-// mirror-rebuild primitive a replica uses after a snapshot handoff replaced
-// its store's state wholesale. Each shard's new entry map and LRU list, and
-// the new warm index, are built outside the locks and swapped in under
-// them, so a plan present both before and after the swap never misses for
+// Replace swaps the cache's contents for plans — the mirror-rebuild
+// primitive a replica uses after a snapshot handoff replaced its store's
+// state wholesale. Each shard's new entry map and LRU list are built
+// outside the locks and swapped in under them, so a plan present both
+// before and after the swap never misses for
 // a concurrent reader. Plans install as Import installs them (invalid
 // records skipped, later records more recent); no tap fires and no
 // invalidation is counted. The admission windows are emptied. In-flight
 // computations are left to finish and insert into the new contents. It
 // returns how many plans were installed.
-func (c *Cache) Replace(plans []PlanRecord, hints []HintRecord) int {
+func (c *Cache) Replace(plans []PlanRecord) int {
 	var fresh [numShards]shard
 	for i := range fresh {
 		fresh[i].entries = make(map[key]*entry)
@@ -668,12 +559,6 @@ func (c *Cache) Replace(plans []PlanRecord, hints []HintRecord) int {
 			installed++
 		}
 	}
-	warm := make(map[uint64][]hint)
-	for _, h := range hints {
-		if h.N > 0 {
-			addHint(warm, h.Model, h.N, h.Slope)
-		}
-	}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
@@ -683,9 +568,6 @@ func (c *Cache) Replace(plans []PlanRecord, hints []HintRecord) int {
 		}
 		sh.mu.Unlock()
 	}
-	c.warm.mu.Lock()
-	c.warm.models = warm
-	c.warm.mu.Unlock()
 	c.evictions.Add(evicted)
 	return installed
 }
@@ -705,7 +587,6 @@ func (c *Cache) Stats() Stats {
 	s := Stats{
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
-		WarmStarts:    c.warmStarts.Load(),
 		Shared:        c.shared.Load(),
 		Evictions:     c.evictions.Load(),
 		Invalidations: c.invalidations.Load(),

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"heteropart/internal/core"
+	"heteropart/internal/geometry"
 	"heteropart/internal/speed"
 )
 
@@ -103,37 +104,6 @@ func TestCacheKeying(t *testing.T) {
 		if base.Alloc[i] != again.Alloc[i] {
 			t.Fatalf("proc %d differs after rebuild", i)
 		}
-	}
-}
-
-func TestWarmStartServedPlansBitIdentical(t *testing.T) {
-	c := New(0)
-	fns := testCluster(16, 4)
-	m := speed.NewModel(fns)
-	// Populate hints across a range of sizes, then request in-between
-	// sizes; every plan must equal a cold Combined run exactly.
-	for n := int64(1_000_000); n <= 16_000_000; n *= 2 {
-		if _, err := c.Get(core.AlgoCombined, n, m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for n := int64(1_100_000); n <= 15_000_000; n = n * 3 / 2 {
-		got, err := c.Get(core.AlgoCombined, n, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := core.Combined(n, fns)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range cold.Alloc {
-			if got.Alloc[i] != cold.Alloc[i] {
-				t.Fatalf("n=%d proc %d: cached=%d cold=%d", n, i, got.Alloc[i], cold.Alloc[i])
-			}
-		}
-	}
-	if st := c.Stats(); st.WarmStarts == 0 {
-		t.Fatalf("no warm starts recorded: %+v", st)
 	}
 }
 
@@ -298,4 +268,23 @@ func hammer(t *testing.T, c *Cache) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestServedKeys pins the options hashes plans are keyed under: a request
+// with no options keys the regula-falsi search, and one naming tangents
+// keys what an older store holds its tangent-bisection plans under.
+func TestServedKeys(t *testing.T) {
+	if k, _ := served(nil, nil); k != core.OptionsKey(core.WithBisection(geometry.BisectRegulaFalsi)) || k == core.OptionsKey() {
+		t.Fatalf("no-options key %#x", k)
+	}
+	k, run := served(nil, []core.Option{core.WithBisection(geometry.BisectTangents)})
+	if k != core.OptionsKey() {
+		t.Fatalf("tangents key %#x, want the default options key %#x", k, core.OptionsKey())
+	}
+	if len(run) != 2 {
+		t.Fatalf("run options %d, want the served rule and the request's", len(run))
+	}
+	if k, _ := served(nil, []core.Option{core.WithMaxSteps(12)}); k != core.OptionsKey(core.WithBisection(geometry.BisectRegulaFalsi), core.WithMaxSteps(12)) {
+		t.Fatalf("max-steps key %#x", k)
+	}
 }

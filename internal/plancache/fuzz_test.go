@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"heteropart/internal/core"
+	"heteropart/internal/geometry"
 	"heteropart/internal/speed"
 )
 
@@ -31,11 +32,13 @@ func randomPWLCluster(p int, seed uint32) []speed.Function {
 	return fns
 }
 
-// FuzzWarmStartBitIdentical asserts the tentpole's correctness contract:
-// for any random PWL cluster and any pair of problem sizes, a warm-started
-// run and a cache-served run produce allocations bit-identical to a cold
-// core.Combined run.
-func FuzzWarmStartBitIdentical(f *testing.F) {
+// FuzzPlanPurity asserts that a computed plan is a pure function of its
+// key: for any random PWL cluster and any pair of problem sizes, the
+// cache-served allocation for n2 equals tangent core.Combined's, and a
+// cache that served n1 first returns for n2 the same bytes (allocation,
+// slope bits and Stats) as a fresh cache asked only n2, which are
+// core.Combined's under the regula-falsi rule.
+func FuzzPlanPurity(f *testing.F) {
 	f.Add(uint32(1), uint8(4), uint32(100_000), uint32(120_000))
 	f.Add(uint32(7), uint8(2), uint32(50_000), uint32(51_000))
 	f.Add(uint32(42), uint8(16), uint32(1_000_000), uint32(400_000))
@@ -51,32 +54,30 @@ func FuzzWarmStartBitIdentical(f *testing.F) {
 		n1 := 1 + int64(n1Raw)%(capacity/2)
 		n2 := 1 + int64(n2Raw)%(capacity/2)
 
-		cold1, err := core.Combined(n1, fns)
+		tangent, err := core.Combined(n2, fns)
 		if err != nil {
 			t.Skip() // degenerate random model (e.g. all-zero speeds)
 		}
-		cold2, err := core.Combined(n2, fns)
+		pure, err := core.Combined(n2, fns, core.WithBisection(geometry.BisectRegulaFalsi))
 		if err != nil {
-			t.Skip()
+			t.Fatalf("regula-falsi failed where tangent bisection succeeded: %v", err)
 		}
-
-		// Warm-started directly with the other size's solution slope.
-		pr := core.NewPartitioner()
-		dst := make(core.Allocation, p)
-		warm, err := pr.PartitionInto(dst, core.AlgoCombined, n2, fns,
-			core.WithWarmStart(cold1.Slope, 0.25))
+		fresh, err := New(0).Get(core.AlgoCombined, n2, speed.NewModel(fns))
 		if err != nil {
-			t.Fatalf("warm run failed where cold succeeded: %v", err)
+			t.Fatalf("fresh cache Get(n2): %v", err)
 		}
-		for i := range cold2.Alloc {
-			if warm.Alloc[i] != cold2.Alloc[i] {
-				t.Fatalf("warm-started allocation diverges: seed=%d p=%d n1=%d n2=%d proc=%d warm=%d cold=%d",
-					seed, p, n1, n2, i, warm.Alloc[i], cold2.Alloc[i])
+		for i := range tangent.Alloc {
+			if fresh.Alloc[i] != tangent.Alloc[i] {
+				t.Fatalf("cache-served allocation diverges from tangent bisection: seed=%d p=%d n2=%d proc=%d served=%d tangent=%d",
+					seed, p, n2, i, fresh.Alloc[i], tangent.Alloc[i])
 			}
 		}
+		if !sameResult(fresh, pure) {
+			t.Fatalf("fresh cache served %+v for n2=%d, core.Combined computes %+v", fresh, n2, pure)
+		}
 
-		// Cache-served: first Get seeds the warm index, second Get is
-		// warm-started internally, third is an exact hit.
+		// A cache with a history: n1 first, then n2 twice (a miss, then an
+		// exact hit).
 		c := New(0)
 		if _, err := c.Get(core.AlgoCombined, n1, speed.NewModel(fns)); err != nil {
 			t.Fatalf("cache Get(n1): %v", err)
@@ -86,11 +87,9 @@ func FuzzWarmStartBitIdentical(f *testing.F) {
 			if err != nil {
 				t.Fatalf("cache Get(n2) pass %d: %v", pass, err)
 			}
-			for i := range cold2.Alloc {
-				if served.Alloc[i] != cold2.Alloc[i] {
-					t.Fatalf("cache-served allocation diverges on pass %d: seed=%d p=%d n1=%d n2=%d proc=%d served=%d cold=%d",
-						pass, seed, p, n1, n2, i, served.Alloc[i], cold2.Alloc[i])
-				}
+			if !sameResult(served, fresh) {
+				t.Fatalf("pass %d: after n1=%d the cache served %+v for n2=%d, a fresh cache %+v (seed=%d p=%d)",
+					pass, n1, served, n2, fresh, seed, p)
 			}
 		}
 	})

@@ -4,9 +4,9 @@ import (
 	"heteropart/internal/core"
 )
 
-// Persistence surface of the cache: the store (internal/store) snapshots
-// cache contents and replays them into a fresh cache after a restart, and
-// taps the cache for its write-ahead log. Records carry the cache key in
+// Persistence surface of the cache: the store (internal/store) taps the
+// cache for its write-ahead log, and replays the plans it holds into a
+// fresh cache after a restart. Records carry the cache key in
 // its exported form (model fingerprint, n, algorithm, options hash) plus
 // the full Result, so an imported plan is served bit-identically to the one
 // the pre-crash process computed.
@@ -51,13 +51,6 @@ func (r PlanRecord) entry() (key, core.Result) {
 	}
 }
 
-// HintRecord is one warm-start hint in exportable form.
-type HintRecord struct {
-	Model uint64
-	N     int64
-	Slope float64
-}
-
 // SetInsertTap installs fn to be called after every admitted insertion with
 // the inserted plan (its Alloc is a private copy). The tap runs on the
 // computing goroutine outside any cache lock, only on the miss path —
@@ -72,40 +65,12 @@ func (c *Cache) SetInsertTap(fn func(PlanRecord)) {
 	c.insertTap.Store(&fn)
 }
 
-// Export snapshots the cache contents: every resident plan (least recently
-// used first, so replaying them in order re-creates the LRU order) and
-// every warm-start hint. Allocations are private copies.
-func (c *Cache) Export() ([]PlanRecord, []HintRecord) {
-	var plans []PlanRecord
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for e := sh.tail; e != nil; e = e.prev {
-			plans = append(plans, PlanRecord{
-				Model: e.k.model, N: e.k.n, Algo: e.k.algo, OptsKey: e.k.opts,
-				Slope: e.res.Slope, Alloc: append(core.Allocation(nil), e.res.Alloc...),
-				Stats: e.res.Stats,
-			})
-		}
-		sh.mu.Unlock()
-	}
-	var hints []HintRecord
-	c.warm.mu.Lock()
-	for model, hs := range c.warm.models {
-		for _, h := range hs {
-			hints = append(hints, HintRecord{Model: model, N: h.n, Slope: h.slope})
-		}
-	}
-	c.warm.mu.Unlock()
-	return plans, hints
-}
-
-// Import seeds the cache with previously exported plans and hints,
-// returning how many plans were installed. Records failing Valid and
-// duplicates of resident entries are skipped. Imported plans bypass the
-// doorkeeper (they were admitted by the previous process) and do not fire
-// the insert tap (the store already has them).
-func (c *Cache) Import(plans []PlanRecord, hints []HintRecord) int {
+// Import seeds the cache with previously stored plans, returning how many
+// were installed. Records failing Valid and duplicates of resident entries
+// are skipped. Imported plans bypass the doorkeeper (they were admitted by
+// the previous process) and do not fire the insert tap (the store already
+// has them).
+func (c *Cache) Import(plans []PlanRecord) int {
 	var installed int
 	for _, r := range plans {
 		if !r.Valid() {
@@ -119,11 +84,6 @@ func (c *Cache) Import(plans []PlanRecord, hints []HintRecord) int {
 		c.evictions.Add(evicted)
 		if inserted {
 			installed++
-		}
-	}
-	for _, h := range hints {
-		if h.N > 0 {
-			c.rememberHint(h.Model, h.N, h.Slope)
 		}
 	}
 	return installed

@@ -66,29 +66,6 @@ func sameResult(a, b core.Result) bool {
 	return true
 }
 
-func TestDoorkeeperStillRecordsWarmHints(t *testing.T) {
-	c := NewWithConfig(Config{Doorkeeper: true})
-	fns := testCluster(8, 22)
-	m := speed.NewModel(fns)
-	// One-shot sizes: never inserted, but their hints must still seed
-	// nearby misses.
-	for n := int64(1_000_000); n <= 8_000_000; n *= 2 {
-		if _, err := c.Get(core.AlgoCombined, n, m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := c.Get(core.AlgoCombined, 3_000_000, m); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()
-	if st.Size != 0 {
-		t.Fatalf("one-shot sizes were inserted: %+v", st)
-	}
-	if st.WarmStarts == 0 {
-		t.Fatalf("rejected sizes left no warm hints: %+v", st)
-	}
-}
-
 func TestDoorkeeperGenerationsRotate(t *testing.T) {
 	d := &doorkeeper{cap: 4, cur: make(map[uint64]struct{})}
 	for h := uint64(0); h < 8; h++ {
@@ -109,8 +86,12 @@ func TestDoorkeeperGenerationsRotate(t *testing.T) {
 	}
 }
 
+// TestExportImportRoundTrip imports the plans a cache's insert tap
+// exported into a fresh cache, which must serve them as hits bit for bit.
 func TestExportImportRoundTrip(t *testing.T) {
 	c := New(0)
+	var plans []PlanRecord
+	c.SetInsertTap(func(r PlanRecord) { plans = append(plans, r) })
 	fns := testCluster(10, 23)
 	m := speed.NewModel(fns)
 	sizes := []int64{200_000, 300_000, 400_000, 500_000}
@@ -122,16 +103,12 @@ func TestExportImportRoundTrip(t *testing.T) {
 		}
 		want[n] = res
 	}
-	plans, hints := c.Export()
 	if len(plans) != len(sizes) {
 		t.Fatalf("exported %d plans, want %d", len(plans), len(sizes))
 	}
-	if len(hints) == 0 {
-		t.Fatal("no warm hints exported")
-	}
 
 	fresh := New(0)
-	if got := fresh.Import(plans, hints); got != len(sizes) {
+	if got := fresh.Import(plans); got != len(sizes) {
 		t.Fatalf("imported %d plans, want %d", got, len(sizes))
 	}
 	for _, n := range sizes {
@@ -151,13 +128,6 @@ func TestExportImportRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Imported hints must warm-start new sizes.
-	if _, err := fresh.Get(core.AlgoCombined, 350_000, m); err != nil {
-		t.Fatal(err)
-	}
-	if st := fresh.Stats(); st.WarmStarts == 0 {
-		t.Fatalf("imported hints unused: %+v", st)
-	}
 }
 
 func TestImportRejectsInvalidRecords(t *testing.T) {
@@ -170,7 +140,7 @@ func TestImportRejectsInvalidRecords(t *testing.T) {
 		// shares that wrap int64 around to N
 		{Model: 7, N: 6, Alloc: core.Allocation{math.MaxInt64, math.MaxInt64, 8}},
 	}
-	if got := c.Import(append(bad, good), nil); got != 1 {
+	if got := c.Import(append(bad, good)); got != 1 {
 		t.Fatalf("imported %d records, want only the valid one", got)
 	}
 	if st := c.Stats(); st.Size != 1 {

@@ -23,8 +23,7 @@ func TestReadOnlySuspendsAdmissionButNotCorrectness(t *testing.T) {
 	if got := res.Alloc.Sum(); got != 1_000_000 {
 		t.Fatalf("read-only miss returned a wrong plan: sum %d", got)
 	}
-	// Nothing was admitted, no hint remembered: the same ask misses again
-	// and computes cold (no warm start).
+	// Nothing was admitted: the same ask misses again.
 	_, tier2, err := c.GetTier(core.AlgoCombined, 1_000_000, m)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +32,7 @@ func TestReadOnlySuspendsAdmissionButNotCorrectness(t *testing.T) {
 		t.Fatalf("read-only cache admitted a plan (second ask: %v)", tier2)
 	}
 	st := c.Stats()
-	if st.Admitted != 0 || st.Size != 0 || st.WarmStarts != 0 || !st.ReadOnly {
+	if st.Admitted != 0 || st.Size != 0 || !st.ReadOnly {
 		t.Fatalf("read-only cache leaked state: %+v", st)
 	}
 }
@@ -65,9 +64,9 @@ func TestReadOnlyImportStillWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := c.Import([]PlanRecord{{
-		Model: fp, N: 3_000_000, Algo: core.AlgoCombined, OptsKey: core.OptionsKey(),
+		Model: fp, N: 3_000_000, Algo: core.AlgoCombined, OptsKey: servedKey,
 		Slope: res.Slope, Alloc: res.Alloc, Stats: res.Stats,
-	}}, []HintRecord{{Model: fp, N: 3_000_000, Slope: res.Slope}})
+	}})
 	if n != 1 {
 		t.Fatalf("Import admitted %d, want 1", n)
 	}
@@ -100,18 +99,11 @@ func TestReplaceSwapsContentsSilently(t *testing.T) {
 	if c.Stats().Size == 0 {
 		t.Fatal("nothing cached to replace")
 	}
-	if n := c.Replace(nil, nil); n != 0 {
-		t.Fatalf("Replace(nil, nil) installed %d plans", n)
+	if n := c.Replace(nil); n != 0 {
+		t.Fatalf("Replace(nil) installed %d plans", n)
 	}
 	if st := c.Stats(); st.Size != 0 {
 		t.Fatalf("Replace left %d entries", st.Size)
-	}
-	// The warm index is gone too: the next miss computes cold.
-	if _, err := c.Get(core.AlgoCombined, 1_100_000, m); err != nil {
-		t.Fatal(err)
-	}
-	if ws := c.Stats().WarmStarts; ws != 0 {
-		t.Fatalf("warm index survived Replace (%d warm starts)", ws)
 	}
 }
 
@@ -127,12 +119,12 @@ func TestReplaceNeverMissesResidentKey(t *testing.T) {
 	for i := range plans {
 		n := int64(1_000_000 + i)
 		plans[i] = PlanRecord{
-			Model: model, N: n, Algo: core.AlgoCombined, OptsKey: core.OptionsKey(),
+			Model: model, N: n, Algo: core.AlgoCombined, OptsKey: servedKey,
 			Slope: 1, Alloc: core.Allocation{n / 2, n - n/2},
 		}
 	}
 	probe := plans[len(plans)-1] // installed last on every swap
-	c.Import(plans, nil)
+	c.Import(plans)
 
 	stop := make(chan struct{})
 	var probes, misses int
@@ -155,7 +147,7 @@ func TestReplaceNeverMissesResidentKey(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 20; i++ {
-		c.Replace(plans, nil)
+		c.Replace(plans)
 	}
 	close(stop)
 	<-done

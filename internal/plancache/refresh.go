@@ -2,7 +2,6 @@ package plancache
 
 import (
 	"math"
-	"sort"
 
 	"heteropart/internal/core"
 	"heteropart/internal/speed"
@@ -28,7 +27,9 @@ import (
 // This is what lets Refresh keep most of a warm cache across a drift
 // event instead of dropping to 0% hits: plans whose allocation for the
 // drifted processor sits outside the changed region survive verbatim, and
-// only the rest recompute (warm-started from their previous slopes).
+// only the rest recompute. A kept plan's slope and Stats are the ones
+// computed under the old model; only its allocation is provably the new
+// model's.
 
 // SurvivesProc reports whether a cached allocation that assigns x elements
 // to a processor is provably unaffected by replacing that processor's
@@ -80,12 +81,9 @@ func planSurvives(alloc core.Allocation, changed []int, oldFns, newFns []speed.F
 // Refresh migrates the cache across an in-place model refresh from old to
 // new (same processor count, typically one changed function). Plans
 // that provably cannot change (SurvivesProc at every changed index) are
-// re-keyed to the new fingerprint and kept; the rest are dropped, and
-// their slopes — plus the model's whole warm-hint index — carry over to
-// the new fingerprint, so the dropped sizes recompute warm-started from
-// their own previous bisection state. The old model's plans waiting in the
-// admission windows are dropped, uncounted. Returns how many plans were
-// kept and dropped.
+// re-keyed to the new fingerprint and kept; the rest are dropped. The old
+// model's plans waiting in the admission windows are dropped, uncounted.
+// Returns how many plans were kept and dropped.
 //
 // The changed processors come from the handles' per-processor
 // fingerprints, so a refresh hashes nothing.
@@ -108,7 +106,6 @@ func (c *Cache) Refresh(old, new *speed.Model) (kept, dropped int) {
 	c.refreshes.Add(1)
 
 	var moved []*entry
-	var droppedHints []hint
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
@@ -121,9 +118,6 @@ func (c *Cache) Refresh(old, new *speed.Model) (kept, dropped int) {
 			if planSurvives(e.res.Alloc, changed, old.Fns(), new.Fns()) {
 				moved = append(moved, e)
 			} else {
-				if k.n > 0 && e.res.Slope > 0 {
-					droppedHints = append(droppedHints, hint{n: k.n, slope: e.res.Slope})
-				}
 				dropped++
 			}
 		}
@@ -148,32 +142,6 @@ func (c *Cache) Refresh(old, new *speed.Model) (kept, dropped int) {
 			kept++
 		}
 	}
-
-	// Warm hints are search seeds, never results: a slope computed under
-	// the old model still lands the bisection in the right region after a
-	// one-processor drift, so the whole index transfers, topped up with
-	// the dropped plans' own slopes.
-	c.warm.mu.Lock()
-	hints := c.warm.models[oldFP]
-	delete(c.warm.models, oldFP)
-	hints = append(hints, c.warm.models[newFP]...)
-	hints = append(hints, droppedHints...)
-	if len(hints) > 0 {
-		sort.Slice(hints, func(a, b int) bool { return hints[a].n < hints[b].n })
-		// Dedup by n (last writer wins within equal n is irrelevant for
-		// seeds) and bound the index.
-		out := hints[:1]
-		for _, h := range hints[1:] {
-			if h.n != out[len(out)-1].n {
-				out = append(out, h)
-			}
-		}
-		if len(out) > warmHintsPerModel {
-			out = out[:warmHintsPerModel]
-		}
-		c.warm.models[newFP] = out
-	}
-	c.warm.mu.Unlock()
 
 	c.refreshKept.Add(uint64(kept))
 	c.refreshDropped.Add(uint64(dropped))

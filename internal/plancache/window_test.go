@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"heteropart/internal/core"
+	"heteropart/internal/geometry"
 	"heteropart/internal/speed"
 )
 
@@ -85,7 +86,7 @@ func TestWindowNeverEvictsResidents(t *testing.T) {
 	// Sizes whose plans all live in shard 0.
 	var sizes []int64
 	for n := int64(300_000); len(sizes) < 4+3*slots; n += 1_000 {
-		if (key{model: fp, n: n, algo: core.AlgoCombined, opts: core.OptionsKey()}).hash()&(numShards-1) == 0 {
+		if (key{model: fp, n: n, algo: core.AlgoCombined, opts: servedKey}).hash()&(numShards-1) == 0 {
 			sizes = append(sizes, n)
 		}
 	}
@@ -121,7 +122,7 @@ func TestWindowClearedByReplace(t *testing.T) {
 	c := NewWithConfig(Config{Doorkeeper: true})
 	fns := testCluster(8, 35)
 	askTier(t, c, 800_000, fns, TierMiss)
-	c.Replace(nil, nil)
+	c.Replace(nil)
 	askTier(t, c, 800_000, fns, TierMiss)
 }
 
@@ -166,10 +167,19 @@ func TestWindowConcurrentSecondAsksAdmitOnce(t *testing.T) {
 }
 
 // gatedFn holds the first computation that evaluates it, once armed, until
-// the gate opens, so other requests can join that computation.
+// the gate opens, so other requests can join that computation. It wraps a
+// function with an analytic IntersectRay and forwards it: hidden, the
+// partitioner would intersect the gated model numerically, and the crossing
+// sums the regula-falsi step interpolates would differ in their last bits
+// from the raw model's.
 type gatedFn struct {
-	speed.Function
+	rayFunction
 	g *gate
+}
+
+type rayFunction interface {
+	speed.Function
+	geometry.RayIntersector
 }
 
 type gate struct {
@@ -184,7 +194,7 @@ func (f gatedFn) Eval(x float64) float64 {
 		f.g.once.Do(func() { close(f.g.entered) })
 		<-f.g.open
 	}
-	return f.Function.Eval(x)
+	return f.rayFunction.Eval(x)
 }
 
 // TestSharedAnswersSurviveCallerMutation holds a computed miss in flight
@@ -195,19 +205,19 @@ func TestSharedAnswersSurviveCallerMutation(t *testing.T) {
 	c := New(0)
 	fns := testCluster(12, 37)
 	const n = 2_000_000
-	want, err := core.Combined(n, fns)
+	want, err := core.Combined(n, fns, core.WithBisection(geometry.BisectRegulaFalsi))
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := &gate{entered: make(chan struct{}), open: make(chan struct{})}
 	gated := make([]speed.Function, len(fns))
 	for i, f := range fns {
-		gated[i] = gatedFn{Function: f, g: g}
+		gated[i] = gatedFn{rayFunction: f.(rayFunction), g: g}
 	}
 	// The handle hashes the gated functions' Eval probes: build it before
 	// the gate is armed.
 	m := speed.NewModel(gated)
-	k := key{model: m.Fingerprint(), n: n, algo: core.AlgoCombined, opts: core.OptionsKey()}
+	k := key{model: m.Fingerprint(), n: n, algo: core.AlgoCombined, opts: servedKey}
 	sh := &c.shards[k.hash()&(numShards-1)]
 	g.armed.Store(true)
 

@@ -21,8 +21,7 @@
 //
 // Wiring: the plan cache's insert tap appends every admitted plan to the
 // store's WAL before the response leaves the process, so any answered
-// request is recoverable; the store's hint source pulls the cache's warm
-// index into every snapshot. Requests resolve their model in the store's
+// request is recoverable. Requests resolve their model in the store's
 // catalog, the only model table: a model upload or delta refresh goes to
 // the store first, and the cache then acts on the handles the store
 // returns (DESIGN §9).
@@ -280,7 +279,7 @@ func (d *Daemon) boot() error {
 	})
 	// Seed before installing the taps: imported plans are already in the
 	// store and must not be re-logged.
-	cache.Import(st.Plans(), st.Hints())
+	cache.Import(st.Plans())
 
 	d.store = st
 	d.cache = cache
@@ -357,9 +356,9 @@ func (d *Daemon) newWatcher(primary string) (*watch.Detector, error) {
 }
 
 // installPrimaryTaps wires the cache→store persistence path a writable
-// daemon needs: admitted plans reach the WAL before the response leaves,
-// and snapshots fold the warm index in. Invalidations need no tap: the
-// store logs one when a model upload replaces a label's model.
+// daemon needs: admitted plans reach the WAL before the response leaves.
+// Invalidations need no tap: the store logs one when a model upload
+// replaces a label's model.
 // Plan inserts go through a group-commit Committer so concurrent cache
 // misses share one store lock acquisition and one kernel write. A failed
 // append (a store sealed by Demote between its SetReadOnly and Seal, a
@@ -373,10 +372,6 @@ func (d *Daemon) installPrimaryTaps() {
 			d.walAppendFailures.Add(1)
 		}
 	})
-	st.SetHintSource(func() []plancache.HintRecord {
-		_, hints := cache.Export()
-		return hints
-	})
 }
 
 // mirrorReset rebuilds the live cache from the store after a snapshot
@@ -385,13 +380,13 @@ func (d *Daemon) installPrimaryTaps() {
 // mirror is rebuilt. Models need no mirror: requests resolve them in the
 // store's catalog.
 func (d *Daemon) mirrorReset() {
-	d.cache.Replace(d.store.Plans(), d.store.Hints())
+	d.cache.Replace(d.store.Plans())
 }
 
 // mirrorApply folds one ingested chunk into the live cache: delta
-// refreshes migrate it the same way the primary's did, plans and hints are
-// imported (Import bypasses read-only admission — it IS the replication
-// write path), invalidations drop the same entries the primary dropped.
+// refreshes migrate it the same way the primary's did, plans are imported
+// (Import bypasses read-only admission — it IS the replication write
+// path), invalidations drop the same entries the primary dropped.
 //
 // Replicated flattens a chunk by record type, so the interleaving of plans
 // and deltas inside one chunk is lost here (the store replayed them in
@@ -403,28 +398,16 @@ func (d *Daemon) mirrorApply(rep store.Replicated) {
 	for _, del := range rep.Deltas {
 		d.cache.Refresh(del.Old, del.New)
 	}
-	if len(rep.Plans) > 0 || len(rep.Hints) > 0 {
-		plans, hints := rep.Plans, rep.Hints
-		if len(rep.Deltas) > 0 {
-			keep := plans[:0:0]
-			for _, p := range plans {
-				if _, ok := d.store.Model(p.Model); ok {
-					keep = append(keep, p)
-				}
+	plans := rep.Plans
+	if len(rep.Deltas) > 0 {
+		plans = plans[:0:0]
+		for _, p := range rep.Plans {
+			if _, ok := d.store.Model(p.Model); ok {
+				plans = append(plans, p)
 			}
-			keepH := hints[:0:0]
-			for _, h := range hints {
-				if _, ok := d.store.Model(h.Model); ok {
-					keepH = append(keepH, h)
-				}
-			}
-			plans, hints = keep, keepH
 		}
-		for _, p := range plans {
-			hints = append(hints, plancache.HintRecord{Model: p.Model, N: p.N, Slope: p.Slope})
-		}
-		d.cache.Import(plans, hints)
 	}
+	d.cache.Import(plans)
 	for _, fp := range rep.Invalidated {
 		d.cache.InvalidateFingerprint(fp)
 	}
@@ -698,7 +681,6 @@ func (d *Daemon) Demote(successor string, timeout time.Duration) (uint64, error)
 	// store's frames would be fenced anyway. Flip to follower; the first
 	// chunk ingested under the successor's epoch clears the seal.
 	d.cache.SetInsertTap(nil)
-	d.store.SetHintSource(nil)
 	d.primary.Store(false)
 	d.upstream.Store(successor)
 	f, ferr := d.newFollower(successor)

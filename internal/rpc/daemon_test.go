@@ -173,9 +173,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 		fmt.Sprint(second.Alloc) != fmt.Sprint(first.Alloc) {
 		t.Fatalf("second answer %+v differs from the first %+v", second, first)
 	}
-	// The served allocation is bit-identical to a cold local computation
-	// (warm starts change the search path and its slope by-product, never
-	// the allocation — see core.WithWarmStart).
+	// The served allocation is bit-identical to a local tangent-bisection
+	// computation (the served regula-falsi search ends on another slope,
+	// never another allocation).
 	want, err := core.Combined(n, fns)
 	if err != nil {
 		t.Fatal(err)

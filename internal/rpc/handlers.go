@@ -420,7 +420,7 @@ type refreshRequest struct {
 
 // refreshReply reports a delta refresh: the fingerprint move and how the
 // cached plans fared (kept = re-keyed and still serving as exact hits,
-// dropped = will recompute warm-started on next request).
+// dropped = will recompute on the next request).
 type refreshReply struct {
 	Label          string `json:"label"`
 	Fingerprint    string `json:"fingerprint"`

@@ -178,8 +178,9 @@ func TestKillAndRestartServesBitIdenticalPlans(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The slope must survive the crash bit-for-bit; the allocation must
-		// additionally match a cold computation bit-for-bit (warm starts
-		// may shift the slope by-product, never the allocation).
+		// additionally match a local tangent-bisection computation bit for
+		// bit (the served regula-falsi search may end on another slope,
+		// never another allocation).
 		if again.Slope != c.got.Slope {
 			t.Fatalf("slope drift for %s: pre-kill %v, restarted %v",
 				c.body, c.got.Slope, again.Slope)

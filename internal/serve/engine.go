@@ -3,7 +3,7 @@
 // coalesces requests for the same plan into one computation, fans the
 // distinct plans of a batch out over a worker pool, and answers every
 // request with a plan served through the partition cache (exact hit,
-// shared in-flight computation, or warm-started miss — see plancache).
+// shared in-flight computation, or computed miss — see plancache).
 //
 // Batching exists for the same reason it does in any serving system: under
 // load, many requests arrive while one is being computed, and the marginal
@@ -84,7 +84,7 @@ type AlgoTiers struct {
 	Requests uint64 `json:"requests"`
 	Hits     uint64 `json:"hits"`   // exact cache hits
 	Shared   uint64 `json:"shared"` // joined an in-flight computation
-	Misses   uint64 `json:"misses"` // computed (possibly warm-started)
+	Misses   uint64 `json:"misses"` // computed
 }
 
 // HitRate is the fraction of requests answered without computing.

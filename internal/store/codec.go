@@ -28,7 +28,7 @@ import (
 //	plan       := model u64 | n i64 | algo u8 | optsKey u64 | slope f64 |
 //	              steps u32 | isect u32 | moves u32 | usedModified u8 |
 //	              nAlloc u32 | share i64…
-//	hint       := model u64 | n i64 | slope f64
+//	hint       := model u64 | n i64 | slope f64    (read and skipped, never written)
 //	invalidate := model u64
 //	snapEnd    := models u32 | plans u32 | hints u32
 //	meta       := epoch u64 | gen u64
@@ -430,21 +430,12 @@ func decodePlan(d *decoder) (plancache.PlanRecord, error) {
 	return r, nil
 }
 
-// hintFrameSize is the size of a framed hint record.
-const hintFrameSize = 8 + 25
-
-// hint appends a framed hint record.
-func (e *encoder) hint(h plancache.HintRecord) {
-	at := e.open(recHint)
-	e.u64(h.Model)
-	e.i64(h.N)
-	e.f64(h.Slope)
-	e.close(at)
-}
-
-func decodeHint(d *decoder) (plancache.HintRecord, error) {
-	h := plancache.HintRecord{Model: d.u64(), N: d.i64(), Slope: d.f64()}
-	return h, d.err
+// skipHint reads a hint record body and reports whether it is well formed.
+func skipHint(d *decoder) bool {
+	d.u64()
+	d.i64()
+	d.f64()
+	return d.done()
 }
 
 // invalidate appends a framed invalidation record.
@@ -507,15 +498,17 @@ func decodeMeta(d *decoder) (epoch, gen uint64, err error) {
 }
 
 // snapEnd appends the framed snapshot terminator carrying the record
-// counts.
-func (e *encoder) snapEnd(models, plans, hints int) {
+// counts; the third, hint records, is 0 in every snapshot written now.
+func (e *encoder) snapEnd(models, plans int) {
 	at := e.open(recSnapEnd)
 	e.u32(uint32(models))
 	e.u32(uint32(plans))
-	e.u32(uint32(hints))
+	e.u32(0)
 	e.close(at)
 }
 
+// decodeSnapEnd returns the terminator's counts: models, plans, and the
+// hint records replay skips.
 func decodeSnapEnd(d *decoder) (models, plans, hints int, err error) {
 	models, plans, hints = int(d.u32()), int(d.u32()), int(d.u32())
 	return models, plans, hints, d.err

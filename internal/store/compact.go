@@ -44,7 +44,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -153,8 +152,6 @@ type capture struct {
 	walEnd, walFrames int64 // the WAL prefix the image covers
 	cat               *catalog
 	plans             []plancache.PlanRecord
-	hints             []plancache.HintRecord
-	hintSource        func() []plancache.HintRecord
 	size              int64 // buffer presize: last snapshot plus the WAL it covers
 }
 
@@ -162,29 +159,22 @@ func (s *Store) captureLocked() *capture {
 	c := &capture{
 		epoch: s.epoch, gen: s.gen,
 		walEnd: s.walBytes, walFrames: s.walFrames,
-		cat:        s.cat.Load(),
-		plans:      make([]plancache.PlanRecord, 0, len(s.plans)),
-		hints:      make([]plancache.HintRecord, 0, len(s.hints)),
-		hintSource: s.hintSource,
-		size:       s.lastSnap + s.walBytes,
+		cat:   s.cat.Load(),
+		plans: make([]plancache.PlanRecord, 0, len(s.plans)),
+		size:  s.lastSnap + s.walBytes,
 	}
 	for _, k := range s.planOrder {
 		if r, ok := s.plans[k]; ok {
 			c.plans = append(c.plans, r)
 		}
 	}
-	for k, slope := range s.hints {
-		c.hints = append(c.hints, plancache.HintRecord{Model: k.model, N: k.n, Slope: slope})
-	}
 	return c
 }
 
 // encode renders the capture in snapshot format — magic, meta frame,
-// models by fingerprint, plans in recency order, hints, terminator —
-// stamped with gen: compaction stamps the next generation, a replication
-// handoff the current one. It runs without s.mu. The warm index comes
-// fresh from the hint source when one is installed and supplies any,
-// from the mirror otherwise.
+// models by fingerprint, plans in recency order, terminator — stamped with
+// gen: compaction stamps the next generation, a replication handoff the
+// current one. It runs without s.mu.
 func (c *capture) encode(gen uint64) ([]byte, error) {
 	fps := make([]uint64, 0, c.cat.count())
 	for _, shard := range c.cat.models {
@@ -193,15 +183,7 @@ func (c *capture) encode(gen uint64) ([]byte, error) {
 		}
 	}
 	slices.Sort(fps)
-	var hints []plancache.HintRecord
-	if c.hintSource != nil {
-		hints = c.hintSource()
-	}
-	if hints == nil {
-		hints = c.hints
-		sortHints(hints)
-	}
-	e := &encoder{buf: make([]byte, 0, c.size+int64(hintFrameSize*len(hints))+64)}
+	e := &encoder{buf: make([]byte, 0, c.size+64)}
 	e.buf = append(e.buf, snapMagic...)
 	e.meta(c.epoch, gen)
 	for _, fp := range fps {
@@ -213,14 +195,7 @@ func (c *capture) encode(gen uint64) ([]byte, error) {
 	for i := range c.plans {
 		e.plan(&c.plans[i])
 	}
-	nHints := 0
-	for _, h := range hints {
-		if _, ok := c.cat.entry(h.Model); ok {
-			e.hint(h)
-			nHints++
-		}
-	}
-	e.snapEnd(len(fps), len(c.plans), nHints)
+	e.snapEnd(len(fps), len(c.plans))
 	return e.buf, nil
 }
 
@@ -459,16 +434,6 @@ func (s *Store) settleTemps() error {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
-}
-
-// sortHints orders hints by model, then n.
-func sortHints(hints []plancache.HintRecord) {
-	sort.Slice(hints, func(i, j int) bool {
-		if hints[i].Model != hints[j].Model {
-			return hints[i].Model < hints[j].Model
-		}
-		return hints[i].N < hints[j].N
-	})
 }
 
 // syncChunk bounds the bytes writeFileSync writes between fsyncs. A

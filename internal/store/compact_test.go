@@ -54,8 +54,8 @@ func synthPlans(fp uint64, p, count int) []plancache.PlanRecord {
 	return out
 }
 
-// stateDigest renders everything a reopen must reproduce: the models, the
-// plans in recency order and the hints, with bit-exact floats.
+// stateDigest renders everything a reopen must reproduce: the models and
+// the plans in recency order, with bit-exact floats.
 func stateDigest(s *Store) string {
 	var b strings.Builder
 	for _, m := range s.Models() {
@@ -64,9 +64,6 @@ func stateDigest(s *Store) string {
 	}
 	for _, r := range s.Plans() {
 		fmt.Fprintf(&b, "plan %x %d %d %x %x %v %+v\n", r.Model, r.N, r.Algo, r.OptsKey, math.Float64bits(r.Slope), r.Alloc, r.Stats)
-	}
-	for _, h := range s.Hints() {
-		fmt.Fprintf(&b, "hint %x %d %x\n", h.Model, h.N, math.Float64bits(h.Slope))
 	}
 	return b.String()
 }
@@ -103,8 +100,8 @@ var errCrash = errors.New("crash injected")
 // TestCompactionCrashPoints stops a compaction after each of its steps —
 // capture, temp snapshot fsync, temp WAL write, snapshot rename, WAL
 // rename — and reopens the disk image left at that instant. Every reopen
-// must hold exactly the acknowledged records: the same models, plans in
-// order and hints as the live store, none lost and none applied twice.
+// must hold exactly the acknowledged records: the same models and plans
+// in order as the live store, none lost and none applied twice.
 // Frames appended while the compaction encodes must move into the new
 // generation, and a record appended after a switch whose WAL rename never
 // happened must be rolled forward at Open.

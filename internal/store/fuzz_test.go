@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"math/bits"
 	"os"
 	"path/filepath"
@@ -22,7 +21,7 @@ import (
 // FuzzStoreOpen writes arbitrary bytes as snapshot.bin and wal.log (an
 // empty snapshot input means no snapshot file). Open must not panic, and
 // a store it returns serves only plans that validate against their model;
-// a Close→Open round trip must give back the same models, plans and hints.
+// a Close→Open round trip must give back the same models and plans.
 func FuzzStoreOpen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, snap, wal []byte) {
 		dir := t.TempDir()
@@ -123,7 +122,7 @@ func checkServedPlans(t *testing.T, s *Store) {
 	}
 }
 
-// storeDigest renders the served state — models, plans and hints — with
+// storeDigest renders the served state — models and plans — with
 // bit-exact floats.
 func storeDigest(s *Store) string {
 	var b bytes.Buffer
@@ -131,9 +130,6 @@ func storeDigest(s *Store) string {
 		fmt.Fprintf(&b, "model %x %q %d\n", m.Fingerprint, m.Label, m.Processors)
 	}
 	b.WriteString(planDigest(s.Plans()))
-	for _, h := range s.Hints() {
-		fmt.Fprintf(&b, "\nhint %x %d %x", h.Model, h.N, math.Float64bits(h.Slope))
-	}
 	return b.String()
 }
 
@@ -167,7 +163,8 @@ func readFuzzSeed(t *testing.T, path string) [][]byte {
 // TestOpenRealSeedReplays opens the real store image FuzzStoreOpen is
 // seeded with and requires exactly what it holds: the fingerprint bits on
 // disk must keep validating (a fuzz seed alone would quarantine a model
-// that stopped hashing to its record and still pass).
+// that stopped hashing to its record and still pass). The image also
+// holds two warm-start hint records, which replay skips.
 func TestOpenRealSeedReplays(t *testing.T) {
 	args := readFuzzSeed(t, filepath.Join("testdata", "fuzz", "FuzzStoreOpen", "real"))
 	dir := t.TempDir()
@@ -196,8 +193,41 @@ func TestOpenRealSeedReplays(t *testing.T) {
 			t.Fatalf("%s hashes to %#x, recorded %#x", mi.Label, got, mi.Fingerprint)
 		}
 	}
-	if st.Plans != 2 || st.Hints != 2 {
-		t.Fatalf("%d plans and %d hints, want 2 and 2", st.Plans, st.Hints)
+	if st.Plans != 2 {
+		t.Fatalf("%d plans, want 2", st.Plans)
+	}
+	checkServedPlans(t, s)
+}
+
+// TestApplyHandoffOfRealSeed installs the real seed's snapshot, which
+// stands for an older primary's handoff image with hint records in it: its
+// models and plans install, and nothing is quarantined.
+func TestApplyHandoffOfRealSeed(t *testing.T) {
+	img := readFuzzSeed(t, filepath.Join("testdata", "fuzz", "FuzzStoreOpen", "real"))[0]
+	recs, _, err := splitFrames(img[len(snapMagic):])
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := make(map[byte]int)
+	for _, p := range recs {
+		count[p[0]]++
+	}
+	if count[recHint] == 0 || count[recModel] == 0 || count[recPlan] == 0 {
+		t.Fatalf("the real seed's snapshot holds %v records by type, want hints, models and plans", count)
+	}
+	s := mustOpen(t, t.TempDir(), Options{CompactAt: -1})
+	defer s.Close()
+	rep, err := s.ApplyHandoff(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if rep.Quarantined != 0 || st.QuarantinedRecords != 0 {
+		t.Fatalf("the handoff quarantined %d records: %+v", rep.Quarantined, st)
+	}
+	if st.Models != count[recModel] || st.Plans != count[recPlan] || len(rep.Plans) != count[recPlan] {
+		t.Fatalf("installed %d models and %d plans (%d reported), the image holds %d and %d",
+			st.Models, st.Plans, len(rep.Plans), count[recModel], count[recPlan])
 	}
 	checkServedPlans(t, s)
 }

@@ -67,7 +67,6 @@ type ReplDelta struct {
 // reported: the store's catalog is the only model table.
 type Replicated struct {
 	Plans       []plancache.PlanRecord
-	Hints       []plancache.HintRecord
 	Invalidated []uint64
 	Deltas      []ReplDelta
 
@@ -328,7 +327,7 @@ func (s *Store) ApplyHandoff(data []byte) (Replicated, error) {
 	return rep, nil
 }
 
-// resetStateLocked drops the in-memory state (models, plans, hints) but
+// resetStateLocked drops the in-memory state (models and plans) but
 // keeps the epoch/gen fences — a reset must never weaken them. The models
 // go from the draft catalog: readers keep the published one until the
 // caller's write publishes.
@@ -336,7 +335,6 @@ func (s *Store) resetStateLocked() {
 	s.draft = &catalog{}
 	s.plans = make(map[planKey]plancache.PlanRecord)
 	s.planOrder = nil
-	s.hints = make(map[hintKey]float64)
 }
 
 // Seal freezes the committed log for a planned handover and returns the

@@ -1,12 +1,12 @@
 // Package store is the crash-safe persistence layer under the partition
-// serving stack: speed models and the plan cache's contents (plans + warm
-// index) survive process restarts, so a rebooted server answers its first
-// requests from a warm cache instead of recomputing every plan.
+// serving stack: speed models and the plan cache's plans survive process
+// restarts, so a rebooted server answers its first requests from a warm
+// cache instead of recomputing every plan.
 //
 // Durability follows the classic snapshot + write-ahead-log pattern:
 //
-//   - a versioned binary snapshot holds the full state (models, plans,
-//     warm hints) in CRC-checked frames, written to a temp file and
+//   - a versioned binary snapshot holds the full state (models and plans)
+//     in CRC-checked frames, written to a temp file and
 //     renamed into place, so a crash mid-snapshot never destroys the
 //     previous one;
 //   - an append-only WAL records what happens between snapshots — model
@@ -132,7 +132,6 @@ func (o Options) withDefaults() Options {
 type Stats struct {
 	Models int `json:"models"`
 	Plans  int `json:"plans"`
-	Hints  int `json:"hints"`
 
 	WALRecords  uint64 `json:"walRecords"`  // records appended this run
 	WALBytes    int64  `json:"walBytes"`    // current WAL size past the header
@@ -158,7 +157,6 @@ type Stats struct {
 
 	ReplayedModels int `json:"replayedModels"` // records applied on Open
 	ReplayedPlans  int `json:"replayedPlans"`
-	ReplayedHints  int `json:"replayedHints"`
 
 	Sealed bool `json:"sealed"` // mutators fenced off for a planned handover
 
@@ -318,11 +316,6 @@ type planKey struct {
 	opts  uint64
 }
 
-type hintKey struct {
-	model uint64
-	n     int64
-}
-
 // Store is the durable model/plan store. Construct with Open; Close writes
 // the final snapshot.
 type Store struct {
@@ -341,11 +334,6 @@ type Store struct {
 
 	plans     map[planKey]plancache.PlanRecord
 	planOrder []planKey
-	hints     map[hintKey]float64
-
-	// hintSource, when set, supplies the warm index at snapshot time
-	// (wired to the live cache's Export); nil falls back to the mirror.
-	hintSource func() []plancache.HintRecord
 
 	wal       *os.File
 	walBytes  int64
@@ -389,12 +377,12 @@ type Store struct {
 	pins      int
 	notify    chan struct{}
 
-	replayedModels, replayedPlans, replayedHints int
-	refreshes                                    uint64
-	quarantined                                  int
-	quarantinedTail                              int64
-	snapQuarantined                              bool
-	loadedSnapshot                               bool
+	replayedModels, replayedPlans int
+	refreshes                     uint64
+	quarantined                   int
+	quarantinedTail               int64
+	snapQuarantined               bool
+	loadedSnapshot                bool
 
 	// sealed freezes the committed log end for a planned handover: mutators
 	// refuse with ErrSealed so the position returned by Seal stays the final
@@ -421,7 +409,6 @@ func Open(opts Options) (*Store, error) {
 	s := &Store{
 		opts:   opts,
 		plans:  make(map[planKey]plancache.PlanRecord),
-		hints:  make(map[hintKey]float64),
 		epoch:  1,
 		notify: make(chan struct{}),
 	}
@@ -446,17 +433,9 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// SetHintSource installs the warm-index supplier consulted at snapshot
-// time (typically the live cache's Export). Call before serving traffic.
-func (s *Store) SetHintSource(fn func() []plancache.HintRecord) {
-	s.mu.Lock()
-	s.hintSource = fn
-	s.mu.Unlock()
-}
-
 // PutModel registers (or refreshes) a labeled model and logs it to the
 // WAL. When the label previously mapped to a different model, the old
-// model's plans and hints are dropped and an invalidation is logged — the
+// model's plans are dropped and an invalidation is logged — the
 // durable form of a drift refresh. It returns the model it replaced: nil
 // when the label was new, or when it already held an identical model.
 func (s *Store) PutModel(label string, m *speed.Model) (*speed.Model, error) {
@@ -594,7 +573,7 @@ func (s *Store) RefreshProcessor(label string, proc int, fn speed.Function) (old
 
 // refreshStateLocked applies a validated one-processor refresh to the
 // in-memory state: the model moves to its new fingerprint, every name
-// that resolved to it follows, and plans/hints re-key or drop per the
+// that resolved to it follows, and plans re-key or drop per the
 // selective rule. Shared by the live RefreshProcessor and delta-record
 // replay, so disk replay and the live path converge on identical state.
 func (s *Store) refreshStateLocked(old, refreshed *speed.Model, proc int) {
@@ -623,13 +602,6 @@ func (s *Store) refreshStateLocked(old, refreshed *speed.Model, proc int) {
 		kept = append(kept, nk)
 	}
 	s.planOrder = kept
-
-	for k, slope := range s.hints {
-		if k.model == oldFP {
-			delete(s.hints, k)
-			s.hints[hintKey{model: newFP, n: k.n}] = slope
-		}
-	}
 }
 
 // applyDelta validates and applies a replayed delta record: the referenced
@@ -797,18 +769,6 @@ func (s *Store) Plans() []plancache.PlanRecord {
 	return out
 }
 
-// Hints returns the stored warm-start hints.
-func (s *Store) Hints() []plancache.HintRecord {
-	s.mu.Lock()
-	out := make([]plancache.HintRecord, 0, len(s.hints))
-	for k, slope := range s.hints {
-		out = append(out, plancache.HintRecord{Model: k.model, N: k.n, Slope: slope})
-	}
-	s.mu.Unlock()
-	sortHints(out)
-	return out
-}
-
 // Sync forces the WAL to stable storage.
 func (s *Store) Sync() error {
 	s.mu.Lock()
@@ -858,7 +818,6 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Models:               s.cat.Load().count(),
 		Plans:                len(s.plans),
-		Hints:                len(s.hints),
 		WALRecords:           s.walTotal,
 		WALBytes:             s.walBytes,
 		WALFrames:            s.walFrames,
@@ -872,7 +831,6 @@ func (s *Store) Stats() Stats {
 		Sealed:               s.sealed,
 		ReplayedModels:       s.replayedModels,
 		ReplayedPlans:        s.replayedPlans,
-		ReplayedHints:        s.replayedHints,
 		QuarantinedRecords:   s.quarantined,
 		QuarantinedTail:      s.quarantinedTail,
 		SnapshotQuarantined:  s.snapQuarantined,
@@ -893,7 +851,6 @@ func (s *Store) putPlanLocked(r plancache.PlanRecord) {
 		s.planOrder = append(s.planOrder, k)
 	}
 	s.plans[k] = r
-	s.hints[hintKey{model: r.Model, n: r.N}] = r.Slope
 	for len(s.plans) > s.opts.MaxPlans && len(s.planOrder) > 0 {
 		oldest := s.planOrder[0]
 		s.planOrder = s.planOrder[1:]
@@ -901,7 +858,7 @@ func (s *Store) putPlanLocked(r plancache.PlanRecord) {
 	}
 }
 
-// dropPlansLocked removes every plan and hint derived from a model.
+// dropPlansLocked removes every plan derived from a model.
 func (s *Store) dropPlansLocked(model uint64) {
 	kept := s.planOrder[:0]
 	for _, k := range s.planOrder {
@@ -912,11 +869,6 @@ func (s *Store) dropPlansLocked(model uint64) {
 		}
 	}
 	s.planOrder = kept
-	for k := range s.hints {
-		if k.model == model {
-			delete(s.hints, k)
-		}
-	}
 }
 
 // --- replay validation (shared by snapshot load and WAL replay) ---
@@ -947,22 +899,11 @@ func (s *Store) applyPlan(r plancache.PlanRecord) bool {
 	return true
 }
 
-// applyHint validates and installs a replayed warm hint.
-func (s *Store) applyHint(h plancache.HintRecord) bool {
-	if _, ok := s.viewLocked().entry(h.Model); !ok || h.N <= 0 || !(h.Slope > 0) {
-		s.quarantined++
-		return false
-	}
-	s.hints[hintKey{model: h.Model, n: h.N}] = h.Slope
-	s.replayedHints++
-	return true
-}
-
 // applyRecord dispatches one replayed payload, through the exact same
 // validation whether it came from the local snapshot, the local WAL, or a
 // replication stream. Unknown record types are quarantined, not fatal — a
 // newer writer's records degrade gracefully. When cap is non-nil, every
-// plan, hint, invalidation and delta that validated and was installed is
+// plan, invalidation and delta that validated and was installed is
 // also captured there, so a replica can mirror the change into its live
 // cache; models need no capture, because the catalog is the replica's only
 // model table.
@@ -986,13 +927,10 @@ func (s *Store) applyRecord(payload []byte, cap *Replicated) {
 			cap.Plans = append(cap.Plans, r)
 		}
 	case recHint:
-		h, err := decodeHint(d)
-		if err != nil || !d.done() {
+		// Files written before plans became pure functions of their key
+		// carry warm-start hints; nothing reads them any more.
+		if !skipHint(d) {
 			s.quarantined++
-			return
-		}
-		if s.applyHint(h) && cap != nil {
-			cap.Hints = append(cap.Hints, h)
 		}
 	case recInvalidate:
 		model, err := decodeInvalidate(d)
@@ -1151,7 +1089,7 @@ func (s *Store) replaySnapshot(data []byte, cap *Replicated) (gen uint64, err er
 		return 0, fmt.Errorf("%w: snapshot does not end with a terminator", ErrCorruptFrame)
 	}
 	d := &decoder{buf: recs[len(recs)-1][1:]}
-	wantModels, wantPlans, wantHints, err := decodeSnapEnd(d)
+	wantModels, wantPlans, wantSkipped, err := decodeSnapEnd(d)
 	if err != nil || !d.done() {
 		return 0, fmt.Errorf("%w: snapshot terminator", ErrCorruptFrame)
 	}
@@ -1166,9 +1104,9 @@ func (s *Store) replaySnapshot(data []byte, cap *Replicated) (gen uint64, err er
 			seen++
 		}
 	}
-	if seen != wantModels+wantPlans+wantHints {
+	if seen != wantModels+wantPlans+wantSkipped {
 		return 0, fmt.Errorf("%w: snapshot terminator counts %d records, image holds %d",
-			ErrCorruptFrame, wantModels+wantPlans+wantHints, seen)
+			ErrCorruptFrame, wantModels+wantPlans+wantSkipped, seen)
 	}
 	if len(recs) > 0 && recs[0][0] == recMeta {
 		d := &decoder{buf: recs[0][1:]}

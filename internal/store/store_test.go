@@ -153,9 +153,6 @@ func TestWALReplayAfterCrash(t *testing.T) {
 			}
 		}
 	}
-	if len(s2.Hints()) == 0 {
-		t.Fatal("no hints derived from replayed plans")
-	}
 }
 
 func TestCloseSnapshotsAndWALResets(t *testing.T) {
@@ -295,32 +292,6 @@ func TestAutoCompaction(t *testing.T) {
 	defer s2.Close()
 	if got := len(s2.Plans()); got != len(sizes) {
 		t.Fatalf("reopened with %d plans, want %d", got, len(sizes))
-	}
-}
-
-func TestHintSourceFeedsSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	fns := testModel(4, 70)
-	s := mustOpen(t, dir)
-	fp, err := putFP(s, "m", fns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetHintSource(func() []plancache.HintRecord {
-		return []plancache.HintRecord{
-			{Model: fp, N: 123_456, Slope: 42.5},
-			{Model: 0xdead, N: 1, Slope: 1}, // unknown model: skipped
-		}
-	})
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := mustOpen(t, dir)
-	defer s2.Close()
-	hints := s2.Hints()
-	if len(hints) != 1 || hints[0].Model != fp || hints[0].N != 123_456 || hints[0].Slope != 42.5 {
-		t.Fatalf("hints after restart: %+v", hints)
 	}
 }
 

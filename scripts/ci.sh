@@ -40,32 +40,38 @@
 #      honest, one-shot sizes never evict a resident plan, and no caller's
 #      mutation of its answer reaches a request that joined the same
 #      computation
-#  11. benchmark smoke: every kernel benchmark, every partition-serving
-#      benchmark, the model-refresh benchmark, the over-HTTP daemon
-#      benchmark (a real listening daemon driven by a raw keep-alive
-#      client) and the store append benchmark each run once
-#  12. allocation regression guard: the warm partitioner hot path must
-#      report exactly 0 allocs/op, the property the serving engine's
-#      throughput rests on (the store's persistence taps fire off the
-#      hot path, so this gate also guards the daemon's serving loop);
-#      the near-miss warm-start path and the cached hit must stay within
-#      their 4 allocs/op budget; and at p=1080 a cached hit must cost at
-#      most a tenth of a warm partition, which holds only while a hit
-#      never rehashes the model
-#  13. wire-codec allocation guard: the daemon's warm single-request
+#  11. plan-purity gate: the plan-purity, rule-allocation and ray-bound
+#      tests at -race -count=3 — a plan the cache computes is the same
+#      bytes whatever the cache served before, and the cache's
+#      regula-falsi search returns tangent bisection's allocations with
+#      at most two rays more per case and half the rays in sum
+#  12. benchmark smoke: every kernel benchmark, the model-refresh
+#      benchmark, the over-HTTP daemon benchmark (a real listening daemon
+#      driven by a raw keep-alive client) and the store append benchmark
+#      each run once
+#  13. allocation regression guard, one 100x run of every partition-
+#      serving row (cold included, so it is also their smoke): the warm
+#      partitioner hot path must report exactly 0 allocs/op, the property
+#      the serving engine's throughput rests on (the store's persistence
+#      taps fire off the hot path, so this gate also guards the daemon's
+#      serving loop); the near-miss path (a cache miss at a new size) and
+#      the cached hit must stay within their 4 allocs/op budget; and at
+#      p=1080 a cached hit must cost at most a tenth of a warm partition,
+#      which holds only while a hit never rehashes the model
+#  14. wire-codec allocation guard: the daemon's warm single-request
 #      handler path (pooled codec + synchronous cache hit, everything
 #      above net/http) must report 0 B/op and 0 allocs/op — the ISSUE 9
 #      budget is <= 8 B/op and <= 1 alloc/op; the gate pins the achieved
 #      zero so a regression to "just one alloc" still fails loudly
 #      (at -cpu 1, which keeps the runtime's background allocations out)
-#  14. forwarding gate: forwarded partition requests must be bit-identical
+#  15. forwarding gate: forwarded partition requests must be bit-identical
 #      to owner-local answers (chunked batches and concurrent clients
 #      included, and across an owner dropping its idle keep-alives), and
 #      a dead or blackholed owner must degrade to local compute within
 #      the forwarding timeout instead of an error
-#  15. fabric benchmark smoke: the owned/forwarded/quota paths each run
+#  16. fabric benchmark smoke: the owned/forwarded/quota paths each run
 #      once over real loopback HTTP
-#  16. forwarding allocation guard: a forwarded request may cost at most
+#  17. forwarding allocation guard: a forwarded request may cost at most
 #      2 x the allocs/op of an owned one + 4 — the edge's and the owner's
 #      net/http server passes, with the relay between them allocating
 #      (next to) nothing
@@ -104,10 +110,10 @@ echo "==> compaction gate: go test -race -run Compaction ./internal/store/" >&2
 go test -race -count=1 -run Compaction ./internal/store/
 echo "==> admission-window gate: go test -race -count=10 -run 'Window|Doorkeeper|SharedAnswers|CoalescedAnswers' ./internal/plancache/ ./internal/serve/" >&2
 go test -race -count=10 -run 'Window|Doorkeeper|SharedAnswers|CoalescedAnswers' ./internal/plancache/ ./internal/serve/
+echo "==> plan-purity gate: go test -race -count=3 -run 'PlanPurity|ServedRule' ./internal/core/ ./internal/plancache/" >&2
+go test -race -count=3 -run 'PlanPurity|ServedRule' ./internal/core/ ./internal/plancache/
 echo "==> benchmark smoke: go test -run '^$' -bench Kernel -benchtime=1x ." >&2
 go test -run '^$' -bench Kernel -benchtime=1x .
-echo "==> benchmark smoke: go test -run '^$' -bench PartitionThroughput -benchtime=1x ." >&2
-go test -run '^$' -bench PartitionThroughput -benchtime=1x .
 echo "==> benchmark smoke: go test -run '^$' -bench ModelRefresh -benchtime=5x ." >&2
 go test -run '^$' -bench ModelRefresh -benchtime=5x .
 echo "==> benchmark smoke: BENCHTIME=1x scripts/bench.sh daemon /tmp/bench_daemon_smoke.json" >&2
@@ -116,11 +122,14 @@ rm -f /tmp/bench_daemon_smoke.json
 echo "==> benchmark smoke: BENCHTIME=1x scripts/bench.sh store /tmp/bench_store_smoke.json" >&2
 BENCHTIME=1x scripts/bench.sh store /tmp/bench_store_smoke.json
 rm -f /tmp/bench_store_smoke.json
-echo "==> allocs/op guard: warm path 0 allocs, near-miss and cached <= 4 allocs; p=1080 cached <= 0.1 x warm ns/op" >&2
+echo "==> allocs/op guard: every PartitionThroughput row; warm path 0 allocs, near-miss and cached <= 4 allocs; p=1080 cached <= 0.1 x warm ns/op" >&2
 # 100x amortizes the one-time scratch growth of iteration 1; any steady-state
 # allocation pushes the reported allocs/op above the budget and fails the gate.
-go test -run '^$' -bench 'PartitionThroughput/.*/(warm|nearmiss|cached)' -benchtime=100x -benchmem . |
+# The cold rows carry no budget: they run here as the benchmark's smoke.
+go test -run '^$' -bench 'PartitionThroughput' -benchtime=100x -benchmem . |
 awk '
+/^(--- FAIL|FAIL)/ { failed = 1 }
+/^Benchmark.*\/cold/ { cold++ }
 /^Benchmark.*\/(warm|nearmiss|cached)/ {
 	seen++
 	allocs = ns = "?"
@@ -135,8 +144,9 @@ awk '
 	if ($1 ~ /p=1080\/cached/) cached = ns
 }
 END {
+	if (failed) { print "FAIL: a PartitionThroughput benchmark failed" > "/dev/stderr"; exit 1 }
 	if (bad) { print "FAIL: partition path exceeds its allocs/op budget" > "/dev/stderr"; exit 1 }
-	if (!seen) { print "FAIL: no warm/nearmiss/cached benchmark output parsed" > "/dev/stderr"; exit 1 }
+	if (!seen || !cold) { print "FAIL: no cold/warm/nearmiss/cached benchmark output parsed" > "/dev/stderr"; exit 1 }
 	if (warm == "" || cached == "" || warm == "?" || cached == "?") { print "FAIL: no p=1080 warm/cached ns/op parsed" > "/dev/stderr"; exit 1 }
 	if (cached + 0 > 0.1 * warm) { printf "FAIL: p=1080 cached %s ns/op > 0.1 x warm %s ns/op\n", cached, warm > "/dev/stderr"; exit 1 }
 }'
