@@ -1,8 +1,9 @@
 package heteropart
 
 // Over-HTTP daemon benchmarks: where BENCH_partition.json measures the
-// in-process serving engine, these measure what a client actually sees —
-// the hetpartd wire path, request parse to response bytes. Two levels:
+// partitioner and the plan cache in process, these measure what a client
+// actually sees — the hetpartd wire path, request parse to response
+// bytes. Two levels:
 //
 //   - BenchmarkDaemonThroughput drives a real daemon over loopback HTTP
 //     with keep-alive connections: warm single requests, batched

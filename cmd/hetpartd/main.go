@@ -68,8 +68,6 @@ func main() {
 		dir        = flag.String("dir", "", "store directory (required; created if missing)")
 		addrFile   = flag.String("addr-file", "", "write the bound address to this file once listening")
 		cacheCap   = flag.Int("cache", 0, "plan cache capacity (0 = default)")
-		maxBatch   = flag.Int("max-batch", 0, "max requests per engine dispatch cycle (0 = default)")
-		queueDepth = flag.Int("queue", 0, "request queue depth (0 = default)")
 		compactAt  = flag.Int64("compact-at", 0, "floor of the compaction trigger: the WAL is compacted past the larger of this and the last snapshot's bytes (0 = default 4MiB)")
 		walSyncEv  = flag.Int("wal-sync-every", 0, "fsync the WAL every N records, must be >= 1 (0 = default 64, 1 = every record)")
 		drain      = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown deadline")
@@ -109,8 +107,6 @@ func main() {
 		Dir:             *dir,
 		AddrFile:        *addrFile,
 		CacheCapacity:   *cacheCap,
-		MaxBatch:        *maxBatch,
-		QueueDepth:      *queueDepth,
 		CompactAt:       *compactAt,
 		SyncEvery:       *walSyncEv,
 		ReplicaOf:       *replicaOf,

@@ -19,7 +19,7 @@ import (
 	"sort"
 
 	"heteropart/internal/core"
-	"heteropart/internal/serve"
+	"heteropart/internal/plancache"
 	"heteropart/internal/sim"
 	"heteropart/internal/speed"
 )
@@ -65,26 +65,26 @@ func VariableGroupBlock(n, b int, flopRates []speed.Function, opts ...core.Optio
 	return variableGroupBlock(n, b, flopRates, directPartition, opts)
 }
 
-// VariableGroupBlockEngine builds the same distribution but serves every
-// per-group partition through a shared serving engine: a sweep over block
+// VariableGroupBlockCached builds the same distribution but serves every
+// per-group partition through a shared plan cache: a sweep over block
 // widths b (or repeated distributions of similar matrices) re-partitions
 // the same trailing sizes over and over, so routing the calls through the
-// engine's plan cache turns most of them into exact hits. The distribution
-// is bit-identical to VariableGroupBlock's: the cache's plans reproduce
-// the direct allocation exactly.
-func VariableGroupBlockEngine(e *serve.Engine, n, b int, flopRates []speed.Function, opts ...core.Option) (Distribution, error) {
-	if e == nil {
+// cache turns most of them into exact hits. The distribution is
+// bit-identical to VariableGroupBlock's: the cache's plans reproduce the
+// direct allocation exactly. A nil cache partitions directly.
+func VariableGroupBlockCached(c *plancache.Cache, n, b int, flopRates []speed.Function, opts ...core.Option) (Distribution, error) {
+	if c == nil {
 		return VariableGroupBlock(n, b, flopRates, opts...)
 	}
 	// Every group partitions the same processors: hash the model once.
 	m := speed.NewModel(flopRates)
 	return variableGroupBlock(n, b, flopRates, func(elements int64, _ []speed.Function, opts []core.Option) (core.Result, error) {
-		return e.Partition(serve.Request{Algo: core.AlgoCombined, N: elements, Model: m, Opts: opts})
+		return c.Get(core.AlgoCombined, elements, m, opts...)
 	}, opts)
 }
 
 // partitionFunc computes the optimal partition of elements over the
-// processors — directly, or through a serving engine.
+// processors — directly, or through a plan cache.
 type partitionFunc func(elements int64, fns []speed.Function, opts []core.Option) (core.Result, error)
 
 func directPartition(elements int64, fns []speed.Function, opts []core.Option) (core.Result, error) {

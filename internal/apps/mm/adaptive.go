@@ -9,7 +9,7 @@ import (
 	"heteropart/internal/core"
 	"heteropart/internal/faults"
 	"heteropart/internal/matrix"
-	"heteropart/internal/serve"
+	"heteropart/internal/plancache"
 	"heteropart/internal/speed"
 )
 
@@ -27,12 +27,11 @@ type AdaptiveConfig struct {
 	// optimal redistribution would improve the makespan by less than this
 	// fraction moves nothing. Default 0.05.
 	Slack float64
-	// Engine, when set, serves the repartition optima through the
-	// partition-serving engine: repeated repartitions over an unchanged
-	// model hit the plan cache, and a drift refresh invalidates the stale
-	// model's plans. Results are bit-identical either way; nil keeps the
-	// direct core.Repartition path.
-	Engine *serve.Engine
+	// Cache, when set, serves the repartition optima through the plan
+	// cache: repeated repartitions over an unchanged model hit it, and a
+	// drift refresh migrates the stale model's plans. Results are
+	// bit-identical either way; nil keeps the direct core.Repartition path.
+	Cache *plancache.Cache
 }
 
 func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
@@ -103,8 +102,8 @@ func ExecuteAdaptive(ctx context.Context, p Plan, a, b *matrix.Dense, flopRates 
 	dead := make([]bool, nw)
 	staleSeen := make([]bool, nw)
 	rows := make([][]int, nw)
-	// lastServed is the model whose plans the serving engine may be
-	// caching, so a drift refresh can migrate them.
+	// lastServed is the model whose plans the cache may be holding, so a
+	// drift refresh can migrate them.
 	var lastServed *speed.Model
 	var left int
 	for w, s := range stripes {
@@ -176,12 +175,12 @@ func ExecuteAdaptive(ctx context.Context, p Plan, a, b *matrix.Dense, flopRates 
 				obsSpeed := float64(done) / observed
 				refreshed := refreshModel(rowFns[w], float64(done), obsSpeed)
 				// One drifted worker is a delta, not a new cluster: migrate
-				// the engine's cached plans across the refresh instead of
-				// dropping them all — plans this worker's drift provably
-				// cannot move keep serving as exact hits.
-				if acfg.Engine != nil && lastServed != nil {
+				// the cached plans across the refresh instead of dropping
+				// them all — plans this worker's drift provably cannot
+				// move keep serving as exact hits.
+				if acfg.Cache != nil && lastServed != nil {
 					newServed := lastServed.WithProc(w, refreshed)
-					acfg.Engine.Cache().Refresh(lastServed, newServed)
+					acfg.Cache.Refresh(lastServed, newServed)
 					lastServed = newServed
 				}
 				rowFns[w] = refreshed
@@ -220,9 +219,9 @@ func ExecuteAdaptive(ctx context.Context, p Plan, a, b *matrix.Dense, flopRates 
 		}
 		var alloc core.Allocation
 		var moved int64
-		if acfg.Engine != nil {
+		if acfg.Cache != nil {
 			lastServed = speed.NewModel(capped)
-			alloc, moved, err = acfg.Engine.Repartition(current, lastServed, slack)
+			alloc, moved, err = repartitionCached(acfg.Cache, current, lastServed, slack)
 		} else {
 			alloc, moved, err = core.Repartition(current, capped, slack)
 		}
@@ -249,6 +248,23 @@ func ExecuteAdaptive(ctx context.Context, p Plan, a, b *matrix.Dense, flopRates 
 		}
 	}
 	return c, rep, nil
+}
+
+// repartitionCached adapts old to the model m as core.Repartition would,
+// but serves the underlying optimal plan through the cache, so the
+// repartition loop hits it instead of recomputing the optimum every phase.
+func repartitionCached(c *plancache.Cache, old core.Allocation, m *speed.Model, slack float64) (core.Allocation, int64, error) {
+	fns := m.Fns()
+	n := old.Sum()
+	if n == 0 || len(old) != len(fns) || slack < 0 {
+		// Degenerate and error cases carry no cacheable plan; delegate.
+		return core.Repartition(old, fns, slack)
+	}
+	opt, err := c.Get(core.AlgoCombined, n, m)
+	if err != nil {
+		return nil, 0, err
+	}
+	return core.RepartitionWith(old, fns, slack, opt)
 }
 
 // refreshModel folds an observed (size, speed) sample into a speed

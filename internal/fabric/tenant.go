@@ -1,6 +1,6 @@
 // Package fabric turns a set of hetpartd instances into one sharded,
 // multi-tenant serving fabric. It is the layer between the HTTP edge and
-// the serving engine, and owns four concerns:
+// the plan cache, and owns four concerns:
 //
 //   - tenant namespaces: every model label is tenant-qualified
 //     ("tenant/model", validated grammar below) with a default tenant for

@@ -347,7 +347,7 @@ const (
 // returned Result's Alloc is dst's appended tail and the entry is
 // refreshed in the LRU, indistinguishable from a GetTier hit; on a miss
 // nothing changes — no doorkeeper state, no counters — so a caller
-// falling back to the engine costs one extra map lookup, not skewed stats.
+// falling back to GetTier costs one extra map lookup, not skewed stats.
 func (c *Cache) PeekInto(dst core.Allocation, m *speed.Model, algo core.Algorithm, n int64, opts ...core.Option) (core.Allocation, core.Result, bool) {
 	var buf [4]core.Option
 	optsKey, _ := served(buf[:0], opts)
@@ -380,8 +380,8 @@ func (c *Cache) Get(algo core.Algorithm, n int64, m *speed.Model, opts ...core.O
 }
 
 // GetTier is Get plus the serving tier of this particular request, for
-// callers keeping their own hit-rate accounting (the serving engine reports
-// per-algorithm rates from it).
+// callers keeping their own hit-rate accounting (the daemon counts each
+// tenant's tiers from it).
 func (c *Cache) GetTier(algo core.Algorithm, n int64, m *speed.Model, opts ...core.Option) (core.Result, Tier, error) {
 	var buf [4]core.Option
 	optsKey, runOpts := served(buf[:0], opts)

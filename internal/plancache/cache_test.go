@@ -1,7 +1,9 @@
 package plancache
 
 import (
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"heteropart/internal/core"
@@ -210,6 +212,70 @@ func TestErrorsAreNotCached(t *testing.T) {
 	}
 	if st.Misses != 2 {
 		t.Fatalf("errors should recompute every time: %+v", st)
+	}
+	if _, err := c.Get(core.Algorithm(42), 100, m); err == nil {
+		t.Fatal("expected unknown-algorithm error")
+	}
+}
+
+// countingFn is a speed function of a type the fingerprint does not know,
+// so hashing it falls back to Eval probes: its call count shows whether a
+// path rehashed the model.
+type countingFn struct {
+	calls *atomic.Int64
+}
+
+func (f countingFn) Eval(float64) float64 { f.calls.Add(1); return 1e8 }
+func (f countingFn) MaxSize() float64     { return 2e9 }
+
+// TestHitsAndRefreshesDoNotHash builds a model handle once and then serves
+// it through both hit paths and a refresh of another processor: none of
+// them may evaluate the model's functions, so none rehashes it.
+func TestHitsAndRefreshesDoNotHash(t *testing.T) {
+	var calls atomic.Int64
+	m := speed.NewModel([]speed.Function{
+		countingFn{&calls}, speed.MustConstant(2e7, 2e9), speed.MustConstant(3e7, 2e9),
+	})
+	c := New(0)
+	const n = 1_000_000
+	if _, err := c.Get(core.AlgoCombined, n, m); err != nil {
+		t.Fatal(err)
+	}
+	check := func(path string) {
+		t.Helper()
+		if got := calls.Swap(0); got != 0 {
+			t.Fatalf("%s evaluated the model %d times", path, got)
+		}
+	}
+	calls.Store(0)
+
+	if _, tier, err := c.GetTier(core.AlgoCombined, n, m); err != nil || tier != TierHit {
+		t.Fatalf("GetTier: tier %v, err %v; want a hit", tier, err)
+	}
+	check("a GetTier hit")
+	if _, _, ok := c.PeekInto(nil, m, core.AlgoCombined, n); !ok {
+		t.Fatal("PeekInto missed")
+	}
+	check("a PeekInto hit")
+	next := m.WithProc(1, speed.MustConstant(2.5e7, 2e9))
+	if kept, dropped := c.Refresh(m, next); kept+dropped != 1 {
+		t.Fatalf("Refresh kept %d, dropped %d; want the one plan migrated", kept, dropped)
+	}
+	check("a Refresh of another processor")
+}
+
+// TestNilModelAnswersNoProcessors: a request without a model is an empty
+// cluster, answered with core.ErrNoProcessors on every path, never a panic.
+func TestNilModelAnswersNoProcessors(t *testing.T) {
+	c := New(0)
+	if _, _, ok := c.PeekInto(nil, nil, core.AlgoCombined, 1000); ok {
+		t.Fatal("PeekInto hit a nil model")
+	}
+	if _, err := c.Get(core.AlgoCombined, 1000, nil); !errors.Is(err, core.ErrNoProcessors) {
+		t.Fatalf("Get(nil model) = %v, want ErrNoProcessors", err)
+	}
+	if _, _, err := c.GetTier(core.AlgoCombined, 1000, nil); !errors.Is(err, core.ErrNoProcessors) {
+		t.Fatalf("GetTier(nil model) = %v, want ErrNoProcessors", err)
 	}
 }
 

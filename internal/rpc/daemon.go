@@ -1,7 +1,7 @@
 // Package rpc is the network face of the partition server: a long-running
 // HTTP daemon (cmd/hetpartd) that keeps cluster models and served plans in
-// a durable store (internal/store), serves partition requests through the
-// batching engine (internal/serve), and survives being killed at any
+// a durable store (internal/store), serves partition requests from the
+// plan cache (internal/plancache), and survives being killed at any
 // moment — on restart it replays the store and answers its first requests
 // from a warm cache, bit-identical to the plans the previous process
 // served.
@@ -11,7 +11,7 @@
 //	POST /v1/models?label=L[&defaultMax=F]  upload/refresh a clusterio doc
 //	GET  /v1/models                         list stored models
 //	POST /v1/partition                      one request or {"requests":[…]}
-//	GET  /v1/stats                          engine+cache+store+replication
+//	GET  /v1/stats                          cache+store+replication+tenants
 //	GET  /healthz                           liveness (process is up)
 //	GET  /readyz                            readiness (caught up, serving)
 //	GET  /v1/replication/{snapshot,wal,status}  the log-shipping feed
@@ -34,8 +34,8 @@
 // detector (internal/watch): it probes the primary's /healthz, and when
 // the primary dies the least-lagged caught-up follower self-promotes while
 // the rest re-follow it — no operator POST (DESIGN §12). Graceful shutdown
-// (SIGTERM/SIGINT) drains in-flight HTTP requests, closes the engine, and
-// folds the WAL into a final snapshot.
+// (SIGTERM/SIGINT) drains in-flight HTTP requests and folds the WAL into a
+// final snapshot.
 package rpc
 
 import (
@@ -58,7 +58,6 @@ import (
 	"heteropart/internal/fabric"
 	"heteropart/internal/plancache"
 	"heteropart/internal/replica"
-	"heteropart/internal/serve"
 	"heteropart/internal/store"
 	"heteropart/internal/watch"
 )
@@ -79,10 +78,6 @@ type Config struct {
 	// the admission window serves a plan's second ask without computing
 	// it again.
 	CacheCapacity int
-
-	// MaxBatch and QueueDepth pass through to serve.Config.
-	MaxBatch   int
-	QueueDepth int
 
 	// CompactAt and SyncEvery pass through to store.Options.
 	CompactAt int64
@@ -143,10 +138,9 @@ type Config struct {
 // Daemon is the running server. Construct with New, start with Listen +
 // Serve (or the Run convenience wrapper), stop with Shutdown.
 type Daemon struct {
-	cfg    Config
-	store  *store.Store
-	cache  *plancache.Cache
-	engine *serve.Engine
+	cfg   Config
+	store *store.Store
+	cache *plancache.Cache
 
 	// shipper serves this daemon's replicated log; followers attach to it,
 	// and it keeps serving after a replica's promotion so the pair can be
@@ -283,7 +277,6 @@ func (d *Daemon) boot() error {
 
 	d.store = st
 	d.cache = cache
-	d.engine = serve.New(serve.Config{Cache: cache, MaxBatch: cfg.MaxBatch, QueueDepth: cfg.QueueDepth})
 	d.shipper = replica.NewShipper(st, 0)
 
 	if cfg.ReplicaOf == "" {
@@ -297,7 +290,6 @@ func (d *Daemon) boot() error {
 		cache.SetReadOnly(true)
 		f, err := d.newFollower(cfg.ReplicaOf)
 		if err != nil {
-			d.engine.Close()
 			st.Close()
 			return err
 		}
@@ -308,7 +300,6 @@ func (d *Daemon) boot() error {
 			wt, err := d.newWatcher(cfg.ReplicaOf)
 			if err != nil {
 				f.Close()
-				d.engine.Close()
 				st.Close()
 				return err
 			}
@@ -420,9 +411,6 @@ func (d *Daemon) Store() *store.Store { return d.store }
 // benchmarks can measure the handler path itself — parse, serve, encode —
 // with net/http's connection machinery excluded.
 func (d *Daemon) Handler() http.Handler { return d.srv.Handler }
-
-// Engine exposes the daemon's serving engine.
-func (d *Daemon) Engine() *serve.Engine { return d.engine }
 
 // Follower exposes the replication follower (nil on a primary).
 func (d *Daemon) Follower() *replica.Follower { return d.follower.Load() }
@@ -764,8 +752,8 @@ func (d *Daemon) Serve() error {
 }
 
 // Shutdown drains in-flight HTTP requests, closes the fabric's idle relay
-// connections, stops the follower, closes the engine, and folds the WAL
-// into a final snapshot. Idempotent.
+// connections, stops the watcher and the follower, and folds the WAL into
+// a final snapshot. Idempotent.
 func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.closeOnce.Do(func() {
 		var first error
@@ -781,11 +769,8 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 		if f := d.follower.Load(); f != nil {
 			f.Close()
 		}
-		if d.engine != nil {
-			d.engine.Close()
-		}
-		// The engine is drained: the cache fires no more taps, so the
-		// final snapshot is complete.
+		// Every request has been answered and the follower has stopped:
+		// the cache fires no more taps, so the final snapshot is complete.
 		if d.store != nil {
 			if err := d.store.Close(); err != nil && first == nil {
 				first = err

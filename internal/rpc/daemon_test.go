@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -233,18 +234,13 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatal("unknown model answered without error")
 	}
 
-	// Per-algorithm tiers show up in stats, and the WAL has the plans.
+	// The cache counts both tiers, and the WAL has the plans.
 	var stats statsReply
 	if code := getJSON(t, base+"/v1/stats", &stats); code != 200 {
 		t.Fatalf("stats: HTTP %d", code)
 	}
-	if stats.Engine.ByAlgo["combined"].Requests == 0 ||
-		stats.Engine.ByAlgo["basic"].Requests == 0 ||
-		stats.Engine.ByAlgo["modified"].Requests == 0 {
-		t.Fatalf("per-algo stats: %+v", stats.Engine.ByAlgo)
-	}
-	if stats.Engine.ByAlgo["combined"].Hits == 0 {
-		t.Fatalf("combined hits missing: %+v", stats.Engine.ByAlgo)
+	if stats.Cache.Hits == 0 || stats.Cache.Misses == 0 {
+		t.Fatalf("cache tiers: %+v", stats.Cache)
 	}
 	if stats.Store.WALRecords == 0 {
 		t.Fatalf("no WAL records after admitted plans: %+v", stats.Store)
@@ -260,6 +256,98 @@ func TestDaemonEndToEnd(t *testing.T) {
 	var health map[string]any
 	if code := getJSON(t, base+"/healthz", &health); code != 200 || health["status"] != "ok" {
 		t.Fatalf("healthz: %d %v", code, health)
+	}
+}
+
+// TestBatchSharedAnswersArePrivate sends one batch holding a hit, two
+// distinct fresh plans and a third fresh plan named three times. Each
+// element is its own ask of the plan cache: one copy of the triple
+// computes the plan, and the others join that computation or are admitted
+// from the admission window. Every copy must carry the computed plan's
+// bytes, each fresh plan must be computed once, and the WAL may log at
+// most the triple's admission.
+func TestBatchSharedAnswersArePrivate(t *testing.T) {
+	doc := testClusterDoc(t, 9, 21)
+	fns := docFunctions(t, doc)
+	d, base := startDaemon(t, Config{Dir: t.TempDir()})
+	if code := postJSON(t, base+"/v1/models?label=lab", doc, nil); code != 200 {
+		t.Fatalf("upload: HTTP %d", code)
+	}
+	const hot, triple = 400_000, 900_000
+	for i := 0; i < 2; i++ { // the second ask admits the plan
+		if code := postJSON(t, base+"/v1/partition", []byte(fmt.Sprintf(`{"model":"lab","n":%d}`, hot)), nil); code != 200 {
+			t.Fatalf("warming ask %d: HTTP %d", i+1, code)
+		}
+	}
+	sizes := []int64{hot, 500_000, triple, 600_000, triple, triple}
+	var sb strings.Builder
+	sb.WriteString(`{"requests":[`)
+	for i, n := range sizes {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, `{"model":"lab","n":%d}`, n)
+	}
+	sb.WriteString(`]}`)
+
+	before := d.cache.Stats()
+	walBefore := d.Store().Stats().WALRecords
+	code, data, _ := postRawHdr(t, base+"/v1/partition", []byte(sb.String()), nil)
+	if code != 200 {
+		t.Fatalf("batch: HTTP %d: %s", code, data)
+	}
+	var raw struct {
+		Responses []map[string]json.RawMessage `json:"responses"`
+	}
+	var batch struct {
+		Responses []partitionReply `json:"responses"`
+	}
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &batch); err != nil {
+		t.Fatal(err)
+	}
+	if len(batch.Responses) != len(sizes) {
+		t.Fatalf("batch answered %d of %d elements", len(batch.Responses), len(sizes))
+	}
+	tiers := map[string]int{}
+	for i, r := range batch.Responses {
+		if r.Error != "" {
+			t.Fatalf("element %d (n=%d): %s", i, sizes[i], r.Error)
+		}
+		want, err := core.Combined(sizes[i], fns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(r.Alloc) != fmt.Sprint(want.Alloc) {
+			t.Fatalf("element %d (n=%d): served %v, core.Combined %v", i, sizes[i], r.Alloc, want.Alloc)
+		}
+		if sizes[i] == triple {
+			tiers[r.Tier]++
+		}
+	}
+	if batch.Responses[0].Tier != "hit" {
+		t.Fatalf("resident plan answered %q, want hit", batch.Responses[0].Tier)
+	}
+	if tiers["miss"] != 1 || tiers["miss"]+tiers["shared"]+tiers["hit"] != 3 {
+		t.Fatalf("the triple's tiers %v: want one miss, the others shared or hit", tiers)
+	}
+	first := batch.Responses[2]
+	for _, i := range []int{4, 5} {
+		if !bytes.Equal(raw.Responses[i]["alloc"], raw.Responses[2]["alloc"]) ||
+			!bytes.Equal(raw.Responses[i]["slope"], raw.Responses[2]["slope"]) ||
+			math.Float64bits(batch.Responses[i].Slope) != math.Float64bits(first.Slope) ||
+			batch.Responses[i].Stats != first.Stats {
+			t.Fatalf("copy %d differs from copy 2:\n%s\n%s", i, raw.Responses[i]["alloc"], raw.Responses[2]["alloc"])
+		}
+	}
+	after := d.cache.Stats()
+	if got := after.Misses - before.Misses; got != 3 {
+		t.Fatalf("the batch computed %d plans, want the 3 distinct fresh ones", got)
+	}
+	if got := d.Store().Stats().WALRecords - walBefore; got > 1 {
+		t.Fatalf("the batch appended %d WAL records, want at most the triple's admission", got)
 	}
 }
 

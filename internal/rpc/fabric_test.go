@@ -521,7 +521,7 @@ func TestPartitionBatchStreaming(t *testing.T) {
 		t.Fatalf("upload: HTTP %d", code)
 	}
 	// A handful of distinct problem sizes repeated 3000 times: the
-	// response is far past batchFlushBytes while the engine serves almost
+	// response is far past batchFlushBytes while the daemon serves almost
 	// everything from cache.
 	const k = 3000
 	var sb strings.Builder

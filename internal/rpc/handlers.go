@@ -14,8 +14,8 @@ import (
 	"heteropart/internal/fabric"
 	"heteropart/internal/geometry"
 	"heteropart/internal/plancache"
+	"heteropart/internal/pool"
 	"heteropart/internal/replica"
-	"heteropart/internal/serve"
 	"heteropart/internal/speed"
 	"heteropart/internal/store"
 	"heteropart/internal/watch"
@@ -220,7 +220,6 @@ func (d *Daemon) handleReady(w http.ResponseWriter, r *http.Request) {
 // statsReply is the /v1/stats document.
 type statsReply struct {
 	Uptime      string                           `json:"uptime"`
-	Engine      engineStats                      `json:"engine"`
 	Cache       plancache.Stats                  `json:"cache"`
 	Store       store.Stats                      `json:"store"`
 	Models      int                              `json:"models"`
@@ -252,31 +251,11 @@ type replicationStats struct {
 	Watch *watch.Status `json:"watch,omitempty"`
 }
 
-type engineStats struct {
-	Requests     uint64                     `json:"requests"`
-	Batches      uint64                     `json:"batches"`
-	Coalesced    uint64                     `json:"coalesced"`
-	MaxBatch     int                        `json:"maxBatch"`
-	AvgBatch     float64                    `json:"avgBatch"`
-	AvgLatencyUs float64                    `json:"avgLatencyUs"`
-	ByAlgo       map[string]serve.AlgoTiers `json:"byAlgo"`
-}
-
 func (d *Daemon) handleStats(w http.ResponseWriter, r *http.Request) {
-	m := d.engine.Metrics()
 	st := d.store.Stats()
 	writeJSON(w, statsReply{
 		Uptime: time.Since(d.start).String(),
-		Engine: engineStats{
-			Requests:     m.Requests,
-			Batches:      m.Batches,
-			Coalesced:    m.Coalesced,
-			MaxBatch:     m.MaxBatch,
-			AvgBatch:     m.AvgBatch,
-			AvgLatencyUs: float64(m.AvgLatency.Nanoseconds()) / 1e3,
-			ByAlgo:       m.ByAlgo,
-		},
-		Cache:  m.Cache,
+		Cache:  d.cache.Stats(),
 		Store:  st,
 		Models: st.Models,
 		Replication: func() replicationStats {
@@ -534,7 +513,7 @@ type partitionReply struct {
 // handlePartition answers one request or a batch through the pooled wire
 // codec (wire.go): the body is parsed in a single pass, batch vs single
 // decided by the first key of the top-level object, exact cache hits are
-// served synchronously past the dispatch queue, and the response is
+// copied out of the plan cache into pooled scratch, and the response is
 // encoded by hand into a pooled buffer — the warm path allocates nothing.
 //
 // Two deliberate behavior changes from the old double-decode dispatch: a
@@ -637,19 +616,28 @@ func (d *Daemon) forwardPartition(w http.ResponseWriter, sc *wireScratch, fab *f
 	return true
 }
 
+// planRequest is one validated partition ask, its model resolved to the
+// store's handle.
+type planRequest struct {
+	algo  core.Algorithm
+	n     int64
+	model *speed.Model
+	opts  []core.Option
+}
+
 // wireToServe validates one parsed wire request and resolves its model,
 // over spans instead of strings so the happy path allocates nothing.
-func (d *Daemon) wireToServe(sc *wireScratch, wr *wireRequest) (serve.Request, error) {
+func (d *Daemon) wireToServe(sc *wireScratch, wr *wireRequest) (planRequest, error) {
 	model := sc.spanBytes(wr.model)
 	if len(model) == 0 {
-		return serve.Request{}, fmt.Errorf("missing model")
+		return planRequest{}, fmt.Errorf("missing model")
 	}
 	if wr.n < 0 {
-		return serve.Request{}, fmt.Errorf("negative n %d", wr.n)
+		return planRequest{}, fmt.Errorf("negative n %d", wr.n)
 	}
 	m, ok := d.resolveModelBytes(model)
 	if !ok {
-		return serve.Request{}, fmt.Errorf("unknown model %q (upload it via /v1/models)", model)
+		return planRequest{}, fmt.Errorf("unknown model %q (upload it via /v1/models)", model)
 	}
 	var algo core.Algorithm
 	switch string(sc.spanBytes(wr.algo)) {
@@ -660,13 +648,13 @@ func (d *Daemon) wireToServe(sc *wireScratch, wr *wireRequest) (serve.Request, e
 	case "modified":
 		algo = core.AlgoModified
 	default:
-		return serve.Request{}, fmt.Errorf("unknown algorithm %q", sc.spanBytes(wr.algo))
+		return planRequest{}, fmt.Errorf("unknown algorithm %q", sc.spanBytes(wr.algo))
 	}
 	opts, err := wr.toOpts(sc)
 	if err != nil {
-		return serve.Request{}, err
+		return planRequest{}, err
 	}
-	return serve.Request{Algo: algo, N: wr.n, Model: m, Opts: opts}, nil
+	return planRequest{algo: algo, n: wr.n, model: m, opts: opts}, nil
 }
 
 // toOpts converts the flattened wire options to core options. The
@@ -723,8 +711,10 @@ func (d *Daemon) resolveModelBytes(name []byte) (*speed.Model, bool) {
 	return nil, false
 }
 
-// servePartitionSingle answers sc.reqs[0]: an exact cache hit is served
-// synchronously (no queue round trip), a miss goes through the engine.
+// servePartitionSingle answers sc.reqs[0] from the plan cache: an exact
+// hit is copied into the scratch arena without allocating, anything else
+// is computed (or joins the computation in flight, or is admitted from
+// the admission window) on the handler goroutine.
 // Before the local path runs, the tenant layer gets its say — the request
 // is attributed and quota-charged at the edge, and a request whose plan
 // family another fabric member owns is relayed there verbatim. A request
@@ -765,35 +755,38 @@ func (d *Daemon) servePartitionSingle(w http.ResponseWriter, r *http.Request, sc
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	sc.arena = sc.arena[:0]
-	arena, resp, ok := d.engine.TryHit(req, sc.arena)
+	arena, res, ok := d.cache.PeekInto(sc.arena[:0], req.model, req.algo, req.n, req.opts...)
 	sc.arena = arena
+	tier := plancache.TierHit
 	if !ok {
-		resp = <-d.engine.Submit(req)
-		if resp.Err != nil {
+		res, tier, err = d.cache.GetTier(req.algo, req.n, req.model, req.opts...)
+		if err != nil {
 			ts.Errors.Add(1)
-			httpError(w, http.StatusUnprocessableEntity, "%v", resp.Err)
+			httpError(w, http.StatusUnprocessableEntity, "%v", err)
 			return
 		}
 	}
-	countTier(ts, resp.Tier)
+	countTier(ts, tier)
 	if forwarded {
-		w.Header()[fabric.TierHeader] = tierHeaderValue(resp.Tier)
+		w.Header()[fabric.TierHeader] = tierHeaderValue(tier)
 	}
-	sc.out = appendReply(sc.out[:0], resp.Result.Alloc, resp.Result.Slope, tierName(resp.Tier), &resp.Result.Stats, "")
+	sc.out = appendReply(sc.out[:0], res.Alloc, res.Slope, tierName(tier), &res.Stats, "")
 	sc.out = append(sc.out, '\n')
 	writeBody(w, http.StatusOK, sc.out)
 }
 
-// servePartitionBatch answers sc.reqs as one response document. Hits are
-// served synchronously into the scratch arena; every miss is submitted
-// before any reply is awaited, so misses land in the same engine dispatch
-// cycle and coalesce, exactly as before.
+// servePartitionBatch answers sc.reqs as one response document. A first
+// pass serves the hits into the scratch arena and records the misses; the
+// misses then run over the shared worker pool, each writing only its own
+// item, so at most the pool's width of them compute at once. Elements
+// that name one plan more than once are separate asks of it: the cache's
+// singleflight and admission window share the work.
 //
 // The tenant layer runs as a separate admission pass first: each element
 // is attributed and quota-charged, and when one remote member owns every
 // element's plan family the whole body is relayed there verbatim (mixed
-// owners serve locally — splitting a batch would break its coalescing).
+// owners serve locally — splitting a batch would need a scatter to the
+// owners and a merge of their replies).
 // The encode pass streams: past batchFlushBytes the buffer is flushed to
 // the client and reused, so a 100k-element batch costs O(64 KiB) of
 // response memory, not O(batch). The byte stream is identical either way.
@@ -838,8 +831,7 @@ func (d *Daemon) servePartitionBatch(w http.ResponseWriter, r *http.Request, sc 
 		}
 	case fab != nil && uniform && owner >= 0 && !fab.IsSelf(owner) && !rejected:
 		// One remote owner for the whole batch: relay it verbatim so its
-		// elements coalesce in the owner's dispatch cycle and warm the
-		// owner's cache, exactly as a local batch would.
+		// elements warm the owner's cache, exactly as a local batch would.
 		status, _, resp, err := fab.Forward(owner, sc.body, sc.out[:0])
 		sc.out = resp
 		if err == nil && status < 500 {
@@ -856,6 +848,7 @@ func (d *Daemon) servePartitionBatch(w http.ResponseWriter, r *http.Request, sc 
 		fab.ServedLocal.Add(1)
 	}
 	sc.arena = sc.arena[:0]
+	sc.misses = sc.misses[:0]
 	for i := range sc.reqs {
 		it := &sc.items[i]
 		if it.retry > 0 {
@@ -867,16 +860,23 @@ func (d *Daemon) servePartitionBatch(w http.ResponseWriter, r *http.Request, sc 
 			continue
 		}
 		start := len(sc.arena)
-		arena, resp, ok := d.engine.TryHit(req, sc.arena)
+		arena, res, ok := d.cache.PeekInto(sc.arena, req.model, req.algo, req.n, req.opts...)
 		sc.arena = arena
-		if ok {
-			it.hit = true
-			it.slope = resp.Result.Slope
-			it.stats = resp.Result.Stats
-			it.allocOff, it.allocLen = start, len(sc.arena)-start
+		if !ok {
+			it.req = req
+			sc.misses = append(sc.misses, i)
 			continue
 		}
-		it.wait = d.engine.Submit(req)
+		it.tier, it.slope, it.stats = plancache.TierHit, res.Slope, res.Stats
+		it.allocOff, it.allocLen = start, len(sc.arena)-start
+	}
+	if len(sc.misses) > 0 {
+		pool.Shared().Run(len(sc.misses), func(j int) {
+			it := &sc.items[sc.misses[j]]
+			res, tier, err := d.cache.GetTier(it.req.algo, it.req.n, it.req.model, it.req.opts...)
+			it.tier, it.err = tier, err
+			it.alloc, it.slope, it.stats = res.Alloc, res.Slope, res.Stats
+		})
 	}
 	var zero core.Stats
 	streaming := false
@@ -892,18 +892,13 @@ func (d *Daemon) servePartitionBatch(w http.ResponseWriter, r *http.Request, sc 
 		case it.err != nil:
 			it.ts.Errors.Add(1)
 			out = appendReply(out, nil, 0, "", &zero, it.err.Error())
-		case it.hit:
-			it.ts.Hits.Add(1)
-			out = appendReply(out, sc.arena[it.allocOff:it.allocOff+it.allocLen], it.slope, "hit", &it.stats, "")
 		default:
-			resp := <-it.wait
-			if resp.Err != nil {
-				it.ts.Errors.Add(1)
-				out = appendReply(out, nil, 0, "", &zero, resp.Err.Error())
-			} else {
-				countTier(it.ts, resp.Tier)
-				out = appendReply(out, resp.Result.Alloc, resp.Result.Slope, tierName(resp.Tier), &resp.Result.Stats, "")
+			countTier(it.ts, it.tier)
+			alloc := it.alloc
+			if alloc == nil {
+				alloc = sc.arena[it.allocOff : it.allocOff+it.allocLen]
 			}
+			out = appendReply(out, alloc, it.slope, tierName(it.tier), &it.stats, "")
 		}
 		if len(out) >= batchFlushBytes {
 			if !streaming {
@@ -916,11 +911,15 @@ func (d *Daemon) servePartitionBatch(w http.ResponseWriter, r *http.Request, sc 
 		}
 	}
 	out = append(append(out, `]}`...), '\n')
-	if streaming {
-		w.Write(out)
-		sc.out = out
-		return
+	// The scratch goes back to the pool: it must not keep a replaced
+	// model, or a plan, alive.
+	for _, i := range sc.misses {
+		sc.items[i].req, sc.items[i].alloc = planRequest{}, nil
 	}
 	sc.out = out
-	writeBody(w, http.StatusOK, sc.out)
+	if streaming {
+		w.Write(out)
+		return
+	}
+	writeBody(w, http.StatusOK, out)
 }

@@ -36,7 +36,7 @@ import (
 
 	"heteropart/internal/core"
 	"heteropart/internal/fabric"
-	"heteropart/internal/serve"
+	"heteropart/internal/plancache"
 )
 
 // maxParseDepth matches encoding/json's nesting limit, so the fuzz
@@ -84,12 +84,15 @@ var (
 )
 
 // wireItem is the per-request state of a batch: a validation error, a
-// quota rejection, a synchronously served cache hit (allocation stored in
-// the scratch arena), or a pending engine submission.
+// quota rejection, a cache hit (its allocation copied into the scratch
+// arena), or a miss (its request, then the plan computed for it).
 type wireItem struct {
-	err      error
-	wait     <-chan serve.Response
-	hit      bool
+	err  error
+	tier plancache.Tier
+	// req and alloc are a miss's request and its allocation; a hit's
+	// allocation is arena[allocOff : allocOff+allocLen].
+	req      planRequest
+	alloc    core.Allocation
 	slope    float64
 	stats    core.Stats
 	allocOff int
@@ -110,6 +113,7 @@ type wireScratch struct {
 	strBuf []byte        // unescaped string data (spans point into it)
 	reqs   []wireRequest // parsed requests (len 1 for a single)
 	items  []wireItem    // batch serving state
+	misses []int         // indices of the batch items that missed
 	arena  core.Allocation
 	pos    int // parser cursor into body
 }

@@ -60,8 +60,8 @@ func Fingerprint(fns []Function) uint64 {
 // Model is an immutable handle on a cluster model: the ordered speed
 // functions, their per-processor fingerprints and the composed
 // fingerprint, computed once when the handle is built. Every layer that
-// keys on the model (the plan cache, the serving engine, the store and
-// the daemon) carries the handle instead of rehashing the functions.
+// keys on the model (the plan cache, the store and the daemon) carries
+// the handle instead of rehashing the functions.
 // The nil *Model is the empty model: no functions, fingerprint 0.
 type Model struct {
 	fns []Function

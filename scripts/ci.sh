@@ -7,9 +7,10 @@
 #   3. go test -race ./internal/... — one race pass over every internal
 #      package, the concurrent-by-construction ones included: the worker
 #      pool and kernels, the fault supervisor and measurement pipeline,
-#      the sharded plan cache and batching engine, the store's WAL against
-#      compaction, the daemon's taps, the replication stream, the failure
-#      detector, the model layer and the fabric's counters
+#      the sharded plan cache and its singleflight, the store's WAL against
+#      compaction, the daemon's taps and batch misses, the replication
+#      stream, the failure detector, the model layer and the fabric's
+#      counters
 #   4. kill-and-restart gate: SIGKILL the daemon mid-load, restart on the
 #      same store, and require every answered plan to come back as an
 #      exact, bit-identical cache hit
@@ -33,18 +34,18 @@
 #      compaction must reopen to exactly the acknowledged records, appends
 #      racing background compactions must all survive Close → Open, and a
 #      pinned or sealed store's compaction must abandon its image
-#  10. admission-window gate: the plan cache's admission-window tests and
-#      the result-ownership race tests at -race -count=10 — a second ask
-#      is served the first miss's plan as a hit and admitted exactly once,
-#      invalidation, refresh, Replace and read-only mode keep the window
-#      honest, one-shot sizes never evict a resident plan, and no caller's
-#      mutation of its answer reaches a request that joined the same
-#      computation
-#  11. plan-purity gate: the plan-purity, rule-allocation and ray-bound
-#      tests at -race -count=3 — a plan the cache computes is the same
-#      bytes whatever the cache served before, and the cache's
-#      regula-falsi search returns tangent bisection's allocations with
-#      at most two rays more per case and half the rays in sum
+#  10. admission-window gate: the plan cache's admission-window tests, its
+#      result-ownership race test and the daemon's duplicate-batch test at
+#      -race -count=10 — a second ask is served the first miss's plan as a
+#      hit and admitted exactly once, invalidation, refresh, Replace and
+#      read-only mode keep the window honest, one-shot sizes never evict a
+#      resident plan, no caller's mutation of its answer reaches a request
+#      that joined the same computation, and a batch naming one fresh plan
+#      three times computes it once and answers every copy with its bytes
+#  11. plan-purity gate: the plan-purity fuzz corpus at -race -count=3 — a
+#      plan the cache computes is the same bytes whatever the cache served
+#      before, and its allocation is tangent bisection's (the sequential
+#      rule-allocation test runs in tier-1 and the race pass)
 #  12. benchmark smoke: every kernel benchmark, the model-refresh
 #      benchmark, the over-HTTP daemon benchmark (a real listening daemon
 #      driven by a raw keep-alive client) and the store append benchmark
@@ -52,8 +53,8 @@
 #  13. allocation regression guard, one 100x run of every partition-
 #      serving row (cold included, so it is also their smoke): the warm
 #      partitioner hot path must report exactly 0 allocs/op, the property
-#      the serving engine's throughput rests on (the store's persistence
-#      taps fire off the hot path, so this gate also guards the daemon's
+#      the plan cache's miss path rests on (the store's persistence taps
+#      fire off the hot path, so this gate also guards the daemon's
 #      serving loop); the near-miss path (a cache miss at a new size) and
 #      the cached hit must stay within their 4 allocs/op budget; and at
 #      p=1080 a cached hit must cost at most a tenth of a warm partition,
@@ -108,10 +109,10 @@ echo "==> delta-refresh gate: go test -race -run DeltaRefresh ./internal/store/ 
 go test -race -count=1 -run DeltaRefresh ./internal/store/ ./internal/plancache/ ./internal/rpc/
 echo "==> compaction gate: go test -race -run Compaction ./internal/store/" >&2
 go test -race -count=1 -run Compaction ./internal/store/
-echo "==> admission-window gate: go test -race -count=10 -run 'Window|Doorkeeper|SharedAnswers|CoalescedAnswers' ./internal/plancache/ ./internal/serve/" >&2
-go test -race -count=10 -run 'Window|Doorkeeper|SharedAnswers|CoalescedAnswers' ./internal/plancache/ ./internal/serve/
-echo "==> plan-purity gate: go test -race -count=3 -run 'PlanPurity|ServedRule' ./internal/core/ ./internal/plancache/" >&2
-go test -race -count=3 -run 'PlanPurity|ServedRule' ./internal/core/ ./internal/plancache/
+echo "==> admission-window gate: go test -race -count=10 -run 'Window|Doorkeeper|SharedAnswers' ./internal/plancache/ ./internal/rpc/" >&2
+go test -race -count=10 -run 'Window|Doorkeeper|SharedAnswers' ./internal/plancache/ ./internal/rpc/
+echo "==> plan-purity gate: go test -race -count=3 -run PlanPurity ./internal/plancache/" >&2
+go test -race -count=3 -run PlanPurity ./internal/plancache/
 echo "==> benchmark smoke: go test -run '^$' -bench Kernel -benchtime=1x ." >&2
 go test -run '^$' -bench Kernel -benchtime=1x .
 echo "==> benchmark smoke: go test -run '^$' -bench ModelRefresh -benchtime=5x ." >&2
