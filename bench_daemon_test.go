@@ -12,7 +12,8 @@ package heteropart
 //   - BenchmarkDaemonHandler calls the daemon's handler directly with a
 //     recycled request/response pair, so B/op and allocs/op describe the
 //     handler path itself with net/http's per-connection machinery
-//     excluded. ci.sh gates the warm path at <= 1 alloc/op and <= 8 B/op.
+//     excluded. ci.sh gates the warm path at 0 B/op and 0 allocs/op, at
+//     -cpu 1.
 //
 // scripts/bench.sh daemon records both into BENCH_daemon.json.
 

@@ -1,7 +1,7 @@
 package heteropart
 
 // Sharded-fabric benchmarks: what a client pays when the member it asked
-// is not the owner of the (tenant, model, n) key. Three paths over real
+// is not the owner of the (tenant, model, n) key. Four paths over real
 // loopback HTTP with keep-alive connections:
 //
 //   - local: the edge member owns the key and serves from its own cache —
@@ -9,11 +9,17 @@ package heteropart
 //     ownership decision.
 //   - forwarded: the edge member relays the request bytes to the owner
 //     over a pooled connection and relays the response bytes back. The
-//     gap between this and local is the price of one extra network hop.
+//     model lives on the owner only, so the edge can neither answer nor
+//     keep the plan: the gap between this and local is the price of one
+//     extra network hop.
+//   - repeated: a key the other member owns, asked through the edge
+//     until the edge kept the owner's same-model hit and answers it from
+//     its own cache — the edge hit that replaces the hop for a plan asked
+//     again.
 //   - quota: local serving with per-tenant admission enabled, so the
 //     difference against local is the token-bucket probe alone.
 //
-// scripts/bench.sh fabric records all three into BENCH_fabric.json.
+// scripts/bench.sh fabric records all four into BENCH_fabric.json.
 
 import (
 	"bytes"
@@ -21,6 +27,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"heteropart/internal/fabric"
@@ -28,9 +35,9 @@ import (
 )
 
 // startFabricBenchPair boots two daemons joined into one fabric, uploads
-// the model "m" to both, and returns their base URLs plus an n owned by
-// each member as seen from member 0.
-func startFabricBenchPair(b *testing.B) (bases [2]string, nLocal, nRemote int64) {
+// the model "m" to both and the model "m1" to member 1 only, and returns
+// their base URLs and member 0's fabric.
+func startFabricBenchPair(b *testing.B) (bases [2]string, fab *fabric.Fabric) {
 	b.Helper()
 	var ds [2]*rpc.Daemon
 	for i := range ds {
@@ -54,8 +61,8 @@ func startFabricBenchPair(b *testing.B) (bases [2]string, nLocal, nRemote int64)
 		}
 	}
 	doc := benchClusterDoc(8, 77)
-	for _, base := range bases {
-		resp, err := http.Post(base+"/v1/models?label=m", "application/json", bytes.NewReader(doc))
+	for _, up := range []string{bases[0] + "/v1/models?label=m", bases[1] + "/v1/models?label=m", bases[1] + "/v1/models?label=m1"} {
+		resp, err := http.Post(up, "application/json", bytes.NewReader(doc))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,26 +72,25 @@ func startFabricBenchPair(b *testing.B) (bases [2]string, nLocal, nRemote int64)
 			b.Fatalf("model upload: HTTP %d", resp.StatusCode)
 		}
 	}
-	// Walk n until member 0 sees both an owned key and a forwarded key.
-	fab := ds[0].Fabric()
-	tenant, family := fabric.TenantSpan([]byte("m"))
-	for n := int64(5_000_000); nLocal == 0 || nRemote == 0; n += 1_000 {
-		if fab.URL(fab.OwnerIndex(tenant, family, n)) == bases[0] {
-			if nLocal == 0 {
-				nLocal = n
-			}
-		} else if nRemote == 0 {
-			nRemote = n
-		}
-	}
-	return bases, nLocal, nRemote
+	return bases, ds[0].Fabric()
 }
 
-// warmFabric asks base for (model m, n) until the answer is a cache hit,
+// benchOwnedN walks n up from 5,000,000 until fab assigns the plan family
+// (model, n) to the member at base.
+func benchOwnedN(fab *fabric.Fabric, model, base string) int64 {
+	tenant, family := fabric.TenantSpan([]byte(model))
+	n := int64(5_000_000)
+	for fab.URL(fab.OwnerIndex(tenant, family, n)) != base {
+		n += 1_000
+	}
+	return n
+}
+
+// warmFabric asks base for (model, n) until the answer is a cache hit,
 // so the benchmark loop never measures a miss computation.
-func warmFabric(b *testing.B, base string, n int64) []byte {
+func warmFabric(b *testing.B, base, model string, n int64) []byte {
 	b.Helper()
-	body := []byte(fmt.Sprintf(`{"model":"m","n":%d}`, n))
+	body := []byte(fmt.Sprintf(`{"model":%q,"n":%d}`, model, n))
 	for i := 0; i < 8; i++ {
 		resp, err := http.Post(base+"/v1/partition", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -103,28 +109,46 @@ func warmFabric(b *testing.B, base string, n int64) []byte {
 	return nil
 }
 
-// BenchmarkFabricForward measures owned-vs-forwarded serving through
-// member 0 of a two-member fabric. req/s counts partition requests.
+// BenchmarkFabricForward measures owned, forwarded and repeated serving
+// through member 0 of a two-member fabric. req/s counts partition
+// requests. Each row fails unless every ask took its path: member 0's
+// ServedLocal, Forwarded or EdgeHits counter grows by b.N.
 func BenchmarkFabricForward(b *testing.B) {
-	bases, nLocal, nRemote := startFabricBenchPair(b)
+	bases, fab := startFabricBenchPair(b)
 	addr := strings.TrimPrefix(bases[0], "http://")
 
-	localReq := rawRequest("/v1/partition", warmFabric(b, bases[0], nLocal))
-	remoteReq := rawRequest("/v1/partition", warmFabric(b, bases[0], nRemote))
+	localReq := rawRequest("/v1/partition", warmFabric(b, bases[0], "m", benchOwnedN(fab, "m", bases[0])))
+	remoteReq := rawRequest("/v1/partition", warmFabric(b, bases[0], "m1", benchOwnedN(fab, "m1", bases[1])))
+	// Member 0 keeps the second same-model hit it relays: ask until it
+	// answers from its own cache.
+	nRepeat := benchOwnedN(fab, "m", bases[1])
+	repeated := warmFabric(b, bases[0], "m", nRepeat)
+	for i := 0; fab.EdgeHits.Load() == 0; i++ {
+		if i == 8 {
+			b.Fatal("member 0 never answered a plan member 1 owns from its own cache")
+		}
+		warmFabric(b, bases[0], "m", nRepeat)
+	}
+	repeatedReq := rawRequest("/v1/partition", repeated)
 
-	run := func(name string, req []byte) {
+	run := func(name string, req []byte, path *atomic.Uint64) {
 		b.Run(name, func(b *testing.B) {
 			rc := dialRaw(b, addr)
+			before := path.Load()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rc.send(b, req, 1, "HTTP/1.1 200")
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+			if got := path.Load() - before; got != uint64(b.N) {
+				b.Fatalf("%d of %d asks took the %s path", got, b.N, name)
+			}
 		})
 	}
-	run("local", localReq)
-	run("forwarded", remoteReq)
+	run("local", localReq, &fab.ServedLocal)
+	run("forwarded", remoteReq, &fab.Forwarded)
+	run("repeated", repeatedReq, &fab.EdgeHits)
 }
 
 // BenchmarkFabricQuota measures the warm single-request path with
@@ -156,7 +180,7 @@ func BenchmarkFabricQuota(b *testing.B) {
 		b.Fatalf("model upload: HTTP %d", resp.StatusCode)
 	}
 
-	req := rawRequest("/v1/partition", warmFabric(b, base, 5_000_000))
+	req := rawRequest("/v1/partition", warmFabric(b, base, "m", 5_000_000))
 	rc := dialRaw(b, strings.TrimPrefix(base, "http://"))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -28,6 +28,14 @@ const (
 	// forwarding edge can count remote cache hits without parsing the
 	// response body it relays verbatim.
 	TierHeader = "X-Hetpart-Tier"
+	// ModelHeader carries the fingerprint the forwarding edge resolved the
+	// request's model to, as 16 hex digits; it is absent when the edge
+	// could not resolve it.
+	ModelHeader = "X-Hetpart-Model"
+	// SameModelHeader is the owner's "1" on a forwarded single it answered
+	// as a hit on a model whose fingerprint equals ModelHeader's: the
+	// relayed plan is the one the edge would compute, so it may keep it.
+	SameModelHeader = "X-Hetpart-Same-Model"
 )
 
 // maxForwardBody bounds a relayed response (matches the request-side
@@ -102,7 +110,7 @@ func (p *pool) dial(deadline time.Time) (*relayConn, error) {
 	return &relayConn{
 		nc:   nc,
 		br:   bufio.NewReader(nc),
-		head: append(make([]byte, 0, len(p.head)+24), p.head...),
+		head: append(make([]byte, 0, len(p.head)+64), p.head...),
 	}, nil
 }
 
@@ -144,46 +152,54 @@ func (p *pool) close() {
 }
 
 // forward relays one /v1/partition body and appends the response body to
-// dst. The timeout is one deadline over the whole exchange, dial and
-// retry included. A reused idle connection that fails before the first
-// response byte is the member having closed it while it sat in the pool,
-// so the request is sent once more on a fresh dial; no other failure is
-// retried. On error the returned slice is still dst's (possibly grown)
-// buffer, so the caller can keep it.
-func (p *pool) forward(body, dst []byte, timeout time.Duration) (status int, hit bool, out []byte, err error) {
+// dst; model, when not 0, goes out as ModelHeader. The timeout is one
+// deadline over the whole exchange, dial and retry included. A reused
+// idle connection that fails before the first response byte is the member
+// having closed it while it sat in the pool, so the request is sent once
+// more on a fresh dial; no other failure is retried. On error the
+// returned slice is still dst's (possibly grown) buffer, so the caller
+// can keep it.
+func (p *pool) forward(model uint64, body, dst []byte, timeout time.Duration) (status int, hit, same bool, out []byte, err error) {
 	deadline := time.Now().Add(timeout)
 	c := p.get()
 	if c != nil {
-		if err = p.send(c, body, deadline); err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
+		if err = p.send(c, model, body, deadline); err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
 			c.nc.Close()
 			c = nil
 		}
 	}
 	if c == nil {
 		if c, err = p.dial(deadline); err != nil {
-			return 0, false, dst, err
+			return 0, false, false, dst, err
 		}
-		err = p.send(c, body, deadline)
+		err = p.send(c, model, body, deadline)
 	}
 	out, keep := dst, false
 	if err == nil {
-		status, hit, keep, out, err = c.readResponse(dst)
+		status, hit, same, keep, out, err = c.readResponse(dst)
 	}
 	if err != nil || !keep || c.br.Buffered() > 0 {
 		c.nc.Close()
 	} else {
 		p.put(c)
 	}
-	return status, hit, out, err
+	return status, hit, same, out, err
 }
 
 // send writes the request head and body with one writev and waits for
 // the first byte of the response.
-func (p *pool) send(c *relayConn, body []byte, deadline time.Time) error {
+func (p *pool) send(c *relayConn, model uint64, body []byte, deadline time.Time) error {
 	if err := c.nc.SetDeadline(deadline); err != nil {
 		return err
 	}
-	c.head = append(strconv.AppendInt(c.head[:len(p.head)], int64(len(body)), 10), "\r\n\r\n"...)
+	c.head = strconv.AppendInt(c.head[:len(p.head)], int64(len(body)), 10)
+	if model != 0 {
+		c.head = append(c.head, "\r\n"+ModelHeader+": "...)
+		for shift := 60; shift >= 0; shift -= 4 {
+			c.head = append(c.head, "0123456789abcdef"[model>>shift&0xf])
+		}
+	}
+	c.head = append(c.head, "\r\n\r\n"...)
 	c.iov = [2][]byte{c.head, body}
 	c.vec = c.iov[:]
 	_, err := c.vec.WriteTo(c.nc)
@@ -196,29 +212,30 @@ func (p *pool) send(c *relayConn, body []byte, deadline time.Time) error {
 }
 
 // readResponse parses the status line and the headers the relay acts on
-// (the framing, Connection and X-Hetpart-Tier), then appends the body to
-// dst. keep reports whether the connection may carry another request.
-func (c *relayConn) readResponse(dst []byte) (status int, hit, keep bool, out []byte, err error) {
+// (the framing, Connection, X-Hetpart-Tier and X-Hetpart-Same-Model), then
+// appends the body to dst. keep reports whether the connection may carry
+// another request.
+func (c *relayConn) readResponse(dst []byte) (status int, hit, same, keep bool, out []byte, err error) {
 	line, err := c.br.ReadSlice('\n')
 	if err != nil {
-		return 0, false, false, dst, err
+		return 0, false, false, false, dst, err
 	}
 	// "HTTP/1.1 200 OK\r\n": an HTTP/1.0 reply closes after its body.
 	if len(line) < 13 || !bytes.HasPrefix(line, []byte("HTTP/1.")) || line[8] != ' ' ||
 		(line[12] != ' ' && line[12] != '\r' && line[12] != '\n') {
-		return 0, false, false, dst, errMalformed
+		return 0, false, false, false, dst, errMalformed
 	}
 	keep = line[7] == '1'
 	for _, b := range line[9:12] {
 		if b < '0' || b > '9' {
-			return 0, false, false, dst, errMalformed
+			return 0, false, false, false, dst, errMalformed
 		}
 		status = status*10 + int(b-'0')
 	}
 	length, chunked := -1, false
 	for {
 		if line, err = c.br.ReadSlice('\n'); err != nil {
-			return 0, false, false, dst, err
+			return 0, false, false, false, dst, err
 		}
 		line = bytes.TrimRight(line, "\r\n")
 		if len(line) == 0 {
@@ -226,17 +243,17 @@ func (c *relayConn) readResponse(dst []byte) (status int, hit, keep bool, out []
 		}
 		name, value, ok := bytes.Cut(line, []byte(":"))
 		if !ok {
-			return 0, false, false, dst, errMalformed
+			return 0, false, false, false, dst, errMalformed
 		}
 		value = bytes.TrimSpace(value)
 		switch {
 		case headerIs(name, "Content-Length"):
 			if length, err = parseSize(value, 10); err != nil {
-				return 0, false, false, dst, err
+				return 0, false, false, false, dst, err
 			}
 		case headerIs(name, "Transfer-Encoding"):
 			if !headerIs(value, "chunked") {
-				return 0, false, false, dst, errUnframed
+				return 0, false, false, false, dst, errUnframed
 			}
 			chunked = true
 		case headerIs(name, "Connection"):
@@ -247,6 +264,8 @@ func (c *relayConn) readResponse(dst []byte) (status int, hit, keep bool, out []
 			}
 		case headerIs(name, TierHeader):
 			hit = string(value) == "hit"
+		case headerIs(name, SameModelHeader):
+			same = string(value) == "1"
 		}
 	}
 	switch {
@@ -255,9 +274,9 @@ func (c *relayConn) readResponse(dst []byte) (status int, hit, keep bool, out []
 	case length >= 0:
 		out, err = readN(c.br, dst, length)
 	default:
-		return 0, false, false, dst, errUnframed
+		return 0, false, false, false, dst, errUnframed
 	}
-	return status, hit, keep, out, err
+	return status, hit, same, keep, out, err
 }
 
 // headerIs compares a header name or token case-insensitively.

@@ -27,6 +27,9 @@ type fakeMember struct {
 	accepts atomic.Int32
 	// hangups receives the index of each connection the relay closed.
 	hangups chan int
+	// models records each request's X-Hetpart-Model values, in order.
+	mu     sync.Mutex
+	models [][]string
 }
 
 func startFakeMember(t *testing.T, reply func(conn, req int, body []byte) string) *fakeMember {
@@ -84,6 +87,9 @@ func (fm *fakeMember) serve(t *testing.T, nc net.Conn, conn int, reply func(conn
 			t.Errorf("conn %d: unexpected request %q %v", conn, line, hdr)
 			return
 		}
+		fm.mu.Lock()
+		fm.models = append(fm.models, hdr[ModelHeader])
+		fm.mu.Unlock()
 		n, err := strconv.Atoi(hdr.Get("Content-Length"))
 		if err != nil {
 			t.Errorf("conn %d: Content-Length: %v", conn, err)
@@ -190,20 +196,47 @@ func TestForwardFramings(t *testing.T) {
 		}
 	})
 	f, owner := relayTo(t, fm, 0)
-	status, hit, out, err := f.Forward(owner, []byte("length"), []byte("pre:"))
+	status, hit, _, out, err := f.Forward(owner, 0, []byte("length"), []byte("pre:"))
 	if err != nil || status != 200 || !hit || string(out) != "pre:"+body {
 		t.Fatalf("Content-Length reply: status %d hit %v out %q err %v", status, hit, out, err)
 	}
-	status, hit, out, err = f.Forward(owner, []byte("chunked"), out[:0])
+	status, hit, _, out, err = f.Forward(owner, 0, []byte("chunked"), out[:0])
 	if err != nil || status != 422 || hit || string(out) != body {
 		t.Fatalf("chunked reply: status %d hit %v out %q err %v", status, hit, out, err)
 	}
-	status, _, out, err = f.Forward(owner, []byte("empty"), out[:0])
+	status, _, _, out, err = f.Forward(owner, 0, []byte("empty"), out[:0])
 	if err != nil || status != 400 || len(out) != 0 {
 		t.Fatalf("empty reply: status %d out %q err %v", status, out, err)
 	}
 	if n := fm.accepts.Load(); n != 1 {
 		t.Fatalf("%d connections for three forwards, want 1 kept alive", n)
+	}
+}
+
+// The request names the edge's model fingerprint, as 16 hex digits, only
+// when it has one, and the owner's X-Hetpart-Same-Model sets sameModel.
+func TestForwardModelHeaders(t *testing.T) {
+	fm := startFakeMember(t, func(conn, req int, in []byte) string {
+		if string(in) == "same" {
+			return lengthReply(200, "x", "X-Hetpart-Tier: hit", "X-Hetpart-Same-Model: 1")
+		}
+		return lengthReply(200, "x", "X-Hetpart-Tier: hit")
+	})
+	f, owner := relayTo(t, fm, 0)
+	if _, hit, same, _, err := f.Forward(owner, 0, []byte("none"), nil); err != nil || !hit || same {
+		t.Fatalf("no fingerprint: hit %v same %v err %v", hit, same, err)
+	}
+	if _, hit, same, _, err := f.Forward(owner, 0xabcdef0123, []byte("same"), nil); err != nil || !hit || !same {
+		t.Fatalf("confirmed fingerprint: hit %v same %v err %v", hit, same, err)
+	}
+	if _, _, same, _, err := f.Forward(owner, 1<<63, []byte("other"), nil); err != nil || same {
+		t.Fatalf("unconfirmed fingerprint: same %v err %v", same, err)
+	}
+	fm.mu.Lock()
+	defer fm.mu.Unlock()
+	want := [][]string{nil, {"000000abcdef0123"}, {"8000000000000000"}}
+	if fmt.Sprint(fm.models) != fmt.Sprint(want) {
+		t.Fatalf("%s values %q, want %q", ModelHeader, fm.models, want)
 	}
 }
 
@@ -221,7 +254,7 @@ func TestForwardResponseBound(t *testing.T) {
 	})
 	f, owner := relayTo(t, fm, 0)
 	for i, in := range []string{"length", "chunked"} {
-		if _, _, _, err := f.Forward(owner, []byte(in), nil); !errors.Is(err, errTooLarge) {
+		if _, _, _, _, err := f.Forward(owner, 0, []byte(in), nil); !errors.Is(err, errTooLarge) {
 			t.Fatalf("%s reply over the bound: err %v, want %v", in, err, errTooLarge)
 		}
 		if got := fm.waitHangup(t); got != i+1 {
@@ -244,7 +277,7 @@ func TestForwardConnectionClose(t *testing.T) {
 	})
 	f, owner := relayTo(t, fm, 0)
 	for i, want := range []string{"a", "b", "b"} {
-		if _, _, out, err := f.Forward(owner, []byte("x"), nil); err != nil || string(out) != want {
+		if _, _, _, out, err := f.Forward(owner, 0, []byte("x"), nil); err != nil || string(out) != want {
 			t.Fatalf("forward %d: out %q err %v", i, out, err)
 		}
 		if got := fm.waitHangup(t); got != i+1 {
@@ -266,24 +299,24 @@ func TestForwardRetryRule(t *testing.T) {
 		return lengthReply(200, fmt.Sprintf("conn%d", conn))
 	})
 	f, owner := relayTo(t, fm, 0)
-	if _, _, out, err := f.Forward(owner, []byte("ok"), nil); err != nil || string(out) != "conn1" {
+	if _, _, _, out, err := f.Forward(owner, 0, []byte("ok"), nil); err != nil || string(out) != "conn1" {
 		t.Fatalf("first forward: %q %v", out, err)
 	}
 	// Conn 1 is pooled; the member drops it on its second request, so the
 	// relay retries on conn 2.
-	if _, _, out, err := f.Forward(owner, []byte("ok"), nil); err != nil || string(out) != "conn2" {
+	if _, _, _, out, err := f.Forward(owner, 0, []byte("ok"), nil); err != nil || string(out) != "conn2" {
 		t.Fatalf("forward over a dropped keep-alive: %q %v", out, err)
 	}
 	// Conn 2 is pooled and dropped, the retry on conn 3 is dropped too:
 	// the error surfaces, with no third attempt.
-	if _, _, _, err := f.Forward(owner, []byte("drop"), nil); err == nil {
+	if _, _, _, _, err := f.Forward(owner, 0, []byte("drop"), nil); err == nil {
 		t.Fatal("forward whose retry failed reported success")
 	}
 	if n := fm.accepts.Load(); n != 3 {
 		t.Fatalf("%d connections dialed, want 3 (one retry per forward)", n)
 	}
 	// A fresh dial that fails is not retried: an empty pool, conn 4 drops.
-	if _, _, _, err := f.Forward(owner, []byte("drop"), nil); err == nil {
+	if _, _, _, _, err := f.Forward(owner, 0, []byte("drop"), nil); err == nil {
 		t.Fatal("dropped fresh connection reported success")
 	}
 	if n := fm.accepts.Load(); n != 4 {
@@ -308,7 +341,7 @@ func TestForwardConcurrentPool(t *testing.T) {
 			for i := 0; i < each; i++ {
 				in := []byte(fmt.Sprintf("w%d-%d", w, i))
 				var err error
-				if _, _, out, err = f.Forward(owner, in, out[:0]); err != nil || !bytes.Equal(out, in) {
+				if _, _, _, out, err = f.Forward(owner, 0, in, out[:0]); err != nil || !bytes.Equal(out, in) {
 					t.Errorf("worker %d forward %d: out %q err %v", w, i, out, err)
 					return
 				}
@@ -330,7 +363,7 @@ func TestForwardConcurrentPool(t *testing.T) {
 		fm.waitHangup(t)
 	}
 	// A closed fabric still forwards; it just keeps nothing open.
-	if _, _, _, err := f.Forward(owner, []byte("late"), nil); err != nil {
+	if _, _, _, _, err := f.Forward(owner, 0, []byte("late"), nil); err != nil {
 		t.Fatalf("forward after Close: %v", err)
 	}
 	if n := len(p.idle); n != 0 {

@@ -20,6 +20,11 @@ func FuzzRelayResponse(f *testing.F) {
 			"Date: Sun, 18 Oct 2026 06:39:52 GMT\r\nContent-Length: 179\r\n\r\n" +
 			`{"alloc":[373225,57955,224343,344477],"slope":534.8956859832196,"tier":"hit",` +
 			`"stats":{"Algorithm":"combined","Steps":7,"Intersections":36,"FineTuneMoves":2,"UsedModified":false}}` + "\n",
+		// An owner's same-model hit on a forwarded single.
+		"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nX-Hetpart-Same-Model: 1\r\nX-Hetpart-Tier: hit\r\n" +
+			"Content-Length: 143\r\n\r\n" +
+			`{"alloc":[10,20],"slope":3.5,"tier":"hit",` +
+			`"stats":{"Algorithm":"combined","Steps":2,"Intersections":4,"FineTuneMoves":0,"UsedModified":false}}` + "\n",
 		// Chunked, with a chunk extension and a trailer.
 		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" +
 			"5;name=value\r\nhello\r\n6\r\n world\r\n0\r\nX-Trailer: yes\r\n\r\n",
@@ -33,7 +38,7 @@ func FuzzRelayResponse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := &relayConn{br: bufio.NewReader(bytes.NewReader(data))}
-		status, _, _, body, err := c.readResponse(nil)
+		status, _, _, _, body, err := c.readResponse(nil)
 		if len(body) > maxForwardBody {
 			t.Fatalf("body of %d bytes, bound %d", len(body), maxForwardBody)
 		}

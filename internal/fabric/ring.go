@@ -29,13 +29,15 @@ type Fabric struct {
 	// Forwarded counts requests this member relayed to their owner;
 	// RemoteHits the subset the owner answered from its warm cache.
 	// ServedLocal counts requests this member owned and served itself;
-	// FallbackLocal those it served locally because the owner was down
-	// (ForwardErrors counts the failed attempts). ForwardedIn counts
-	// requests that arrived carrying the forwarding fence header.
+	// EdgeHits those another member owns that this one answered from its
+	// own cache; FallbackLocal those it served locally because the owner
+	// was down (ForwardErrors counts the failed attempts). ForwardedIn
+	// counts requests that arrived carrying the forwarding fence header.
 	Forwarded     atomic.Uint64
 	ForwardErrors atomic.Uint64
 	FallbackLocal atomic.Uint64
 	ServedLocal   atomic.Uint64
+	EdgeHits      atomic.Uint64
 	RemoteHits    atomic.Uint64
 	ForwardedIn   atomic.Uint64
 }
@@ -136,17 +138,20 @@ func jumpHash(key uint64, buckets int) int {
 
 // Forward relays a raw /v1/partition body to the member at owner with
 // the fence header set, and appends the owner's response body verbatim
-// to dst. It returns the owner's status and whether the owner answered
-// from its warm cache (its X-Hetpart-Tier header, set on forwarded
-// singles). The body bytes pass through untouched in both directions:
-// bit-identity of forwarded answers is a property of the relay, not a
-// re-encoding. On error resp still holds dst's buffer for reuse.
-func (f *Fabric) Forward(owner int, body, dst []byte) (status int, remoteHit bool, resp []byte, err error) {
-	status, remoteHit, resp, err = f.pools[owner].forward(body, dst, f.timeout)
+// to dst. model is the fingerprint this member resolved the request's
+// model to, 0 for none. It returns the owner's status, whether the owner
+// answered from its warm cache (its X-Hetpart-Tier header, set on
+// forwarded singles), and whether that hit was on a model of the same
+// fingerprint (X-Hetpart-Same-Model). The body bytes pass through
+// untouched in both directions: bit-identity of forwarded answers is a
+// property of the relay, not a re-encoding. On error resp still holds
+// dst's buffer for reuse.
+func (f *Fabric) Forward(owner int, model uint64, body, dst []byte) (status int, remoteHit, sameModel bool, resp []byte, err error) {
+	status, remoteHit, sameModel, resp, err = f.pools[owner].forward(model, body, dst, f.timeout)
 	if err != nil {
-		return 0, false, resp, fmt.Errorf("fabric: forward to %s: %w", f.members[owner], err)
+		return 0, false, false, resp, fmt.Errorf("fabric: forward to %s: %w", f.members[owner], err)
 	}
-	return status, remoteHit, resp, nil
+	return status, remoteHit, sameModel, resp, nil
 }
 
 // Close closes the idle relay connections. Forwards still in flight
@@ -165,6 +170,7 @@ type Status struct {
 	ForwardErrors uint64   `json:"forwardErrors"`
 	FallbackLocal uint64   `json:"fallbackLocal"`
 	ServedLocal   uint64   `json:"servedLocal"`
+	EdgeHits      uint64   `json:"edgeHits"`
 	RemoteHits    uint64   `json:"remoteHits"`
 	ForwardedIn   uint64   `json:"forwardedIn"`
 }
@@ -178,6 +184,7 @@ func (f *Fabric) Status() Status {
 		ForwardErrors: f.ForwardErrors.Load(),
 		FallbackLocal: f.FallbackLocal.Load(),
 		ServedLocal:   f.ServedLocal.Load(),
+		EdgeHits:      f.EdgeHits.Load(),
 		RemoteHits:    f.RemoteHits.Load(),
 		ForwardedIn:   f.ForwardedIn.Load(),
 	}

@@ -233,15 +233,6 @@ type Stats struct {
 	ReadOnly bool // admission suspended (replica mirroring a primary)
 }
 
-// HitRate returns the fraction of requests served without computing.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses + s.Shared
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits+s.Shared) / float64(total)
-}
-
 // Config tunes a Cache built with NewWithConfig.
 type Config struct {
 	// Capacity is the total number of cached plans (DefaultCapacity when
@@ -476,6 +467,35 @@ func (c *Cache) GetTier(algo core.Algorithm, n int64, m *speed.Model, opts ...co
 		c.rejected.Add(1)
 	}
 	return res, TierMiss, nil
+}
+
+// Offer admits a plan this cache did not compute: res is the plan another
+// holder of a model with m's fingerprint served for (algo, n, opts). A plan
+// is a pure function of its key, so the copy is the plan a miss here would
+// compute. Offers pass the doorkeeper as misses do — the first offer of a
+// key only remembers it, a later one inserts it — but take no admission
+// window slot and fire no insert tap, so nothing is logged. A read-only
+// cache, and a plan whose allocation does not have one share per processor
+// of m summing to n, insert nothing. It reports whether the plan went in.
+func (c *Cache) Offer(m *speed.Model, algo core.Algorithm, n int64, res core.Result, opts ...core.Option) bool {
+	if c.readOnly.Load() || len(res.Alloc) != len(m.Fns()) || !(PlanRecord{N: n, Alloc: res.Alloc}).Valid() {
+		return false
+	}
+	var buf [4]core.Option
+	optsKey, _ := served(buf[:0], opts)
+	k := key{model: m.Fingerprint(), n: n, algo: algo, opts: optsKey}
+	h := k.hash()
+	sh := &c.shards[h&(numShards-1)]
+	owned := copyResult(res)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.door != nil && !sh.door.seen(h) {
+		sh.door.remember(h)
+		return false
+	}
+	evicted, inserted := sh.insert(k, owned)
+	c.evictions.Add(evicted)
+	return inserted
 }
 
 // admit counts a plan's admission into the LRU and hands the insert tap a

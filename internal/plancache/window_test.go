@@ -2,6 +2,7 @@ package plancache
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -269,5 +270,78 @@ func TestSharedAnswersSurviveCallerMutation(t *testing.T) {
 	}
 	if shared == 0 {
 		t.Fatal("no request joined the computation")
+	}
+}
+
+// TestOfferDoorkeeper: a plan offered from outside passes the doorkeeper
+// as a miss would — the first offer of a key only remembers it, the
+// second inserts a private copy that then serves as an exact hit — with
+// no window slot, no insert tap and no computation. A read-only cache
+// and an allocation that is not one share per processor summing to n
+// insert nothing.
+func TestOfferDoorkeeper(t *testing.T) {
+	fns := testCluster(8, 51)
+	m := speed.NewModel(fns)
+	const n = 1_300_000
+	ref, err := New(0).Get(core.AlgoCombined, n, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offer := func(c *Cache, alloc core.Allocation) bool {
+		return c.Offer(m, core.AlgoCombined, n, core.Result{Alloc: alloc, Slope: ref.Slope, Stats: ref.Stats})
+	}
+	c := NewWithConfig(Config{Doorkeeper: true})
+	var taps int
+	c.SetInsertTap(func(PlanRecord) { taps++ })
+
+	mine := append(core.Allocation(nil), ref.Alloc...)
+	if offer(c, mine) {
+		t.Fatal("the first offer of a key was inserted")
+	}
+	if _, _, ok := c.PeekInto(nil, m, core.AlgoCombined, n); ok {
+		t.Fatal("the first offer of a key serves")
+	}
+	if !offer(c, mine) {
+		t.Fatal("the second offer of a key was refused")
+	}
+	mine[0]++ // the cache must hold its own copy
+	got := askTier(t, c, n, fns, TierHit)
+	if !slices.Equal(got.Alloc, ref.Alloc) || got.Slope != ref.Slope || got.Stats != ref.Stats {
+		t.Fatalf("offered plan served as %+v, want %+v", got, ref)
+	}
+	if st := c.Stats(); taps != 0 || st.Misses != 0 || st.Admitted != 0 || st.Rejected != 0 || st.Size != 1 {
+		t.Fatalf("after two offers and a hit: %d taps, %+v; want no tap, miss, admission or window slot and one plan", taps, st)
+	}
+	if c.InvalidateFingerprint(m.Fingerprint()) != 1 {
+		t.Fatal("InvalidateFingerprint did not drop the offered plan")
+	}
+
+	// A key the cache computed once is remembered: its first offer inserts.
+	c = NewWithConfig(Config{Doorkeeper: true})
+	askTier(t, c, n, fns, TierMiss)
+	if !offer(c, ref.Alloc) {
+		t.Fatal("an offer after a miss of the same key was refused")
+	}
+
+	// Read-only: refused, and the doorkeeper does not advance.
+	c = NewWithConfig(Config{Doorkeeper: true})
+	c.SetReadOnly(true)
+	if offer(c, ref.Alloc) || offer(c, ref.Alloc) {
+		t.Fatal("a read-only cache took an offer")
+	}
+	c.SetReadOnly(false)
+	if offer(c, ref.Alloc) {
+		t.Fatal("read-only offers advanced the doorkeeper")
+	}
+
+	// Wrong length or wrong sum: refused however often offered.
+	short := append(core.Allocation{ref.Alloc[0] + ref.Alloc[1]}, ref.Alloc[2:]...)
+	over := append(core.Allocation(nil), ref.Alloc...)
+	over[0]++
+	for _, bad := range []core.Allocation{short, over, nil} {
+		c = NewWithConfig(Config{Doorkeeper: true})
+		if offer(c, bad) || offer(c, bad) || c.Stats().Size != 0 {
+			t.Fatalf("allocation %v (sum must be %d over %d processors) was inserted", bad, n, len(fns))
+		}
 	}
 }

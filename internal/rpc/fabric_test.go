@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"heteropart/internal/core"
 	"heteropart/internal/fabric"
 )
 
@@ -100,7 +101,7 @@ func warmHit(t *testing.T, base string, body []byte) []byte {
 
 // TestFabricForwardBitIdentity is the fabric's core contract: a request
 // served through a forwarding edge returns byte-for-byte what the owner
-// serves locally — the edge relays, it never re-encodes.
+// serves locally — the edge relays the owner's bytes, never re-encoded.
 func TestFabricForwardBitIdentity(t *testing.T) {
 	doc := testClusterDoc(t, 7, 11)
 	daemons, bases := startFabricCluster(t, 3, Config{})
@@ -294,11 +295,12 @@ func TestFabricForwardAfterIdleClose(t *testing.T) {
 
 // TestFabricForwardConcurrent: eight clients forwarding through one edge
 // at once share its relay pools, and every answer stays bit-identical to
-// the owner's.
+// the owner's. The model lives on the owners only, so the edge can
+// neither answer nor keep a plan: every ask is a relay.
 func TestFabricForwardConcurrent(t *testing.T) {
 	daemons, bases := startFabricCluster(t, 3, Config{})
-	uploadAll(t, bases, testClusterDoc(t, 6, 21))
 	edge := 0
+	uploadAll(t, bases[edge+1:], testClusterDoc(t, 6, 21))
 	ef := daemons[edge].Fabric()
 	var bodies, want [][]byte
 	for owner := 1; owner < 3; owner++ {
@@ -335,12 +337,151 @@ func TestFabricForwardConcurrent(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	// A connection a client dialed but never sent a request on would
+	// hold the edge's graceful shutdown for net/http's 5 s grace period.
+	t.Cleanup(http.DefaultClient.CloseIdleConnections)
 	if got := ef.Forwarded.Load() - before; got != clients*asks {
 		t.Fatalf("edge forwarded %d of %d asks", got, clients*asks)
 	}
 	if got := ef.ForwardErrors.Load(); got != 0 {
 		t.Fatalf("%d forward errors under concurrency", got)
 	}
+}
+
+// TestFabricEdgeHit: a member keeps the owner's same-model hits it
+// relays — the doorkeeper admits the second — and from then on answers
+// the plan from its own cache with the owner's exact bytes, no forward
+// and no WAL record. A different model under the label never answers
+// the kept plan.
+func TestFabricEdgeHit(t *testing.T) {
+	daemons, bases := startFabricCluster(t, 2, Config{})
+	uploadAll(t, bases, testClusterDoc(t, 6, 41))
+	owner, edge := 0, 1
+	ed := daemons[edge]
+	ef := ed.Fabric()
+	n := ownedN(t, ef, "lab", bases[owner], 300_000)
+	body := []byte(fmt.Sprintf(`{"model":"lab","n":%d}`, n))
+	local := warmHit(t, bases[owner], body)
+	askEdge := func(want []byte) {
+		t.Helper()
+		code, data, _ := postRawHdr(t, bases[edge]+"/v1/partition", body, nil)
+		if code != 200 || !bytes.Equal(data, want) {
+			t.Fatalf("ask through the edge: HTTP %d, not the owner's bytes:\nowner: %s\nedge:  %s", code, want, data)
+		}
+	}
+
+	before := ed.store.Stats()
+	for i := 0; i < 4; i++ {
+		askEdge(local)
+	}
+	if fw, eh := ef.Forwarded.Load(), ef.EdgeHits.Load(); fw != 2 || eh != 2 {
+		t.Fatalf("the edge forwarded %d and answered %d of 4 asks, want 2 and 2", fw, eh)
+	}
+	var stats statsReply
+	if code := getJSON(t, bases[edge]+"/v1/stats", &stats); code != 200 {
+		t.Fatalf("stats: HTTP %d", code)
+	}
+	if stats.Fabric == nil || stats.Fabric.EdgeHits != 2 || stats.Tenants["default"].Hits != 2 {
+		t.Fatalf("edge stats: fabric %+v, tenants %+v", stats.Fabric, stats.Tenants)
+	}
+	if after := ed.store.Stats(); after.WALRecords != before.WALRecords || after.Plans != before.Plans {
+		t.Fatalf("the edge's store took the kept plan: WAL records %d -> %d, plans %d -> %d",
+			before.WALRecords, after.WALRecords, before.Plans, after.Plans)
+	}
+
+	// A new model under the label on the edge drops the kept plan with
+	// the old model; while the owner still holds the old one, the edge
+	// relays its bytes and keeps nothing.
+	old, _ := ed.store.ModelByLabel([]byte("lab"))
+	doc2 := testClusterDoc(t, 6, 42)
+	if code := postJSON(t, bases[edge]+"/v1/models?label=lab", doc2, nil); code != 200 {
+		t.Fatalf("re-upload to the edge: HTTP %d", code)
+	}
+	if _, _, ok := ed.cache.PeekInto(nil, old, core.AlgoCombined, n); ok {
+		t.Fatal("the kept plan outlived its model")
+	}
+	for i := 0; i < 3; i++ {
+		askEdge(local)
+	}
+	if eh := ef.EdgeHits.Load(); eh != 2 {
+		t.Fatalf("the edge answered %d asks from its cache across a model change, want 0", eh-2)
+	}
+	// Once the owner holds the new model too, the edge keeps its plan.
+	if code := postJSON(t, bases[owner]+"/v1/models?label=lab", doc2, nil); code != 200 {
+		t.Fatalf("re-upload to the owner: HTTP %d", code)
+	}
+	local2 := warmHit(t, bases[owner], body)
+	if bytes.Equal(local2, local) {
+		t.Fatal("the two models answer the same plan; the test cannot tell them apart")
+	}
+	for i := 0; i < 3; i++ {
+		askEdge(local2)
+	}
+	if eh := ef.EdgeHits.Load(); eh != 3 {
+		t.Fatalf("edge hits %d after the owner took the new model, want 3", eh)
+	}
+}
+
+// TestFabricDivergedCatalogNoEdgeAdmit: when the edge and the owner hold
+// different models under one label, the owner's hits are not plans of
+// the edge's model. The edge relays the owner's bytes every time, its
+// cache takes nothing, and it never answers from its own cache.
+func TestFabricDivergedCatalogNoEdgeAdmit(t *testing.T) {
+	daemons, bases := startFabricCluster(t, 2, Config{})
+	owner, edge := 1, 0
+	for i, doc := range [][]byte{testClusterDoc(t, 6, 43), testClusterDoc(t, 6, 44)} {
+		if code := postJSON(t, bases[i]+"/v1/models?label=lab", doc, nil); code != 200 {
+			t.Fatalf("upload to %s: HTTP %d", bases[i], code)
+		}
+	}
+	ed := daemons[edge]
+	ef := ed.Fabric()
+	n := ownedN(t, ef, "lab", bases[owner], 300_000)
+	body := []byte(fmt.Sprintf(`{"model":"lab","n":%d}`, n))
+	local := warmHit(t, bases[owner], body)
+	for i := 0; i < 6; i++ {
+		code, data, _ := postRawHdr(t, bases[edge]+"/v1/partition", body, nil)
+		if code != 200 || !bytes.Equal(data, local) {
+			t.Fatalf("ask %d through the edge: HTTP %d, not the owner's bytes:\nowner: %s\nedge:  %s", i, code, local, data)
+		}
+	}
+	if fw, rh, eh := ef.Forwarded.Load(), ef.RemoteHits.Load(), ef.EdgeHits.Load(); fw != 6 || rh != 6 || eh != 0 {
+		t.Fatalf("edge forwarded %d (remote hits %d) and answered %d of 6, want 6 (6) and 0", fw, rh, eh)
+	}
+	if st := ed.cache.Stats(); st.Size != 0 {
+		t.Fatalf("the edge's cache took %d plans of another model", st.Size)
+	}
+}
+
+// FuzzRemotePlan feeds arbitrary bodies to the edge's keep rule. It never
+// panics, and a plan it keeps re-encodes to exactly its input: the bytes
+// a later edge hit answers.
+func FuzzRemotePlan(f *testing.F) {
+	const stats = `"stats":{"Algorithm":"combined","Steps":7,"Intersections":36,"FineTuneMoves":2,"UsedModified":false}`
+	for _, seed := range []string{
+		`{"alloc":[373225,57955,224343,344477],"slope":534.8956859832196,"tier":"hit",` + stats + "}\n",
+		`{"alloc":[373225,57955,224343,344477],"slope":534.8956859832196,"tier":"miss",` + stats + "}\n",
+		`{"alloc":[373225,57955,224343,344477],"slope":534.8956859832196,"tier":"hit",` + stats + "}",
+		`{"tier":"hit","alloc":[1,2],"slope":5.0e2,` + stats + "}\n",
+		`{"ALLOC":[1,2],"slope":2,"tier":"hit",` + stats + "}\n",
+		`{"alloc":[1,2],"alloc":[3],"slope":2,"tier":"hit",` + stats + "}\n",
+		`{"alloc":[1,2],"slope":2,"tier":"\u0068it",` + stats + "}\n",
+		`{"alloc":[1,2],"slope":2,"tier":"hit",` + stats + `,"error":"x"}` + "\n",
+		`{"stats":{"Algorithm":"","Steps":0,"Intersections":0,"FineTuneMoves":0,"UsedModified":false}}` + "\n",
+		`{"error":"unknown model \"m\""}` + "\n",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		res, ok := remotePlan(body)
+		if !ok {
+			return
+		}
+		if enc := append(appendReply(nil, res.Alloc, res.Slope, "hit", &res.Stats, ""), '\n'); !bytes.Equal(enc, body) {
+			t.Fatalf("kept %q, which re-encodes to %q", body, enc)
+		}
+	})
 }
 
 // TestFabricOwnerBlackholed: an owner that accepts connections and never

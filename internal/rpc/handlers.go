@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -597,9 +598,12 @@ func writeQuotaError(w http.ResponseWriter, retry int) {
 // owner is unreachable or answering 5xx — the caller serves locally
 // instead (every member can compute every plan; an owner outage costs
 // cache warmth, not availability). 2xx-4xx relay as-is: a 400 is the same
-// 400 this member would produce.
-func (d *Daemon) forwardPartition(w http.ResponseWriter, sc *wireScratch, fab *fabric.Fabric, owner int, ts *fabric.TenantStats) bool {
-	status, hit, resp, err := fab.Forward(owner, sc.body, sc.out[:0])
+// 400 this member would produce. req is the request as this member
+// resolved it (zero when it did not): the relay names its model's
+// fingerprint, and a hit the owner confirms on that same model is offered
+// to this member's cache, so a later ask here is a local hit.
+func (d *Daemon) forwardPartition(w http.ResponseWriter, sc *wireScratch, fab *fabric.Fabric, owner int, ts *fabric.TenantStats, req planRequest) bool {
+	status, hit, same, resp, err := fab.Forward(owner, req.model.Fingerprint(), sc.body, sc.out[:0])
 	sc.out = resp
 	if err != nil || status >= 500 {
 		fab.ForwardErrors.Add(1)
@@ -612,8 +616,39 @@ func (d *Daemon) forwardPartition(w http.ResponseWriter, sc *wireScratch, fab *f
 		fab.RemoteHits.Add(1)
 		ts.RemoteHits.Add(1)
 	}
+	if status == http.StatusOK && same {
+		if res, ok := remotePlan(sc.out); ok {
+			d.cache.Offer(req.model, req.algo, req.n, res, req.opts...)
+		}
+	}
 	writeBody(w, status, sc.out)
 	return true
+}
+
+// remotePlan decodes an owner's relayed hit and reports whether it may be
+// kept: only when appendReply re-encodes it to exactly body, so a later
+// local hit on the copy repeats the owner's bytes.
+func remotePlan(body []byte) (core.Result, bool) {
+	var rep partitionReply
+	if json.Unmarshal(body, &rep) != nil || rep.Tier != "hit" || rep.Error != "" {
+		return core.Result{}, false
+	}
+	enc := append(appendReply(nil, rep.Alloc, rep.Slope, rep.Tier, &rep.Stats, ""), '\n')
+	if !bytes.Equal(enc, body) {
+		return core.Result{}, false
+	}
+	return core.Result{Alloc: rep.Alloc, Slope: rep.Slope, Stats: rep.Stats}, true
+}
+
+// sameModel reports whether a forwarded request's X-Hetpart-Model names
+// m's fingerprint.
+func sameModel(r *http.Request, m *speed.Model) bool {
+	v := r.Header[fabric.ModelHeader]
+	if len(v) != 1 {
+		return false
+	}
+	fp, err := strconv.ParseUint(v[0], 16, 64)
+	return err == nil && fp == m.Fingerprint()
 }
 
 // planRequest is one validated partition ask, its model resolved to the
@@ -715,12 +750,15 @@ func (d *Daemon) resolveModelBytes(name []byte) (*speed.Model, bool) {
 // hit is copied into the scratch arena without allocating, anything else
 // is computed (or joins the computation in flight, or is admitted from
 // the admission window) on the handler goroutine.
-// Before the local path runs, the tenant layer gets its say — the request
-// is attributed and quota-charged at the edge, and a request whose plan
-// family another fabric member owns is relayed there verbatim. A request
-// carrying the forwarding fence is always served locally (no re-forward,
-// no second quota charge) and announces its tier in a response header so
-// the relaying edge can count remote hits without parsing the body.
+// The tenant layer gets its say first — the request is attributed and
+// quota-charged at the edge. A request whose plan family another fabric
+// member owns is answered here only if this member's cache holds the
+// plan (an edge hit: plans are pure functions of their key, so the bytes
+// are the owner's); otherwise it is relayed to the owner verbatim. A
+// request carrying the forwarding fence is always served locally (no
+// re-forward, no second quota charge) and announces its tier in a
+// response header so the relaying edge can count remote hits without
+// parsing the body.
 func (d *Daemon) servePartitionSingle(w http.ResponseWriter, r *http.Request, sc *wireScratch) {
 	wr := &sc.reqs[0]
 	tenant, family := fabric.TenantSpan(sc.spanBytes(wr.model))
@@ -728,6 +766,7 @@ func (d *Daemon) servePartitionSingle(w http.ResponseWriter, r *http.Request, sc
 	ts.Requests.Add(1)
 	fab := d.fab.Load()
 	forwarded := len(r.Header[fabric.ForwardedHeader]) > 0
+	owner := -1 // the remote member owning the plan family, if any
 	if forwarded {
 		if fab != nil {
 			fab.ForwardedIn.Add(1)
@@ -739,26 +778,35 @@ func (d *Daemon) servePartitionSingle(w http.ResponseWriter, r *http.Request, sc
 			return
 		}
 		if fab != nil && len(family) > 0 && wr.n >= 0 {
-			if owner := fab.OwnerIndex(tenant, family, wr.n); !fab.IsSelf(owner) {
-				if d.forwardPartition(w, sc, fab, owner, ts) {
-					return
-				}
-				// Owner down: fall through and compute locally.
+			if o := fab.OwnerIndex(tenant, family, wr.n); !fab.IsSelf(o) {
+				owner = o
 			} else {
 				fab.ServedLocal.Add(1)
 			}
 		}
 	}
 	req, err := d.wireToServe(sc, wr)
+	var res core.Result
+	hit := false
+	if err == nil {
+		sc.arena, res, hit = d.cache.PeekInto(sc.arena[:0], req.model, req.algo, req.n, req.opts...)
+	}
+	if owner >= 0 {
+		if hit {
+			fab.EdgeHits.Add(1)
+		} else if d.forwardPartition(w, sc, fab, owner, ts, req) {
+			return
+		}
+		// An edge hit answers below, and so does a request whose owner
+		// is down: every member can compute every plan.
+	}
 	if err != nil {
 		ts.Errors.Add(1)
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	arena, res, ok := d.cache.PeekInto(sc.arena[:0], req.model, req.algo, req.n, req.opts...)
-	sc.arena = arena
 	tier := plancache.TierHit
-	if !ok {
+	if !hit {
 		res, tier, err = d.cache.GetTier(req.algo, req.n, req.model, req.opts...)
 		if err != nil {
 			ts.Errors.Add(1)
@@ -768,7 +816,11 @@ func (d *Daemon) servePartitionSingle(w http.ResponseWriter, r *http.Request, sc
 	}
 	countTier(ts, tier)
 	if forwarded {
-		w.Header()[fabric.TierHeader] = tierHeaderValue(tier)
+		h := w.Header()
+		h[fabric.TierHeader] = tierHeaderValue(tier)
+		if tier == plancache.TierHit && sameModel(r, req.model) {
+			h[fabric.SameModelHeader] = headerSameModel
+		}
 	}
 	sc.out = appendReply(sc.out[:0], res.Alloc, res.Slope, tierName(tier), &res.Stats, "")
 	sc.out = append(sc.out, '\n')
@@ -832,7 +884,7 @@ func (d *Daemon) servePartitionBatch(w http.ResponseWriter, r *http.Request, sc 
 	case fab != nil && uniform && owner >= 0 && !fab.IsSelf(owner) && !rejected:
 		// One remote owner for the whole batch: relay it verbatim so its
 		// elements warm the owner's cache, exactly as a local batch would.
-		status, _, resp, err := fab.Forward(owner, sc.body, sc.out[:0])
+		status, _, _, resp, err := fab.Forward(owner, 0, sc.body, sc.out[:0])
 		sc.out = resp
 		if err == nil && status < 500 {
 			fab.Forwarded.Add(1)

@@ -55,6 +55,8 @@ var (
 	headerTierHit    = []string{"hit"}
 	headerTierShared = []string{"shared"}
 	headerTierMiss   = []string{"miss"}
+	// headerSameModel is the owner's X-Hetpart-Same-Model confirmation.
+	headerSameModel = []string{"1"}
 )
 
 // batchFlushBytes is the streaming threshold for batch responses: once

@@ -19,8 +19,9 @@
 # kernels and store run without -benchmem, the others with it. partition's 100x
 # lets the warm path's one-time scratch growth amortize to 0 allocs/op.
 # daemon covers BenchmarkDaemonThroughput over real HTTP and
-# BenchmarkDaemonHandler without the socket; fabric the owned/forwarded
-# pair of BenchmarkFabricForward and BenchmarkFabricQuota; store the
+# BenchmarkDaemonHandler without the socket; fabric the owned, forwarded
+# and repeated (edge-hit) rows of BenchmarkFabricForward and
+# BenchmarkFabricQuota; store the
 # 8,000-append run of BenchmarkStoreAppend (append latency tail, automatic
 # compactions, compaction write amplification).
 #

@@ -67,15 +67,18 @@
 #      (at -cpu 1, which keeps the runtime's background allocations out)
 #  15. forwarding gate: forwarded partition requests must be bit-identical
 #      to owner-local answers (chunked batches and concurrent clients
-#      included, and across an owner dropping its idle keep-alives), and
-#      a dead or blackholed owner must degrade to local compute within
-#      the forwarding timeout instead of an error
-#  16. fabric benchmark smoke: the owned/forwarded/quota paths each run
-#      once over real loopback HTTP
+#      included, and across an owner dropping its idle keep-alives), a
+#      dead or blackholed owner must degrade to local compute within the
+#      forwarding timeout instead of an error, an edge hit must answer
+#      the owner's exact bytes without a WAL record, and an edge whose
+#      model differs from the owner's must keep nothing
+#  16. fabric benchmark smoke: the owned/forwarded/repeated/quota paths
+#      each run once over real loopback HTTP
 #  17. forwarding allocation guard: a forwarded request may cost at most
 #      2 x the allocs/op of an owned one + 4 — the edge's and the owner's
 #      net/http server passes, with the relay between them allocating
-#      (next to) nothing
+#      (next to) nothing — and a repeated one, answered from the edge's
+#      own cache, no more than an owned one
 #
 # Usage: scripts/ci.sh
 set -e
@@ -172,24 +175,25 @@ END {
 	if (bad) { print "FAIL: warm wire handler path allocates" > "/dev/stderr"; exit 1 }
 	if (!seen) { print "FAIL: no DaemonHandler/warm benchmark output parsed" > "/dev/stderr"; exit 1 }
 }'
-echo "==> forwarding gate: go test -race -run 'FabricForward|FabricOwner' ./internal/rpc/" >&2
-go test -race -count=1 -run 'FabricForward|FabricOwner' ./internal/rpc/
+echo "==> forwarding gate: go test -race -run 'FabricForward|FabricOwner|FabricEdgeHit|FabricDivergedCatalog' ./internal/rpc/" >&2
+go test -race -count=1 -run 'FabricForward|FabricOwner|FabricEdgeHit|FabricDivergedCatalog' ./internal/rpc/
 echo "==> benchmark smoke: BENCHTIME=1x scripts/bench.sh fabric /tmp/bench_fabric_smoke.json" >&2
 BENCHTIME=1x scripts/bench.sh fabric /tmp/bench_fabric_smoke.json
 rm -f /tmp/bench_fabric_smoke.json
-echo "==> forwarding allocs/op guard: forwarded <= 2 x local + 4" >&2
+echo "==> forwarding allocs/op guard: forwarded <= 2 x local + 4, repeated <= local" >&2
 # 200x amortizes the relay pool's first dial and buffer growth.
 go test -run '^$' -bench 'FabricForward' -benchtime=200x -benchmem . |
 awk '
-/^BenchmarkFabricForward\/(local|forwarded)/ {
+/^BenchmarkFabricForward\/(local|forwarded|repeated)/ {
 	allocs = "?"
 	for (i = 3; i < NF; i++) if ($(i+1) == "allocs/op") allocs = $i
 	printf "    %s: %s allocs/op\n", $1, allocs
 	if (allocs == "?") bad = 1
-	if ($1 ~ /\/local/) local = allocs; else fwd = allocs
+	if ($1 ~ /\/local/) local = allocs; else if ($1 ~ /\/forwarded/) fwd = allocs; else rep = allocs
 }
 END {
-	if (bad || local == "" || fwd == "") { print "FAIL: no FabricForward local/forwarded allocs/op parsed" > "/dev/stderr"; exit 1 }
+	if (bad || local == "" || fwd == "" || rep == "") { print "FAIL: no FabricForward local/forwarded/repeated allocs/op parsed" > "/dev/stderr"; exit 1 }
 	if (fwd + 0 > 2 * local + 4) { printf "FAIL: forwarded %s allocs/op > 2 x local %s + 4\n", fwd, local > "/dev/stderr"; exit 1 }
+	if (rep + 0 > local + 0) { printf "FAIL: repeated %s allocs/op > local %s\n", rep, local > "/dev/stderr"; exit 1 }
 }'
 echo "==> all gates green" >&2
