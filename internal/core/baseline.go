@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -32,18 +31,18 @@ func SingleNumber(n int64, speeds []float64) (Allocation, error) {
 		alloc[i] = int64(math.Floor(float64(n) * s / total))
 		assigned += alloc[i]
 	}
-	h := make(incrementHeap, 0, p)
+	h := make([]incrementCandidate, 0, p)
 	for i, s := range speeds {
 		if s > 0 {
 			h = append(h, incrementCandidate{idx: i, time: float64(alloc[i]+1) / s})
 		}
 	}
-	heap.Init(&h)
+	heapInit(h)
 	for rem := n - assigned; rem > 0; rem-- {
 		i := h[0].idx
 		alloc[i]++
 		h[0].time = float64(alloc[i]+1) / speeds[i]
-		heap.Fix(&h, 0)
+		heapFixTop(h)
 	}
 	return alloc, nil
 }

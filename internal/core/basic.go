@@ -44,7 +44,7 @@ func (s *state) trivial() (Result, bool) {
 	if len(s.fns) == 1 {
 		s.dst[0] = int64(s.n)
 		slope := 0.0
-		if sp := s.fns[0].Eval(s.n); sp > 0 {
+		if sp := s.eval(0, s.n, 0); sp > 0 {
 			slope = sp / s.n
 		}
 		return Result{Alloc: s.dst, Slope: slope, Stats: s.stats}, true
@@ -68,9 +68,11 @@ func (s *state) openBounds() error {
 		return err
 	}
 	b := &s.b
-	// Search the first rays over every knot segment.
-	for i, f := range s.pwl {
-		b.segSteep[i], b.segShallow[i] = 0, f.NumPoints()
+	if s.t != nil {
+		// Search the first rays over every knot segment.
+		for i := range s.fns {
+			b.segSteep[i], b.segShallow[i] = 0, s.t.NumPoints(i)
+		}
 	}
 	sum, err := s.intersect(steep)
 	if err != nil {
@@ -79,6 +81,8 @@ func (s *state) openBounds() error {
 	b.steep, b.gSteep = steep, sum-s.n
 	copy(b.xSteep, s.xs)
 	copy(b.segSteep, s.segs)
+	// The first ray sought every processor's segment.
+	s.crossed = s.t != nil
 	if sum, err = s.intersect(shallow); err != nil {
 		return err
 	}

@@ -22,7 +22,7 @@ import (
 // the processors with the largest time first.
 func Exact(n int64, fns []speed.Function, opts ...Option) (Result, error) {
 	st := new(state)
-	if err := st.reset(make(Allocation, len(fns)), n, fns, "exact", opts); err != nil {
+	if err := st.reset(make(Allocation, len(fns)), n, fns, st.pack(fns), "exact", opts); err != nil {
 		return Result{}, err
 	}
 	if res, done := st.trivial(); done {

@@ -24,8 +24,8 @@ func (s *state) fineTune(xSteep []float64) Allocation {
 	s.caps = grow(s.caps, p)
 	caps := s.caps
 	var total int64
-	for i, f := range s.fns {
-		caps[i] = int64(math.Floor(f.MaxSize()))
+	for i := range s.fns {
+		caps[i] = int64(math.Floor(s.domain(i)))
 		x := int64(math.Floor(xSteep[i]))
 		if x < 0 {
 			x = 0
@@ -103,40 +103,50 @@ func (s *state) fineTune(xSteep []float64) Allocation {
 // regula-falsi search's plans as the paper's. All allocations involved
 // have identical makespans, so the pass never trades quality for
 // canonicality.
+//
+// The first round scans every processor, which is all the common case
+// costs: no move fires. Once one does, later rounds read the donor and
+// the receiver off two heaps that pick what the scans would, so the O(p)
+// tie moves of identical machines cost O(log p) each, not two scans.
 func (s *state) stabilize(alloc Allocation, caps []int64) {
 	// Strict exchanges shrink the sorted time multiset lexicographically
 	// and tie moves strictly decrease Σ i·alloc[i], so the loop
 	// terminates; p·64 rounds is far beyond what a converged region needs
 	// (typically zero or one).
 	for iter := 0; iter < len(alloc)*64; iter++ {
-		// Donor: the highest index attaining the maximum time.
-		imax, tmax := -1, 0.0
-		for i, x := range alloc {
-			if x <= 0 {
-				continue
+		// Donor: the highest index attaining the maximum time. Receiver:
+		// the lowest index attaining the minimum increment.
+		imax, tmax, jmin, tmin := -1, 0.0, -1, math.Inf(1)
+		if iter == 0 {
+			for i, x := range alloc {
+				if x <= 0 {
+					continue
+				}
+				if t := s.timeAt(i, x); t >= tmax {
+					imax, tmax = i, t
+				}
 			}
-			if t := s.timeAt(i, x); t >= tmax {
-				imax, tmax = i, t
+			for j := range alloc {
+				if alloc[j] >= caps[j] {
+					continue
+				}
+				if t := s.timeAt(j, alloc[j]+1); t < tmin {
+					jmin, tmin = j, t
+				}
 			}
-		}
-		if imax < 0 {
-			return
-		}
-		// Receiver: the lowest index attaining the minimum increment.
-		jmin, tmin := -1, math.Inf(1)
-		for j := range alloc {
-			if alloc[j] >= caps[j] {
-				continue
+		} else {
+			if e, ok := s.donors.top(alloc); ok {
+				imax, tmax = e.i, -e.key
 			}
-			if t := s.timeAt(j, alloc[j]+1); t < tmin {
-				jmin, tmin = j, t
+			if e, ok := s.receivers.top(alloc); ok {
+				jmin, tmin = e.i, e.key
 			}
 		}
 		// t_j(x+1) > t_j(x) for every processor, so jmin ≠ imax whenever a
 		// move fires: tmin < tmax rules it out directly, and in the tie
 		// case equality of a processor's own time and increment is
 		// impossible.
-		if jmin < 0 {
+		if imax < 0 || jmin < 0 {
 			return
 		}
 		if !(tmin < tmax) && !(tmin == tmax && jmin < imax) {
@@ -145,7 +155,80 @@ func (s *state) stabilize(alloc Allocation, caps []int64) {
 		alloc[imax]--
 		alloc[jmin]++
 		s.stats.FineTuneMoves++
+		if iter == 0 {
+			s.donors, s.receivers = s.donors[:0], s.receivers[:0]
+			for i := range alloc {
+				s.track(i, alloc, caps)
+			}
+		} else {
+			s.track(imax, alloc, caps)
+			s.track(jmin, alloc, caps)
+		}
 	}
+}
+
+// track pushes processor i's time onto the donor heap and its increment
+// onto the receiver heap when the scans would consider them.
+func (s *state) track(i int, alloc Allocation, caps []int64) {
+	x := alloc[i]
+	if x > 0 {
+		if t := s.timeAt(i, x); t >= 0 {
+			s.donors.push(tie{key: -t, ord: -i, i: i, x: x})
+		}
+	}
+	if x < caps[i] {
+		if t := s.timeAt(i, x+1); t < math.Inf(1) {
+			s.receivers.push(tie{key: t, ord: i, i: i, x: x})
+		}
+	}
+}
+
+// tie is a stabilize heap entry: processor i's time (donors, negated) or
+// increment (receivers) at allocation x, ordered by key and then by ord,
+// the index (donors, negated), so one min-heap order serves both.
+type tie struct {
+	key    float64
+	ord, i int
+	x      int64
+}
+
+func (a tie) before(b tie) bool { return a.key < b.key || a.key == b.key && a.ord < b.ord }
+
+// tieHeap is a binary min-heap of ties.
+type tieHeap []tie
+
+func (h *tieHeap) push(e tie) {
+	q := append(*h, e)
+	for i := len(q) - 1; i > 0 && q[i].before(q[(i-1)/2]); i = (i - 1) / 2 {
+		q[i], q[(i-1)/2] = q[(i-1)/2], q[i]
+	}
+	*h = q
+}
+
+// top pops the entries whose processor moved since they were pushed and
+// returns the first current one.
+func (h *tieHeap) top(alloc Allocation) (tie, bool) {
+	for q := *h; len(q) > 0; q = *h {
+		if alloc[q[0].i] == q[0].x {
+			return q[0], true
+		}
+		e, i := q[len(q)-1], 0
+		for q = q[:len(q)-1]; 2*i+1 < len(q); {
+			j := 2*i + 1
+			if j+1 < len(q) && q[j+1].before(q[j]) {
+				j++
+			}
+			if !q[j].before(e) {
+				break
+			}
+			q[i], i = q[j], j
+		}
+		if len(q) > 0 {
+			q[i] = e
+		}
+		*h = q
+	}
+	return tie{}, false
 }
 
 // timeAt is the execution time of processor i at allocation x. Fine-tuning
@@ -189,24 +272,26 @@ type incrementCandidate struct {
 }
 
 // heapDown is container/heap's sift-down on a min-heap over time, limited
-// to the first n elements.
+// to the first n elements. It moves the sifted element into its final
+// slot once instead of swapping it down level by level; the comparisons,
+// and so the resulting order, are container/heap's.
 func heapDown(h []incrementCandidate, i0, n int) {
-	i := i0
+	i, e := i0, h[i0]
 	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 {
+		j := 2*i + 1
+		if j >= n || j < 0 {
 			break
 		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h[j2].time < h[j1].time {
+		if j2 := j + 1; j2 < n && h[j2].time < h[j].time {
 			j = j2
 		}
-		if !(h[j].time < h[i].time) {
+		if !(h[j].time < e.time) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[i] = h[j]
 		i = j
 	}
+	h[i] = e
 }
 
 // heapInit establishes the heap invariant (container/heap's Init).
@@ -230,23 +315,6 @@ func heapPopTop(h []incrementCandidate) []incrementCandidate {
 	h[0], h[n] = h[n], h[0]
 	heapDown(h, 0, n)
 	return h[:n]
-}
-
-// incrementHeap is a min-heap over the time a processor would exhibit
-// after receiving one more element, kept on the container/heap interface
-// for the non-hot-path single-number baseline.
-type incrementHeap []incrementCandidate
-
-func (h incrementHeap) Len() int           { return len(h) }
-func (h incrementHeap) Less(i, j int) bool { return h[i].time < h[j].time }
-func (h incrementHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *incrementHeap) Push(x any)        { *h = append(*h, x.(incrementCandidate)) }
-func (h *incrementHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }
 
 // roundLargestRemainder converts a continuous solution xs (whose sum may
@@ -277,7 +345,7 @@ func (s *state) roundLargestRemainder(xs []float64) Allocation {
 	s.caps = grow(s.caps, p)
 	caps := s.caps
 	for i, x := range xs {
-		caps[i] = int64(math.Floor(s.fns[i].MaxSize()))
+		caps[i] = int64(math.Floor(s.domain(i)))
 		t := x * s.n / sum
 		fl := int64(math.Floor(t))
 		if fl > caps[i] {

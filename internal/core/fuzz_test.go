@@ -159,12 +159,26 @@ var pwlFuzzSeeds = []struct {
 	// Right constant extension: n one short of capacity, so shallow rays
 	// cross past the last knot and clamp.
 	{13, 6_000_000_000 - 1, 1, 0},
+	// Figure 21's sizes (pwlFuzzProcs): hundreds of processors in one
+	// segment beside searched ones on every ray.
+	{17, 500_000_000_000, 159, 0},
+	{19, 1_000_000_000, 255, shapeUnequalDomains},
+}
+
+// pwlFuzzProcs maps a fuzz input's pSeed to the processor count: 2..7
+// below 128, so small clusters stay most of the input space, and
+// 270·k/32 for k = pSeed − 127 above it, up to 1080 (pSeed 159 draws 270).
+func pwlFuzzProcs(pSeed uint8) int {
+	if pSeed < 128 {
+		return 2 + int(pSeed%6)
+	}
+	return 270 * (int(pSeed) - 127) / 32
 }
 
 // pwlFuzzCase builds FuzzPWLFastPathMatchesGeneric's input: n, the
 // cluster's functions, and the same functions behind opaquePWL.
 func pwlFuzzCase(seed uint32, nSeed uint64, pSeed, shape uint8) (n int64, fast, generic []speed.Function) {
-	pwl := fuzzPWLCluster(2+int(pSeed%6), seed, shape)
+	pwl := fuzzPWLCluster(pwlFuzzProcs(pSeed), seed, shape)
 	fast, generic = pwlFunctions(pwl)
 	var capacity int64
 	for _, fn := range pwl {

@@ -122,10 +122,11 @@ func (s *state) runCombined() error {
 // maxElasticity estimates the largest |d ln s / d ln x| across processors
 // at the intersections of the last ray (s.xs) by a forward log-difference,
 // with the crossings' segments as evaluation hints. Zero or vanishing
-// speeds count as infinitely steep.
+// speeds count as infinitely steep. The log is monotone, so only the
+// largest and smallest ratio s1/s0 are taken logs of.
 func (s *state) maxElasticity() float64 {
 	const h = 0.01
-	var worst float64
+	lo, hi := 1.0, 1.0
 	for i, x := range s.xs {
 		if !(x > 0) {
 			continue
@@ -135,8 +136,8 @@ func (s *state) maxElasticity() float64 {
 		if s0 <= 0 || s1 <= 0 {
 			return math.Inf(1)
 		}
-		e := math.Abs(math.Log(s1/s0)) / math.Log(1+h)
-		worst = math.Max(worst, e)
+		r := s1 / s0
+		lo, hi = min(lo, r), max(hi, r)
 	}
-	return worst
+	return math.Max(math.Abs(math.Log(hi)), math.Abs(math.Log(lo))) / math.Log(1+h)
 }

@@ -234,24 +234,28 @@ type state struct {
 	stats Stats
 	// dst is the caller's allocation buffer the run writes into.
 	dst Allocation
-	// pwl holds fns as their concrete type when every one is a
+	// t is the packed knot table of fns when every one is a
 	// *speed.PiecewiseLinear (the paper's practical representation, and
-	// the one measured models reach hetpartd in), and is empty otherwise.
-	// A non-empty pwl selects the fast path: direct calls, a crossing
-	// search bracketed by the bounds' segments, and hinted evaluations.
-	// Any other mix of functions takes the generic interface path, which
-	// the fast path matches bit for bit.
-	pwl []*speed.PiecewiseLinear
-	// xs is a scratch buffer for intersection abscissas, and segs for
-	// their knot segments (speed.PiecewiseLinear.IntersectRayIn), which
-	// only the fast path fills and reads.
-	xs   []float64
-	segs []int
+	// the one measured models reach hetpartd in), and nil otherwise. A
+	// table selects the fast path, which reads nothing else; any other mix
+	// of functions takes the generic interface path, which the fast path
+	// matches bit for bit. own is the table PartitionInto packs into.
+	t   *speed.Knots
+	own speed.Knots
+	// xs is a scratch buffer for intersection abscissas. On the fast path
+	// segs holds their knot segments and seen the segments themselves,
+	// which this run's rays fill once crossed is set.
+	xs      []float64
+	segs    []int
+	seen    []speed.Segment
+	crossed bool
 	// b is the reusable search region between the two bounding rays.
 	b bounds
-	// caps and heap are the fine-tuning scratch buffers.
-	caps []int64
-	heap []incrementCandidate
+	// caps and heap are the fine-tuning scratch buffers, donors and
+	// receivers stabilize's.
+	caps              []int64
+	heap              []incrementCandidate
+	donors, receivers tieHeap
 }
 
 // grow returns a slice of length n, reusing s's backing array when it is
@@ -263,9 +267,19 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// reset validates inputs and prepares the state for a run, reusing every
-// scratch buffer that is already large enough.
-func (s *state) reset(dst Allocation, n int64, fns []speed.Function, algorithm string, opts []Option) error {
+// pack returns fns packed into s.own, or nil when one is not
+// piecewise linear.
+func (s *state) pack(fns []speed.Function) *speed.Knots {
+	if s.own.Pack(fns) {
+		return &s.own
+	}
+	return nil
+}
+
+// reset validates inputs and prepares the state for a run over fns (on
+// the fast path when t is their table), reusing every scratch buffer that
+// is already large enough.
+func (s *state) reset(dst Allocation, n int64, fns []speed.Function, t *speed.Knots, algorithm string, opts []Option) error {
 	if len(fns) == 0 {
 		return ErrNoProcessors
 	}
@@ -283,14 +297,18 @@ func (s *state) reset(dst Allocation, n int64, fns []speed.Function, algorithm s
 		o(&s.cfg)
 	}
 	var capacity float64
-	for i, f := range fns {
-		if f == nil {
-			return fmt.Errorf("core: nil speed function for processor %d", i)
+	if t != nil {
+		capacity = t.Capacity()
+	} else {
+		for i, f := range fns {
+			if f == nil {
+				return fmt.Errorf("core: nil speed function for processor %d", i)
+			}
+			if !(f.MaxSize() > 0) {
+				return fmt.Errorf("core: processor %d has non-positive MaxSize %v", i, f.MaxSize())
+			}
+			capacity += math.Floor(f.MaxSize())
 		}
-		if !(f.MaxSize() > 0) {
-			return fmt.Errorf("core: processor %d has non-positive MaxSize %v", i, f.MaxSize())
-		}
-		capacity += math.Floor(f.MaxSize())
 	}
 	if float64(n) > capacity {
 		return fmt.Errorf("%w: n=%d, capacity=%.0f", ErrInfeasible, n, capacity)
@@ -298,6 +316,7 @@ func (s *state) reset(dst Allocation, n int64, fns []speed.Function, algorithm s
 	p := len(fns)
 	s.n = float64(n)
 	s.fns = fns
+	s.t = t
 	s.stats = Stats{Algorithm: algorithm}
 	s.dst = dst
 	for i := range dst {
@@ -309,32 +328,17 @@ func (s *state) reset(dst Allocation, n int64, fns []speed.Function, algorithm s
 	s.segs = grow(s.segs, p)
 	s.b.segSteep = grow(s.b.segSteep, p)
 	s.b.segShallow = grow(s.b.segShallow, p)
-	s.resolvePWL(fns)
+	s.seen = grow(s.seen, p)
+	s.crossed = false
 	return nil
 }
 
-// resolvePWL fills s.pwl with fns as concrete piecewise-linear functions
-// when every one is, and leaves it empty otherwise.
-func (s *state) resolvePWL(fns []speed.Function) {
-	s.pwl = grow(s.pwl, len(fns))
-	for i, f := range fns {
-		pl, ok := f.(*speed.PiecewiseLinear)
-		if !ok {
-			clear(s.pwl)
-			s.pwl = s.pwl[:0]
-			return
-		}
-		s.pwl[i] = pl
-	}
-}
-
 // release drops the borrowed references so a pooled Partitioner does not
-// pin the caller's speed functions or allocation between runs.
+// pin the caller's speed functions, model or allocation between runs.
 func (s *state) release() {
 	s.fns = nil
 	s.dst = nil
-	clear(s.pwl)
-	s.pwl = s.pwl[:0]
+	s.t = nil
 }
 
 // intersect fills s.xs with the abscissas at which the ray crosses every
@@ -345,11 +349,12 @@ func (s *state) release() {
 // s.b.segShallow[i]. The segment never increases with the slope, so that
 // bracket holds the crossing of any ray between the bounds, which is every
 // ray the search draws; openBounds opens it to the whole graph for the
-// first rays. Where the bounding rays cross in the same segment, no search
-// runs at all.
+// first rays. The rays close in on the crossings, so most cross in the
+// segment the last ray did (s.seen), which is tested first; the search
+// runs only where that fails, and on the first ray.
 func (s *state) intersect(ray geometry.Ray) (float64, error) {
 	var sum float64
-	if len(s.pwl) == 0 {
+	if s.t == nil {
 		for i, f := range s.fns {
 			x, err := geometry.Intersect(f, ray, f.MaxSize())
 			if err != nil {
@@ -362,31 +367,44 @@ func (s *state) intersect(ray geometry.Ray) (float64, error) {
 		return sum, nil
 	}
 	c := ray.Slope()
-	xs, segs := s.xs[:len(s.pwl)], s.segs[:len(s.pwl)]
-	lo, hi := s.b.segSteep[:len(s.pwl)], s.b.segShallow[:len(s.pwl)]
-	for i, f := range s.pwl {
-		x, k := f.IntersectRayIn(c, lo[i], hi[i])
-		if k == 0 {
-			// geometry.Intersect's clamp to the domain, which only a
-			// crossing on the left extension can exceed by rounding.
-			x = min(x, f.MaxSize())
+	xs, segs := s.xs[:len(s.fns)], s.segs[:len(s.fns)]
+	lo, hi, seen := s.b.segSteep[:len(xs)], s.b.segShallow[:len(xs)], s.seen[:len(xs)]
+	for i := range xs {
+		g := &seen[i]
+		if !g.Crosses(c, lo[i], hi[i]) {
+			s.t.Seek(i, c, lo[i], hi[i], segs[i], g)
+			segs[i] = g.Seg()
 		}
+		x := g.Cross(c)
 		xs[i] = x
-		segs[i] = k
 		sum += x
 	}
-	s.stats.Intersections += len(s.pwl)
+	s.stats.Intersections += len(xs)
 	return sum, nil
 }
 
-// eval returns processor i's speed at x. On the fast path a hint naming
-// the knot segment that holds x skips the search
-// (speed.PiecewiseLinear.EvalNear); the value does not depend on it.
+// eval returns processor i's speed at x. On the fast path the segment the
+// last ray crossed, or else a hint naming the segment holding x, skips
+// the search; the value does not depend on either.
 func (s *state) eval(i int, x float64, hint int) float64 {
-	if len(s.pwl) > 0 {
-		return s.pwl[i].EvalNear(x, hint)
+	if s.t == nil {
+		return s.fns[i].Eval(x)
 	}
-	return s.fns[i].Eval(x)
+	if s.crossed {
+		if v, ok := s.seen[i].Eval(x); ok {
+			return v
+		}
+	}
+	v, _ := s.t.Eval(i, x, hint)
+	return v
+}
+
+// domain returns processor i's MaxSize.
+func (s *state) domain(i int) float64 {
+	if s.t != nil {
+		return s.t.MaxSize(i)
+	}
+	return s.fns[i].MaxSize()
 }
 
 // initialRays computes the two starting rays of Figure 18: both pass
@@ -400,14 +418,22 @@ func (s *state) initialRays() (steep, shallow geometry.Ray, clamped bool, err er
 	p := float64(len(s.fns))
 	x0 := s.n / p
 	sMax, sMin := math.Inf(-1), math.Inf(1)
-	for i, f := range s.fns {
+	seg := 0
+	for i := range s.fns {
 		probe := x0
-		if m := f.MaxSize(); m < x0 {
+		if m := s.domain(i); m < x0 {
 			probe, clamped = m, true
 		}
-		v := s.eval(i, probe, 0)
-		sMax = math.Max(sMax, v)
-		sMin = math.Min(sMin, v)
+		var v float64
+		if s.t != nil {
+			// The probe's segment hints the next processor's (knot sizes
+			// are often shared) and guesses the first rays' crossings.
+			v, seg = s.t.Eval(i, probe, seg)
+			s.segs[i] = seg
+		} else {
+			v = s.fns[i].Eval(probe)
+		}
+		sMax, sMin = max(sMax, v), min(sMin, v)
 	}
 	if !(sMax > 0) {
 		return steep, shallow, clamped, ErrZeroSpeed

@@ -25,15 +25,26 @@ func NewPartitioner() *Partitioner { return &Partitioner{} }
 // allocation into dst (which must have one slot per processor) and
 // returning it inside the Result. The results are bit-identical to the
 // free Basic/Modified/Combined functions — those are thin wrappers over a
-// pooled Partitioner.
+// pooled Partitioner. Piecewise-linear functions are packed into the
+// Partitioner's own table for the fast path.
 func (p *Partitioner) PartitionInto(dst Allocation, algo Algorithm, n int64, fns []speed.Function, opts ...Option) (Result, error) {
+	return p.run(dst, algo, n, fns, p.st.pack(fns), opts)
+}
+
+// PartitionModelInto is PartitionInto over a model handle's functions and
+// the table it packed once (speed.Model.Knots), bit for bit.
+func (p *Partitioner) PartitionModelInto(dst Allocation, algo Algorithm, n int64, m *speed.Model, opts ...Option) (Result, error) {
+	return p.run(dst, algo, n, m.Fns(), m.Knots(), opts)
+}
+
+func (p *Partitioner) run(dst Allocation, algo Algorithm, n int64, fns []speed.Function, t *speed.Knots, opts []Option) (Result, error) {
 	switch algo {
 	case AlgoBasic, AlgoModified, AlgoCombined:
 	default:
 		return Result{}, fmt.Errorf("core: unknown algorithm %d", int(algo))
 	}
 	s := &p.st
-	if err := s.reset(dst, n, fns, algo.String(), opts); err != nil {
+	if err := s.reset(dst, n, fns, t, algo.String(), opts); err != nil {
 		return Result{}, err
 	}
 	defer s.release()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"heteropart/internal/speed"
@@ -164,5 +165,107 @@ func TestRepartitionWithMatchesRepartition(t *testing.T) {
 	bad.Alloc[0]++
 	if _, _, err := RepartitionWith(old, fns, 0.05, bad); err == nil {
 		t.Fatal("expected sum-mismatch error")
+	}
+}
+
+// scanStabilize is stabilize as two scans per move, the reference its
+// heaps must reproduce move for move.
+func scanStabilize(s *state, alloc Allocation, caps []int64) {
+	for iter := 0; iter < len(alloc)*64; iter++ {
+		imax, tmax := -1, 0.0
+		for i, x := range alloc {
+			if x <= 0 {
+				continue
+			}
+			if t := s.timeAt(i, x); t >= tmax {
+				imax, tmax = i, t
+			}
+		}
+		if imax < 0 {
+			return
+		}
+		jmin, tmin := -1, math.Inf(1)
+		for j := range alloc {
+			if alloc[j] >= caps[j] {
+				continue
+			}
+			if t := s.timeAt(j, alloc[j]+1); t < tmin {
+				jmin, tmin = j, t
+			}
+		}
+		if jmin < 0 || !(tmin < tmax) && !(tmin == tmax && jmin < imax) {
+			return
+		}
+		alloc[imax]--
+		alloc[jmin]++
+		s.stats.FineTuneMoves++
+	}
+}
+
+// TestStabilizeHeapsMatchScans starts stabilize from scrambled
+// allocations of tied and untied clusters (identical machines, machines
+// in two speed classes, piecewise-linear and constant functions, caps
+// that bind) and requires the allocation and move count the two-scan
+// reference reaches.
+func TestStabilizeHeapsMatchScans(t *testing.T) {
+	s := uint32(99)
+	next := func(m int) int {
+		s = s*1664525 + 1013904223
+		return int(s>>8) % m
+	}
+	clusters := map[string][]speed.Function{
+		"identical pwl": testPWLCluster(1, 3),
+		"constants":     constants([]float64{3e7, 3e7, 6e7, 3e7, 6e7, 1.5e7}, 5e6),
+	}
+	ident := make([]speed.Function, 120)
+	for i := range ident {
+		ident[i] = clusters["identical pwl"][0]
+	}
+	clusters["identical pwl"] = ident
+	clusters["random pwl"] = testPWLCluster(80, 11)
+	for name, fns := range clusters {
+		p := len(fns)
+		for trial := 0; trial < 6; trial++ {
+			pr := NewPartitioner()
+			st := &pr.st
+			n := int64(p*(1+next(4_000_000)) + next(p))
+			if err := st.reset(make(Allocation, p), n, fns, st.pack(fns), "x", nil); err != nil {
+				t.Fatal(err)
+			}
+			caps := make([]int64, p)
+			alloc := make(Allocation, p)
+			for i := range alloc {
+				caps[i] = int64(math.Floor(fns[i].MaxSize()))
+				alloc[i] = min(n/int64(p), caps[i])
+			}
+			for left := n - alloc.Sum(); left > 0; {
+				if i := next(p); alloc[i] < caps[i] {
+					alloc[i]++
+					left--
+				}
+			}
+			for k := 0; k < p/4; k++ {
+				if i, j := next(p), next(p); alloc[i] > 0 && alloc[j] < caps[j] {
+					alloc[i]--
+					alloc[j]++
+				}
+			}
+			want := append(Allocation(nil), alloc...)
+			scanStabilize(st, want, caps)
+			wantMoves := st.stats.FineTuneMoves
+			st.stats.FineTuneMoves = 0
+			st.stabilize(alloc, caps)
+			if wantMoves < 2 {
+				t.Fatalf("%s trial %d: %d moves, too few to leave the first scan", name, trial, wantMoves)
+			}
+			if st.stats.FineTuneMoves != wantMoves {
+				t.Fatalf("%s trial %d: %d moves, scans %d", name, trial, st.stats.FineTuneMoves, wantMoves)
+			}
+			for i := range want {
+				if alloc[i] != want[i] {
+					t.Fatalf("%s trial %d proc %d: %d, scans %d", name, trial, i, alloc[i], want[i])
+				}
+			}
+		}
 	}
 }

@@ -75,13 +75,7 @@ func TestServedRuleAllocations(t *testing.T) {
 	var tangentRays, servedRays int
 	for c := 0; c < cases; c++ {
 		shape := uint8(c % 4)
-		// Identical machines tie exactly, which makes fine-tuning's
-		// canonical pass quadratic in p: they draw p ≤ 128.
-		top := 540.0
-		if shape&shapeIdentical != 0 {
-			top = 64
-		}
-		p := int(math.Round(2 * math.Pow(top, float64(next()%4096)/4095)))
+		p := int(math.Round(2 * math.Pow(540, float64(next()%4096)/4095)))
 		pwl := fuzzPWLCluster(p, next(), shape)
 		fast, generic := pwlFunctions(pwl)
 		var capacity uint64

@@ -422,7 +422,7 @@ func (c *Cache) GetTier(algo core.Algorithm, n int64, m *speed.Model, opts ...co
 
 	// res goes to this caller, who may mutate it; the cache keeps its own
 	// copy, and waiters copy from that one.
-	res, err := c.compute(k, m.Fns(), runOpts)
+	res, err := c.compute(k, m, runOpts)
 	readOnly := c.readOnly.Load()
 	var owned core.Result
 	if err == nil && !readOnly {
@@ -512,10 +512,10 @@ func (c *Cache) admit(k key, res core.Result) {
 	}
 }
 
-// compute runs the partitioner for a miss.
-func (c *Cache) compute(k key, fns []speed.Function, opts []core.Option) (core.Result, error) {
+// compute runs the partitioner for a miss over the model's packed table.
+func (c *Cache) compute(k key, m *speed.Model, opts []core.Option) (core.Result, error) {
 	p := c.partitioners.Get().(*core.Partitioner)
-	res, err := p.PartitionInto(make(core.Allocation, len(fns)), k.algo, k.n, fns, opts...)
+	res, err := p.PartitionModelInto(make(core.Allocation, len(m.Fns())), k.algo, k.n, m, opts...)
 	c.partitioners.Put(p)
 	return res, err
 }

@@ -672,7 +672,7 @@ func (d *Daemon) wireToServe(sc *wireScratch, wr *wireRequest) (planRequest, err
 	}
 	m, ok := d.resolveModelBytes(model)
 	if !ok {
-		return planRequest{}, fmt.Errorf("unknown model %q (upload it via /v1/models)", model)
+		return planRequest{}, errUnknownModel
 	}
 	var algo core.Algorithm
 	switch string(sc.spanBytes(wr.algo)) {
@@ -730,6 +730,42 @@ func (wr *wireRequest) toOpts(sc *wireScratch) ([]core.Option, error) {
 	return opts, nil
 }
 
+// errUnknownModel is wireToServe's error for a model name the catalog does
+// not resolve. Its text names the model, so modelError builds it only
+// where a response carries it: an edge relaying the request drops it.
+var errUnknownModel = errors.New("unknown model")
+
+// modelError returns err, naming the model when it is errUnknownModel.
+func modelError(err error, model []byte) error {
+	if err == errUnknownModel {
+		return fmt.Errorf("unknown model %q (upload it via /v1/models)", model)
+	}
+	return err
+}
+
+// parseFingerprint parses a hex fingerprint with an optional "0x", as
+// strconv.ParseUint(s, 16, 64) would, without building its error.
+func parseFingerprint(b []byte) (uint64, bool) {
+	b = bytes.TrimPrefix(b, []byte("0x"))
+	var fp uint64
+	for _, c := range b {
+		d := uint64(16)
+		switch {
+		case '0' <= c && c <= '9':
+			d = uint64(c - '0')
+		case 'a' <= c && c <= 'f':
+			d = uint64(c-'a') + 10
+		case 'A' <= c && c <= 'F':
+			d = uint64(c-'A') + 10
+		}
+		if d > 15 || fp>>60 != 0 {
+			return 0, false
+		}
+		fp = fp<<4 | d
+	}
+	return fp, len(b) > 0
+}
+
 // resolveModelBytes maps a wire model name — a stored label or a hex
 // fingerprint — onto its model in the store's catalog: the label lookup is
 // a lock-free map probe that copies nothing; the hex-fingerprint fallback
@@ -740,7 +776,7 @@ func (d *Daemon) resolveModelBytes(name []byte) (*speed.Model, bool) {
 	if m, ok := d.store.ModelByLabel(name); ok {
 		return m, true
 	}
-	if fp, err := strconv.ParseUint(strings.TrimPrefix(string(name), "0x"), 16, 64); err == nil {
+	if fp, ok := parseFingerprint(name); ok {
 		return d.store.Model(fp)
 	}
 	return nil, false
@@ -802,7 +838,7 @@ func (d *Daemon) servePartitionSingle(w http.ResponseWriter, r *http.Request, sc
 	}
 	if err != nil {
 		ts.Errors.Add(1)
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpError(w, http.StatusBadRequest, "%v", modelError(err, sc.spanBytes(wr.model)))
 		return
 	}
 	tier := plancache.TierHit
@@ -908,7 +944,7 @@ func (d *Daemon) servePartitionBatch(w http.ResponseWriter, r *http.Request, sc 
 		}
 		req, err := d.wireToServe(sc, &sc.reqs[i])
 		if err != nil {
-			it.err = err
+			it.err = modelError(err, sc.spanBytes(sc.reqs[i].model))
 			continue
 		}
 		start := len(sc.arena)

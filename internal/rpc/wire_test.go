@@ -14,6 +14,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -546,5 +547,31 @@ func TestHTTPErrorShape(t *testing.T) {
 	}
 	if got := appendErrorBody(nil, msg); !bytes.Equal(got, buf.Bytes()) {
 		t.Fatalf("error shape:\n got %q\nwant %q", got, buf.Bytes())
+	}
+}
+
+// TestParseFingerprintMatchesParseUint holds the daemon's allocation-free
+// fingerprint parse to strconv.ParseUint's base-16 rule after an optional
+// "0x": the same accepted names and the same values.
+func TestParseFingerprintMatchesParseUint(t *testing.T) {
+	names := []string{"", "0x", "0", "0x0", "ff", "FF", "0xdeadBEEF", "0X1f", "1f_2", "+1", "-1", "g",
+		"ffffffffffffffff", "0xffffffffffffffff", "10000000000000000", "00000000000000000001",
+		"t0/p270", "m1", "model", "0x0x1", " 1", "1 "}
+	s := uint32(7)
+	for i := 0; i < 2000; i++ {
+		b := make([]byte, 1+i%20)
+		for j := range b {
+			s = s*1664525 + 1013904223
+			const alphabet = "0123456789abcdefABCDEFxX_g/ "
+			b[j] = alphabet[s%uint32(len(alphabet))]
+		}
+		names = append(names, string(b))
+	}
+	for _, name := range names {
+		want, err := strconv.ParseUint(strings.TrimPrefix(name, "0x"), 16, 64)
+		got, ok := parseFingerprint([]byte(name))
+		if ok != (err == nil) || ok && got != want {
+			t.Fatalf("%q: parseFingerprint (%x, %v), ParseUint (%x, %v)", name, got, ok, want, err)
+		}
 	}
 }

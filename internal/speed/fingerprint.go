@@ -1,6 +1,9 @@
 package speed
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Model fingerprinting for the partition plan cache: a cluster model (an
 // ordered list of speed functions) is reduced to a stable 64-bit FNV-1a
@@ -59,14 +62,18 @@ func Fingerprint(fns []Function) uint64 {
 
 // Model is an immutable handle on a cluster model: the ordered speed
 // functions, their per-processor fingerprints and the composed
-// fingerprint, computed once when the handle is built. Every layer that
-// keys on the model (the plan cache, the store and the daemon) carries
-// the handle instead of rehashing the functions.
+// fingerprint, computed once when the handle is built, and the partitioner's
+// packed knot table, built once on first use. Every layer that keys on the
+// model (the plan cache, the store and the daemon) carries the handle
+// instead of rehashing the functions.
 // The nil *Model is the empty model: no functions, fingerprint 0.
 type Model struct {
 	fns []Function
 	fps []uint64
 	fp  uint64
+
+	pack  sync.Once
+	knots *Knots
 }
 
 // NewModel hashes fns once and returns their handle. It keeps its own
@@ -87,6 +94,21 @@ func (m *Model) Fns() []Function {
 		return nil
 	}
 	return m.fns
+}
+
+// Knots returns the model's packed knot table (40 bytes a knot), or nil
+// when a function is not piecewise linear. It is built on the first call,
+// so a model that computes no plan never pays for it.
+func (m *Model) Knots() *Knots {
+	if m == nil {
+		return nil
+	}
+	m.pack.Do(func() {
+		if t := new(Knots); t.Pack(m.fns) {
+			m.knots = t
+		}
+	})
+	return m.knots
 }
 
 // Fingerprint returns the composed fingerprint, equal to
@@ -157,10 +179,10 @@ func fingerprintFn(h uint64, f Function) uint64 {
 	switch g := f.(type) {
 	case *PiecewiseLinear:
 		h = fnvU64(h, tagPWL)
-		h = fnvU64(h, uint64(len(g.pts)))
-		for _, p := range g.pts {
-			h = fnvF64(h, p.X)
-			h = fnvF64(h, p.Y)
+		h = fnvU64(h, uint64(len(g.ks)))
+		for _, k := range g.ks {
+			h = fnvF64(h, k.X)
+			h = fnvF64(h, k.Y)
 		}
 	case Constant:
 		h = fnvU64(h, tagConstant)

@@ -20,18 +20,9 @@ type Point struct {
 // run at the same speed); right of the last point it is extended with the
 // last speed.
 type PiecewiseLinear struct {
-	pts []Point
-	// Precomputed monotone tables that make the partitioner hot path
-	// allocation-free: ratios[i] = pts[i].Y / pts[i].X is strictly
-	// decreasing (the shape constraint), so IntersectRay can binary-search
-	// the crossing segment over ratios instead of scanning segments and
-	// recomputing d_i = Y_i − slope·X_i per call. slopes[i] and icepts[i]
-	// hold the slope and y-intercept of the segment ending at knot i
-	// (index 0 unused), computed once with the same expressions the per-call
-	// arithmetic used, so the intersection abscissas are bit-identical.
-	ratios []float64
-	slopes []float64
-	icepts []float64
+	// ks are the knots with their precomputed columns, in the record
+	// layout a model's packed Knots table copies (knots.go).
+	ks []knot
 }
 
 // NewPiecewiseLinear builds a piecewise linear speed function from the
@@ -64,26 +55,7 @@ func NewPiecewiseLinear(points []Point) (*PiecewiseLinear, error) {
 				ErrShape, i-1, pts[i-1].X, pts[i-1].Y, i, pts[i].X, pts[i].Y)
 		}
 	}
-	f := &PiecewiseLinear{pts: pts}
-	f.precompute()
-	return f, nil
-}
-
-// precompute fills the knot-ratio and per-segment slope/intercept tables.
-func (f *PiecewiseLinear) precompute() {
-	pts := f.pts
-	f.ratios = make([]float64, len(pts))
-	f.slopes = make([]float64, len(pts))
-	f.icepts = make([]float64, len(pts))
-	for i, p := range pts {
-		f.ratios[i] = p.Y / p.X
-		if i > 0 {
-			a, b := pts[i-1], pts[i]
-			m := (b.Y - a.Y) / (b.X - a.X)
-			f.slopes[i] = m
-			f.icepts[i] = a.Y - m*a.X
-		}
-	}
+	return &PiecewiseLinear{ks: precompute(pts)}, nil
 }
 
 // MustPiecewiseLinear is like NewPiecewiseLinear but panics on error.
@@ -119,127 +91,38 @@ func EnforceShape(points []Point) []Point {
 
 // Points returns a copy of the knots.
 func (f *PiecewiseLinear) Points() []Point {
-	out := make([]Point, len(f.pts))
-	copy(out, f.pts)
+	out := make([]Point, len(f.ks))
+	for i, k := range f.ks {
+		out[i] = k.Point
+	}
 	return out
 }
 
 // NumPoints returns the number of knots.
-func (f *PiecewiseLinear) NumPoints() int { return len(f.pts) }
+func (f *PiecewiseLinear) NumPoints() int { return len(f.ks) }
 
 // Eval implements Function.
-func (f *PiecewiseLinear) Eval(x float64) float64 { return f.EvalNear(x, 0) }
-
-// EvalNear is Eval with a search hint: seg names the segment expected to
-// hold x, numbered as IntersectRayIn numbers crossings, so a caller
-// evaluating next to a known crossing passes that crossing's segment. A
-// right hint skips the search; any other, such as 0, costs Eval's full
-// search. The value is Eval's bit for bit whatever the hint: it depends
-// only on the segment holding x, which is unique.
-func (f *PiecewiseLinear) EvalNear(x float64, seg int) float64 {
-	pts := f.pts
-	if seg >= 1 && seg < len(pts) && pts[seg-1].X < x && x < pts[seg].X {
-		return interpolate(pts[seg-1], pts[seg], x)
-	}
-	if x <= pts[0].X {
-		return pts[0].Y
-	}
-	last := len(pts) - 1
-	if x >= pts[last].X {
-		return pts[last].Y
-	}
-	// Binary search for the segment containing x: smallest i with
-	// pts[i].X >= x (an inlined sort.Search, closure-free).
-	lo, hi := 0, len(pts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if pts[mid].X < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return interpolate(pts[lo-1], pts[lo], x)
-}
-
-// interpolate evaluates the line through a and b at x.
-func interpolate(a, b Point, x float64) float64 {
-	t := (x - a.X) / (b.X - a.X)
-	return a.Y + t*(b.Y-a.Y)
+func (f *PiecewiseLinear) Eval(x float64) float64 {
+	v, _ := evalKnots(f.ks, x, 0)
+	return v
 }
 
 // MaxSize implements Function.
-func (f *PiecewiseLinear) MaxSize() float64 { return f.pts[len(f.pts)-1].X }
+func (f *PiecewiseLinear) MaxSize() float64 { return f.ks[len(f.ks)-1].X }
 
 // IntersectRay implements geometry.RayIntersector analytically. It returns
 // the abscissa of the unique crossing of the graph with y = slope·x, or
 // (MaxSize, false) when the ray stays above the graph only beyond the
 // domain (shallow rays) — the caller treats that as a clamped intersection.
 func (f *PiecewiseLinear) IntersectRay(slope float64) (float64, bool) {
-	x, seg := f.IntersectRayIn(slope, 0, len(f.pts))
-	return x, seg < len(f.pts)
-}
-
-// IntersectRayIn is IntersectRay searching only the segments lo..hi, and it
-// also returns the segment of the crossing. Segment 0 is the left constant
-// extension, segment k in 1..NumPoints()-1 the line ending at knot k, and
-// NumPoints() the clamp to MaxSize (rays that would cross only past the
-// last knot, and flat rays); 0..NumPoints() is the full range.
-//
-// The segment never increases as the slope grows, so a ray between two
-// rays that crossed in segments lo and hi crosses in lo..hi, and the
-// search may skip the rest: where lo == hi there is nothing to search.
-// Bracketed this way, the result equals the full-range search's bit for
-// bit, because both find the same segment and solve the same line.
-func (f *PiecewiseLinear) IntersectRayIn(slope float64, lo, hi int) (float64, int) {
-	pts := f.pts
-	last := len(pts) - 1
-	if slope <= 0 {
-		return pts[last].X, last + 1
-	}
-	if lo == 0 {
-		// Left constant extension: s(x) = pts[0].Y for x ≤ pts[0].X.
-		if hi == 0 || slope*pts[0].X >= pts[0].Y {
-			return pts[0].Y / slope, 0
-		}
-		lo = 1
-	}
-	// Find the first knot at or below the ray; the crossing is inside the
-	// segment ending there. The knot ratios Y/X are strictly decreasing
-	// (shape constraint), so "knot at or below the ray" (Y/X ≤ slope) is a
-	// monotone predicate and the segment is found by binary search over the
-	// precomputed ratio table; hi is the answer when no knot below it is.
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if f.ratios[mid] > slope {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo > last {
-		// Ray above the graph everywhere up to the last knot? Then it
-		// crosses the right constant extension s = lastY at
-		// x = lastY/slope > MaxSize.
-		return pts[last].X, last + 1
-	}
-	a, b := pts[lo-1], pts[lo]
-	// Solve a.Y + m(x − a.X) = slope·x with the precomputed segment slope
-	// and intercept. The denominator cannot vanish: a sign change on the
-	// segment forces m ≠ slope, but guard anyway.
-	m := f.slopes[lo]
-	den := slope - m
-	if den == 0 {
-		return b.X, lo
-	}
-	x := f.icepts[lo] / den
-	// Numerical safety: keep the root inside the segment.
-	return min(max(x, a.X), b.X), lo
+	var g Segment
+	g.set(f.ks, seek(f.ks, slope, 0, len(f.ks), -1), math.Inf(1))
+	return g.Cross(slope), g.k < len(f.ks)
 }
 
 // MarshalJSON implements json.Marshaler, emitting the knot list.
 func (f *PiecewiseLinear) MarshalJSON() ([]byte, error) {
-	return json.Marshal(f.pts)
+	return json.Marshal(f.Points())
 }
 
 // UnmarshalJSON implements json.Unmarshaler, validating the knot list.
@@ -258,5 +141,5 @@ func (f *PiecewiseLinear) UnmarshalJSON(data []byte) error {
 
 // String implements fmt.Stringer.
 func (f *PiecewiseLinear) String() string {
-	return fmt.Sprintf("PiecewiseLinear(%d points, max %.6g)", len(f.pts), f.MaxSize())
+	return fmt.Sprintf("PiecewiseLinear(%d points, max %.6g)", len(f.ks), f.MaxSize())
 }

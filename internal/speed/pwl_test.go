@@ -229,7 +229,7 @@ func genCompliantPoints(seed uint32) []Point {
 // the first analytic IntersectRay did it: scan for the first knot at or
 // below the ray and solve that segment's line.
 func refIntersectRay(f *PiecewiseLinear, slope float64) (float64, int) {
-	pts := f.pts
+	pts := f.Points()
 	last := len(pts) - 1
 	if slope <= 0 {
 		return pts[last].X, last + 1
@@ -257,50 +257,75 @@ func refIntersectRay(f *PiecewiseLinear, slope float64) (float64, int) {
 // side), inside each segment, and on both constant extensions.
 func pwlProbeSlopes(f *PiecewiseLinear) []float64 {
 	out := []float64{0, 1e-300, math.MaxFloat64}
-	for i, r := range f.ratios {
+	ks := f.ks
+	for i, k := range ks {
+		r := k.ratio
 		out = append(out, r, math.Nextafter(r, 0), math.Nextafter(r, math.Inf(1)))
 		if i > 0 {
-			out = append(out, (r+f.ratios[i-1])/2)
+			out = append(out, (r+ks[i-1].ratio)/2)
 		}
 	}
-	last := f.ratios[len(f.ratios)-1]
-	return append(out, last/2, last/1e6, f.ratios[0]*3)
+	last := ks[len(ks)-1].ratio
+	return append(out, last/2, last/1e6, ks[0].ratio*3)
 }
 
-// TestPWLBracketedIntersectMatchesFullRange checks IntersectRayIn's
-// contract on random functions: the full-range search reproduces the
-// knot-scan reference bit for bit, and any bracket taken from two rays on
-// either side of the slope returns the same crossing and segment.
+// TestPWLBracketedIntersectMatchesFullRange checks the crossing search's
+// contract on random functions, through a one-processor packed table:
+// the full-range search reproduces the knot-scan reference bit for bit,
+// and so does IntersectRay; any bracket taken from two rays on either
+// side of the slope, with any guess, returns the same crossing and
+// segment; and a segment of the bracket that Crosses claims the ray holds
+// it, at the search's abscissa.
 func TestPWLBracketedIntersectMatchesFullRange(t *testing.T) {
 	for seed := uint32(0); seed < 200; seed++ {
 		f, err := NewPiecewiseLinear(genCompliantPoints(seed))
 		if err != nil {
 			continue
 		}
+		var tab Knots
+		if !tab.Pack([]Function{f}) {
+			t.Fatal("Pack refused a piecewise-linear function")
+		}
 		slopes := pwlProbeSlopes(f)
 		n := f.NumPoints()
 		for _, c := range slopes {
 			wantX, wantSeg := refIntersectRay(f, c)
-			x, seg := f.IntersectRayIn(c, 0, n)
+			if rx, hit := f.IntersectRay(c); math.Float64bits(rx) != math.Float64bits(wantX) || hit != (wantSeg < n) {
+				t.Fatalf("seed %d slope %v: IntersectRay (%v, %v), reference (%v, %d)", seed, c, rx, hit, wantX, wantSeg)
+			}
+			if wantSeg == 0 {
+				wantX = min(wantX, f.MaxSize())
+			}
+			x, seg := packedCross(&tab, c, 0, n, -1)
 			if math.Float64bits(x) != math.Float64bits(wantX) || seg != wantSeg {
 				t.Fatalf("seed %d slope %v: full range (%v, %d), reference (%v, %d)", seed, c, x, seg, wantX, wantSeg)
-			}
-			if rx, hit := f.IntersectRay(c); math.Float64bits(rx) != math.Float64bits(x) || hit != (seg < n) {
-				t.Fatalf("seed %d slope %v: IntersectRay (%v, %v) vs IntersectRayIn (%v, %d)", seed, c, rx, hit, x, seg)
 			}
 			for _, steep := range slopes {
 				if steep < c {
 					continue
 				}
-				_, lo := f.IntersectRayIn(steep, 0, n)
+				_, lo := packedCross(&tab, steep, 0, n, -1)
 				for _, shallow := range slopes {
 					if shallow > c {
 						continue
 					}
-					_, hi := f.IntersectRayIn(shallow, 0, n)
-					bx, bseg := f.IntersectRayIn(c, lo, hi)
-					if math.Float64bits(bx) != math.Float64bits(x) || bseg != seg {
-						t.Fatalf("seed %d slope %v in [%d, %d]: (%v, %d), full range (%v, %d)", seed, c, lo, hi, bx, bseg, x, seg)
+					_, hi := packedCross(&tab, shallow, 0, n, -1)
+					for guess := lo - 1; guess <= hi+1; guess++ {
+						bx, bseg := packedCross(&tab, c, lo, hi, guess)
+						if math.Float64bits(bx) != math.Float64bits(x) || bseg != seg {
+							t.Fatalf("seed %d slope %v in [%d, %d] guess %d: (%v, %d), full range (%v, %d)", seed, c, lo, hi, guess, bx, bseg, x, seg)
+						}
+						if guess < lo || guess > hi {
+							continue
+						}
+						var g Segment
+						tab.Seek(0, 1, guess, guess, guess, &g)
+						if g.Seg() != guess {
+							t.Fatalf("seed %d: a bracket of segment %d seeks %d", seed, guess, g.Seg())
+						}
+						if g.Crosses(c, lo, hi) && (guess != seg || math.Float64bits(g.Cross(c)) != math.Float64bits(x)) {
+							t.Fatalf("seed %d slope %v in [%d, %d]: segment %d claims the crossing at %v, search (%v, %d)", seed, c, lo, hi, guess, g.Cross(c), x, seg)
+						}
 					}
 				}
 			}
@@ -308,9 +333,18 @@ func TestPWLBracketedIntersectMatchesFullRange(t *testing.T) {
 	}
 }
 
+// packedCross seeks the crossing of the ray of slope c with processor 0
+// of tab, searching segments lo..hi from guess, and returns it and its
+// segment.
+func packedCross(tab *Knots, c float64, lo, hi, guess int) (float64, int) {
+	var g Segment
+	tab.Seek(0, c, lo, hi, guess, &g)
+	return g.Cross(c), g.Seg()
+}
+
 // refEval interpolates straight from the knots, scanning for the segment.
 func refEval(f *PiecewiseLinear, x float64) float64 {
-	pts := f.pts
+	pts := f.Points()
 	last := len(pts) - 1
 	if x <= pts[0].X {
 		return pts[0].Y
@@ -328,20 +362,24 @@ func refEval(f *PiecewiseLinear, x float64) float64 {
 }
 
 // TestPWLEvalNearMatchesEval checks that Eval matches the knot-scan
-// reference and that the evaluation hint never changes a value: every
-// hint, right, wrong or out of range, at knots, between them and on both
-// constant extensions.
+// reference and that the packed table's evaluation hint never changes a
+// value: every hint, right, wrong or out of range, at knots, between them
+// and on both constant extensions. The segment the table reports holds x,
+// and a cached Segment that evaluates x returns the same value.
 func TestPWLEvalNearMatchesEval(t *testing.T) {
 	for seed := uint32(0); seed < 200; seed++ {
 		f, err := NewPiecewiseLinear(genCompliantPoints(seed))
 		if err != nil {
 			continue
 		}
-		xs := []float64{0, f.pts[0].X / 2, f.MaxSize() * 2}
-		for i, p := range f.pts {
+		var tab Knots
+		tab.Pack([]Function{f})
+		pts, n := f.Points(), f.NumPoints()
+		xs := []float64{0, pts[0].X / 2, f.MaxSize() * 2}
+		for i, p := range pts {
 			xs = append(xs, p.X, math.Nextafter(p.X, 0), math.Nextafter(p.X, math.Inf(1)))
 			if i > 0 {
-				xs = append(xs, (p.X+f.pts[i-1].X)/2)
+				xs = append(xs, (p.X+pts[i-1].X)/2)
 			}
 		}
 		for _, x := range xs {
@@ -350,8 +388,19 @@ func TestPWLEvalNearMatchesEval(t *testing.T) {
 				t.Fatalf("seed %d: Eval(%v) = %v, reference %v", seed, x, got, want)
 			}
 			for hint := -1; hint <= f.NumPoints()+1; hint++ {
-				if got := f.EvalNear(x, hint); math.Float64bits(got) != math.Float64bits(want) {
+				got, seg := tab.Eval(0, x, hint)
+				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("seed %d x %v hint %d: %v, Eval %v", seed, x, hint, got, want)
+				}
+				if seg >= 1 && seg < n && !(pts[seg-1].X < x && x <= pts[seg].X) {
+					t.Fatalf("seed %d x %v hint %d: segment %d does not hold x", seed, x, hint, seg)
+				}
+			}
+			for k := 0; k <= n; k++ {
+				var g Segment
+				tab.Seek(0, 1, k, k, k, &g)
+				if got, ok := g.Eval(x); ok && math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d x %v: segment %d evaluates %v, Eval %v", seed, x, k, got, want)
 				}
 			}
 		}
