@@ -8,10 +8,11 @@ package heteropart
 //   - BenchmarkDaemonThroughput drives a real daemon over loopback HTTP
 //     with keep-alive connections: warm single requests, batched
 //     requests, an error mix, and a cold-miss mix. The req/s metric is
-//     the daemon's end-to-end ceiling on this host.
-//   - BenchmarkDaemonHandler calls the daemon's handler directly with a
-//     recycled request/response pair, so B/op and allocs/op describe the
-//     handler path itself with net/http's per-connection machinery
+//     the daemon's end-to-end ceiling on this host; ci.sh gates warm and
+//     batch16 at 0 allocs/op.
+//   - BenchmarkDaemonHandler calls the daemon's net/http handler directly
+//     with a recycled request/response pair, so B/op and allocs/op
+//     describe the handler path itself with the connection machinery
 //     excluded. ci.sh gates the warm path at 0 B/op and 0 allocs/op, at
 //     -cpu 1.
 //
@@ -25,11 +26,11 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"testing"
 
 	"heteropart/internal/clusterio"
+	"heteropart/internal/fabric"
 	"heteropart/internal/rpc"
 	"heteropart/internal/speed"
 )
@@ -95,9 +96,10 @@ func startBenchDaemon(b *testing.B) string {
 }
 
 // rawConn is a keep-alive HTTP/1.1 load-generator connection: requests
-// are preformatted bytes, responses are parsed just enough to find the
-// status and drain the body. The client side of the benchmark must cost
-// less than the server under test — net/http's client would cost more.
+// are preformatted bytes, responses are parsed in place, just enough to
+// find the status and drain the body. The client side of the benchmark
+// must cost less than the server under test — net/http's client would cost
+// more — and it allocates nothing, so allocs/op counts the daemon alone.
 type rawConn struct {
 	c  net.Conn
 	br *bufio.Reader
@@ -127,47 +129,45 @@ func (rc *rawConn) send(b *testing.B, req []byte, count int, wantStatus string) 
 		b.Fatal(err)
 	}
 	for i := 0; i < count; i++ {
-		line, err := rc.br.ReadString('\n')
+		line, err := rc.br.ReadSlice('\n')
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !strings.HasPrefix(line, wantStatus) {
+		if !bytes.HasPrefix(line, []byte(wantStatus)) {
 			b.Fatalf("status %q, want prefix %q", line, wantStatus)
 		}
 		length, chunked := -1, false
 		for {
-			h, err := rc.br.ReadString('\n')
+			h, err := rc.br.ReadSlice('\n')
 			if err != nil {
 				b.Fatal(err)
 			}
-			if h == "\r\n" {
+			if len(h) <= 2 {
 				break
 			}
-			if v, ok := strings.CutPrefix(h, "Content-Length: "); ok {
-				length, err = strconv.Atoi(strings.TrimSpace(v))
-				if err != nil {
+			if v, ok := bytes.CutPrefix(h, []byte("Content-Length: ")); ok {
+				if length, err = fabric.ParseSize(bytes.TrimSpace(v), 10); err != nil {
 					b.Fatal(err)
 				}
 			}
-			if strings.HasPrefix(h, "Transfer-Encoding: chunked") {
+			if bytes.HasPrefix(h, []byte("Transfer-Encoding: chunked")) {
 				chunked = true
 			}
 		}
 		switch {
 		case chunked:
-			// Large responses (a batch of replies) exceed net/http's
-			// buffering threshold and arrive chunked: hex-size frames
-			// terminated by a zero chunk.
+			// A reply that reaches the daemon's 64 KiB streaming threshold
+			// arrives chunked: hex-size frames closed by a zero chunk.
 			for {
-				sz, err := rc.br.ReadString('\n')
+				sz, err := rc.br.ReadSlice('\n')
 				if err != nil {
 					b.Fatal(err)
 				}
-				n, err := strconv.ParseInt(strings.TrimSpace(sz), 16, 64)
+				n, err := fabric.ParseSize(bytes.TrimSpace(sz), 16)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := rc.br.Discard(int(n) + 2); err != nil { // chunk + CRLF
+				if _, err := rc.br.Discard(n + 2); err != nil { // chunk + CRLF
 					b.Fatal(err)
 				}
 				if n == 0 {

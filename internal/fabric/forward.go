@@ -247,24 +247,24 @@ func (c *relayConn) readResponse(dst []byte) (status int, hit, same, keep bool, 
 		}
 		value = bytes.TrimSpace(value)
 		switch {
-		case headerIs(name, "Content-Length"):
-			if length, err = parseSize(value, 10); err != nil {
+		case HeaderIs(name, "Content-Length"):
+			if length, err = ParseSize(value, 10); err != nil {
 				return 0, false, false, false, dst, err
 			}
-		case headerIs(name, "Transfer-Encoding"):
-			if !headerIs(value, "chunked") {
+		case HeaderIs(name, "Transfer-Encoding"):
+			if !HeaderIs(value, "chunked") {
 				return 0, false, false, false, dst, errUnframed
 			}
 			chunked = true
-		case headerIs(name, "Connection"):
+		case HeaderIs(name, "Connection"):
 			// net/http sends a bare "close"; a close hidden in a token
 			// list would cost one retry on the connection's next use.
-			if headerIs(value, "close") {
+			if HeaderIs(value, "close") {
 				keep = false
 			}
-		case headerIs(name, TierHeader):
+		case HeaderIs(name, TierHeader):
 			hit = string(value) == "hit"
-		case headerIs(name, SameModelHeader):
+		case HeaderIs(name, SameModelHeader):
 			same = string(value) == "1"
 		}
 	}
@@ -280,14 +280,14 @@ func (c *relayConn) readResponse(dst []byte) (status int, hit, same, keep bool, 
 }
 
 // headerIs compares a header name or token case-insensitively.
-func headerIs(b []byte, want string) bool {
+func HeaderIs(b []byte, want string) bool {
 	return len(b) == len(want) && strings.EqualFold(string(b), want)
 }
 
 // parseSize parses a Content-Length (base 10) or chunk size (base 16),
 // rejecting anything past the relay's response bound before a byte of
 // the body is read.
-func parseSize(b []byte, base int) (int, error) {
+func ParseSize(b []byte, base int) (int, error) {
 	if len(b) == 0 {
 		return 0, errMalformed
 	}
@@ -333,7 +333,7 @@ func readChunked(br *bufio.Reader, dst []byte) ([]byte, error) {
 		if i := bytes.IndexByte(line, ';'); i >= 0 {
 			line = line[:i]
 		}
-		size, err := parseSize(bytes.TrimSpace(line), 16)
+		size, err := ParseSize(bytes.TrimSpace(line), 16)
 		if err != nil {
 			return dst, err
 		}

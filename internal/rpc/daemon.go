@@ -191,7 +191,10 @@ type Daemon struct {
 	// FabricSelf was configured or EnableFabric was called.
 	fab atomic.Pointer[fabric.Fabric]
 
+	// srv serves every connection the raw partition edge hands over
+	// (edge.go); edge serves ln.
 	srv   *http.Server
+	edge  *edge
 	ln    net.Listener
 	start time.Time
 
@@ -252,6 +255,7 @@ func newShell(cfg Config) (*Daemon, error) {
 		Handler:           d.routes(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
+	d.edge = newEdge(d)
 	return d, nil
 }
 
@@ -736,27 +740,29 @@ func (d *Daemon) publishAddr() error {
 	return nil
 }
 
-// Serve blocks serving HTTP until Shutdown. A graceful shutdown returns
-// nil.
+// Serve blocks serving HTTP until Shutdown: the raw edge accepts every
+// connection and hands the ones it does not serve to the http.Server. A
+// graceful shutdown returns nil.
 func (d *Daemon) Serve() error {
 	if d.ln == nil {
 		if _, err := d.Listen(); err != nil {
 			return err
 		}
 	}
-	err := d.srv.Serve(d.ln)
-	if errors.Is(err, http.ErrServerClosed) {
-		return nil
-	}
-	return err
+	d.edge.handoff.addr = d.ln.Addr()
+	// srv.Serve ends with ErrServerClosed once Shutdown closes the hand-off
+	// listener, its only way to fail.
+	go d.srv.Serve(d.edge.handoff)
+	return d.edge.serve(d.ln)
 }
 
-// Shutdown drains in-flight HTTP requests, closes the fabric's idle relay
+// Shutdown stops accepting, drains in-flight requests on the edge's
+// connections and then on net/http's, closes the fabric's idle relay
 // connections, stops the watcher and the follower, and folds the WAL into
 // a final snapshot. Idempotent.
 func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.closeOnce.Do(func() {
-		var first error
+		first := d.edge.shutdown(ctx, d.ln)
 		if err := d.srv.Shutdown(ctx); err != nil && first == nil {
 			first = err
 		}

@@ -278,9 +278,9 @@ func TestFabricForwardAfterIdleClose(t *testing.T) {
 	}
 	forwarded, errs := ef.Forwarded.Load(), ef.ForwardErrors.Load()
 
-	srv := daemons[owner].srv
-	srv.SetKeepAlivesEnabled(false) // closes the owner's idle connections
-	srv.SetKeepAlivesEnabled(true)
+	// The relay's keep-alives end on the owner's raw edge: close the idle
+	// ones there.
+	daemons[owner].edge.closeIdle(false)
 
 	if code, data, _ := postRawHdr(t, bases[edge]+"/v1/partition", body, nil); code != 200 || !bytes.Equal(data, local) {
 		t.Fatalf("forward after the owner dropped its keep-alives: HTTP %d: %s", code, data)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -32,7 +33,7 @@ func (d *Daemon) routes() http.Handler {
 	mux.HandleFunc("/v1/stats", d.booting(d.handleStats))
 	mux.HandleFunc("/v1/models", d.booting(d.handleModels))
 	mux.HandleFunc("/v1/models/", d.booting(d.handleModelSub))
-	mux.HandleFunc("/v1/partition", d.booting(d.handlePartition))
+	mux.HandleFunc("/v1/partition", d.handlePartition)
 	mux.HandleFunc("/v1/replication/promote", d.booting(d.handlePromote))
 	mux.HandleFunc("/v1/replication/demote", d.booting(d.handleDemote))
 	mux.HandleFunc("/v1/replication/peer", d.booting(d.handlePeer))
@@ -511,19 +512,50 @@ type partitionReply struct {
 	Error string     `json:"error,omitempty"`
 }
 
-// handlePartition answers one request or a batch through the pooled wire
-// codec (wire.go): the body is parsed in a single pass, batch vs single
-// decided by the first key of the top-level object, exact cache hits are
-// copied out of the plan cache into pooled scratch, and the response is
-// encoded by hand into a pooled buffer — the warm path allocates nothing.
+// partitionAsk is what the partition route reads from a request's head;
+// net/http (askOf) and the raw edge (edge.go) each fill it.
+type partitionAsk struct {
+	post      bool
+	forwarded bool   // the request carries fabric.ForwardedHeader
+	model     uint64 // a single X-Hetpart-Model value, when hasModel
+	hasModel  bool
+}
+
+// handlePartition is the partition route's net/http transport.
+func (d *Daemon) handlePartition(w http.ResponseWriter, r *http.Request) {
+	d.partition(w, askOf(r), r.Body, r.ContentLength)
+}
+
+// askOf reads a partition request's ask from net/http's parse of its head.
+func askOf(r *http.Request) partitionAsk {
+	ask := partitionAsk{
+		post:      r.Method == http.MethodPost,
+		forwarded: len(r.Header[fabric.ForwardedHeader]) > 0,
+	}
+	if v := r.Header[fabric.ModelHeader]; len(v) == 1 {
+		ask.model, ask.hasModel = parseFingerprint([]byte(v[0]))
+	}
+	return ask
+}
+
+// partition answers one request or a batch through the pooled wire codec
+// (wire.go): the body is parsed in a single pass, batch vs single decided
+// by the first key of the top-level object, exact cache hits are copied
+// out of the plan cache into pooled scratch, and the response is encoded
+// by hand into a pooled buffer — the warm path allocates nothing. body
+// holds length bytes, or runs to EOF when length is negative.
 //
 // Two deliberate behavior changes from the old double-decode dispatch: a
 // body whose first key is "requests" is always a batch (a malformed batch
 // is one consistent 400 instead of being silently re-tried as a single
 // request), and {"requests":[]} answers {"responses":[]} instead of
 // "missing model".
-func (d *Daemon) handlePartition(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
+func (d *Daemon) partition(w http.ResponseWriter, ask partitionAsk, body io.Reader, length int64) {
+	if !d.booted.Load() { // the booting wrapper's check, for both transports
+		writeStatic(w, http.StatusServiceUnavailable, bodyBooting, true)
+		return
+	}
+	if !ask.post {
 		writeStatic(w, http.StatusMethodNotAllowed, bodyUsePOST, false)
 		return
 	}
@@ -537,7 +569,7 @@ func (d *Daemon) handlePartition(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := wirePool.Get().(*wireScratch)
 	defer releaseWire(sc)
-	if err := sc.readBody(r); err != nil {
+	if err := sc.readBody(body, length); err != nil {
 		if errors.Is(err, errBodyTooLarge) {
 			writeStatic(w, http.StatusBadRequest, bodyTooLarge, false)
 		} else {
@@ -551,10 +583,10 @@ func (d *Daemon) handlePartition(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if batch {
-		d.servePartitionBatch(w, r, sc)
+		d.servePartitionBatch(w, ask.forwarded, sc)
 		return
 	}
-	d.servePartitionSingle(w, r, sc)
+	d.servePartitionSingle(w, ask, sc)
 }
 
 // countTier charges one answered request to its tenant's tier counters.
@@ -638,17 +670,6 @@ func remotePlan(body []byte) (core.Result, bool) {
 		return core.Result{}, false
 	}
 	return core.Result{Alloc: rep.Alloc, Slope: rep.Slope, Stats: rep.Stats}, true
-}
-
-// sameModel reports whether a forwarded request's X-Hetpart-Model names
-// m's fingerprint.
-func sameModel(r *http.Request, m *speed.Model) bool {
-	v := r.Header[fabric.ModelHeader]
-	if len(v) != 1 {
-		return false
-	}
-	fp, err := strconv.ParseUint(v[0], 16, 64)
-	return err == nil && fp == m.Fingerprint()
 }
 
 // planRequest is one validated partition ask, its model resolved to the
@@ -795,15 +816,14 @@ func (d *Daemon) resolveModelBytes(name []byte) (*speed.Model, bool) {
 // re-forward, no second quota charge) and announces its tier in a
 // response header so the relaying edge can count remote hits without
 // parsing the body.
-func (d *Daemon) servePartitionSingle(w http.ResponseWriter, r *http.Request, sc *wireScratch) {
+func (d *Daemon) servePartitionSingle(w http.ResponseWriter, ask partitionAsk, sc *wireScratch) {
 	wr := &sc.reqs[0]
 	tenant, family := fabric.TenantSpan(sc.spanBytes(wr.model))
 	ts := d.tenancy.Stats(tenant)
 	ts.Requests.Add(1)
 	fab := d.fab.Load()
-	forwarded := len(r.Header[fabric.ForwardedHeader]) > 0
 	owner := -1 // the remote member owning the plan family, if any
-	if forwarded {
+	if ask.forwarded {
 		if fab != nil {
 			fab.ForwardedIn.Add(1)
 		}
@@ -851,10 +871,10 @@ func (d *Daemon) servePartitionSingle(w http.ResponseWriter, r *http.Request, sc
 		}
 	}
 	countTier(ts, tier)
-	if forwarded {
+	if ask.forwarded {
 		h := w.Header()
 		h[fabric.TierHeader] = tierHeaderValue(tier)
-		if tier == plancache.TierHit && sameModel(r, req.model) {
+		if tier == plancache.TierHit && ask.hasModel && ask.model == req.model.Fingerprint() {
 			h[fabric.SameModelHeader] = headerSameModel
 		}
 	}
@@ -878,7 +898,7 @@ func (d *Daemon) servePartitionSingle(w http.ResponseWriter, r *http.Request, sc
 // The encode pass streams: past batchFlushBytes the buffer is flushed to
 // the client and reused, so a 100k-element batch costs O(64 KiB) of
 // response memory, not O(batch). The byte stream is identical either way.
-func (d *Daemon) servePartitionBatch(w http.ResponseWriter, r *http.Request, sc *wireScratch) {
+func (d *Daemon) servePartitionBatch(w http.ResponseWriter, forwarded bool, sc *wireScratch) {
 	k := len(sc.reqs)
 	if cap(sc.items) < k {
 		sc.items = make([]wireItem, k)
@@ -886,7 +906,6 @@ func (d *Daemon) servePartitionBatch(w http.ResponseWriter, r *http.Request, sc 
 		sc.items = sc.items[:k]
 	}
 	fab := d.fab.Load()
-	forwarded := len(r.Header[fabric.ForwardedHeader]) > 0
 	owner, uniform, rejected := -1, true, false
 	for i := range sc.reqs {
 		it := &sc.items[i]

@@ -62,7 +62,8 @@ var (
 // batchFlushBytes is the streaming threshold for batch responses: once
 // the encode buffer passes it, the bytes so far are flushed to the client
 // and the buffer reused, bounding memory at O(threshold) instead of
-// O(batch). Small batches still go out in one write with Content-Length.
+// O(batch). On the raw edge (edge.go) a reply shorter than this goes out
+// in one write with Content-Length, and a longer one is chunked.
 const batchFlushBytes = 64 << 10
 
 // Pre-encoded bodies for the recurring fixed responses (the trailing
@@ -175,20 +176,21 @@ func (wr *wireRequest) reset() { *wr = wireRequest{} }
 // ---------------------------------------------------------------------------
 // Body intake
 
-// readBody fills sc.body from the request, enforcing maxBodyBytes without
-// the http.MaxBytesReader allocation.
-func (sc *wireScratch) readBody(r *http.Request) error {
-	if cl := r.ContentLength; cl >= 0 {
-		if cl > maxBodyBytes {
+// readBody fills sc.body from a request body of length bytes (or, when
+// length is negative, up to EOF), enforcing maxBodyBytes without the
+// http.MaxBytesReader allocation.
+func (sc *wireScratch) readBody(body io.Reader, length int64) error {
+	if length >= 0 {
+		if length > maxBodyBytes {
 			return errBodyTooLarge
 		}
-		if int64(cap(sc.body)) < cl {
-			sc.body = make([]byte, cl)
+		if int64(cap(sc.body)) < length {
+			sc.body = make([]byte, length)
 		}
-		sc.body = sc.body[:cl]
+		sc.body = sc.body[:length]
 		off := 0
 		for off < len(sc.body) {
-			n, err := r.Body.Read(sc.body[off:])
+			n, err := body.Read(sc.body[off:])
 			off += n
 			if err != nil {
 				if off == len(sc.body) {
@@ -211,7 +213,7 @@ func (sc *wireScratch) readBody(r *http.Request) error {
 			}
 			sc.body = append(sc.body, 0)[:len(sc.body)]
 		}
-		n, err := r.Body.Read(sc.body[len(sc.body):cap(sc.body):cap(sc.body)])
+		n, err := body.Read(sc.body[len(sc.body):cap(sc.body):cap(sc.body)])
 		sc.body = sc.body[:len(sc.body)+n]
 		if err != nil {
 			if len(sc.body) > maxBodyBytes {

@@ -67,20 +67,30 @@
 #      budget is <= 8 B/op and <= 1 alloc/op; the gate pins the achieved
 #      zero so a regression to "just one alloc" still fails loudly
 #      (at -cpu 1, which keeps the runtime's background allocations out)
-#  15. forwarding gate: forwarded partition requests must be bit-identical
+#  15. over-HTTP allocation guard: the warm single request and the warm
+#      16-plan batch over a real loopback connection, through the raw
+#      partition edge, must report 0 allocs/op — the benchmark's client
+#      allocates nothing, so any allocation is the daemon's
+#  16. forwarding gate: forwarded partition requests must be bit-identical
 #      to owner-local answers (chunked batches and concurrent clients
 #      included, and across an owner dropping its idle keep-alives), a
 #      dead or blackholed owner must degrade to local compute within the
 #      forwarding timeout instead of an error, an edge hit must answer
 #      the owner's exact bytes without a WAL record, and an edge whose
 #      model differs from the owner's must keep nothing
-#  16. fabric benchmark smoke: the owned/forwarded/repeated/quota paths
+#  17. raw-edge gate: the raw HTTP/1.1 partition edge at -race -count=3 —
+#      the same byte streams answer the same statuses, headers, bodies
+#      and connection fates as a plain net/http server (pipelined, split
+#      and handed-over streams included), the head fuzzer's seeds hold,
+#      a shutdown drains requests in flight and leaves no goroutine, and
+#      a stalled head is closed at the header timeout
+#  18. fabric benchmark smoke: the owned/forwarded/repeated/quota paths
 #      each run once over real loopback HTTP
-#  17. forwarding allocation guard: a forwarded request may cost at most
-#      2 x the allocs/op of an owned one + 4 — the edge's and the owner's
-#      net/http server passes, with the relay between them allocating
-#      (next to) nothing — and a repeated one, answered from the edge's
-#      own cache, no more than an owned one
+#  19. forwarding allocation guard: a forwarded request may cost at most
+#      2 x the allocs/op of an owned one + 4 — the relay's pooled hop
+#      between the two members' raw edges allocates (next to) nothing —
+#      and a repeated one, answered from the edge's own cache, no more
+#      than an owned one
 #
 # Usage: scripts/ci.sh
 set -e
@@ -175,8 +185,25 @@ END {
 	if (bad) { print "FAIL: warm wire handler path allocates" > "/dev/stderr"; exit 1 }
 	if (!seen) { print "FAIL: no DaemonHandler/warm benchmark output parsed" > "/dev/stderr"; exit 1 }
 }'
+echo "==> over-HTTP allocs/op guard: DaemonThroughput warm and batch16 0 allocs/op" >&2
+# 20000x amortizes the first iterations' pool and buffer growth.
+go test -run '^$' -bench 'DaemonThroughput/(warm|batch16)$' -benchtime=20000x -benchmem . |
+awk '
+/^BenchmarkDaemonThroughput\/(warm|batch16)[-[:space:]]/ {
+	seen++
+	allocs = "?"
+	for (i = 3; i < NF; i++) if ($(i+1) == "allocs/op") allocs = $i
+	printf "    %s: %s allocs/op\n", $1, allocs
+	if (allocs == "?" || allocs + 0 > 0) { bad = 1 }
+}
+END {
+	if (bad) { print "FAIL: the daemon allocates on the warm over-HTTP path" > "/dev/stderr"; exit 1 }
+	if (seen != 2) { print "FAIL: no DaemonThroughput warm/batch16 allocs/op parsed" > "/dev/stderr"; exit 1 }
+}'
 echo "==> forwarding gate: go test -race -run 'FabricForward|FabricOwner|FabricEdgeHit|FabricDivergedCatalog' ./internal/rpc/" >&2
 go test -race -count=1 -run 'FabricForward|FabricOwner|FabricEdgeHit|FabricDivergedCatalog' ./internal/rpc/
+echo "==> raw-edge gate: go test -race -count=3 -run RawEdge ./internal/rpc/" >&2
+go test -race -count=3 -run RawEdge ./internal/rpc/
 echo "==> benchmark smoke: BENCHTIME=1x scripts/bench.sh fabric /tmp/bench_fabric_smoke.json" >&2
 BENCHTIME=1x scripts/bench.sh fabric /tmp/bench_fabric_smoke.json
 rm -f /tmp/bench_fabric_smoke.json
