@@ -311,6 +311,31 @@ func benchPWLCluster(b *testing.B, p int) []speed.Function {
 	return out
 }
 
+// perfbenchModel draws p piecewise-linear functions in the shape of
+// perfbench's cold-mix models: peak 1e7–1e8 elements/s, paging point
+// 1e7–5e8 elements, 2 % of peak left deep in paging, knots eightfold
+// apart from 1e3, and a last knot at 2e9.
+func perfbenchModel(p int, seed uint32) *speed.Model {
+	s := seed
+	unit := func() float64 {
+		s = s*1664525 + 1013904223
+		return float64(s>>8) / (1 << 24)
+	}
+	fns := make([]speed.Function, p)
+	for i := range fns {
+		peak := 1e7 * (1 + 9*unit())
+		paging := 1e7 * (1 + 49*unit())
+		var pts []speed.Point
+		for x := 1e3; x < 5e8; x *= 8 {
+			r := x / paging
+			pts = append(pts, speed.Point{X: x, Y: peak * (0.02 + 0.98/(1+r*r))})
+		}
+		r := 2e9 / paging
+		fns[i] = speed.MustPiecewiseLinear(append(pts, speed.Point{X: 2e9, Y: peak * (0.02 + 0.98/(1+r*r))}))
+	}
+	return speed.NewModel(fns)
+}
+
 // BenchmarkPartitionThroughput measures one partition request through each
 // serving tier: a cold free-function call (allocates its result and runs the
 // paper's tangent bisection), a warm reusable Partitioner running the plan
@@ -319,10 +344,14 @@ func benchPWLCluster(b *testing.B, p int) []speed.Function {
 // cache has not seen (nearmiss). The cached and nearmiss rows build the
 // model handle once, outside the timed loop, as a model upload does; their
 // requests never hash the model. p = 1080 is the largest model of
-// Figure 21 and of perfbench's cold mix. scripts/bench.sh partition
-// records these rows into BENCH_partition.json, and scripts/ci.sh fails the
-// build if the warm path ever allocates again or a cached hit costs more
-// than a tenth of a warm partition.
+// Figure 21 and of perfbench's cold mix. Each of those rows runs one
+// model, whose knot table stays in cache; p=mix/nearmiss misses on eight
+// perfbench-shaped models in turn (two per processor count of perfbench's
+// cold mix, 5,400 processors in all) at fresh sizes in [2.5e8, 2e9), so
+// each plan's first rays read a table the others evicted.
+// scripts/bench.sh partition records these rows into BENCH_partition.json,
+// and scripts/ci.sh fails the build if the warm path ever allocates again
+// or a cached hit costs more than a tenth of a warm partition.
 func BenchmarkPartitionThroughput(b *testing.B) {
 	const n = 1_000_000_000
 	for _, p := range []int{12, 64, 256, 1080} {
@@ -380,6 +409,29 @@ func BenchmarkPartitionThroughput(b *testing.B) {
 			})
 		})
 	}
+	var models []*speed.Model
+	for _, p := range []int{270, 540, 810, 1080} {
+		models = append(models, perfbenchModel(p, uint32(p)), perfbenchModel(p, uint32(p)+1))
+	}
+	b.Run("p=mix/nearmiss", func(b *testing.B) {
+		c := plancache.New(0)
+		// Warm the cache's partitioner pool and pack every model's table.
+		for _, m := range models {
+			if _, err := c.Get(core.AlgoCombined, n, m); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// perfbench cold's sizes: a stride coprime to the span makes
+			// every size new.
+			size := 250_000_000 + int64(i)*1_000_003%1_750_000_000
+			if _, err := c.Get(core.AlgoCombined, size, models[i%len(models)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // refreshBenchModels builds the drift pair for BenchmarkModelRefresh: a

@@ -31,17 +31,17 @@ func SingleNumber(n int64, speeds []float64) (Allocation, error) {
 		alloc[i] = int64(math.Floor(float64(n) * s / total))
 		assigned += alloc[i]
 	}
-	h := make([]incrementCandidate, 0, p)
+	h := make([]unit, 0, p)
 	for i, s := range speeds {
 		if s > 0 {
-			h = append(h, incrementCandidate{idx: i, time: float64(alloc[i]+1) / s})
+			h = append(h, unit{t: float64(alloc[i]+1) / s, i: i, x: alloc[i] + 1})
 		}
 	}
 	heapInit(h)
 	for rem := n - assigned; rem > 0; rem-- {
-		i := h[0].idx
+		i := h[0].i
 		alloc[i]++
-		h[0].time = float64(alloc[i]+1) / speeds[i]
+		h[0].t, h[0].x = float64(alloc[i]+1)/speeds[i], alloc[i]+1
 		heapFixTop(h)
 	}
 	return alloc, nil

@@ -7,21 +7,46 @@ import (
 
 // fineTune converts the non-integer geometric optimum into an integer
 // allocation summing exactly to n. It starts from the floor of the
-// under-allocating (steep-ray) intersections and hands out the remaining
-// units one by one, each time to the processor whose execution time grows
-// the least — the O(p·log₂ p) counterpart of the paper's "sort the 2p
-// candidate execution times and keep the p best" (see DESIGN.md for why
-// this reading is used).
+// under-allocating (steep-ray) intersections, hands out the remaining
+// units to the processors whose execution times grow the least, and
+// settles the result at the canonical fixed point (stabilize). Handing the
+// units out is the paper's "keep the p best of the 2p candidate execution
+// times" (see DESIGN.md for why this reading is used), which is a
+// selection, not a sort: fillSelect finds the deficit-th smallest
+// candidate time in expected O(p) and gives a unit to every candidate at
+// or below it. Where that set is ambiguous (candidates tie across the
+// deficit, a processor's times do not increase strictly, the selection
+// runs past its budget), fillHeap hands the units out one at a time from
+// the O(p + deficit·log p) heap every plan was recorded with, whose order
+// among equal times decides, so every plan keeps its bytes.
 //
 // The allocation is written into the caller's destination buffer and the
-// heap lives in the state's scratch slice, so a warm run allocates
-// nothing. The heap helpers below replicate container/heap's algorithm
-// operation for operation, so element movement — and therefore tie-breaking
-// among equal times — is identical to the previous implementation.
+// candidates live in the state's scratch slices, so a warm run allocates
+// nothing.
 func (s *state) fineTune(xSteep []float64) Allocation {
-	p := len(s.fns)
+	deficit := s.floorBase(xSteep)
+	alloc, caps := s.dst, s.caps
+	switch {
+	case deficit < 0:
+		// Flooring an under-allocation cannot overshoot, but guard against
+		// callers with degenerate inputs: shave from the slowest.
+		s.shave(alloc, -deficit)
+	case deficit > 0:
+		s.fronts(alloc, caps)
+		if s.fillSelect(alloc, caps, deficit) != filled {
+			s.fillHeap(alloc, caps, deficit)
+		}
+	}
+	s.stabilize(alloc, caps)
+	return alloc
+}
+
+// floorBase writes the floored, capped steep intersections into s.dst and
+// the floored domain ends into s.caps, and returns n minus their sum, the
+// units fine-tuning still has to hand out.
+func (s *state) floorBase(xSteep []float64) int64 {
 	alloc := s.dst
-	s.caps = grow(s.caps, p)
+	s.caps = grow(s.caps, len(s.fns))
 	caps := s.caps
 	var total int64
 	for i := range s.fns {
@@ -36,39 +61,199 @@ func (s *state) fineTune(xSteep []float64) Allocation {
 		alloc[i] = x
 		total += x
 	}
-	deficit := int64(s.n) - total
-	if deficit <= 0 {
-		// Flooring an under-allocation cannot overshoot, but guard against
-		// callers with degenerate inputs: shave from the slowest.
-		s.shave(alloc, -deficit)
-		s.stabilize(alloc, caps)
-		return alloc
-	}
-	if cap(s.heap) < p {
-		s.heap = make([]incrementCandidate, 0, p)
-	}
-	h := s.heap[:0]
-	for i := range s.fns {
-		if alloc[i] < caps[i] {
-			h = append(h, incrementCandidate{idx: i, time: s.timeAt(i, alloc[i]+1)})
+	return int64(s.n) - total
+}
+
+// unit is a fill candidate: processor i's execution time t at allocation
+// x, what giving it its x-th element would cost.
+type unit struct {
+	t float64
+	i int
+	x int64
+}
+
+// fronts fills s.units with every processor's first candidate, the time
+// at one unit above its allocation, in processor order for the processors
+// below their caps.
+func (s *state) fronts(alloc Allocation, caps []int64) {
+	units := s.units[:0]
+	for i, x := range alloc {
+		if x < caps[i] {
+			units = append(units, unit{t: s.timeAt(i, x+1), i: i, x: x + 1})
 		}
 	}
+	s.units = units
+}
+
+// fallback is why fillSelect left a fill to the heap; filled is none.
+type fallback uint8
+
+const (
+	filled fallback = iota
+	// fallbackTie: candidates equal to the deficit-th smallest time are
+	// left out, so the heap's order among equal times decides.
+	fallbackTie
+	// fallbackOrder: a processor's times do not increase strictly, or a
+	// time is NaN.
+	fallbackOrder
+	// fallbackBudget: the selection or the rounds ran out of budget.
+	fallbackBudget
+)
+
+// maxFillRounds bounds fillSelect's selections: a processor that takes k
+// units needs k rounds.
+const maxFillRounds = 4
+
+// fillSelect hands the deficit out by selection from the fronts in
+// s.units, or reports why it would not reproduce fillHeap and leaves
+// alloc and s.units as they were.
+//
+// Let T be the deficit-th smallest candidate time. When no candidate
+// above that rank equals T, and every processor that takes its candidate
+// either reaches its cap or has a next time above T, the heap's first
+// deficit pops are exactly the candidates at or below T: while one is
+// left the heap's minimum is at most T, and every time it pushes is above
+// T. Which order they pop in does not matter, since all are taken. A
+// taken processor whose next time is at or below T gets it as one more
+// candidate, and T is selected again (with fewer candidates than units,
+// every candidate is taken and T is infinite). A processor's times must
+// increase strictly, so that its candidates at or below T are a prefix.
+// maxFillRounds rounds of one selection each, and selectKth's work
+// budget, bound what a fill that falls back to the heap wasted.
+func (s *state) fillSelect(alloc Allocation, caps []int64, deficit int64) fallback {
+	k := int(deficit) - 1
+	units, m := s.units, len(s.units)
+	// Keep the capacity the candidates grew to, and the fronts.
+	defer func() { s.units = units[:m] }()
+	for _, u := range units {
+		if u.t != u.t {
+			return fallbackOrder
+		}
+	}
+	t := math.Inf(1)
+	for round, from := 0, 0; ; round++ {
+		if round == maxFillRounds {
+			return fallbackBudget
+		}
+		if k < len(units) {
+			sel := grow(s.sel, len(units))
+			s.sel = sel
+			for j, u := range units {
+				sel[j] = u.t
+			}
+			var le int
+			var ok bool
+			if t, le, ok = selectKth(sel, k); !ok {
+				return fallbackBudget
+			}
+			if le != k+1 {
+				return fallbackTie
+			}
+		}
+		// Only processors whose last candidate the previous round added
+		// (every front, in the first) can take a further unit at T.
+		to := len(units)
+		for j := from; j < to; j++ {
+			u := units[j]
+			if !(u.t <= t) || u.x >= caps[u.i] {
+				continue
+			}
+			next := s.timeAt(u.i, u.x+1)
+			if next > t {
+				continue
+			}
+			if !(next > u.t) {
+				return fallbackOrder
+			}
+			units = append(units, unit{t: next, i: u.i, x: u.x + 1})
+		}
+		if len(units) == to && k < to {
+			break
+		}
+		from = to
+	}
+	for _, u := range units {
+		alloc[u.i] += int64(b2i(u.t <= t))
+	}
+	s.stats.FineTuneMoves += int(deficit)
+	return filled
+}
+
+// fillHeap hands the deficit out one unit at a time, each to the processor
+// whose execution time grows the least, from a min-heap over the fronts in
+// s.units that replicates container/heap's algorithm operation for
+// operation, so its order among equal times is the one every plan was
+// recorded with.
+func (s *state) fillHeap(alloc Allocation, caps []int64, deficit int64) {
+	h := s.units
 	heapInit(h)
 	for deficit > 0 && len(h) > 0 {
-		i := h[0].idx
+		i := h[0].i
 		alloc[i]++
 		deficit--
 		s.stats.FineTuneMoves++
 		if alloc[i] < caps[i] {
-			h[0].time = s.timeAt(i, alloc[i]+1)
+			h[0].t, h[0].x = s.timeAt(i, alloc[i]+1), alloc[i]+1
 			heapFixTop(h)
 		} else {
 			h = heapPopTop(h)
 		}
 	}
-	s.heap = h[:0]
-	s.stabilize(alloc, caps)
-	return alloc
+}
+
+// selectKth returns the k-th smallest value of a (from 0), reordering a,
+// and the number of values at or below it. It is a quickselect with a
+// median-of-three pivot whose three-way partition passes never branch on
+// their comparisons. It gives up, reporting false, once its passes have
+// read 8·len(a) values, which random orders practically never reach.
+func selectKth(a []float64, k int) (v float64, le int, ok bool) {
+	lo, hi := 0, len(a)
+	for budget := 8 * len(a); ; {
+		if budget -= hi - lo; budget < 0 {
+			return 0, 0, false
+		}
+		pivot := median3(a[lo], a[int(uint(lo+hi)>>1)], a[hi-1])
+		// a[lo:lt] < pivot ≤ a[lt:hi]: swap every value in, keep it
+		// only when it is below.
+		lt := lo
+		for j := lo; j < hi; j++ {
+			x := a[j]
+			a[j] = a[lt]
+			a[lt] = x
+			lt += b2i(x < pivot)
+		}
+		if k < lt {
+			hi = lt
+			continue
+		}
+		// a[lt:eq] == pivot < a[eq:hi].
+		eq := lt
+		for j := lt; j < hi; j++ {
+			x := a[j]
+			a[j] = a[eq]
+			a[eq] = x
+			eq += b2i(x == pivot)
+		}
+		if k < eq {
+			// Everything left of lt is below the pivot and everything
+			// from eq on above it, as in every earlier round.
+			return pivot, eq, true
+		}
+		lo = eq
+	}
+}
+
+// median3 returns the median of a, b and c, none of them NaN.
+func median3(a, b, c float64) float64 {
+	return max(min(a, b), min(max(a, b), c))
+}
+
+// b2i is 1 for true and 0 for false, compiled to a flag read.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // stabilize drives the allocation to the canonical fixed point of
@@ -266,26 +451,21 @@ func (s *state) shave(alloc Allocation, excess int64) {
 	}
 }
 
-type incrementCandidate struct {
-	idx  int
-	time float64
-}
-
-// heapDown is container/heap's sift-down on a min-heap over time, limited
+// heapDown is container/heap's sift-down on a min-heap over t, limited
 // to the first n elements. It moves the sifted element into its final
 // slot once instead of swapping it down level by level; the comparisons,
 // and so the resulting order, are container/heap's.
-func heapDown(h []incrementCandidate, i0, n int) {
+func heapDown(h []unit, i0, n int) {
 	i, e := i0, h[i0]
 	for {
 		j := 2*i + 1
 		if j >= n || j < 0 {
 			break
 		}
-		if j2 := j + 1; j2 < n && h[j2].time < h[j].time {
+		if j2 := j + 1; j2 < n && h[j2].t < h[j].t {
 			j = j2
 		}
-		if !(h[j].time < e.time) {
+		if !(h[j].t < e.t) {
 			break
 		}
 		h[i] = h[j]
@@ -295,7 +475,7 @@ func heapDown(h []incrementCandidate, i0, n int) {
 }
 
 // heapInit establishes the heap invariant (container/heap's Init).
-func heapInit(h []incrementCandidate) {
+func heapInit(h []unit) {
 	n := len(h)
 	for i := n/2 - 1; i >= 0; i-- {
 		heapDown(h, i, n)
@@ -304,13 +484,13 @@ func heapInit(h []incrementCandidate) {
 
 // heapFixTop restores the invariant after h[0] changed (container/heap's
 // Fix at index 0, where sift-up is a no-op).
-func heapFixTop(h []incrementCandidate) {
+func heapFixTop(h []unit) {
 	heapDown(h, 0, len(h))
 }
 
 // heapPopTop removes the minimum element (container/heap's Pop) and
 // returns the shortened slice.
-func heapPopTop(h []incrementCandidate) []incrementCandidate {
+func heapPopTop(h []unit) []unit {
 	n := len(h) - 1
 	h[0], h[n] = h[n], h[0]
 	heapDown(h, 0, n)

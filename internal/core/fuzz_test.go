@@ -84,11 +84,23 @@ func FuzzFineTuneInvariants(f *testing.F) {
 	})
 }
 
-// fineTuneFuzzSeeds are FuzzFineTuneInvariants' seeds.
+// fineTuneFuzzSeeds are FuzzFineTuneInvariants' seeds. Beside the first,
+// each takes one of the fill's harder paths from the base its search
+// converges to (see fillSelect).
 var fineTuneFuzzSeeds = []struct {
 	nSeed      uint32
 	s1, s2, s3 uint16
-}{{77, 100, 250, 50}}
+}{
+	{77, 100, 250, 50},
+	// A partial tie: two of three candidates equal the second smallest,
+	// so the heap's order decides.
+	{192554050, 57020, 1322, 209},
+	// A second unit: the fastest processor's next time is below the
+	// deficit-th candidate.
+	{13785172, 56953, 267, 41},
+	// More units than candidates: four units over three processors.
+	{231243701, 10617, 4024, 13},
+}
 
 // fineTuneFuzzCase builds FuzzFineTuneInvariants' input.
 func fineTuneFuzzCase(nSeed uint32, s1, s2, s3 uint16) (int64, []speed.Function) {

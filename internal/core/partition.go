@@ -23,7 +23,8 @@
 //     are locally too flat for slope bisection to make progress.
 //
 // All three finish with the fine-tuning step that converts the non-integer
-// geometric optimum into an integer allocation in O(p·log₂ p).
+// geometric optimum into an integer allocation: the paper's O(p·log₂ p)
+// step, here a selection in expected O(p).
 //
 // The package also ships the baselines the paper compares against (the
 // single-number model and the even distribution) and two extensions of the
@@ -251,10 +252,11 @@ type state struct {
 	crossed bool
 	// b is the reusable search region between the two bounding rays.
 	b bounds
-	// caps and heap are the fine-tuning scratch buffers, donors and
-	// receivers stabilize's.
+	// caps, units and sel are the fine-tuning scratch buffers (units is
+	// also the fallback fill's heap), donors and receivers stabilize's.
 	caps              []int64
-	heap              []incrementCandidate
+	units             []unit
+	sel               []float64
 	donors, receivers tieHeap
 }
 

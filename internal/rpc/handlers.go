@@ -752,17 +752,11 @@ func (wr *wireRequest) toOpts(sc *wireScratch) ([]core.Option, error) {
 }
 
 // errUnknownModel is wireToServe's error for a model name the catalog does
-// not resolve. Its text names the model, so modelError builds it only
-// where a response carries it: an edge relaying the request drops it.
+// not resolve. The message a response carries names the model, and is
+// appended straight into the response (appendUnknownModel), so this
+// commonest client error allocates nothing; an edge relaying the request
+// drops it.
 var errUnknownModel = errors.New("unknown model")
-
-// modelError returns err, naming the model when it is errUnknownModel.
-func modelError(err error, model []byte) error {
-	if err == errUnknownModel {
-		return fmt.Errorf("unknown model %q (upload it via /v1/models)", model)
-	}
-	return err
-}
 
 // parseFingerprint parses a hex fingerprint with an optional "0x", as
 // strconv.ParseUint(s, 16, 64) would, without building its error.
@@ -856,9 +850,16 @@ func (d *Daemon) servePartitionSingle(w http.ResponseWriter, ask partitionAsk, s
 		// An edge hit answers below, and so does a request whose owner
 		// is down: every member can compute every plan.
 	}
+	if err == errUnknownModel {
+		ts.Errors.Add(1)
+		sc.out = appendUnknownModel(append(sc.out[:0], `{"error":"`...), sc.spanBytes(wr.model))
+		sc.out = append(sc.out, "\"}\n"...)
+		writeBody(w, http.StatusBadRequest, sc.out)
+		return
+	}
 	if err != nil {
 		ts.Errors.Add(1)
-		httpError(w, http.StatusBadRequest, "%v", modelError(err, sc.spanBytes(wr.model)))
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	tier := plancache.TierHit
@@ -963,7 +964,7 @@ func (d *Daemon) servePartitionBatch(w http.ResponseWriter, forwarded bool, sc *
 		}
 		req, err := d.wireToServe(sc, &sc.reqs[i])
 		if err != nil {
-			it.err = modelError(err, sc.spanBytes(sc.reqs[i].model))
+			it.err = err
 			continue
 		}
 		start := len(sc.arena)
@@ -996,6 +997,10 @@ func (d *Daemon) servePartitionBatch(w http.ResponseWriter, forwarded bool, sc *
 		switch {
 		case it.retry > 0:
 			out = appendReply(out, nil, 0, "", &zero, "tenant over quota; retry after "+strconv.Itoa(it.retry)+"s")
+		case it.err == errUnknownModel:
+			it.ts.Errors.Add(1)
+			out = appendUnknownModel(append(appendReplyHead(out, nil, 0, "", &zero), `,"error":"`...), sc.spanBytes(sc.reqs[i].model))
+			out = append(out, '"', '}')
 		case it.err != nil:
 			it.ts.Errors.Add(1)
 			out = appendReply(out, nil, 0, "", &zero, it.err.Error())

@@ -1117,6 +1117,17 @@ func appendStats(dst []byte, st *core.Stats) []byte {
 // appendReply appends one partitionReply object: field order and
 // omitempty semantics match the struct tags exactly.
 func appendReply(dst []byte, alloc []int64, slope float64, tier string, st *core.Stats, errMsg string) []byte {
+	dst = appendReplyHead(dst, alloc, slope, tier, st)
+	if errMsg != "" {
+		dst = append(dst, `,"error":`...)
+		dst = appendJSONString(dst, errMsg)
+	}
+	return append(dst, '}')
+}
+
+// appendReplyHead appends a partitionReply object up to its error field,
+// which is last, leaving the object open.
+func appendReplyHead(dst []byte, alloc []int64, slope float64, tier string, st *core.Stats) []byte {
 	dst = append(dst, '{')
 	if len(alloc) > 0 {
 		dst = append(dst, `"alloc":[`...)
@@ -1139,12 +1150,47 @@ func appendReply(dst []byte, alloc []int64, slope float64, tier string, st *core
 		dst = append(dst, ',')
 	}
 	dst = append(dst, `"stats":`...)
-	dst = appendStats(dst, st)
-	if errMsg != "" {
-		dst = append(dst, `,"error":`...)
-		dst = appendJSONString(dst, errMsg)
+	return appendStats(dst, st)
+}
+
+// appendUnknownModel appends the text of the error for a model name the
+// catalog does not resolve, `unknown model %q (upload it via /v1/models)`,
+// as appendJSONString escapes it but without its quotes: the name is
+// quoted as fmt's %q quotes it and escaped for JSON in one pass, and
+// neither step builds a string.
+func appendUnknownModel(dst, name []byte) []byte {
+	dst = append(dst, `unknown model \"`...)
+	var q [16]byte
+	for len(name) > 0 {
+		// esc is the rune as %q writes it: printable, or an ASCII escape.
+		r, w := utf8.DecodeRune(name)
+		var esc []byte
+		switch {
+		case r == utf8.RuneError && w == 1:
+			esc = append(q[:0], '\\', 'x', hexDigits[name[0]>>4], hexDigits[name[0]&0xF])
+		case r == '"':
+			esc = append(q[:0], '\\', '"')
+		case r == '\'':
+			esc = append(q[:0], '\'')
+		default:
+			esc = strconv.AppendQuoteRune(q[:0], r)
+			esc = esc[1 : len(esc)-1]
+		}
+		// JSON escapes nothing else a printable rune or such an escape
+		// holds.
+		for _, c := range esc {
+			switch c {
+			case '\\', '"':
+				dst = append(dst, '\\', c)
+			case '<', '>', '&':
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			default:
+				dst = append(dst, c)
+			}
+		}
+		name = name[w:]
 	}
-	return append(dst, '}')
+	return append(dst, `\" (upload it via /v1/models)`...)
 }
 
 // appendErrorBody appends the {"error": msg} document httpError sends.

@@ -550,6 +550,72 @@ func TestHTTPErrorShape(t *testing.T) {
 	}
 }
 
+// unknownModelNames are names no catalog holds, covering every way %q and
+// JSON escape a byte: ASCII, non-ASCII UTF-8, invalid UTF-8, quotes,
+// backslashes, control, HTML and unprintable characters, runes past the
+// BMP, and a name over 32 bytes.
+var unknownModelNames = []string{
+	"nosuch", "modèle/日本語", "\xff\xfe", "half\xc3", `q"u'o"te`, `back\slash\\`,
+	strings.Repeat("long-model-name-", 4), "tab\tnl\nnul\x00del\x7f\x1b", "<b>&amp;</b>",
+	"sep\u2028\u2029", "\ufffd", "emoji\U0001f600", "tag\U000e0001", "nbsp\u00a0soft\u00ad",
+}
+
+// TestUnknownModelBodyMatchesFmt holds the unknown-model errors, appended
+// straight into the response, to the fmt formatting they replaced
+// (fmt.Errorf's %q of the name, encoded by appendErrorBody or appendReply)
+// byte for byte: from the appender for every name, and over a real daemon,
+// as a single request's 400 and as a batch element, for every name the
+// parser can deliver (it decodes invalid UTF-8 to U+FFFD, as
+// encoding/json does).
+func TestUnknownModelBodyMatchesFmt(t *testing.T) {
+	var zero core.Stats
+	message := func(name []byte) string {
+		return fmt.Errorf("unknown model %q (upload it via /v1/models)", name).Error()
+	}
+	for _, name := range unknownModelNames {
+		msg := message([]byte(name))
+		got := append(appendUnknownModel([]byte(`{"error":"`), []byte(name)), "\"}\n"...)
+		if want := appendErrorBody(nil, msg); !bytes.Equal(got, want) {
+			t.Errorf("name %q: body\n got %q\nwant %q", name, got, want)
+		}
+		got = append(appendUnknownModel(append(appendReplyHead(nil, nil, 0, "", &zero), `,"error":"`...), []byte(name)), '"', '}')
+		if want := appendReply(nil, nil, 0, "", &zero, msg); !bytes.Equal(got, want) {
+			t.Errorf("name %q: batch entry\n got %q\nwant %q", name, got, want)
+		}
+	}
+	_, base := startDaemon(t, Config{Dir: t.TempDir()})
+	for _, name := range unknownModelNames {
+		// The name as a JSON string, escaping only what JSON requires, so
+		// non-ASCII and invalid bytes reach the parser raw.
+		raw := []byte{'"'}
+		for _, c := range []byte(name) {
+			switch {
+			case c == '"' || c == '\\':
+				raw = append(raw, '\\', c)
+			case c < 0x20:
+				raw = fmt.Appendf(raw, `\u%04x`, c)
+			default:
+				raw = append(raw, c)
+			}
+		}
+		raw = append(raw, '"')
+		var decoded string
+		if err := json.Unmarshal(raw, &decoded); err != nil {
+			t.Fatalf("name %q: %v", name, err)
+		}
+		msg := message([]byte(decoded))
+		code, got := postBody(t, base+"/v1/partition", `{"model":`+string(raw)+`,"n":5}`)
+		if want := appendErrorBody(nil, msg); code != http.StatusBadRequest || !bytes.Equal(got, want) {
+			t.Errorf("name %q: HTTP %d body\n got %q\nwant 400 %q", name, code, got, want)
+		}
+		code, got = postBody(t, base+"/v1/partition", `{"requests":[{"model":`+string(raw)+`,"n":5}]}`)
+		want := append(append([]byte(`{"responses":[`), appendReply(nil, nil, 0, "", &zero, msg)...), "]}\n"...)
+		if code != http.StatusOK || !bytes.Equal(got, want) {
+			t.Errorf("name %q: batch HTTP %d body\n got %q\nwant 200 %q", name, code, got, want)
+		}
+	}
+}
+
 // TestParseFingerprintMatchesParseUint holds the daemon's allocation-free
 // fingerprint parse to strconv.ParseUint's base-16 rule after an optional
 // "0x": the same accepted names and the same values.
