@@ -15,8 +15,10 @@ package heteropart
 //     describe the handler path itself with the connection machinery
 //     excluded. ci.sh gates the warm path at 0 B/op and 0 allocs/op, at
 //     -cpu 1.
+//   - BenchmarkDaemonModelUpload measures model ingest: the decode of
+//     perfbench's cold upload documents, and their upload over HTTP.
 //
-// scripts/bench.sh daemon records both into BENCH_daemon.json.
+// scripts/bench.sh daemon records all three into BENCH_daemon.json.
 
 import (
 	"bufio"
@@ -24,8 +26,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -315,7 +319,8 @@ func (r *handlerRig) do(b *testing.B, wantCode int) {
 
 // BenchmarkDaemonHandler measures the handler path with net/http's
 // connection machinery excluded: B/op and allocs/op here are the wire
-// codec's own footprint. The warm path is gated in ci.sh.
+// codec's own footprint. ci.sh gates the warm path and the 400s for an
+// unknown model (error) and an unknown algorithm (badalgo).
 func BenchmarkDaemonHandler(b *testing.B) {
 	d, err := rpc.New(rpc.Config{Dir: b.TempDir()})
 	if err != nil {
@@ -346,6 +351,8 @@ func BenchmarkDaemonHandler(b *testing.B) {
 
 	errRig := newHandlerRig(b, h, http.MethodPost, "/v1/partition", []byte(`{"model":"nosuch","n":5000000}`))
 	errRig.do(b, 400)
+	badAlgo := newHandlerRig(b, h, http.MethodPost, "/v1/partition", []byte(`{"model":"m","n":5000000,"algo":"nosuch"}`))
+	badAlgo.do(b, 400)
 
 	b.Run("warm", func(b *testing.B) {
 		b.ReportAllocs()
@@ -363,6 +370,96 @@ func BenchmarkDaemonHandler(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			errRig.do(b, 400)
+		}
+	})
+	b.Run("badalgo", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			badAlgo.do(b, 400)
+		}
+	})
+}
+
+// uploadDocs returns the upload documents perfbench's cold workload draws
+// with seed 1 (2.0 MB, 5,400 processors): for each of two tenants, one
+// model per processor count 270, 540, 810 and 1080, each processor's
+// knots drawn as perfbench's speedKnots draws them.
+func uploadDocs() (labels []string, docs [][]byte) {
+	rng := rand.New(rand.NewSource(1))
+	for t := 0; t < 2; t++ {
+		for _, p := range []int{270, 540, 810, 1080} {
+			var doc clusterio.Cluster
+			for j := 0; j < p; j++ {
+				peak, paging := 1e7*(1+9*rng.Float64()), 1e7*(1+49*rng.Float64())
+				speedAt := func(x float64) speed.Point {
+					r := x / paging
+					return speed.Point{X: x, Y: peak * (0.02 + 0.98/(1+r*r))}
+				}
+				var pts []speed.Point
+				for x := 1e3; x < 2e9/4; x *= 8 {
+					pts = append(pts, speedAt(x))
+				}
+				pts = append(pts, speedAt(2e9))
+				doc.Processors = append(doc.Processors, clusterio.Processor{Name: "p" + strconv.Itoa(j), Points: pts})
+			}
+			data, err := json.Marshal(doc)
+			if err != nil {
+				panic(err)
+			}
+			labels = append(labels, fmt.Sprintf("t%d/p%d", t, p))
+			docs = append(docs, data)
+		}
+	}
+	return labels, docs
+}
+
+// BenchmarkDaemonModelUpload measures model ingest on uploadDocs, all
+// eight documents per op: decode is clusterio.Load's one-pass scan,
+// encodingjson the reference decoder it replaced (json.Decoder with
+// DisallowUnknownFields, then Validate), and http posts the eight to a
+// real daemon over loopback, which also expands, fingerprints and stores
+// each model. ci.sh requires decode at most half of encodingjson's ns/op
+// in one run.
+func BenchmarkDaemonModelUpload(b *testing.B) {
+	labels, docs := uploadDocs()
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, doc := range docs {
+				if _, err := clusterio.Load(bytes.NewReader(doc)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("encodingjson", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, doc := range docs {
+				dec := json.NewDecoder(bytes.NewReader(doc))
+				dec.DisallowUnknownFields()
+				var c clusterio.Cluster
+				if err := dec.Decode(&c); err != nil {
+					b.Fatal(err)
+				}
+				if err := c.Validate(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("http", func(b *testing.B) {
+		rc := dialRaw(b, strings.TrimPrefix(startBenchDaemon(b), "http://"))
+		reqs := make([][]byte, len(docs))
+		for i, doc := range docs {
+			reqs[i] = rawRequest("/v1/models?label="+labels[i], doc)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, req := range reqs {
+				rc.send(b, req, 1, "HTTP/1.1 200")
+			}
 		}
 	})
 }

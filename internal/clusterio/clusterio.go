@@ -7,11 +7,13 @@
 package clusterio
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"heteropart/internal/faults"
 	"heteropart/internal/machine"
@@ -66,18 +68,26 @@ type Cluster struct {
 	Faults []string `json:"faults,omitempty"`
 }
 
-// Load parses and validates a cluster document.
+// readBufs recycles Load's read buffers: what decode returns, a Cluster
+// or an error, copies every byte it keeps out of the buffer.
+var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// Load reads a cluster document whole, decodes it in one pass (see
+// decode.go for the contract that keeps every result encoding/json's) and
+// validates it.
 func Load(r io.Reader) (*Cluster, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var c Cluster
-	if err := dec.Decode(&c); err != nil {
-		return nil, fmt.Errorf("clusterio: %w", err)
+	buf := readBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err := buf.ReadFrom(r)
+	c, err := decode(buf.Bytes(), err)
+	readBufs.Put(buf)
+	if err != nil {
+		return nil, err
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return &c, nil
+	return c, nil
 }
 
 // Validate checks the document shape before any expensive expansion and

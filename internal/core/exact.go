@@ -112,18 +112,29 @@ func maxLoadWithin(st *state, i int, bound int64, t float64) int64 {
 	if bound <= 0 || st.timeAt(i, 1) > t {
 		return 0
 	}
-	lo, hi := int64(1), bound
-	if st.timeAt(i, hi) <= t {
-		return hi
+	if st.timeAt(i, bound) <= t {
+		return bound
 	}
+	x, probes := st.lastWithin(i, 1, bound, t)
+	st.stats.Intersections += probes
+	return x
+}
+
+// lastWithin bisects for the largest load in [lo, hi) whose execution
+// time on processor i is at most t, and counts the loads it probes. It
+// probes only loads strictly between lo and hi: lo's time is at most t,
+// or lo is where the count starts, and hi's is above t, or hi lies past
+// the loads counted.
+func (st *state) lastWithin(i int, lo, hi int64, t float64) (int64, int) {
+	probes := 0
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
-		st.stats.Intersections++
+		probes++
 		if st.timeAt(i, mid) <= t {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	return lo
+	return lo, probes
 }

@@ -18,7 +18,9 @@ import (
 // deficit, a processor's times do not increase strictly, the selection
 // runs past its budget), fillHeap hands the units out one at a time from
 // the O(p + deficit·log p) heap every plan was recorded with, whose order
-// among equal times decides, so every plan keeps its bytes.
+// among equal times decides, so every plan keeps its bytes. A large
+// deficit, which a search stopped early leaves, is first counted out by
+// makespan (fillCount), which gives what the heap gives unless times tie.
 //
 // The allocation is written into the caller's destination buffer and the
 // candidates live in the state's scratch slices, so a warm run allocates
@@ -33,7 +35,8 @@ func (s *state) fineTune(xSteep []float64) Allocation {
 		s.shave(alloc, -deficit)
 	case deficit > 0:
 		s.fronts(alloc, caps)
-		if s.fillSelect(alloc, caps, deficit) != filled {
+		if s.fillSelect(alloc, caps, deficit) != filled &&
+			!(deficit > countFillMin*int64(len(alloc)) && s.fillCount(alloc, caps, deficit)) {
 			s.fillHeap(alloc, caps, deficit)
 		}
 	}
@@ -177,6 +180,109 @@ func (s *state) fillSelect(alloc Allocation, caps []int64, deficit int64) fallba
 	}
 	s.stats.FineTuneMoves += int(deficit)
 	return filled
+}
+
+// countFillMin is the deficit per processor above which a fill the
+// selection gave up on is counted (fillCount) before it is left to the
+// heap, whose cost grows with the deficit: a search stopped early by
+// WithMaxSteps, an option any client of the daemon may send, leaves up to
+// n units.
+const countFillMin = 64
+
+// maxCountRounds bounds fillCount's search. Every third round bisects, so
+// the bracket narrows to adjacent floats well within it.
+const maxCountRounds = 200
+
+// countRange is processor i's number of units above its allocation that
+// cost at most fillCount's lower bracket end (lo), its upper end (hi), and
+// the time it probes (mid).
+type countRange struct{ lo, mid, hi int64 }
+
+// fillCount hands the deficit out by counting, or reports false and
+// leaves alloc as it was. It searches for a makespan T at which exactly
+// deficit units above alloc cost at most T, and gives each processor its
+// units up to T. Under the shape assumption a processor's times increase
+// with its load, so its units at or below T are a prefix, which
+// lastWithin counts by bisection. When exactly deficit units cost at most
+// T, they are the heap's deficit pops: while one is left, the heap's
+// minimum is at most T, since that processor's front comes no later.
+//
+// A bracket of makespans, with fewer units than the deficit at its lower
+// end and more at its upper end, narrows by regula falsi on the count
+// (Illinois, so neither end sticks) until the count at a probe is the
+// deficit. No such T exists when units tie across the deficit's rank: the
+// bracket closes to adjacent floats, and fillCount leaves the fill to the
+// heap, as it does for times that are not finite.
+func (s *state) fillCount(alloc Allocation, caps []int64, deficit int64) bool {
+	s.ranges = grow(s.ranges, len(alloc))
+	r := s.ranges
+	var nHi int64
+	for i, x := range alloc {
+		// No processor takes more than the deficit.
+		r[i] = countRange{hi: min(caps[i]-x, deficit)}
+		nHi += r[i].hi
+	}
+	if nHi <= deficit {
+		// Every unit is one of the heap's pops (the heap runs dry first
+		// when there are fewer, which n within the caps rules out).
+		for i := range alloc {
+			alloc[i] += r[i].hi
+		}
+		s.stats.FineTuneMoves += int(nHi)
+		return true
+	}
+	tLo, tHi := 0.0, 0.0
+	for i, x := range alloc {
+		if r[i].hi > 0 {
+			tHi = max(tHi, s.timeAt(i, x+r[i].hi))
+		}
+	}
+	if !(tHi < math.Inf(1)) {
+		return false
+	}
+	wLo, wHi, side := float64(deficit), float64(nHi-deficit), 0
+	for round := 0; round < maxCountRounds; round++ {
+		t := tLo + (tHi-tLo)*(wLo/(wLo+wHi))
+		if round%3 == 2 || !(tLo < t && t < tHi) {
+			t = tLo + (tHi-tLo)/2
+		}
+		if !(tLo < t && t < tHi) {
+			return false
+		}
+		var n int64
+		for i, x := range alloc {
+			last, _ := s.lastWithin(i, x+r[i].lo, x+r[i].hi+1, t)
+			r[i].mid = last - x
+			n += r[i].mid
+		}
+		switch {
+		case n == deficit:
+			for i := range alloc {
+				alloc[i] += r[i].mid
+			}
+			s.stats.FineTuneMoves += int(deficit)
+			return true
+		case n < deficit:
+			for i := range r {
+				r[i].lo = r[i].mid
+			}
+			tLo, wLo = t, float64(deficit-n)
+			if side < 0 {
+				wHi /= 2
+			}
+			side = -1
+		default:
+			for i := range r {
+				r[i].hi = r[i].mid
+			}
+			tHi, wHi = t, float64(n-deficit)
+			if side > 0 {
+				wLo /= 2
+			}
+			side = 1
+		}
+	}
+	return false
 }
 
 // fillHeap hands the deficit out one unit at a time, each to the processor

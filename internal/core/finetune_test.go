@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"heteropart/internal/geometry"
 	"heteropart/internal/machine"
@@ -87,6 +89,29 @@ func fillCases(t *testing.T) []fillCase {
 		add("clamped constant", []speed.Function{speed.MustConstant(2e7, 1e9), speed.MustConstant(1e7, 1e11)}, n)
 		add("clamped pwl", []speed.Function{flat(2e7, 1e9), flat(1e7, 1e11)}, n)
 	}
+	// Searches stopped early by WithMaxSteps leave deficits of up to n
+	// units, which fineTune counts out (fillCount) instead of popping
+	// them one at a time: on the fast path, on the generic path (the same
+	// functions behind opaquePWL, and analytic ones), on pairs of
+	// identical machines, whose ties can keep the heap, and on binding
+	// caps.
+	pwl12 := testPWLCluster(12, 5)
+	opaque12, paired := make([]speed.Function, len(pwl12)), make([]speed.Function, len(pwl12))
+	for i, f := range pwl12 {
+		opaque12[i], paired[i] = opaquePWL{f.(*speed.PiecewiseLinear)}, pwl12[i/2]
+	}
+	capped := func(name string, fns []speed.Function, n int64, algo Algorithm, steps int) {
+		out = append(out, fillCase{fmt.Sprintf("step-capped %d %s n=%d %v", steps, name, n, algo), fns, n, algo, []Option{WithMaxSteps(steps)}})
+	}
+	for steps := 1; steps <= 4; steps++ {
+		for _, algo := range []Algorithm{AlgoBasic, AlgoModified, AlgoCombined} {
+			capped("pwl", pwl12, 1_000_001, algo, steps)
+		}
+		capped("opaque pwl", opaque12, 1_000_001, AlgoCombined, steps)
+		capped("analytic", testCluster(12, 5), 1_000_001, AlgoCombined, steps)
+		capped("paired", paired, 1_000_001, AlgoCombined, steps)
+		capped("unequal domains", pwl(40, 23, shapeUnequalDomains), 1_000_001, AlgoCombined, steps)
+	}
 	s := uint32(41)
 	for _, p := range []int{270, 540, 810, 1080} {
 		fns := perfbenchCluster(p, uint32(p)+1)
@@ -133,36 +158,56 @@ func (c fillCase) search(t *testing.T, pr *Partitioner) bool {
 // same allocation and FineTuneMoves wherever the selection filled; where
 // it fell back it must have left the base as it was. It returns the
 // selection's outcome, or filled with ok false when there was nothing to
-// hand out.
-func compareFills(t *testing.T, name string, s *state) (why fallback, ok bool) {
+// hand out. With count set (the functions keep the shape assumption),
+// every fill the selection fell back on is also counted (fillCount), at
+// any deficit: where the count fills, it must match the heap too, and
+// where it gives up, leave the base and the fronts as they were; counted
+// reports whether it filled.
+func compareFills(t *testing.T, name string, s *state, count bool) (why fallback, counted, ok bool) {
 	t.Helper()
 	deficit := s.floorBase(s.b.xSteep)
 	if deficit <= 0 {
-		return filled, false
+		return filled, false, false
 	}
 	base := slices.Clone(s.dst)
-	s.stats.FineTuneMoves = 0
 	s.fronts(s.dst, s.caps)
 	fronts := slices.Clone(s.units)
-	why = s.fillSelect(s.dst, s.caps, deficit)
-	got, gotMoves := slices.Clone(s.dst), s.stats.FineTuneMoves
-	if !slices.EqualFunc(s.units, fronts, func(a, b unit) bool {
-		return a.i == b.i && a.x == b.x && math.Float64bits(a.t) == math.Float64bits(b.t)
-	}) {
-		t.Fatalf("%s: the selection left candidates %v, not the fronts %v", name, s.units, fronts)
+	sameFronts := func(fill string) {
+		t.Helper()
+		if !slices.EqualFunc(s.units, fronts, func(a, b unit) bool {
+			return a.i == b.i && a.x == b.x && math.Float64bits(a.t) == math.Float64bits(b.t)
+		}) {
+			t.Fatalf("%s: the %s left candidates %v, not the fronts %v", name, fill, s.units, fronts)
+		}
 	}
-	copy(s.dst, base)
 	s.stats.FineTuneMoves = 0
 	s.fillHeap(s.dst, s.caps, deficit)
-	want, wantMoves := s.dst, s.stats.FineTuneMoves
-	if why != filled {
-		want, wantMoves = base, 0
+	heap, heapMoves := slices.Clone(s.dst), s.stats.FineTuneMoves
+	check := func(fill string, done bool) {
+		t.Helper()
+		want, wantMoves := heap, heapMoves
+		if !done {
+			want, wantMoves = base, 0
+		}
+		if !slices.Equal(s.dst, want) || s.stats.FineTuneMoves != wantMoves {
+			t.Fatalf("%s: deficit %d, %s (done %v): %v (%d moves), want %v (%d moves)",
+				name, deficit, fill, done, s.dst, s.stats.FineTuneMoves, want, wantMoves)
+		}
 	}
-	if !slices.Equal(got, want) || gotMoves != wantMoves {
-		t.Fatalf("%s: deficit %d, outcome %d: selection %v (%d moves), want %v (%d moves)",
-			name, deficit, why, got, gotMoves, want, wantMoves)
+	copy(s.dst, base)
+	s.fronts(s.dst, s.caps)
+	s.stats.FineTuneMoves = 0
+	why = s.fillSelect(s.dst, s.caps, deficit)
+	sameFronts("selection")
+	check("selection", why == filled)
+	if count && why != filled {
+		copy(s.dst, base)
+		s.stats.FineTuneMoves = 0
+		counted = s.fillCount(s.dst, s.caps, deficit)
+		sameFronts("count")
+		check("count", counted)
 	}
-	return why, true
+	return why, counted, true
 }
 
 // stepUp is a speed function that breaks the shape constraint: its speed
@@ -200,13 +245,25 @@ func (f nanAbove) MaxSize() float64 { return 1e12 }
 // logged.
 func TestFineTuneFillMatchesHeap(t *testing.T) {
 	pr := NewPartitioner()
-	plans := map[fallback]int{}
+	plans, capped := map[fallback]int{}, map[fallback]int{}
+	// counted[step-capped][count filled] tallies the fallbacks.
+	var counted [2][2]int
 	for _, c := range fillCases(t) {
 		if !c.search(t, pr) {
 			continue
 		}
-		if why, ok := compareFills(t, c.name, &pr.st); ok {
+		why, ok2, ok := compareFills(t, c.name, &pr.st, true)
+		if !ok {
+			continue
+		}
+		stepCapped := strings.HasPrefix(c.name, "step-capped")
+		if stepCapped {
+			capped[why]++
+		} else {
 			plans[why]++
+		}
+		if why != filled {
+			counted[b2i(stepCapped)][b2i(ok2)]++
 		}
 	}
 	synthetic := map[fallback]int{}
@@ -223,6 +280,7 @@ func TestFineTuneFillMatchesHeap(t *testing.T) {
 		// of constant speeds, unless its cap binds first.
 		level := float64(1+next(2000)) / 1000
 		var n, capacity int64
+		monotone := true
 		for i := range fns {
 			// Speeds from a few classes, so that times tie, or spread.
 			sp := float64(1000 * (1 + next(4)))
@@ -235,8 +293,10 @@ func TestFineTuneFillMatchesHeap(t *testing.T) {
 			switch max := 1e12; next(8) {
 			case 0:
 				fns[i] = stepUp{lo: sp, hi: float64(1+next(4)) * sp, at: near, max: max}
+				monotone = false
 			case 1:
 				fns[i] = nanAbove{s: sp, at: near}
+				monotone = false
 			default:
 				if next(6) == 0 {
 					max = float64(50 + next(5000))
@@ -261,12 +321,16 @@ func TestFineTuneFillMatchesHeap(t *testing.T) {
 			st.b.xSteep[i] = x - float64(below) - 0.5
 			st.b.segSteep[i] = 0
 		}
-		if why, ok := compareFills(t, fmt.Sprintf("synthetic trial %d", trial), st); ok {
+		if why, _, ok := compareFills(t, fmt.Sprintf("synthetic trial %d", trial), st, monotone); ok {
 			synthetic[why]++
 		}
 	}
 	t.Logf("plans: %d filled by selection, fallbacks: %d ties, %d out of order, %d over budget",
 		plans[filled], plans[fallbackTie], plans[fallbackOrder], plans[fallbackBudget])
+	t.Logf("step-capped plans: %d filled by selection, fallbacks: %d ties, %d out of order, %d over budget",
+		capped[filled], capped[fallbackTie], capped[fallbackOrder], capped[fallbackBudget])
+	t.Logf("fallbacks counted: %d of %d plans, %d of %d step-capped plans",
+		counted[0][1], counted[0][0]+counted[0][1], counted[1][1], counted[1][0]+counted[1][1])
 	t.Logf("synthetic bases: %d filled by selection, fallbacks: %d ties, %d out of order, %d over budget",
 		synthetic[filled], synthetic[fallbackTie], synthetic[fallbackOrder], synthetic[fallbackBudget])
 	for why := filled; why <= fallbackBudget; why++ {
@@ -274,8 +338,40 @@ func TestFineTuneFillMatchesHeap(t *testing.T) {
 			t.Errorf("no case took outcome %d", why)
 		}
 	}
+	if counted[1][0] == 0 || counted[1][1] == 0 {
+		t.Errorf("the count filled %d step-capped fallbacks and gave up on %d; want both", counted[1][1], counted[1][0])
+	}
 	if plans[filled] < 4*(plans[fallbackTie]+plans[fallbackOrder]+plans[fallbackBudget]) {
 		t.Errorf("selection filled only %d plans of %d", plans[filled], plans[filled]+plans[fallbackTie]+plans[fallbackOrder]+plans[fallbackBudget])
+	}
+}
+
+// TestStepCappedFillIsFast pins two plans whose one-step search leaves
+// tens and hundreds of millions of units to fine-tuning, as a client's
+// "maxSteps": 1 can: the allocations and FineTuneMoves are those the
+// one-unit-at-a-time heap fill recorded (it took 2.8 s and 35 s), and the
+// counting fill must return them within 50 ms.
+func TestStepCappedFillIsFast(t *testing.T) {
+	for _, c := range []struct {
+		n     int64
+		alloc Allocation
+		moves int
+	}{
+		{200_000_000, Allocation{17777325, 19145003, 10033734, 14283841, 20828108, 6874076, 15048769, 15620593, 22534533, 18724476, 23333339, 15796203}, 56828921},
+		{2_000_000_000, Allocation{202079114, 217133491, 120089486, 148636671, 234162283, 67320670, 115237577, 126089441, 145433141, 202209190, 260444927, 161164009}, 672520497},
+	} {
+		start := time.Now()
+		res, err := Combined(c.n, testPWLCluster(12, 5), WithMaxSteps(1))
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Alloc, c.alloc) || res.Stats.FineTuneMoves != c.moves {
+			t.Errorf("n=%d: %v (%d moves), want the heap's %v (%d moves)", c.n, res.Alloc, res.Stats.FineTuneMoves, c.alloc, c.moves)
+		}
+		if elapsed > 50*time.Millisecond {
+			t.Errorf("n=%d: took %v, want under 50ms", c.n, elapsed)
+		}
 	}
 }
 

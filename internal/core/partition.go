@@ -252,11 +252,13 @@ type state struct {
 	crossed bool
 	// b is the reusable search region between the two bounding rays.
 	b bounds
-	// caps, units and sel are the fine-tuning scratch buffers (units is
-	// also the fallback fill's heap), donors and receivers stabilize's.
+	// caps, units, sel and ranges are the fine-tuning scratch buffers
+	// (units is also the fallback fill's heap), donors and receivers
+	// stabilize's.
 	caps              []int64
 	units             []unit
 	sel               []float64
+	ranges            []countRange
 	donors, receivers tieHeap
 }
 

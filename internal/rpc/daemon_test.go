@@ -8,6 +8,8 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -429,6 +431,68 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 		if code := postJSON(t, base+"/v1/partition", []byte(body), nil); code == 200 {
 			t.Fatalf("accepted %q", body)
 		}
+	}
+}
+
+// TestDaemonModelUploadMatchesReference posts every seed document of
+// clusterio's FuzzLoad to /v1/models and requires the status and body the
+// encoding/json decoder Load's one-pass scanner stands in for produces:
+// its error, or the expansion's, as a 400, or the upload's 200.
+func TestDaemonModelUploadMatchesReference(t *testing.T) {
+	seeds, err := os.ReadFile("../clusterio/testdata/load_seeds.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, base := startDaemon(t, Config{Dir: t.TempDir()})
+	tried := 0
+	for _, line := range strings.Split(string(seeds), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		doc, err := strconv.Unquote(line)
+		if err != nil {
+			t.Fatalf("seed %s: %v", line, err)
+		}
+		dec := json.NewDecoder(strings.NewReader(doc))
+		dec.DisallowUnknownFields()
+		var c clusterio.Cluster
+		if err = dec.Decode(&c); err != nil {
+			err = fmt.Errorf("clusterio: %w", err)
+		} else if err = c.Validate(); err == nil {
+			_, _, err = c.Functions(1e9)
+		}
+		code, got := postBody(t, base+"/v1/models?label=seed", doc)
+		switch {
+		case err != nil:
+			if want := appendErrorBody(nil, err.Error()); code != http.StatusBadRequest || !bytes.Equal(got, want) {
+				t.Errorf("seed %s: HTTP %d %q, want 400 %q", line, code, got, want)
+			}
+		case code != http.StatusOK:
+			t.Errorf("seed %s: HTTP %d %q, want 200", line, code, got)
+		}
+		tried++
+	}
+	if tried < 50 {
+		t.Fatalf("only %d seeds", tried)
+	}
+}
+
+// TestDaemonStepCappedRequestIsFast asks for a plan whose one-step search
+// leaves most of two billion units to fine-tuning, which a client may do
+// with "maxSteps": 1, and requires the answer within a second.
+func TestDaemonStepCappedRequestIsFast(t *testing.T) {
+	_, base := startDaemon(t, Config{Dir: t.TempDir()})
+	if code := postJSON(t, base+"/v1/models?label=m", testClusterDoc(t, 12, 5), nil); code != 200 {
+		t.Fatalf("upload: HTTP %d", code)
+	}
+	start := time.Now()
+	var rep partitionReply
+	code := postJSON(t, base+"/v1/partition", []byte(`{"model":"m","n":2000000000,"options":{"maxSteps":1}}`), &rep)
+	if elapsed := time.Since(start); code != 200 || elapsed > time.Second {
+		t.Fatalf("HTTP %d after %v, want 200 within a second", code, elapsed)
+	}
+	if rep.Stats.FineTuneMoves < 100_000_000 {
+		t.Fatalf("%d fine-tune moves: the search left fine-tuning little to do", rep.Stats.FineTuneMoves)
 	}
 }
 

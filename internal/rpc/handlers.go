@@ -686,10 +686,10 @@ type planRequest struct {
 func (d *Daemon) wireToServe(sc *wireScratch, wr *wireRequest) (planRequest, error) {
 	model := sc.spanBytes(wr.model)
 	if len(model) == 0 {
-		return planRequest{}, fmt.Errorf("missing model")
+		return planRequest{}, errMissingModel
 	}
 	if wr.n < 0 {
-		return planRequest{}, fmt.Errorf("negative n %d", wr.n)
+		return planRequest{}, errNegativeN
 	}
 	m, ok := d.resolveModelBytes(model)
 	if !ok {
@@ -704,7 +704,7 @@ func (d *Daemon) wireToServe(sc *wireScratch, wr *wireRequest) (planRequest, err
 	case "modified":
 		algo = core.AlgoModified
 	default:
-		return planRequest{}, fmt.Errorf("unknown algorithm %q", sc.spanBytes(wr.algo))
+		return planRequest{}, errUnknownAlgorithm
 	}
 	opts, err := wr.toOpts(sc)
 	if err != nil {
@@ -728,13 +728,13 @@ func (wr *wireRequest) toOpts(sc *wireScratch) ([]core.Option, error) {
 		opts = append(opts, core.WithoutFineTune())
 	}
 	if wr.maxSteps < 0 {
-		return nil, fmt.Errorf("maxSteps must be positive")
+		return nil, errMaxSteps
 	}
 	if wr.maxSteps > 0 {
 		opts = append(opts, core.WithMaxSteps(wr.maxSteps))
 	}
 	if wr.elasticity < 0 {
-		return nil, fmt.Errorf("elasticity must be positive")
+		return nil, errElasticity
 	}
 	if wr.elasticity > 0 {
 		opts = append(opts, core.WithElasticityThreshold(wr.elasticity))
@@ -746,17 +746,24 @@ func (wr *wireRequest) toOpts(sc *wireScratch) ([]core.Option, error) {
 	case "angles":
 		opts = append(opts, core.WithBisection(geometry.BisectAngles))
 	default:
-		return nil, fmt.Errorf("unknown bisection %q (want tangents or angles)", bis)
+		return nil, errUnknownBisection
 	}
 	return opts, nil
 }
 
-// errUnknownModel is wireToServe's error for a model name the catalog does
-// not resolve. The message a response carries names the model, and is
-// appended straight into the response (appendUnknownModel), so this
-// commonest client error allocates nothing; an edge relaying the request
-// drops it.
-var errUnknownModel = errors.New("unknown model")
+// The validation errors of wireToServe. A response carries the text
+// appendAskError appends for one, which names the ask's model, n,
+// algorithm or bisection where the text does, so no 400 of the partition
+// route allocates; an edge relaying the request drops an errUnknownModel.
+var (
+	errMissingModel     = errors.New("missing model")
+	errNegativeN        = errors.New("negative n")
+	errUnknownModel     = errors.New("unknown model")
+	errUnknownAlgorithm = errors.New("unknown algorithm")
+	errMaxSteps         = errors.New("maxSteps must be positive")
+	errElasticity       = errors.New("elasticity must be positive")
+	errUnknownBisection = errors.New("unknown bisection")
+)
 
 // parseFingerprint parses a hex fingerprint with an optional "0x", as
 // strconv.ParseUint(s, 16, 64) would, without building its error.
@@ -850,16 +857,10 @@ func (d *Daemon) servePartitionSingle(w http.ResponseWriter, ask partitionAsk, s
 		// An edge hit answers below, and so does a request whose owner
 		// is down: every member can compute every plan.
 	}
-	if err == errUnknownModel {
-		ts.Errors.Add(1)
-		sc.out = appendUnknownModel(append(sc.out[:0], `{"error":"`...), sc.spanBytes(wr.model))
-		sc.out = append(sc.out, "\"}\n"...)
-		writeBody(w, http.StatusBadRequest, sc.out)
-		return
-	}
 	if err != nil {
 		ts.Errors.Add(1)
-		httpError(w, http.StatusBadRequest, "%v", err)
+		sc.out = append(appendAskError(append(sc.out[:0], `{"error":`...), err, sc, wr), "}\n"...)
+		writeBody(w, http.StatusBadRequest, sc.out)
 		return
 	}
 	tier := plancache.TierHit
@@ -997,13 +998,9 @@ func (d *Daemon) servePartitionBatch(w http.ResponseWriter, forwarded bool, sc *
 		switch {
 		case it.retry > 0:
 			out = appendReply(out, nil, 0, "", &zero, "tenant over quota; retry after "+strconv.Itoa(it.retry)+"s")
-		case it.err == errUnknownModel:
-			it.ts.Errors.Add(1)
-			out = appendUnknownModel(append(appendReplyHead(out, nil, 0, "", &zero), `,"error":"`...), sc.spanBytes(sc.reqs[i].model))
-			out = append(out, '"', '}')
 		case it.err != nil:
 			it.ts.Errors.Add(1)
-			out = appendReply(out, nil, 0, "", &zero, it.err.Error())
+			out = append(appendAskError(append(appendReplyHead(out, nil, 0, "", &zero), `,"error":`...), it.err, sc, &sc.reqs[i]), '}')
 		default:
 			countTier(it.ts, it.tier)
 			alloc := it.alloc

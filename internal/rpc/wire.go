@@ -1153,13 +1153,33 @@ func appendReplyHead(dst []byte, alloc []int64, slope float64, tier string, st *
 	return appendStats(dst, st)
 }
 
-// appendUnknownModel appends the text of the error for a model name the
-// catalog does not resolve, `unknown model %q (upload it via /v1/models)`,
-// as appendJSONString escapes it but without its quotes: the name is
-// quoted as fmt's %q quotes it and escaped for JSON in one pass, and
-// neither step builds a string.
-func appendUnknownModel(dst, name []byte) []byte {
-	dst = append(dst, `unknown model \"`...)
+// appendAskError appends the text of err, an error of wireToServe or of
+// the plan it resolved, as appendJSONString encodes it. The texts that
+// name a value of wr are the ones fmt built — `negative n %d`, `unknown
+// model %q (upload it via /v1/models)`, `unknown algorithm %q` and
+// `unknown bisection %q (want tangents or angles)` — appended without
+// building a string.
+func appendAskError(dst []byte, err error, sc *wireScratch, wr *wireRequest) []byte {
+	switch err {
+	case errNegativeN:
+		dst = strconv.AppendInt(append(dst, `"negative n `...), wr.n, 10)
+	case errUnknownModel:
+		dst = append(appendQuoted(append(dst, `"unknown model `...), sc.spanBytes(wr.model)), " (upload it via /v1/models)"...)
+	case errUnknownAlgorithm:
+		dst = appendQuoted(append(dst, `"unknown algorithm `...), sc.spanBytes(wr.algo))
+	case errUnknownBisection:
+		dst = append(appendQuoted(append(dst, `"unknown bisection `...), sc.spanBytes(wr.bisection)), " (want tangents or angles)"...)
+	default:
+		return appendJSONString(dst, err.Error())
+	}
+	return append(dst, '"')
+}
+
+// appendQuoted appends name as fmt's %q quotes it, escaped as
+// appendJSONString escapes it but without its quotes: both in one pass,
+// and neither builds a string.
+func appendQuoted(dst, name []byte) []byte {
+	dst = append(dst, `\"`...)
 	var q [16]byte
 	for len(name) > 0 {
 		// esc is the rune as %q writes it: printable, or an ASCII escape.
@@ -1190,7 +1210,7 @@ func appendUnknownModel(dst, name []byte) []byte {
 		}
 		name = name[w:]
 	}
-	return append(dst, `\" (upload it via /v1/models)`...)
+	return append(dst, `\"`...)
 }
 
 // appendErrorBody appends the {"error": msg} document httpError sends.

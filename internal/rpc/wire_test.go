@@ -574,11 +574,12 @@ func TestUnknownModelBodyMatchesFmt(t *testing.T) {
 	}
 	for _, name := range unknownModelNames {
 		msg := message([]byte(name))
-		got := append(appendUnknownModel([]byte(`{"error":"`), []byte(name)), "\"}\n"...)
+		sc, wr := &wireScratch{body: []byte(name)}, &wireRequest{model: span{n: len(name)}}
+		got := append(appendAskError([]byte(`{"error":`), errUnknownModel, sc, wr), "}\n"...)
 		if want := appendErrorBody(nil, msg); !bytes.Equal(got, want) {
 			t.Errorf("name %q: body\n got %q\nwant %q", name, got, want)
 		}
-		got = append(appendUnknownModel(append(appendReplyHead(nil, nil, 0, "", &zero), `,"error":"`...), []byte(name)), '"', '}')
+		got = append(appendAskError(append(appendReplyHead(nil, nil, 0, "", &zero), `,"error":`...), errUnknownModel, sc, wr), '}')
 		if want := appendReply(nil, nil, 0, "", &zero, msg); !bytes.Equal(got, want) {
 			t.Errorf("name %q: batch entry\n got %q\nwant %q", name, got, want)
 		}
@@ -612,6 +613,69 @@ func TestUnknownModelBodyMatchesFmt(t *testing.T) {
 		want := append(append([]byte(`{"responses":[`), appendReply(nil, nil, 0, "", &zero, msg)...), "]}\n"...)
 		if code != http.StatusOK || !bytes.Equal(got, want) {
 			t.Errorf("name %q: batch HTTP %d body\n got %q\nwant 200 %q", name, code, got, want)
+		}
+	}
+}
+
+// TestAskErrorBodiesMatchFmt holds the partition route's other 400s —
+// missing model, negative n, unknown algorithm or bisection, non-positive
+// maxSteps or elasticity — to the fmt formatting they replaced, byte for
+// byte: from appendAskError for every value, and over a real daemon as a
+// single request's 400 and as a batch element.
+func TestAskErrorBodiesMatchFmt(t *testing.T) {
+	var zero core.Stats
+	type ask struct {
+		fields string // the ask's fields after "model" and "n"
+		msg    string // the message fmt built for it
+	}
+	asks := []ask{
+		{`"n":5`, fmt.Errorf("missing model").Error()},
+		{`"model":"m","n":-7`, fmt.Errorf("negative n %d", -7).Error()},
+		{`"model":"m","n":-9223372036854775808`, fmt.Errorf("negative n %d", int64(math.MinInt64)).Error()},
+		{`"model":"m","n":5,"options":{"maxSteps":-1}`, fmt.Errorf("maxSteps must be positive").Error()},
+		{`"model":"m","n":5,"options":{"elasticity":-0.5}`, fmt.Errorf("elasticity must be positive").Error()},
+	}
+	for _, name := range unknownModelNames {
+		raw, err := json.Marshal(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decoded string
+		if err := json.Unmarshal(raw, &decoded); err != nil {
+			t.Fatal(err)
+		}
+		asks = append(asks,
+			ask{`"model":"m","n":5,"algo":` + string(raw), fmt.Errorf("unknown algorithm %q", []byte(decoded)).Error()},
+			ask{`"model":"m","n":5,"options":{"bisection":` + string(raw) + `}`, fmt.Errorf("unknown bisection %q (want tangents or angles)", []byte(decoded)).Error()})
+
+		sc := &wireScratch{body: []byte(name)}
+		for _, c := range []struct {
+			err error
+			wr  wireRequest
+			msg string
+		}{
+			{errUnknownAlgorithm, wireRequest{algo: span{n: len(name)}}, fmt.Errorf("unknown algorithm %q", []byte(name)).Error()},
+			{errUnknownBisection, wireRequest{bisection: span{n: len(name)}}, fmt.Errorf("unknown bisection %q (want tangents or angles)", []byte(name)).Error()},
+		} {
+			got := append(appendAskError([]byte(`{"error":`), c.err, sc, &c.wr), "}\n"...)
+			if want := appendErrorBody(nil, c.msg); !bytes.Equal(got, want) {
+				t.Errorf("%v %q: body\n got %q\nwant %q", c.err, name, got, want)
+			}
+		}
+	}
+	_, base := startDaemon(t, Config{Dir: t.TempDir()})
+	if code := postJSON(t, base+"/v1/models?label=m", testClusterDoc(t, 4, 3), nil); code != 200 {
+		t.Fatalf("upload: HTTP %d", code)
+	}
+	for _, a := range asks {
+		code, got := postBody(t, base+"/v1/partition", `{`+a.fields+`}`)
+		if want := appendErrorBody(nil, a.msg); code != http.StatusBadRequest || !bytes.Equal(got, want) {
+			t.Errorf("%s: HTTP %d body\n got %q\nwant 400 %q", a.fields, code, got, want)
+		}
+		code, got = postBody(t, base+"/v1/partition", `{"requests":[{`+a.fields+`}]}`)
+		want := append(append([]byte(`{"responses":[`), appendReply(nil, nil, 0, "", &zero, a.msg)...), "]}\n"...)
+		if code != http.StatusOK || !bytes.Equal(got, want) {
+			t.Errorf("%s: batch HTTP %d body\n got %q\nwant 200 %q", a.fields, code, got, want)
 		}
 	}
 }

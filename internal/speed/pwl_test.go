@@ -2,7 +2,9 @@ package speed
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -39,6 +41,36 @@ func TestNewPiecewiseLinearSortsInput(t *testing.T) {
 	for i := 1; i < len(pts); i++ {
 		if pts[i].X <= pts[i-1].X {
 			t.Fatalf("points not sorted: %v", pts)
+		}
+	}
+}
+
+// TestNewPiecewiseLinearSkipsSortedInput checks that knots already in
+// strictly increasing size, which NewPiecewiseLinear does not sort, give
+// what the same knots reversed, which it sorts, give: the same knots, or
+// the same error naming the same knot index.
+func TestNewPiecewiseLinearSkipsSortedInput(t *testing.T) {
+	s := uint32(5)
+	next := func(m int) int {
+		s = s*1664525 + 1013904223
+		return int(s>>8) % m
+	}
+	for trial := 0; trial < 3000; trial++ {
+		pts := make([]Point, 2+next(6))
+		x := float64(next(2)) // a first size of 0 is invalid
+		for i := range pts {
+			pts[i] = Point{X: x, Y: float64(100 - 10*i - next(12))}
+			x += float64(1 + next(4))
+		}
+		if next(8) == 0 {
+			pts[next(len(pts))].Y = math.Inf(1)
+		}
+		reversed := slices.Clone(pts)
+		slices.Reverse(reversed)
+		got, gotErr := NewPiecewiseLinear(pts)
+		want, wantErr := NewPiecewiseLinear(reversed)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || gotErr == nil && !slices.Equal(got.Points(), want.Points()) {
+			t.Fatalf("%v: got %v, %v; reversed gives %v, %v", pts, got, gotErr, want, wantErr)
 		}
 	}
 }

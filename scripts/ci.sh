@@ -65,11 +65,11 @@
 #      model
 #  14. wire-codec allocation guard: the daemon's warm single-request
 #      handler path (pooled codec + synchronous cache hit, everything
-#      above net/http) and its 400 for an unknown model must report
-#      0 B/op and 0 allocs/op — the ISSUE 9 budget is <= 8 B/op and
-#      <= 1 alloc/op; the gate pins the achieved zero so a regression to
-#      "just one alloc" still fails loudly (at -cpu 1, which keeps the
-#      runtime's background allocations out)
+#      above net/http) and its 400s for an unknown model and an unknown
+#      algorithm must report 0 B/op and 0 allocs/op — the gate's first
+#      budget was <= 8 B/op and <= 1 alloc/op; it pins the achieved zero
+#      so a regression to "just one alloc" still fails loudly (at -cpu 1,
+#      which keeps the runtime's background allocations out)
 #  15. over-HTTP allocation guard: the warm single request, the warm
 #      16-plan batch and the unknown-model 400 over a real loopback
 #      connection, through the raw partition edge, must report
@@ -95,6 +95,10 @@
 #      between the two members' raw edges allocates (next to) nothing —
 #      and a repeated one, answered from the edge's own cache, no more
 #      than an owned one
+#  20. model-ingest guard: in one run, clusterio.Load's one-pass decode
+#      of perfbench's eight cold upload documents must take at most half
+#      the ns/op of the encoding/json decoder it replaced (the fastest of
+#      three runs of each)
 #
 # Usage: scripts/ci.sh
 set -e
@@ -170,14 +174,14 @@ END {
 	if (warm == "" || cached == "" || warm == "?" || cached == "?") { print "FAIL: no p=1080 warm/cached ns/op parsed" > "/dev/stderr"; exit 1 }
 	if (cached + 0 > 0.1 * warm) { printf "FAIL: p=1080 cached %s ns/op > 0.1 x warm %s ns/op\n", cached, warm > "/dev/stderr"; exit 1 }
 }'
-echo "==> wire-codec allocs/op guard: warm and unknown-model handler paths 0 B/op, 0 allocs/op" >&2
+echo "==> wire-codec allocs/op guard: warm, unknown-model and unknown-algorithm handler paths 0 B/op, 0 allocs/op" >&2
 # 200x amortizes the pool warm-up allocations of the first iterations; the
 # steady-state handler path owns every byte it touches. -cpu 1 keeps the
 # runtime's background allocations out of the count: at GOMAXPROCS=2 they
 # read as 1-6 B/op over 200 iterations, on a path that allocates nothing.
-go test -run '^$' -bench 'DaemonHandler/(warm|error)$' -benchtime=200x -benchmem -cpu 1 . |
+go test -run '^$' -bench 'DaemonHandler/(warm|error|badalgo)$' -benchtime=200x -benchmem -cpu 1 . |
 awk '
-/^BenchmarkDaemonHandler\/(warm|error)[-[:space:]]/ {
+/^BenchmarkDaemonHandler\/(warm|error|badalgo)[-[:space:]]/ {
 	seen++
 	bop = allocs = "?"
 	for (i = 3; i < NF; i++) {
@@ -188,8 +192,8 @@ awk '
 	if (bop == "?" || allocs == "?" || bop + 0 > 0 || allocs + 0 > 0) { bad = 1 }
 }
 END {
-	if (bad) { print "FAIL: warm or unknown-model wire handler path allocates" > "/dev/stderr"; exit 1 }
-	if (seen != 2) { print "FAIL: no DaemonHandler warm/error benchmark output parsed" > "/dev/stderr"; exit 1 }
+	if (bad) { print "FAIL: warm, unknown-model or unknown-algorithm wire handler path allocates" > "/dev/stderr"; exit 1 }
+	if (seen != 3) { print "FAIL: no DaemonHandler warm/error/badalgo benchmark output parsed" > "/dev/stderr"; exit 1 }
 }'
 echo "==> over-HTTP allocs/op guard: DaemonThroughput warm, batch16 and errors 0 allocs/op" >&2
 # 20000x amortizes the first iterations' pool and buffer growth.
@@ -228,5 +232,23 @@ END {
 	if (bad || local == "" || fwd == "" || rep == "") { print "FAIL: no FabricForward local/forwarded/repeated allocs/op parsed" > "/dev/stderr"; exit 1 }
 	if (fwd + 0 > 2 * local + 4) { printf "FAIL: forwarded %s allocs/op > 2 x local %s + 4\n", fwd, local > "/dev/stderr"; exit 1 }
 	if (rep + 0 > local + 0) { printf "FAIL: repeated %s allocs/op > local %s\n", rep, local > "/dev/stderr"; exit 1 }
+}'
+echo "==> model-ingest guard: DaemonModelUpload decode <= 0.5 x encodingjson ns/op" >&2
+# 20x: each op decodes all eight documents (2.0 MB). Each row runs three
+# times and keeps its fastest, so a burst of noise from the rest of the
+# host moves one run, not the gate.
+go test -run '^$' -bench 'DaemonModelUpload/(decode|encodingjson)$' -benchtime=20x -count=3 . |
+awk '
+/^BenchmarkDaemonModelUpload\/(decode|encodingjson)[-[:space:]]/ {
+	ns = "?"
+	for (i = 3; i < NF; i++) if ($(i+1) == "ns/op") ns = $i
+	printf "    %s: %s ns/op\n", $1, ns
+	if (ns == "?") bad = 1
+	else if ($1 ~ /\/decode/) { if (dec == "" || ns + 0 < dec + 0) dec = ns }
+	else if (ref == "" || ns + 0 < ref + 0) ref = ns
+}
+END {
+	if (bad || dec == "" || ref == "") { print "FAIL: no DaemonModelUpload decode/encodingjson ns/op parsed" > "/dev/stderr"; exit 1 }
+	if (dec + 0 > 0.5 * ref) { printf "FAIL: decode %s ns/op > 0.5 x encodingjson %s ns/op\n", dec, ref > "/dev/stderr"; exit 1 }
 }'
 echo "==> all gates green" >&2
