@@ -645,12 +645,15 @@ func (d *Daemon) Demote(successor string, timeout time.Duration) (uint64, error)
 
 	// The log is frozen; the successor's confirmed position is monotone, so
 	// poll until it reaches the sealed end (a later generation also counts:
-	// its snapshot contains everything this generation held).
+	// its snapshot contains everything this generation held). Each poll
+	// runs under the handover deadline too, so a successor that never
+	// answers cannot keep writes fenced past it.
 	client := &http.Client{Timeout: 2 * time.Second}
 	deadline := time.Now().Add(timeout)
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
 	caught := false
 	for time.Now().Before(deadline) {
-		pi, err := watch.FetchPeer(context.TODO(), client, successor)
+		pi, err := watch.FetchPeer(ctx, client, successor)
 		if err == nil && pi.Role == "replica" &&
 			(pi.Gen > sealed.Gen || (pi.Gen == sealed.Gen && pi.Offset >= sealed.Offset)) {
 			caught = true
@@ -658,6 +661,7 @@ func (d *Daemon) Demote(successor string, timeout time.Duration) (uint64, error)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	cancel()
 	if !caught {
 		rollback()
 		return 0, fmt.Errorf("%w: sealed at (gen=%d, offset=%d)", ErrHandoverTimeout, sealed.Gen, sealed.Offset)

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -416,4 +418,52 @@ func TestHandoverDemoteZeroDroppedReads(t *testing.T) {
 		t.Fatalf("post-handover answer %+v (tier %s), want warm hit matching %+v", after, after.Tier, before)
 	}
 	_ = dp
+}
+
+// TestHandoverTimeoutBlackholedSuccessor: a demote towards a successor
+// that accepts connections and never answers gives up at the handover
+// timeout, not at the poll client's own, and rolls back: writes resume on
+// the primary.
+func TestHandoverTimeoutBlackholedSuccessor(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		conns []net.Conn
+	)
+	accepted := make(chan struct{})
+	go func() {
+		defer close(accepted)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c) // held open, never answered
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-accepted
+		mu.Lock()
+		for _, c := range conns {
+			c.Close()
+		}
+		mu.Unlock()
+	})
+
+	_, base := startDaemon(t, Config{Dir: t.TempDir(), SyncEvery: 1})
+	start := time.Now()
+	code := postJSON(t, base+"/v1/replication/demote",
+		[]byte(fmt.Sprintf(`{"successor":"http://%s","timeoutMs":200}`, ln.Addr())), nil)
+	if took := time.Since(start); code != http.StatusGatewayTimeout || took > time.Second {
+		t.Fatalf("demote towards a blackholed successor: HTTP %d after %v, want 504 within 1s", code, took)
+	}
+	if code := postJSON(t, base+"/v1/models?label=lab", testClusterDoc(t, 4, 3), nil); code != 200 {
+		t.Fatalf("upload after the rolled-back demote: HTTP %d, want 200", code)
+	}
 }

@@ -1,47 +1,42 @@
 package rpc
 
-// The partition wire codec: a pooled, allocation-free request parser and
-// response encoder for /v1/partition, the daemon's hot path.
+// The partition wire codec: a pooled request parser and response encoder
+// for /v1/partition, the daemon's hot path. One wireScratch — body buffer,
+// parse scratch, response buffer, allocation arena — is pooled per
+// request, and the fixed response shapes are encoded by hand,
+// byte-identical to encoding/json.
 //
-// The stdlib path this replaces cost ~30 allocations per warm request: a
-// fresh json.Decoder, the whole body buffered into a json.RawMessage,
-// *two* unmarshals of that raw message (batch probe, then single), and a
-// fresh json.Encoder plus interface boxing on the way out. Here one
-// wireScratch — body buffer, parse scratch, response buffer, allocation
-// arena — is pooled per request, the body is parsed in a single pass
-// (batch vs single decided by the first key of the top-level object), and
-// the fixed response shape is encoded by hand, byte-identical to
-// encoding/json (proved by the golden + fuzz suite in wire_test.go).
-//
-// Parser compatibility contract (mirrors how json.Decoder behaved here):
-// duplicate keys last-wins, null leaves the field untouched, unknown
-// fields are skipped but syntax-validated, \uXXXX escapes and surrogate
-// pairs decode, invalid UTF-8 coerces to U+FFFD, raw control characters
-// in strings are rejected, int64 fields accept only integer literals,
-// nesting is capped at the same depth encoding/json enforces, and
-// trailing bytes after the first top-level value are ignored (stream
-// semantics, as json.Decoder.Decode had).
+// Parser contract: every body means what json.Decoder.Decode makes of it
+// in the reference structs below, a partitionBatch when the top-level
+// object's first key folds to "requests" and a partitionRequest otherwise,
+// with maxSteps bounded to int32 range. A jsonscan.Scanner takes the shape
+// partition asks carry, {"model", "n", "algo", "options": {"fineTune",
+// "maxSteps", "elasticity", "bisection"}} or {"requests": [ask, ...]},
+// with exact-case keys at most once, printable-ASCII strings without
+// escapes and JSON-grammar numbers, in one pass that holds strings as
+// spans of the body and allocates nothing. Every other body goes to
+// encoding/json itself, which owns its result and every error text.
+// wire_test.go's golden tables and FuzzWireCodec hold both halves to
+// encoding/json.
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
-	"unicode/utf16"
 	"unicode/utf8"
 
 	"heteropart/internal/core"
 	"heteropart/internal/fabric"
+	"heteropart/internal/jsonscan"
 	"heteropart/internal/plancache"
 )
-
-// maxParseDepth matches encoding/json's nesting limit, so the fuzz
-// differential cannot diverge on pathological inputs.
-const maxParseDepth = 10000
 
 // Shared header values: assigning a prebuilt []string into the header map
 // avoids the slice Header.Set allocates per call.
@@ -69,21 +64,11 @@ const batchFlushBytes = 64 << 10
 // Pre-encoded bodies for the recurring fixed responses (the trailing
 // newline matches json.Encoder.Encode).
 var (
-	bodyUsePOST        = []byte(`{"error":"use POST"}` + "\n")
-	bodyBooting        = []byte(`{"error":"booting: store replaying"}` + "\n")
-	bodySyncing        = []byte(`{"error":"replica syncing; retry when /readyz is 200"}` + "\n")
-	bodyTooLarge       = []byte(`{"error":"bad JSON: http: request body too large"}` + "\n")
-	errBodyTooLarge    = errors.New("http: request body too large")
-	errUnexpectedEnd   = errors.New("unexpected end of JSON input")
-	errTopLevelNotObj  = errors.New("top-level value must be an object")
-	errRequestsNotArr  = errors.New("requests must be an array")
-	errRequestNotObj   = errors.New("each request must be an object")
-	errDepth           = errors.New("exceeded max nesting depth")
-	errStringCtl       = errors.New("invalid control character in string literal")
-	errBadEscape       = errors.New("invalid escape in string literal")
-	errBadNumber       = errors.New("invalid number literal")
-	errNotInteger      = errors.New("not an integer")
-	errIntegerOverflow = errors.New("integer overflow")
+	bodyUsePOST     = []byte(`{"error":"use POST"}` + "\n")
+	bodyBooting     = []byte(`{"error":"booting: store replaying"}` + "\n")
+	bodySyncing     = []byte(`{"error":"replica syncing; retry when /readyz is 200"}` + "\n")
+	bodyTooLarge    = []byte(`{"error":"bad JSON: http: request body too large"}` + "\n")
+	errBodyTooLarge = errors.New("http: request body too large")
 )
 
 // wireItem is the per-request state of a batch: a validation error, a
@@ -113,12 +98,11 @@ type wireItem struct {
 type wireScratch struct {
 	body   []byte        // request body
 	out    []byte        // response bytes, encoded here or relayed from the owner
-	strBuf []byte        // unescaped string data (spans point into it)
+	strBuf []byte        // strings encoding/json decoded (spans point into it)
 	reqs   []wireRequest // parsed requests (len 1 for a single)
 	items  []wireItem    // batch serving state
 	misses []int         // indices of the batch items that missed
 	arena  core.Allocation
-	pos    int // parser cursor into body
 }
 
 var wirePool = sync.Pool{New: func() any { return &wireScratch{} }}
@@ -139,9 +123,9 @@ func releaseWire(sc *wireScratch) {
 	wirePool.Put(sc)
 }
 
-// span locates a parsed string: in the body when the literal had no
-// escapes, in strBuf when it was unescaped. Offsets stay valid across
-// strBuf growth, unlike aliased slices.
+// span locates a parsed string: in the body when the scanner read it, in
+// strBuf when encoding/json decoded it. Offsets stay valid across strBuf
+// growth, unlike aliased slices.
 type span struct {
 	off, n int
 	inBuf  bool
@@ -156,9 +140,7 @@ func (sc *wireScratch) spanBytes(sp span) []byte {
 
 // wireRequest is one parsed partition ask, held without allocating:
 // strings are spans, options are flattened values with presence flags.
-// Its fields are the wire document's {"model", "n", "algo", "options":
-// {"fineTune", "maxSteps", "elasticity", "bisection"}}; wire_test.go's
-// partitionRequest is the encoding/json reference it is checked against.
+// Its fields are partitionRequest's.
 type wireRequest struct {
 	model span
 	n     int64
@@ -171,7 +153,28 @@ type wireRequest struct {
 	bisection   span
 }
 
-func (wr *wireRequest) reset() { *wr = wireRequest{} }
+// partitionRequest is one partition ask as encoding/json decodes it.
+type partitionRequest struct {
+	// Model names the cluster: a stored label or a hex fingerprint.
+	Model string `json:"model"`
+	N     int64  `json:"n"`
+	// Algo is "basic", "modified" or "combined" (the default).
+	Algo    string          `json:"algo,omitempty"`
+	Options *requestOptions `json:"options,omitempty"`
+}
+
+// partitionBatch wraps multiple requests in one POST.
+type partitionBatch struct {
+	Requests []partitionRequest `json:"requests"`
+}
+
+// requestOptions maps the result-affecting partitioner options onto JSON.
+type requestOptions struct {
+	FineTune   *bool   `json:"fineTune,omitempty"`   // default true
+	MaxSteps   int     `json:"maxSteps,omitempty"`   // default 256
+	Elasticity float64 `json:"elasticity,omitempty"` // Combined's threshold
+	Bisection  string  `json:"bisection,omitempty"`  // "tangents" | "angles"
+}
 
 // ---------------------------------------------------------------------------
 // Body intake
@@ -230,784 +233,137 @@ func (sc *wireScratch) readBody(body io.Reader, length int64) error {
 // ---------------------------------------------------------------------------
 // Parser
 
-func (sc *wireScratch) skipWS() {
-	for sc.pos < len(sc.body) {
-		switch sc.body[sc.pos] {
-		case ' ', '\t', '\n', '\r':
-			sc.pos++
-		default:
-			return
-		}
-	}
-}
-
-// peek returns the next significant byte without consuming it.
-func (sc *wireScratch) peek() (byte, error) {
-	sc.skipWS()
-	if sc.pos >= len(sc.body) {
-		return 0, errUnexpectedEnd
-	}
-	return sc.body[sc.pos], nil
-}
-
-func (sc *wireScratch) invalidChar() error {
-	return fmt.Errorf("invalid character %q at offset %d", sc.body[sc.pos], sc.pos)
-}
-
-// parsePartition parses the body as a single request or a batch, deciding
-// from the first key of the top-level object — the single pass that
-// replaces the old RawMessage double-decode. On return sc.reqs holds the
-// parsed requests (exactly one for a single).
-func (sc *wireScratch) parsePartition() (batch bool, err error) {
-	sc.pos = 0
-	sc.strBuf = sc.strBuf[:0]
-	sc.reqs = sc.reqs[:0]
-
-	c, err := sc.peek()
-	if err != nil {
-		return false, err
-	}
-	if c == 'n' {
-		// Top-level null decodes into an untouched struct (so: an empty
-		// single request), exactly as json.Decoder.Decode had it.
-		if err := sc.parseNull(); err != nil {
-			return false, err
-		}
-		sc.reqs = sc.growReqs(1)
-		sc.reqs[0].reset()
-		return false, nil
-	}
-	if c != '{' {
-		return false, errTopLevelNotObj
-	}
-	sc.pos++
-	c, err = sc.peek()
-	if err != nil {
-		return false, err
-	}
-	if c == '}' {
-		// {} is a single empty request (model validation rejects it later,
-		// exactly as unmarshaling into an empty struct did).
-		sc.pos++
-		sc.reqs = sc.growReqs(1)
-		sc.reqs[0].reset()
-		return false, nil
-	}
-	firstKey, err := sc.parseString()
-	if err != nil {
-		return false, err
-	}
-	if err := sc.expect(':'); err != nil {
-		return false, err
-	}
-	if bytes.EqualFold(sc.spanBytes(firstKey), keyRequests) {
-		return true, sc.parseBatchBody()
-	}
-	sc.reqs = sc.growReqs(1)
-	sc.reqs[0].reset()
-	return false, sc.parseRequestFields(&sc.reqs[0], firstKey)
-}
-
-// growReqs returns sc.reqs extended to n entries, reusing capacity.
-func (sc *wireScratch) growReqs(n int) []wireRequest {
-	if cap(sc.reqs) < n {
-		out := make([]wireRequest, n, n*2)
-		copy(out, sc.reqs)
-		return out
-	}
-	return sc.reqs[:n]
-}
-
-// parseBatchBody parses the remainder of a batch object whose "requests"
-// key has just been consumed. Later duplicate "requests" keys re-parse
-// (last wins, as encoding/json had it); other keys are skipped.
-func (sc *wireScratch) parseBatchBody() error {
-	if err := sc.parseRequestsArray(); err != nil {
-		return err
-	}
-	for {
-		c, err := sc.peek()
-		if err != nil {
-			return err
-		}
-		switch c {
-		case '}':
-			sc.pos++
-			return nil
-		case ',':
-			sc.pos++
-		default:
-			return sc.invalidChar()
-		}
-		key, err := sc.parseString()
-		if err != nil {
-			return err
-		}
-		if err := sc.expect(':'); err != nil {
-			return err
-		}
-		if bytes.EqualFold(sc.spanBytes(key), keyRequests) {
-			sc.reqs = sc.reqs[:0]
-			if err := sc.parseRequestsArray(); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := sc.skipValue(0); err != nil {
-			return err
-		}
-	}
-}
-
-// parseRequestsArray parses the value of a "requests" key: null (no-op)
-// or an array of request objects appended to sc.reqs.
-func (sc *wireScratch) parseRequestsArray() error {
-	c, err := sc.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		return sc.parseNull()
-	}
-	if c != '[' {
-		return errRequestsNotArr
-	}
-	sc.pos++
-	c, err = sc.peek()
-	if err != nil {
-		return err
-	}
-	if c == ']' {
-		sc.pos++
-		return nil
-	}
-	for {
-		sc.reqs = sc.growReqs(len(sc.reqs) + 1)
-		wr := &sc.reqs[len(sc.reqs)-1]
-		wr.reset()
-		if err := sc.parseRequestObject(wr); err != nil {
-			return err
-		}
-		c, err := sc.peek()
-		if err != nil {
-			return err
-		}
-		switch c {
-		case ',':
-			sc.pos++
-		case ']':
-			sc.pos++
-			return nil
-		default:
-			return sc.invalidChar()
-		}
-	}
-}
-
-// parseRequestObject parses one {...} request (null is a no-op element,
-// as unmarshaling null into a struct is).
-func (sc *wireScratch) parseRequestObject(wr *wireRequest) error {
-	c, err := sc.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		return sc.parseNull()
-	}
-	if c != '{' {
-		return errRequestNotObj
-	}
-	sc.pos++
-	c, err = sc.peek()
-	if err != nil {
-		return err
-	}
-	if c == '}' {
-		sc.pos++
-		return nil
-	}
-	key, err := sc.parseString()
-	if err != nil {
-		return err
-	}
-	if err := sc.expect(':'); err != nil {
-		return err
-	}
-	return sc.parseRequestFields(wr, key)
-}
-
-// parseRequestFields parses request fields starting from an already-read
-// first key, through the closing brace.
-func (sc *wireScratch) parseRequestFields(wr *wireRequest, key span) error {
-	for {
-		if err := sc.parseRequestField(wr, key); err != nil {
-			return err
-		}
-		c, err := sc.peek()
-		if err != nil {
-			return err
-		}
-		switch c {
-		case '}':
-			sc.pos++
-			return nil
-		case ',':
-			sc.pos++
-		default:
-			return sc.invalidChar()
-		}
-		if key, err = sc.parseString(); err != nil {
-			return err
-		}
-		if err := sc.expect(':'); err != nil {
-			return err
-		}
-	}
-}
-
-// Field-name candidates for the case-insensitive fallback match
-// encoding/json applies when no field name matches a key exactly.
+// The keys of the scanned shape: a single ask's fields or a batch's
+// "requests" at the top level, an ask's fields in a batch element, and the
+// options object's fields.
 var (
-	keyModel    = []byte("model")
-	keyN        = []byte("n")
-	keyAlgo     = []byte("algo")
-	keyOptions  = []byte("options")
-	keyRequests = []byte("requests")
-	keyFineTune = []byte("fineTune")
-	keyMaxSteps = []byte("maxSteps")
-	keyElastic  = []byte("elasticity")
-	keyBisect   = []byte("bisection")
+	bodyKeys   = []string{"model", "n", "algo", "options", "requests"}
+	askKeys    = bodyKeys[:4]
+	optionKeys = []string{"fineTune", "maxSteps", "elasticity", "bisection"}
 )
 
-func (sc *wireScratch) parseRequestField(wr *wireRequest, key span) error {
-	k := sc.spanBytes(key)
-	switch string(k) {
-	case "model":
-		return sc.parseStringField(&wr.model)
-	case "n":
-		return sc.parseInt64Field(&wr.n, "n")
-	case "algo":
-		return sc.parseStringField(&wr.algo)
-	case "options":
-		return sc.parseOptions(wr)
+// parsePartition parses the body as a single request or a batch. On return
+// sc.reqs holds the parsed requests (exactly one for a single).
+func (sc *wireScratch) parsePartition() (batch bool, err error) {
+	sc.strBuf = sc.strBuf[:0]
+	if batch, ok := sc.scan(); ok {
+		return batch, nil
 	}
-	// Exact match failed; fold-match the way encoding/json resolves keys
-	// (the field names are distinct under folding, so order is moot).
-	switch {
-	case bytes.EqualFold(k, keyModel):
-		return sc.parseStringField(&wr.model)
-	case bytes.EqualFold(k, keyN):
-		return sc.parseInt64Field(&wr.n, "n")
-	case bytes.EqualFold(k, keyAlgo):
-		return sc.parseStringField(&wr.algo)
-	case bytes.EqualFold(k, keyOptions):
-		return sc.parseOptions(wr)
-	}
-	return sc.skipValue(0)
+	return sc.decode()
 }
 
-// parseOptions parses the options object into the request's flattened
-// option fields.
-func (sc *wireScratch) parseOptions(wr *wireRequest) error {
-	c, err := sc.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		return sc.parseNull()
-	}
-	if c != '{' {
-		return fmt.Errorf("options must be an object")
-	}
-	sc.pos++
-	c, err = sc.peek()
-	if err != nil {
-		return err
-	}
-	if c == '}' {
-		sc.pos++
-		return nil
-	}
-	for {
-		key, err := sc.parseString()
-		if err != nil {
-			return err
+// scan parses a body in the scanned shape into sc.reqs, or reports false.
+func (sc *wireScratch) scan() (batch, ok bool) {
+	s := jsonscan.New(sc.body)
+	sc.reqs = append(sc.reqs[:0], wireRequest{})
+	keys := 0
+	ok = s.Object(bodyKeys, func(key int) bool {
+		if keys++; key < len(askKeys) {
+			return !batch && scanAskField(&s, &sc.reqs[0], key)
 		}
-		if err := sc.expect(':'); err != nil {
-			return err
+		if keys > 1 {
+			return false // "requests" after an ask's field is a single's unknown key
 		}
-		if err := sc.parseOptionField(wr, key); err != nil {
-			return err
-		}
-		c, err := sc.peek()
-		if err != nil {
-			return err
-		}
-		switch c {
-		case '}':
-			sc.pos++
-			return nil
-		case ',':
-			sc.pos++
-		default:
-			return sc.invalidChar()
-		}
-	}
+		batch, sc.reqs = true, sc.reqs[:0]
+		return s.Array(func() bool {
+			sc.reqs = append(sc.reqs, wireRequest{})
+			wr := &sc.reqs[len(sc.reqs)-1]
+			return s.Object(askKeys, func(key int) bool { return scanAskField(&s, wr, key) })
+		})
+	})
+	return batch, ok
 }
 
-// parseOptionField parses one options-object field, exact match first,
-// then encoding/json's case-insensitive fallback.
-func (sc *wireScratch) parseOptionField(wr *wireRequest, key span) error {
-	k := sc.spanBytes(key)
-	switch string(k) {
-	case "fineTune":
-		return sc.parseBoolField(&wr.fineTune, &wr.hasFineTune)
-	case "maxSteps":
-		return sc.parseMaxSteps(wr)
-	case "elasticity":
-		return sc.parseFloatField(&wr.elasticity)
-	case "bisection":
-		return sc.parseStringField(&wr.bisection)
-	}
-	switch {
-	case bytes.EqualFold(k, keyFineTune):
-		return sc.parseBoolField(&wr.fineTune, &wr.hasFineTune)
-	case bytes.EqualFold(k, keyMaxSteps):
-		return sc.parseMaxSteps(wr)
-	case bytes.EqualFold(k, keyElastic):
-		return sc.parseFloatField(&wr.elasticity)
-	case bytes.EqualFold(k, keyBisect):
-		return sc.parseStringField(&wr.bisection)
-	}
-	return sc.skipValue(0)
-}
-
-// parseMaxSteps bounds the int field at int32 range — tighter than the
-// platform int encoding/json fills, and deliberately so: a step budget
-// past 2^31 is garbage input, not a plan anyone wants computed.
-func (sc *wireScratch) parseMaxSteps(wr *wireRequest) error {
-	v := int64(wr.maxSteps)
-	if err := sc.parseInt64Field(&v, "maxSteps"); err != nil {
-		return err
-	}
-	if v > math.MaxInt32 || v < math.MinInt32 {
-		return fmt.Errorf("maxSteps %d: %w", v, errIntegerOverflow)
-	}
-	wr.maxSteps = int(v)
-	return nil
-}
-
-// parseStringField sets *dst unless the value is null.
-func (sc *wireScratch) parseStringField(dst *span) error {
-	c, err := sc.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		return sc.parseNull()
-	}
-	sp, err := sc.parseString()
-	if err != nil {
-		return err
-	}
-	*dst = sp
-	return nil
-}
-
-func (sc *wireScratch) parseBoolField(dst *bool, set *bool) error {
-	c, err := sc.peek()
-	if err != nil {
-		return err
-	}
-	switch c {
-	case 'n':
-		return sc.parseNull()
-	case 't':
-		if err := sc.parseLiteral("true"); err != nil {
-			return err
-		}
-		*dst, *set = true, true
-		return nil
-	case 'f':
-		if err := sc.parseLiteral("false"); err != nil {
-			return err
-		}
-		*dst, *set = false, true
-		return nil
+// scanAskField parses the value of the ask field askKeys[key] into wr.
+func scanAskField(s *jsonscan.Scanner, wr *wireRequest, key int) (ok bool) {
+	switch key {
+	case 0:
+		wr.model, ok = scanSpan(s)
+	case 1:
+		wr.n, ok = s.Int()
+	case 2:
+		wr.algo, ok = scanSpan(s)
 	default:
-		return sc.invalidChar()
-	}
-}
-
-// parseInt64Field parses an integer number the way encoding/json fills an
-// int64: the literal must be a JSON number with no fraction or exponent,
-// in range.
-func (sc *wireScratch) parseInt64Field(dst *int64, field string) error {
-	c, err := sc.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		return sc.parseNull()
-	}
-	lit, err := sc.scanNumber()
-	if err != nil {
-		return err
-	}
-	v, err := parseWireInt(lit)
-	if err != nil {
-		return fmt.Errorf("%s %s: %w", field, lit, err)
-	}
-	*dst = v
-	return nil
-}
-
-func (sc *wireScratch) parseFloatField(dst *float64) error {
-	c, err := sc.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		return sc.parseNull()
-	}
-	lit, err := sc.scanNumber()
-	if err != nil {
-		return err
-	}
-	v, err := strconv.ParseFloat(string(lit), 64)
-	if err != nil {
-		return errBadNumber
-	}
-	*dst = v
-	return nil
-}
-
-func (sc *wireScratch) parseNull() error { return sc.parseLiteral("null") }
-
-func (sc *wireScratch) parseLiteral(lit string) error {
-	if len(sc.body)-sc.pos < len(lit) || string(sc.body[sc.pos:sc.pos+len(lit)]) != lit {
-		return fmt.Errorf("invalid literal at offset %d", sc.pos)
-	}
-	sc.pos += len(lit)
-	return nil
-}
-
-func (sc *wireScratch) expect(c byte) error {
-	got, err := sc.peek()
-	if err != nil {
-		return err
-	}
-	if got != c {
-		return sc.invalidChar()
-	}
-	sc.pos++
-	return nil
-}
-
-// parseString consumes a string literal. The common escape-free ASCII
-// literal aliases the body; anything else is unescaped into strBuf with
-// encoding/json's semantics (\uXXXX with surrogate pairs, invalid UTF-8
-// to U+FFFD, raw control characters rejected).
-func (sc *wireScratch) parseString() (span, error) {
-	c, err := sc.peek()
-	if err != nil {
-		return span{}, err
-	}
-	if c != '"' {
-		return span{}, sc.invalidChar()
-	}
-	sc.pos++
-	start := sc.pos
-	for i := sc.pos; i < len(sc.body); i++ {
-		b := sc.body[i]
-		if b == '"' {
-			sc.pos = i + 1
-			return span{off: start, n: i - start}, nil
-		}
-		if b == '\\' || b < 0x20 || b >= utf8.RuneSelf {
-			break
-		}
-	}
-	return sc.parseStringSlow(start)
-}
-
-func (sc *wireScratch) parseStringSlow(start int) (span, error) {
-	bufStart := len(sc.strBuf)
-	i := start
-	for i < len(sc.body) {
-		b := sc.body[i]
-		switch {
-		case b == '"':
-			sc.pos = i + 1
-			return span{off: bufStart, n: len(sc.strBuf) - bufStart, inBuf: true}, nil
-		case b == '\\':
-			i++
-			if i >= len(sc.body) {
-				return span{}, errUnexpectedEnd
-			}
-			switch sc.body[i] {
-			case '"':
-				sc.strBuf = append(sc.strBuf, '"')
-			case '\\':
-				sc.strBuf = append(sc.strBuf, '\\')
-			case '/':
-				sc.strBuf = append(sc.strBuf, '/')
-			case 'b':
-				sc.strBuf = append(sc.strBuf, '\b')
-			case 'f':
-				sc.strBuf = append(sc.strBuf, '\f')
-			case 'n':
-				sc.strBuf = append(sc.strBuf, '\n')
-			case 'r':
-				sc.strBuf = append(sc.strBuf, '\r')
-			case 't':
-				sc.strBuf = append(sc.strBuf, '\t')
-			case 'u':
-				r, n, err := sc.decodeUnicodeEscape(i - 1)
-				if err != nil {
-					return span{}, err
-				}
-				sc.strBuf = utf8.AppendRune(sc.strBuf, r)
-				// n counts from the backslash; land on the escape's last
-				// byte so the shared i++ below steps past it.
-				i += n - 2
+		ok = s.Object(optionKeys, func(key int) (ok bool) {
+			switch key {
+			case 0:
+				wr.fineTune, ok = s.Bool()
+				wr.hasFineTune = true
+			case 1:
+				// decode reports a value outside int32 range.
+				var v int64
+				v, ok = s.Int()
+				wr.maxSteps, ok = int(v), ok && v == int64(int32(v))
+			case 2:
+				wr.elasticity, ok = s.Float()
 			default:
-				return span{}, errBadEscape
+				wr.bisection, ok = scanSpan(s)
 			}
-			i++
-		case b < 0x20:
-			return span{}, errStringCtl
-		case b < utf8.RuneSelf:
-			sc.strBuf = append(sc.strBuf, b)
-			i++
-		default:
-			r, size := utf8.DecodeRune(sc.body[i:])
-			if r == utf8.RuneError && size == 1 {
-				sc.strBuf = utf8.AppendRune(sc.strBuf, utf8.RuneError)
-				i++
-			} else {
-				sc.strBuf = append(sc.strBuf, sc.body[i:i+size]...)
-				i += size
-			}
-		}
+			return ok
+		})
 	}
-	return span{}, errUnexpectedEnd
+	return ok
 }
 
-// decodeUnicodeEscape decodes \uXXXX at offset i (pointing at the
-// backslash), combining surrogate pairs; it returns the rune and how many
-// input bytes the escape(s) consumed.
-func (sc *wireScratch) decodeUnicodeEscape(i int) (rune, int, error) {
-	r, ok := hex4(sc.body, i+2)
-	if !ok {
-		return 0, 0, errBadEscape
-	}
-	if !utf16.IsSurrogate(r) {
-		return r, 6, nil
-	}
-	// A surrogate followed by a \uXXXX completing a valid pair combines
-	// and consumes both escapes; any other arrangement writes U+FFFD and
-	// consumes only the first, exactly as encoding/json unquotes it.
-	if i+12 <= len(sc.body) && sc.body[i+6] == '\\' && sc.body[i+7] == 'u' {
-		if r2, ok := hex4(sc.body, i+8); ok {
-			if dec := utf16.DecodeRune(r, r2); dec != utf8.RuneError {
-				return dec, 12, nil
-			}
-		}
-	}
-	return utf8.RuneError, 6, nil
+// scanSpan parses a string and returns its span of the body.
+func scanSpan(s *jsonscan.Scanner) (span, bool) {
+	str, ok := s.Str()
+	return span{off: s.Pos() - 1 - len(str), n: len(str)}, ok
 }
 
-func hex4(b []byte, i int) (rune, bool) {
-	if i+4 > len(b) {
-		return 0, false
+// decode parses a body outside the scanned shape with encoding/json into
+// the reference structs, and copies its asks into sc.reqs and their
+// strings into strBuf.
+func (sc *wireScratch) decode() (batch bool, err error) {
+	var asks []partitionRequest
+	dec := json.NewDecoder(bytes.NewReader(sc.body))
+	if batch = firstKeyIsRequests(sc.body); batch {
+		var pb partitionBatch
+		err = dec.Decode(&pb)
+		asks = pb.Requests
+	} else {
+		asks = make([]partitionRequest, 1)
+		err = dec.Decode(&asks[0])
 	}
-	var r rune
-	for _, c := range b[i : i+4] {
-		r <<= 4
-		switch {
-		case c >= '0' && c <= '9':
-			r |= rune(c - '0')
-		case c >= 'a' && c <= 'f':
-			r |= rune(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			r |= rune(c-'A') + 10
-		default:
-			return 0, false
-		}
-	}
-	return r, true
-}
-
-// scanNumber validates JSON number grammar and returns the literal.
-func (sc *wireScratch) scanNumber() ([]byte, error) {
-	sc.skipWS()
-	start := sc.pos
-	i := sc.pos
-	n := len(sc.body)
-	if i < n && sc.body[i] == '-' {
-		i++
-	}
-	switch {
-	case i < n && sc.body[i] == '0':
-		i++
-	case i < n && sc.body[i] >= '1' && sc.body[i] <= '9':
-		for i < n && sc.body[i] >= '0' && sc.body[i] <= '9' {
-			i++
-		}
-	default:
-		if i >= n {
-			return nil, errUnexpectedEnd
-		}
-		sc.pos = i
-		return nil, sc.invalidChar()
-	}
-	if i < n && sc.body[i] == '.' {
-		i++
-		if i >= n || sc.body[i] < '0' || sc.body[i] > '9' {
-			return nil, errBadNumber
-		}
-		for i < n && sc.body[i] >= '0' && sc.body[i] <= '9' {
-			i++
-		}
-	}
-	if i < n && (sc.body[i] == 'e' || sc.body[i] == 'E') {
-		i++
-		if i < n && (sc.body[i] == '+' || sc.body[i] == '-') {
-			i++
-		}
-		if i >= n || sc.body[i] < '0' || sc.body[i] > '9' {
-			return nil, errBadNumber
-		}
-		for i < n && sc.body[i] >= '0' && sc.body[i] <= '9' {
-			i++
-		}
-	}
-	sc.pos = i
-	return sc.body[start:i], nil
-}
-
-// parseWireInt is strconv.ParseInt(lit, 10, 64) without the string
-// conversion; lit is a syntactically valid JSON number.
-func parseWireInt(lit []byte) (int64, error) {
-	neg := false
-	i := 0
-	if lit[0] == '-' {
-		neg = true
-		i = 1
-	}
-	var v uint64
-	for ; i < len(lit); i++ {
-		c := lit[i]
-		if c < '0' || c > '9' {
-			return 0, errNotInteger
-		}
-		d := uint64(c - '0')
-		if v > (math.MaxUint64-d)/10 {
-			return 0, errIntegerOverflow
-		}
-		v = v*10 + d
-	}
-	if neg {
-		if v > math.MaxInt64+1 {
-			return 0, errIntegerOverflow
-		}
-		return -int64(v), nil
-	}
-	if v > math.MaxInt64 {
-		return 0, errIntegerOverflow
-	}
-	return int64(v), nil
-}
-
-// skipValue consumes one JSON value of any shape, validating syntax, for
-// unknown fields.
-func (sc *wireScratch) skipValue(depth int) error {
-	if depth > maxParseDepth {
-		return errDepth
-	}
-	c, err := sc.peek()
 	if err != nil {
-		return err
+		return batch, err
 	}
-	switch c {
-	case '{':
-		sc.pos++
-		c, err := sc.peek()
-		if err != nil {
-			return err
+	sc.reqs = sc.reqs[:0]
+	for _, pr := range asks {
+		wr := wireRequest{model: sc.keep(pr.Model), n: pr.N, algo: sc.keep(pr.Algo)}
+		if o := pr.Options; o != nil {
+			// Tighter than the platform int encoding/json fills, and
+			// deliberately so: a step budget past 2^31 is garbage input,
+			// not a plan anyone wants computed.
+			if o.MaxSteps != int(int32(o.MaxSteps)) {
+				return batch, fmt.Errorf("maxSteps %d: integer overflow", o.MaxSteps)
+			}
+			wr.maxSteps, wr.elasticity, wr.bisection = o.MaxSteps, o.Elasticity, sc.keep(o.Bisection)
+			if o.FineTune != nil {
+				wr.fineTune, wr.hasFineTune = *o.FineTune, true
+			}
 		}
-		if c == '}' {
-			sc.pos++
-			return nil
-		}
-		for {
-			if _, err := sc.parseString(); err != nil {
-				return err
-			}
-			if err := sc.expect(':'); err != nil {
-				return err
-			}
-			if err := sc.skipValue(depth + 1); err != nil {
-				return err
-			}
-			c, err := sc.peek()
-			if err != nil {
-				return err
-			}
-			if c == '}' {
-				sc.pos++
-				return nil
-			}
-			if c != ',' {
-				return sc.invalidChar()
-			}
-			sc.pos++
-		}
-	case '[':
-		sc.pos++
-		c, err := sc.peek()
-		if err != nil {
-			return err
-		}
-		if c == ']' {
-			sc.pos++
-			return nil
-		}
-		for {
-			if err := sc.skipValue(depth + 1); err != nil {
-				return err
-			}
-			c, err := sc.peek()
-			if err != nil {
-				return err
-			}
-			if c == ']' {
-				sc.pos++
-				return nil
-			}
-			if c != ',' {
-				return sc.invalidChar()
-			}
-			sc.pos++
-		}
-	case '"':
-		// Skipped strings still validate escapes; rewind strBuf afterwards
-		// so skipped data costs no retained scratch.
-		mark := len(sc.strBuf)
-		_, err := sc.parseString()
-		sc.strBuf = sc.strBuf[:mark]
-		return err
-	case 't':
-		return sc.parseLiteral("true")
-	case 'f':
-		return sc.parseLiteral("false")
-	case 'n':
-		return sc.parseLiteral("null")
-	default:
-		_, err := sc.scanNumber()
-		return err
+		sc.reqs = append(sc.reqs, wr)
 	}
+	return batch, nil
+}
+
+// firstKeyIsRequests reports whether body's top-level object opens with a
+// key that folds to "requests", the key that makes a body a batch.
+func firstKeyIsRequests(body []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return false
+	}
+	key, err := dec.Token()
+	k, _ := key.(string)
+	return err == nil && strings.EqualFold(k, "requests")
+}
+
+// keep copies str into strBuf and returns its span there.
+func (sc *wireScratch) keep(str string) span {
+	sc.strBuf = append(sc.strBuf, str...)
+	return span{off: len(sc.strBuf) - len(str), n: len(str), inBuf: true}
 }
 
 // ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@ package rpc
 
 // Equivalence suite for the pooled wire codec: the hand-rolled encoder
 // must be byte-identical to encoding/json on the response shapes it
-// replaces, and the single-pass parser must accept/reject bodies exactly
-// as json.Decoder filled the old wire structs (modulo the documented
-// dispatch changes). Golden tables pin the known corners; the fuzz
-// targets chase the rest.
+// replaces, and the parser must accept/reject bodies exactly as
+// json.Decoder fills the reference structs (modulo the documented
+// maxSteps bound). Golden tables pin the known corners; the fuzz targets
+// chase the rest.
 
 import (
 	"bytes"
@@ -21,31 +21,6 @@ import (
 	"heteropart/internal/core"
 	"heteropart/internal/geometry"
 )
-
-// partitionRequest is the encoding/json reference for one partition ask:
-// the struct the handler decoded before the wire codec, kept as the
-// oracle the parser is checked against.
-type partitionRequest struct {
-	// Model names the cluster: a stored label or a hex fingerprint.
-	Model string `json:"model"`
-	N     int64  `json:"n"`
-	// Algo is "basic", "modified" or "combined" (the default).
-	Algo    string          `json:"algo,omitempty"`
-	Options *requestOptions `json:"options,omitempty"`
-}
-
-// partitionBatch wraps multiple requests in one POST.
-type partitionBatch struct {
-	Requests []partitionRequest `json:"requests"`
-}
-
-// requestOptions maps the result-affecting partitioner options onto JSON.
-type requestOptions struct {
-	FineTune   *bool   `json:"fineTune,omitempty"`   // default true
-	MaxSteps   int     `json:"maxSteps,omitempty"`   // default 256
-	Elasticity float64 `json:"elasticity,omitempty"` // Combined's threshold
-	Bisection  string  `json:"bisection,omitempty"`  // "tangents" | "angles"
-}
 
 // toOpts is the reference option validation wireRequest.toOpts must
 // agree with (checkOptsDifferential).
@@ -340,6 +315,16 @@ func TestParseDifferentialGolden(t *testing.T) {
 		"{\"model\":\"bad\xff\xfeutf8\"}",
 		`{"model":"\uZZZZ"}`,
 		`{"model":"\q"}`,
+		`{"n":-9223372036854775809}`,
+		`{"options":{"maxSteps":2147483647}}`,
+		`{"options":{"maxSteps":2147483648}}`,
+		`{"options":{"maxSteps":-2147483649}}`,
+		"{\"model\":\"m\",\x00\"n\":1}",
+		`{"options":{"fineTune":truex}}`,
+		`{"options":{"maxSteps":1,"maxSteps":2}}`,
+		`{"n":1.0}`,
+		`{"options":{"elasticity":1e400}}`,
+		" \t{ \"requests\" :\n[ { \"model\" : \"t1/p540\" , \"n\" : 5 } ,\r{ \"model\" : \"m\" } ] } ",
 	}
 	okCount := 0
 	for _, b := range bodies {
@@ -350,9 +335,39 @@ func TestParseDifferentialGolden(t *testing.T) {
 	if okCount == 0 {
 		t.Fatal("no body parsed successfully; table is broken")
 	}
-	// Deep nesting: both sides must reject past the shared depth cap.
-	deep := strings.Repeat(`{"x":`, maxParseDepth+2) + `1` + strings.Repeat(`}`, maxParseDepth+2)
+	// Deep nesting: both sides must reject past encoding/json's depth cap.
+	deep := strings.Repeat(`{"x":`, 10000+2) + `1` + strings.Repeat(`}`, 10000+2)
 	checkParseDifferential(t, []byte(`{"unknown":`+deep+`}`))
+}
+
+// TestParseScannedShapeAllocs requires the scanned shape to parse without
+// allocating: a single with algo and all four options, a 16-ask batch of
+// tenant labels, and the empty single and batch. The handler benchmarks'
+// gates send only option-free bodies.
+func TestParseScannedShapeAllocs(t *testing.T) {
+	var batch strings.Builder
+	batch.WriteString(`{"requests":[`)
+	for i := 0; i < 16; i++ {
+		if i > 0 {
+			batch.WriteByte(',')
+		}
+		fmt.Fprintf(&batch, `{"model":"t1/p540","n":%d}`, 5_000_000+i*100_000)
+	}
+	batch.WriteString(`]}`)
+	for _, body := range []string{
+		`{"model":"t0/p270","n":5000000,"algo":"basic","options":{"fineTune":false,"maxSteps":64,"elasticity":0.5,"bisection":"angles"}}`,
+		batch.String(),
+		`{}`,
+		`{"requests":[]}`,
+	} {
+		sc := &wireScratch{body: []byte(body)}
+		if _, err := sc.parsePartition(); err != nil { // grows the scratch
+			t.Fatalf("%s: %v", body, err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { sc.parsePartition() }); allocs != 0 {
+			t.Errorf("%s: parsePartition allocates %v allocs/op, want 0", body, allocs)
+		}
+	}
 }
 
 // FuzzWireCodec chases decoder divergence from json.Decoder (any fuzz
@@ -540,7 +555,7 @@ func TestPartitionOversizeBody(t *testing.T) {
 func TestHTTPErrorShape(t *testing.T) {
 	// httpError's pooled encoding keeps the {"error": msg} document and
 	// formats like fmt.Sprintf.
-	msg := fmt.Sprintf("bad JSON: %v", errTopLevelNotObj)
+	msg := fmt.Sprintf("bad JSON: %v", "top-level value must be an object")
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(map[string]string{"error": msg}); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package speed
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -125,25 +124,6 @@ func (f *PiecewiseLinear) IntersectRay(slope float64) (float64, bool) {
 	var g Segment
 	g.set(f.ks, seek(f.ks, slope, 0, len(f.ks), -1), math.Inf(1))
 	return g.Cross(slope), g.k < len(f.ks)
-}
-
-// MarshalJSON implements json.Marshaler, emitting the knot list.
-func (f *PiecewiseLinear) MarshalJSON() ([]byte, error) {
-	return json.Marshal(f.Points())
-}
-
-// UnmarshalJSON implements json.Unmarshaler, validating the knot list.
-func (f *PiecewiseLinear) UnmarshalJSON(data []byte) error {
-	var pts []Point
-	if err := json.Unmarshal(data, &pts); err != nil {
-		return err
-	}
-	g, err := NewPiecewiseLinear(pts)
-	if err != nil {
-		return err
-	}
-	*f = *g
-	return nil
 }
 
 // String implements fmt.Stringer.

@@ -1,7 +1,6 @@
 package speed
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -164,31 +163,6 @@ func TestPWLIntersectRayShallowClamps(t *testing.T) {
 	x, hit = f.IntersectRay(0)
 	if hit || x != 1000 {
 		t.Errorf("IntersectRay(0) = (%v, %v), want (1000, false)", x, hit)
-	}
-}
-
-func TestPWLJSONRoundTrip(t *testing.T) {
-	f := MustPiecewiseLinear(validPts)
-	data, err := json.Marshal(f)
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	var g PiecewiseLinear
-	if err := json.Unmarshal(data, &g); err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
-	if g.NumPoints() != f.NumPoints() || g.MaxSize() != f.MaxSize() {
-		t.Errorf("round trip mismatch: %v vs %v", g.Points(), f.Points())
-	}
-}
-
-func TestPWLJSONRejectsInvalid(t *testing.T) {
-	var g PiecewiseLinear
-	if err := json.Unmarshal([]byte(`[{"size":1,"speed":1}]`), &g); err == nil {
-		t.Error("Unmarshal of single point: want error")
-	}
-	if err := json.Unmarshal([]byte(`{`), &g); err == nil {
-		t.Error("Unmarshal of bad JSON: want error")
 	}
 }
 
