@@ -13,8 +13,8 @@ package heteropart
 //   - BenchmarkDaemonHandler calls the daemon's net/http handler directly
 //     with a recycled request/response pair, so B/op and allocs/op
 //     describe the handler path itself with the connection machinery
-//     excluded. ci.sh gates the warm path at 0 B/op and 0 allocs/op, at
-//     -cpu 1.
+//     excluded. ci.sh gates the warm, batch16, hit1080, error and badalgo
+//     rows at 0 B/op and 0 allocs/op, at -cpu 1.
 //   - BenchmarkDaemonModelUpload measures model ingest: the decode of
 //     perfbench's cold upload documents, and their upload over HTTP.
 //
@@ -319,7 +319,9 @@ func (r *handlerRig) do(b *testing.B, wantCode int) {
 
 // BenchmarkDaemonHandler measures the handler path with net/http's
 // connection machinery excluded: B/op and allocs/op here are the wire
-// codec's own footprint. ci.sh gates the warm path and the 400s for an
+// codec's own footprint. ci.sh gates the warm path, the 16-plan batch, a
+// resident plan on uploadDocs' 1080-processor model (hit1080: a reply of
+// about 9 KB, copied from the plan's cached encoding) and the 400s for an
 // unknown model (error) and an unknown algorithm (badalgo).
 func BenchmarkDaemonHandler(b *testing.B) {
 	d, err := rpc.New(rpc.Config{Dir: b.TempDir()})
@@ -349,6 +351,15 @@ func BenchmarkDaemonHandler(b *testing.B) {
 	batch.do(b, 200)
 	batch.do(b, 200)
 
+	labels, docs := uploadDocs()
+	if labels[3] != "t0/p1080" {
+		b.Fatalf("uploadDocs' fourth model is %q, want t0/p1080", labels[3])
+	}
+	newHandlerRig(b, h, http.MethodPost, "/v1/models?label="+labels[3], docs[3]).do(b, 200)
+	hit1080 := newHandlerRig(b, h, http.MethodPost, "/v1/partition", []byte(`{"model":"t0/p1080","n":1000000000}`))
+	hit1080.do(b, 200)
+	hit1080.do(b, 200)
+
 	errRig := newHandlerRig(b, h, http.MethodPost, "/v1/partition", []byte(`{"model":"nosuch","n":5000000}`))
 	errRig.do(b, 400)
 	badAlgo := newHandlerRig(b, h, http.MethodPost, "/v1/partition", []byte(`{"model":"m","n":5000000,"algo":"nosuch"}`))
@@ -364,6 +375,12 @@ func BenchmarkDaemonHandler(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			batch.do(b, 200)
+		}
+	})
+	b.Run("hit1080", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			hit1080.do(b, 200)
 		}
 	})
 	b.Run("error", func(b *testing.B) {

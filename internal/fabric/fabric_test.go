@@ -118,33 +118,51 @@ func TestQuotasAllow(t *testing.T) {
 	if q := NewQuotas(0, 0); q != nil {
 		t.Fatal("qps=0 must return nil (unlimited)")
 	}
+	t0 := time.Unix(1_700_000_000, 0)
 	var q *Quotas
-	if ok, _ := q.Allow([]byte("a")); !ok {
+	if ok, _ := q.Allow([]byte("a"), t0); !ok {
 		t.Fatal("nil Quotas must admit everything")
 	}
 
 	q = NewQuotas(10, 3)
 	tenant := []byte("acme")
 	for i := 0; i < 3; i++ {
-		if ok, _ := q.Allow(tenant); !ok {
+		if ok, _ := q.Allow(tenant, t0); !ok {
 			t.Fatalf("request %d within burst refused", i)
 		}
 	}
-	ok, retry := q.Allow(tenant)
+	ok, retry := q.Allow(tenant, t0)
 	if ok {
 		t.Fatal("request beyond burst admitted")
 	}
-	if retry < 1 {
-		t.Fatalf("retryAfter = %d, want >= 1", retry)
+	if retry != 1 {
+		t.Fatalf("retryAfter = %d, want 1 (a token every 100ms)", retry)
 	}
 	// An unrelated tenant has its own full bucket.
-	if ok, _ := q.Allow([]byte("beta")); !ok {
+	if ok, _ := q.Allow([]byte("beta"), t0); !ok {
 		t.Fatal("fresh tenant refused — buckets must be per-tenant")
 	}
-	// Refill: at 10 qps, 150ms restores at least one token.
-	time.Sleep(150 * time.Millisecond)
-	if ok, _ := q.Allow(tenant); !ok {
+	// No refill without time passing, nor for an instant before the last.
+	if ok, _ := q.Allow(tenant, t0.Add(-time.Second)); ok {
+		t.Fatal("an earlier instant refilled the bucket")
+	}
+	// Refill: at 10 qps, 150ms restores one token, and only one.
+	t1 := t0.Add(150 * time.Millisecond)
+	if ok, _ := q.Allow(tenant, t1); !ok {
 		t.Fatal("bucket did not refill")
+	}
+	if ok, _ := q.Allow(tenant, t1); ok {
+		t.Fatal("150ms at 10 qps refilled more than one token")
+	}
+	// A long idle spell refills to the burst, never past it.
+	t2 := t1.Add(time.Hour)
+	for i := 0; i < 3; i++ {
+		if ok, _ := q.Allow(tenant, t2); !ok {
+			t.Fatalf("request %d after an idle hour refused", i)
+		}
+	}
+	if ok, _ := q.Allow(tenant, t2); ok {
+		t.Fatal("the bucket refilled past its burst")
 	}
 }
 

@@ -43,13 +43,14 @@ func NewQuotas(qps float64, burst int) *Quotas {
 	return &Quotas{rate: qps, burst: b, buckets: make(map[string]*bucket)}
 }
 
-// Allow charges one token to the tenant's bucket. On refusal it returns
-// the whole number of seconds after which one token will be available —
-// the Retry-After value. The tenant key is []byte from the wire parser;
-// the map probe with a string(tenant) key expression does not allocate,
-// and the string copy is only made when a tenant's bucket is first
-// created.
-func (q *Quotas) Allow(tenant []byte) (ok bool, retryAfter int) {
+// Allow charges one token to the tenant's bucket at the instant now, which
+// the caller reads once per request (a batch charges all its elements at
+// one instant). On refusal it returns the whole number of seconds after
+// which one token will be available — the Retry-After value. The tenant
+// key is []byte from the wire parser; the map probe with a string(tenant)
+// key expression does not allocate, and the string copy is only made when
+// a tenant's bucket is first created.
+func (q *Quotas) Allow(tenant []byte, now time.Time) (ok bool, retryAfter int) {
 	if q == nil {
 		return true, 0
 	}
@@ -61,12 +62,11 @@ func (q *Quotas) Allow(tenant []byte) (ok bool, retryAfter int) {
 		if b = q.buckets[string(tenant)]; b == nil {
 			// New buckets start full: a tenant's first burst of
 			// requests is admitted, throttling starts only past it.
-			b = &bucket{tokens: q.burst, last: time.Now()}
+			b = &bucket{tokens: q.burst, last: now}
 			q.buckets[string(tenant)] = b
 		}
 		q.mu.Unlock()
 	}
-	now := time.Now()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if dt := now.Sub(b.last).Seconds(); dt > 0 {

@@ -3,6 +3,7 @@ package fabric
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // TenantStats is one tenant's request accounting, updated with atomics
@@ -64,9 +65,9 @@ func (t *Tenancy) Stats(tenant []byte) *TenantStats {
 	return ts
 }
 
-// Allow charges the tenant's token bucket (no-op without quotas).
-func (t *Tenancy) Allow(tenant []byte) (ok bool, retryAfter int) {
-	return t.quota.Allow(tenant)
+// Allow charges the tenant's token bucket at now (no-op without quotas).
+func (t *Tenancy) Allow(tenant []byte, now time.Time) (ok bool, retryAfter int) {
+	return t.quota.Allow(tenant, now)
 }
 
 // QuotaEnabled reports whether per-tenant admission is configured.

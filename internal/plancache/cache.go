@@ -17,6 +17,11 @@
 // served before. The allocation equals tangent bisection's (core.Combined's
 // default) bit for bit.
 //
+// With an encoder installed (SetEncoder), every plan the cache holds carries
+// its reply bytes, formatted once outside any shard lock and never written
+// again, so a caller that answers with them (Peek, GetEncoded) copies bytes
+// instead of formatting the plan on every answer.
+//
 // With the admission policy on (Config.Doorkeeper), a plan enters the LRU
 // only on its second ask: the first miss's plan waits in a small per-shard
 // admission window, and the second ask admits it from there as a hit. That
@@ -105,6 +110,7 @@ func (k key) hash() uint64 {
 type entry struct {
 	k          key
 	res        core.Result
+	enc        Encoding
 	prev, next *entry
 }
 
@@ -113,10 +119,11 @@ type entry struct {
 // uncontended miss never allocates a channel — and the computing goroutine
 // closes it only if it exists. A call that attracted no waiter is recycled
 // through the call pool; one that did is abandoned to its waiters (they
-// read res/err at their leisure after done closes).
+// read res/enc/err at their leisure after done closes).
 type call struct {
 	done chan struct{}
 	res  core.Result
+	enc  Encoding
 	err  error
 }
 
@@ -158,29 +165,30 @@ type window struct {
 type winSlot struct {
 	k    key
 	res  core.Result
+	enc  Encoding
 	used bool
 }
 
-func (w *window) push(k key, res core.Result) {
+func (w *window) push(k key, res core.Result, enc Encoding) {
 	s := &w.slots[w.next]
 	if s.used {
 		delete(w.index, s.k)
 	}
-	*s = winSlot{k: k, res: res, used: true}
+	*s = winSlot{k: k, res: res, enc: enc, used: true}
 	w.index[k] = w.next
 	w.next = (w.next + 1) % len(w.slots)
 }
 
-// take removes k's plan from the window.
-func (w *window) take(k key) (core.Result, bool) {
+// take removes k's plan and its encoding from the window.
+func (w *window) take(k key) (core.Result, Encoding, bool) {
 	i, ok := w.index[k]
 	if !ok {
-		return core.Result{}, false
+		return core.Result{}, Encoding{}, false
 	}
-	res := w.slots[i].res
+	s := w.slots[i]
 	delete(w.index, k)
 	w.slots[i] = winSlot{}
-	return res, true
+	return s.res, s.enc, true
 }
 
 // dropModel empties the slots holding plans of one model.
@@ -262,10 +270,11 @@ type Cache struct {
 	refreshKept    atomic.Uint64
 	refreshDropped atomic.Uint64
 
-	// insertTap observes admitted insertions (see SetInsertTap); loaded
-	// atomically so the tap can be installed before traffic without
-	// locking the hot path.
+	// insertTap observes admitted insertions (see SetInsertTap) and
+	// encoder formats plans (see SetEncoder); loaded atomically so both can
+	// be installed before traffic without locking the hot path.
 	insertTap atomic.Pointer[func(PlanRecord)]
+	encoder   atomic.Pointer[func(core.Result) Encoding]
 
 	// readOnly suspends admission: misses still compute and return, but
 	// nothing is inserted, no doorkeeper state advances and no tap fires.
@@ -332,14 +341,39 @@ const (
 	TierShared
 )
 
-// PeekInto probes for an exact hit without computing on a miss, appending
-// the cached allocation to dst (which the caller reuses across calls —
-// with enough spare capacity the probe allocates nothing). On a hit the
-// returned Result's Alloc is dst's appended tail and the entry is
-// refreshed in the LRU, indistinguishable from a GetTier hit; on a miss
-// nothing changes — no doorkeeper state, no counters — so a caller
-// falling back to GetTier costs one extra map lookup, not skewed stats.
-func (c *Cache) PeekInto(dst core.Allocation, m *speed.Model, algo core.Algorithm, n int64, opts ...core.Option) (core.Allocation, core.Result, bool) {
+// Encoding is a plan's reply bytes as the cache's encoder formatted them
+// (see SetEncoder): an answer is Bytes[:Cut], the answer's own bytes, then
+// Bytes[Cut:]. An encoding is never written once made — a reused entry gets
+// a fresh one, as it gets a fresh Alloc — so callers read it outside any
+// lock.
+type Encoding struct {
+	Bytes []byte
+	Cut   int
+}
+
+// SetEncoder installs fn to format the plans the cache holds. A computed
+// plan is formatted once, by the request that computed it, before it is
+// admitted or parked in the admission window; a plan Import, Replace or
+// Offer installs without an encoding is formatted on its first hit. fn
+// runs outside every shard lock and returns a slice no one else holds.
+// Install it before serving traffic; without one, encodings are empty.
+func (c *Cache) SetEncoder(fn func(core.Result) Encoding) { c.encoder.Store(&fn) }
+
+// encode formats res with the installed encoder, if any.
+func (c *Cache) encode(res core.Result) Encoding {
+	if fn := c.encoder.Load(); fn != nil {
+		return (*fn)(res)
+	}
+	return Encoding{}
+}
+
+// Peek probes for an exact hit without computing on a miss. On a hit it
+// returns the plan's encoding, which it neither copies nor (once made)
+// formats, and refreshes the entry in the LRU, indistinguishable from a
+// GetTier hit; on a miss nothing changes — no doorkeeper state, no
+// counters — so a caller falling back to GetEncoded costs one extra map
+// lookup, not skewed stats.
+func (c *Cache) Peek(m *speed.Model, algo core.Algorithm, n int64, opts ...core.Option) (Encoding, bool) {
 	var buf [4]core.Option
 	optsKey, _ := served(buf[:0], opts)
 	k := key{model: m.Fingerprint(), n: n, algo: algo, opts: optsKey}
@@ -349,16 +383,10 @@ func (c *Cache) PeekInto(dst core.Allocation, m *speed.Model, algo core.Algorith
 	e, ok := sh.entries[k]
 	if !ok {
 		sh.mu.Unlock()
-		return dst, core.Result{}, false
+		return Encoding{}, false
 	}
-	sh.moveToFront(e)
-	start := len(dst)
-	dst = append(dst, e.res.Alloc...)
-	res := e.res
-	sh.mu.Unlock()
-	res.Alloc = dst[start:]
-	c.hits.Add(1)
-	return dst, res, true
+	_, enc := c.hit(sh, k, e)
+	return enc, true
 }
 
 // Get returns the plan for running algo over n elements on the cluster
@@ -376,31 +404,45 @@ func (c *Cache) Get(algo core.Algorithm, n int64, m *speed.Model, opts ...core.O
 func (c *Cache) GetTier(algo core.Algorithm, n int64, m *speed.Model, opts ...core.Option) (core.Result, Tier, error) {
 	var buf [4]core.Option
 	optsKey, runOpts := served(buf[:0], opts)
-	k := key{model: m.Fingerprint(), n: n, algo: algo, opts: optsKey}
+	res, _, tier, err := c.get(key{model: m.Fingerprint(), n: n, algo: algo, opts: optsKey}, m, runOpts)
+	if err != nil {
+		return core.Result{}, tier, err
+	}
+	return copyResult(res), tier, nil
+}
+
+// GetEncoded is GetTier for a caller that answers with the plan's encoding
+// and reads nothing else of it: it copies no allocation.
+func (c *Cache) GetEncoded(algo core.Algorithm, n int64, m *speed.Model, opts ...core.Option) (Encoding, Tier, error) {
+	var buf [4]core.Option
+	optsKey, runOpts := served(buf[:0], opts)
+	_, enc, tier, err := c.get(key{model: m.Fingerprint(), n: n, algo: algo, opts: optsKey}, m, runOpts)
+	return enc, tier, err
+}
+
+// get serves the plan for k, computing it with runOpts on a miss. The
+// Result it returns is the cache's own, which no one may write.
+func (c *Cache) get(k key, m *speed.Model, runOpts []core.Option) (core.Result, Encoding, Tier, error) {
 	h := k.hash()
 	sh := &c.shards[h&(numShards-1)]
 
 	sh.mu.Lock()
 	if e, ok := sh.entries[k]; ok {
-		sh.moveToFront(e)
-		res := copyResult(e.res)
-		sh.mu.Unlock()
-		c.hits.Add(1)
-		return res, TierHit, nil
+		res, enc := c.hit(sh, k, e)
+		return res, enc, TierHit, nil
 	}
 	if sh.win != nil && !c.readOnly.Load() {
-		if res, ok := sh.win.take(k); ok {
-			// The second ask admits the plan the first miss computed. Once
-			// in the LRU its Alloc is never written again, so it is read
-			// outside the lock.
-			evicted, inserted := sh.insert(k, res)
+		if res, enc, ok := sh.win.take(k); ok {
+			// The second ask admits the plan, and the encoding, the first
+			// miss made.
+			evicted, inserted := sh.insert(k, res, enc)
 			sh.mu.Unlock()
 			c.evictions.Add(evicted)
 			c.hits.Add(1)
 			if inserted {
 				c.admit(k, res)
 			}
-			return copyResult(res), TierHit, nil
+			return res, enc, TierHit, nil
 		}
 	}
 	if cl, ok := sh.inflight[k]; ok {
@@ -412,22 +454,23 @@ func (c *Cache) GetTier(algo core.Algorithm, n int64, m *speed.Model, opts ...co
 		<-done
 		c.shared.Add(1)
 		if cl.err != nil {
-			return core.Result{}, TierShared, cl.err
+			return core.Result{}, Encoding{}, TierShared, cl.err
 		}
-		return copyResult(cl.res), TierShared, nil
+		return cl.res, cl.enc, TierShared, nil
 	}
 	cl := c.calls.Get().(*call)
 	sh.inflight[k] = cl
 	sh.mu.Unlock()
 
-	// res goes to this caller, who may mutate it; the cache keeps its own
-	// copy, and waiters copy from that one.
+	// The plan is formatted here, once, outside the lock. The computing
+	// caller, the waiters and the entry or window slot share res and enc,
+	// which no one writes again.
 	res, err := c.compute(k, m, runOpts)
-	readOnly := c.readOnly.Load()
-	var owned core.Result
-	if err == nil && !readOnly {
-		owned = copyResult(res)
+	var enc Encoding
+	if err == nil {
+		enc = c.encode(res)
 	}
+	readOnly := c.readOnly.Load()
 	var inserted, windowed bool
 	sh.mu.Lock()
 	delete(sh.inflight, k)
@@ -435,38 +478,56 @@ func (c *Cache) GetTier(algo core.Algorithm, n int64, m *speed.Model, opts ...co
 	if err == nil && !readOnly {
 		if sh.door == nil || sh.door.seen(h) {
 			var evicted uint64
-			evicted, inserted = sh.insert(k, owned)
+			evicted, inserted = sh.insert(k, res, enc)
 			c.evictions.Add(evicted)
 		} else {
 			sh.door.remember(h)
-			sh.win.push(k, owned)
+			sh.win.push(k, res, enc)
 			windowed = true
 		}
 	}
 	sh.mu.Unlock()
 	if done != nil {
-		if err == nil && readOnly {
-			owned = copyResult(res)
-		}
 		// Waiters hold the call; closing hands it to them for good. They
-		// read res/err only after done closes.
-		cl.res, cl.err = owned, err
+		// read res/enc/err only after done closes.
+		cl.res, cl.enc, cl.err = res, enc, err
 		close(done)
 	} else {
 		// No waiter ever saw this call (none can after the inflight
-		// delete), and its res/err were never set: recycle it.
+		// delete), and its fields were never set: recycle it.
 		c.calls.Put(cl)
 	}
 	c.misses.Add(1)
 	if err != nil {
-		return core.Result{}, TierMiss, err
+		return core.Result{}, Encoding{}, TierMiss, err
 	}
 	if inserted {
-		c.admit(k, owned)
+		c.admit(k, res)
 	} else if windowed {
 		c.rejected.Add(1)
 	}
-	return res, TierMiss, nil
+	return res, enc, TierMiss, nil
+}
+
+// hit serves e, k's resident entry, with sh.mu held: it refreshes e in the
+// LRU, releases the lock and returns e's plan and encoding. A plan
+// installed without an encoding is formatted outside the lock, and the
+// encoding kept if e still holds that plan.
+func (c *Cache) hit(sh *shard, k key, e *entry) (core.Result, Encoding) {
+	sh.moveToFront(e)
+	res, enc := e.res, e.enc
+	sh.mu.Unlock()
+	c.hits.Add(1)
+	if enc.Bytes == nil && len(res.Alloc) > 0 {
+		if enc = c.encode(res); enc.Bytes != nil {
+			sh.mu.Lock()
+			if sh.entries[k] == e && e.enc.Bytes == nil && &e.res.Alloc[0] == &res.Alloc[0] {
+				e.enc = enc
+			}
+			sh.mu.Unlock()
+		}
+	}
+	return res, enc
 }
 
 // Offer admits a plan this cache did not compute: res is the plan another
@@ -477,7 +538,9 @@ func (c *Cache) GetTier(algo core.Algorithm, n int64, m *speed.Model, opts ...co
 // window slot and fire no insert tap, so nothing is logged. A read-only
 // cache, and a plan whose allocation does not have one share per processor
 // of m summing to n, insert nothing. It reports whether the plan went in.
-func (c *Cache) Offer(m *speed.Model, algo core.Algorithm, n int64, res core.Result, opts ...core.Option) bool {
+// enc, when not empty, is res's encoding, kept as the plan's; without one
+// the plan is formatted on its first hit.
+func (c *Cache) Offer(m *speed.Model, algo core.Algorithm, n int64, res core.Result, enc Encoding, opts ...core.Option) bool {
 	if c.readOnly.Load() || len(res.Alloc) != len(m.Fns()) || !(PlanRecord{N: n, Alloc: res.Alloc}).Valid() {
 		return false
 	}
@@ -493,7 +556,7 @@ func (c *Cache) Offer(m *speed.Model, algo core.Algorithm, n int64, res core.Res
 		sh.door.remember(h)
 		return false
 	}
-	evicted, inserted := sh.insert(k, owned)
+	evicted, inserted := sh.insert(k, owned, enc)
 	c.evictions.Add(evicted)
 	return inserted
 }
@@ -573,7 +636,7 @@ func (c *Cache) Replace(plans []PlanRecord) int {
 			continue
 		}
 		k, res := r.entry()
-		ev, inserted := fresh[k.hash()&(numShards-1)].insert(k, res)
+		ev, inserted := fresh[k.hash()&(numShards-1)].insert(k, res, Encoding{})
 		evicted += ev
 		if inserted {
 			installed++
@@ -630,7 +693,7 @@ func (c *Cache) Stats() Stats {
 // insert adds a fresh entry at the front, evicting from the tail when the
 // shard is full; it returns the number of evictions and whether a new entry
 // actually went in. Callers hold mu.
-func (sh *shard) insert(k key, res core.Result) (uint64, bool) {
+func (sh *shard) insert(k key, res core.Result, enc Encoding) (uint64, bool) {
 	if e, ok := sh.entries[k]; ok {
 		// A concurrent computation of the same key finished first; results
 		// are identical, keep the resident entry.
@@ -652,7 +715,7 @@ func (sh *shard) insert(k key, res core.Result) (uint64, bool) {
 	if e == nil {
 		e = &entry{}
 	}
-	e.k, e.res = k, res
+	e.k, e.res, e.enc = k, res, enc
 	sh.entries[k] = e
 	sh.pushFront(e)
 	return evicted, true

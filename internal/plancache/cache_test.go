@@ -253,10 +253,10 @@ func TestHitsAndRefreshesDoNotHash(t *testing.T) {
 		t.Fatalf("GetTier: tier %v, err %v; want a hit", tier, err)
 	}
 	check("a GetTier hit")
-	if _, _, ok := c.PeekInto(nil, m, core.AlgoCombined, n); !ok {
-		t.Fatal("PeekInto missed")
+	if _, ok := c.Peek(m, core.AlgoCombined, n); !ok {
+		t.Fatal("Peek missed")
 	}
-	check("a PeekInto hit")
+	check("a Peek hit")
 	next := m.WithProc(1, speed.MustConstant(2.5e7, 2e9))
 	if kept, dropped := c.Refresh(m, next); kept+dropped != 1 {
 		t.Fatalf("Refresh kept %d, dropped %d; want the one plan migrated", kept, dropped)
@@ -268,8 +268,8 @@ func TestHitsAndRefreshesDoNotHash(t *testing.T) {
 // cluster, answered with core.ErrNoProcessors on every path, never a panic.
 func TestNilModelAnswersNoProcessors(t *testing.T) {
 	c := New(0)
-	if _, _, ok := c.PeekInto(nil, nil, core.AlgoCombined, 1000); ok {
-		t.Fatal("PeekInto hit a nil model")
+	if _, ok := c.Peek(nil, core.AlgoCombined, 1000); ok {
+		t.Fatal("Peek hit a nil model")
 	}
 	if _, err := c.Get(core.AlgoCombined, 1000, nil); !errors.Is(err, core.ErrNoProcessors) {
 		t.Fatalf("Get(nil model) = %v, want ErrNoProcessors", err)

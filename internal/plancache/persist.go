@@ -68,8 +68,8 @@ func (c *Cache) SetInsertTap(fn func(PlanRecord)) {
 // Import seeds the cache with previously stored plans, returning how many
 // were installed. Records failing Valid and duplicates of resident entries
 // are skipped. Imported plans bypass the doorkeeper (they were admitted by
-// the previous process) and do not fire the insert tap (the store already
-// has them).
+// the previous process), do not fire the insert tap (the store already
+// has them) and are formatted on their first hit, not here.
 func (c *Cache) Import(plans []PlanRecord) int {
 	var installed int
 	for _, r := range plans {
@@ -79,7 +79,7 @@ func (c *Cache) Import(plans []PlanRecord) int {
 		k, res := r.entry()
 		sh := &c.shards[k.hash()&(numShards-1)]
 		sh.mu.Lock()
-		evicted, inserted := sh.insert(k, res)
+		evicted, inserted := sh.insert(k, res, Encoding{})
 		sh.mu.Unlock()
 		c.evictions.Add(evicted)
 		if inserted {

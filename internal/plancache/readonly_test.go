@@ -131,7 +131,6 @@ func TestReplaceNeverMissesResidentKey(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		var dst core.Allocation
 		for {
 			select {
 			case <-stop:
@@ -139,7 +138,7 @@ func TestReplaceNeverMissesResidentKey(t *testing.T) {
 			default:
 			}
 			var ok bool
-			dst, _, ok = c.PeekInto(dst[:0], m, probe.Algo, probe.N)
+			_, ok = c.Peek(m, probe.Algo, probe.N)
 			probes++
 			if !ok {
 				misses++

@@ -29,7 +29,7 @@ import (
 // drifted processor sits outside the changed region survive verbatim, and
 // only the rest recompute. A kept plan's slope and Stats are the ones
 // computed under the old model; only its allocation is provably the new
-// model's.
+// model's. It keeps its encoding too: the bytes do not name the model.
 
 // SurvivesProc reports whether a cached allocation that assigns x elements
 // to a processor is provably unaffected by replacing that processor's
@@ -135,7 +135,7 @@ func (c *Cache) Refresh(old, new *speed.Model) (kept, dropped int) {
 		h := k.hash()
 		sh := &c.shards[h&(numShards-1)]
 		sh.mu.Lock()
-		evicted, inserted := sh.insert(k, e.res)
+		evicted, inserted := sh.insert(k, e.res, e.enc)
 		c.evictions.Add(evicted)
 		sh.mu.Unlock()
 		if inserted {

@@ -103,7 +103,7 @@ func TestWindowNeverEvictsResidents(t *testing.T) {
 		t.Fatalf("one-shot sizes displaced residents: %+v", st)
 	}
 	for _, n := range residents {
-		if _, _, ok := c.PeekInto(nil, m, core.AlgoCombined, n); !ok {
+		if _, ok := c.Peek(m, core.AlgoCombined, n); !ok {
 			t.Fatalf("resident n=%d evicted", n)
 		}
 	}
@@ -288,7 +288,7 @@ func TestOfferDoorkeeper(t *testing.T) {
 		t.Fatal(err)
 	}
 	offer := func(c *Cache, alloc core.Allocation) bool {
-		return c.Offer(m, core.AlgoCombined, n, core.Result{Alloc: alloc, Slope: ref.Slope, Stats: ref.Stats})
+		return c.Offer(m, core.AlgoCombined, n, core.Result{Alloc: alloc, Slope: ref.Slope, Stats: ref.Stats}, Encoding{})
 	}
 	c := NewWithConfig(Config{Doorkeeper: true})
 	var taps int
@@ -298,7 +298,7 @@ func TestOfferDoorkeeper(t *testing.T) {
 	if offer(c, mine) {
 		t.Fatal("the first offer of a key was inserted")
 	}
-	if _, _, ok := c.PeekInto(nil, m, core.AlgoCombined, n); ok {
+	if _, ok := c.Peek(m, core.AlgoCombined, n); ok {
 		t.Fatal("the first offer of a key serves")
 	}
 	if !offer(c, mine) {

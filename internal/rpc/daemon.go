@@ -275,6 +275,9 @@ func (d *Daemon) boot() error {
 		Capacity:   cfg.CacheCapacity,
 		Doorkeeper: true,
 	})
+	// Every plan is answered from the encoding the cache keeps with it;
+	// imported plans are formatted on their first hit, not here.
+	cache.SetEncoder(encodePlan)
 	// Seed before installing the taps: imported plans are already in the
 	// store and must not be re-logged.
 	cache.Import(st.Plans())

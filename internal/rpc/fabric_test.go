@@ -15,6 +15,7 @@ import (
 
 	"heteropart/internal/core"
 	"heteropart/internal/fabric"
+	"heteropart/internal/plancache"
 )
 
 // startFabricCluster boots k independent daemons (own store each, no
@@ -397,7 +398,7 @@ func TestFabricEdgeHit(t *testing.T) {
 	if code := postJSON(t, bases[edge]+"/v1/models?label=lab", doc2, nil); code != 200 {
 		t.Fatalf("re-upload to the edge: HTTP %d", code)
 	}
-	if _, _, ok := ed.cache.PeekInto(nil, old, core.AlgoCombined, n); ok {
+	if _, ok := ed.cache.Peek(old, core.AlgoCombined, n); ok {
 		t.Fatal("the kept plan outlived its model")
 	}
 	for i := 0; i < 3; i++ {
@@ -454,8 +455,8 @@ func TestFabricDivergedCatalogNoEdgeAdmit(t *testing.T) {
 }
 
 // FuzzRemotePlan feeds arbitrary bodies to the edge's keep rule. It never
-// panics, and a plan it keeps re-encodes to exactly its input: the bytes
-// a later edge hit answers.
+// panics, and a plan it keeps re-encodes to exactly its input, as does the
+// encoding it keeps with it: the bytes a later edge hit answers.
 func FuzzRemotePlan(f *testing.F) {
 	const stats = `"stats":{"Algorithm":"combined","Steps":7,"Intersections":36,"FineTuneMoves":2,"UsedModified":false}`
 	for _, seed := range []string{
@@ -474,12 +475,15 @@ func FuzzRemotePlan(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		res, ok := remotePlan(body)
+		res, kept, ok := remotePlan(body)
 		if !ok {
 			return
 		}
 		if enc := append(appendReply(nil, res.Alloc, res.Slope, "hit", &res.Stats, ""), '\n'); !bytes.Equal(enc, body) {
 			t.Fatalf("kept %q, which re-encodes to %q", body, enc)
+		}
+		if hit := append(appendPlanReply(nil, kept, plancache.TierHit), '\n'); !bytes.Equal(hit, body) {
+			t.Fatalf("kept %q with an encoding that answers %q", body, hit)
 		}
 	})
 }

@@ -492,17 +492,6 @@ func (d *Daemon) handleModelRefresh(w http.ResponseWriter, r *http.Request, labe
 	writeJSON(w, reply)
 }
 
-func tierName(t plancache.Tier) string {
-	switch t {
-	case plancache.TierHit:
-		return "hit"
-	case plancache.TierShared:
-		return "shared"
-	default:
-		return "miss"
-	}
-}
-
 // partitionReply is one answered plan.
 type partitionReply struct {
 	Alloc []int64    `json:"alloc,omitempty"`
@@ -540,9 +529,9 @@ func askOf(r *http.Request) partitionAsk {
 
 // partition answers one request or a batch through the pooled wire codec
 // (wire.go): the body is parsed in a single pass, batch vs single decided
-// by the first key of the top-level object, exact cache hits are copied
-// out of the plan cache into pooled scratch, and the response is encoded
-// by hand into a pooled buffer — the warm path allocates nothing. body
+// by the first key of the top-level object, and each plan's reply is
+// copied from the encoding the plan cache keeps with it into a pooled
+// buffer — the warm path allocates nothing. body
 // holds length bytes, or runs to EOF when length is negative.
 //
 // Two deliberate behavior changes from the old double-decode dispatch: a
@@ -649,8 +638,8 @@ func (d *Daemon) forwardPartition(w http.ResponseWriter, sc *wireScratch, fab *f
 		ts.RemoteHits.Add(1)
 	}
 	if status == http.StatusOK && same {
-		if res, ok := remotePlan(sc.out); ok {
-			d.cache.Offer(req.model, req.algo, req.n, res, req.opts...)
+		if res, enc, ok := remotePlan(sc.out); ok {
+			d.cache.Offer(req.model, req.algo, req.n, res, enc, req.opts...)
 		}
 	}
 	writeBody(w, status, sc.out)
@@ -658,18 +647,20 @@ func (d *Daemon) forwardPartition(w http.ResponseWriter, sc *wireScratch, fab *f
 }
 
 // remotePlan decodes an owner's relayed hit and reports whether it may be
-// kept: only when appendReply re-encodes it to exactly body, so a later
-// local hit on the copy repeats the owner's bytes.
-func remotePlan(body []byte) (core.Result, bool) {
+// kept: only when its encoding, answered as a hit, is exactly body, so a
+// later local hit on the copy repeats the owner's bytes. That encoding is
+// the one the kept plan carries.
+func remotePlan(body []byte) (core.Result, plancache.Encoding, bool) {
 	var rep partitionReply
 	if json.Unmarshal(body, &rep) != nil || rep.Tier != "hit" || rep.Error != "" {
-		return core.Result{}, false
+		return core.Result{}, plancache.Encoding{}, false
 	}
-	enc := append(appendReply(nil, rep.Alloc, rep.Slope, rep.Tier, &rep.Stats, ""), '\n')
-	if !bytes.Equal(enc, body) {
-		return core.Result{}, false
+	res := core.Result{Alloc: rep.Alloc, Slope: rep.Slope, Stats: rep.Stats}
+	enc := encodePlan(res)
+	if !bytes.Equal(append(appendPlanReply(nil, enc, plancache.TierHit), '\n'), body) {
+		return core.Result{}, plancache.Encoding{}, false
 	}
-	return core.Result{Alloc: rep.Alloc, Slope: rep.Slope, Stats: rep.Stats}, true
+	return res, enc, true
 }
 
 // planRequest is one validated partition ask, its model resolved to the
@@ -805,9 +796,9 @@ func (d *Daemon) resolveModelBytes(name []byte) (*speed.Model, bool) {
 }
 
 // servePartitionSingle answers sc.reqs[0] from the plan cache: an exact
-// hit is copied into the scratch arena without allocating, anything else
-// is computed (or joins the computation in flight, or is admitted from
-// the admission window) on the handler goroutine.
+// hit's encoding is copied into the reply without allocating, anything
+// else is computed (or joins the computation in flight, or is admitted
+// from the admission window) on the handler goroutine.
 // The tenant layer gets its say first — the request is attributed and
 // quota-charged at the edge. A request whose plan family another fabric
 // member owns is answered here only if this member's cache holds the
@@ -829,7 +820,7 @@ func (d *Daemon) servePartitionSingle(w http.ResponseWriter, ask partitionAsk, s
 			fab.ForwardedIn.Add(1)
 		}
 	} else {
-		if ok, retry := d.tenancy.Allow(tenant); !ok {
+		if ok, retry := d.tenancy.Allow(tenant, time.Now()); !ok {
 			ts.Rejected.Add(1)
 			writeQuotaError(w, retry)
 			return
@@ -843,10 +834,10 @@ func (d *Daemon) servePartitionSingle(w http.ResponseWriter, ask partitionAsk, s
 		}
 	}
 	req, err := d.wireToServe(sc, wr)
-	var res core.Result
+	var enc plancache.Encoding
 	hit := false
 	if err == nil {
-		sc.arena, res, hit = d.cache.PeekInto(sc.arena[:0], req.model, req.algo, req.n, req.opts...)
+		enc, hit = d.cache.Peek(req.model, req.algo, req.n, req.opts...)
 	}
 	if owner >= 0 {
 		if hit {
@@ -865,7 +856,7 @@ func (d *Daemon) servePartitionSingle(w http.ResponseWriter, ask partitionAsk, s
 	}
 	tier := plancache.TierHit
 	if !hit {
-		res, tier, err = d.cache.GetTier(req.algo, req.n, req.model, req.opts...)
+		enc, tier, err = d.cache.GetEncoded(req.algo, req.n, req.model, req.opts...)
 		if err != nil {
 			ts.Errors.Add(1)
 			httpError(w, http.StatusUnprocessableEntity, "%v", err)
@@ -880,13 +871,12 @@ func (d *Daemon) servePartitionSingle(w http.ResponseWriter, ask partitionAsk, s
 			h[fabric.SameModelHeader] = headerSameModel
 		}
 	}
-	sc.out = appendReply(sc.out[:0], res.Alloc, res.Slope, tierName(tier), &res.Stats, "")
-	sc.out = append(sc.out, '\n')
+	sc.out = append(appendPlanReply(sc.out[:0], enc, tier), '\n')
 	writeBody(w, http.StatusOK, sc.out)
 }
 
 // servePartitionBatch answers sc.reqs as one response document. A first
-// pass serves the hits into the scratch arena and records the misses; the
+// pass takes the hits' encodings and records the misses; the
 // misses then run over the shared worker pool, each writing only its own
 // item, so at most the pool's width of them compute at once. Elements
 // that name one plan more than once are separate asks of it: the cache's
@@ -909,6 +899,7 @@ func (d *Daemon) servePartitionBatch(w http.ResponseWriter, forwarded bool, sc *
 	}
 	fab := d.fab.Load()
 	owner, uniform, rejected := -1, true, false
+	now := time.Now() // one quota clock reading for the whole batch
 	for i := range sc.reqs {
 		it := &sc.items[i]
 		*it = wireItem{}
@@ -917,7 +908,7 @@ func (d *Daemon) servePartitionBatch(w http.ResponseWriter, forwarded bool, sc *
 		it.ts = d.tenancy.Stats(tenant)
 		it.ts.Requests.Add(1)
 		if !forwarded {
-			if ok, retry := d.tenancy.Allow(tenant); !ok {
+			if ok, retry := d.tenancy.Allow(tenant, now); !ok {
 				it.retry = retry
 				it.ts.Rejected.Add(1)
 				rejected = true
@@ -956,7 +947,6 @@ func (d *Daemon) servePartitionBatch(w http.ResponseWriter, forwarded bool, sc *
 	case fab != nil:
 		fab.ServedLocal.Add(1)
 	}
-	sc.arena = sc.arena[:0]
 	sc.misses = sc.misses[:0]
 	for i := range sc.reqs {
 		it := &sc.items[i]
@@ -968,23 +958,18 @@ func (d *Daemon) servePartitionBatch(w http.ResponseWriter, forwarded bool, sc *
 			it.err = err
 			continue
 		}
-		start := len(sc.arena)
-		arena, res, ok := d.cache.PeekInto(sc.arena, req.model, req.algo, req.n, req.opts...)
-		sc.arena = arena
-		if !ok {
-			it.req = req
-			sc.misses = append(sc.misses, i)
+		var ok bool
+		if it.enc, ok = d.cache.Peek(req.model, req.algo, req.n, req.opts...); ok {
+			it.tier = plancache.TierHit
 			continue
 		}
-		it.tier, it.slope, it.stats = plancache.TierHit, res.Slope, res.Stats
-		it.allocOff, it.allocLen = start, len(sc.arena)-start
+		it.req = req
+		sc.misses = append(sc.misses, i)
 	}
 	if len(sc.misses) > 0 {
 		pool.Shared().Run(len(sc.misses), func(j int) {
 			it := &sc.items[sc.misses[j]]
-			res, tier, err := d.cache.GetTier(it.req.algo, it.req.n, it.req.model, it.req.opts...)
-			it.tier, it.err = tier, err
-			it.alloc, it.slope, it.stats = res.Alloc, res.Slope, res.Stats
+			it.enc, it.tier, it.err = d.cache.GetEncoded(it.req.algo, it.req.n, it.req.model, it.req.opts...)
 		})
 	}
 	var zero core.Stats
@@ -1003,12 +988,11 @@ func (d *Daemon) servePartitionBatch(w http.ResponseWriter, forwarded bool, sc *
 			out = append(appendAskError(append(appendReplyHead(out, nil, 0, "", &zero), `,"error":`...), it.err, sc, &sc.reqs[i]), '}')
 		default:
 			countTier(it.ts, it.tier)
-			alloc := it.alloc
-			if alloc == nil {
-				alloc = sc.arena[it.allocOff : it.allocOff+it.allocLen]
-			}
-			out = appendReply(out, alloc, it.slope, tierName(it.tier), &it.stats, "")
+			out = appendPlanReply(out, it.enc, it.tier)
 		}
+		// The scratch goes back to the pool: it must not keep a replaced
+		// model, or a plan, alive.
+		*it = wireItem{}
 		if len(out) >= batchFlushBytes {
 			if !streaming {
 				w.Header()["Content-Type"] = headerJSON
@@ -1020,11 +1004,6 @@ func (d *Daemon) servePartitionBatch(w http.ResponseWriter, forwarded bool, sc *
 		}
 	}
 	out = append(append(out, `]}`...), '\n')
-	// The scratch goes back to the pool: it must not keep a replaced
-	// model, or a plan, alive.
-	for _, i := range sc.misses {
-		sc.items[i].req, sc.items[i].alloc = planRequest{}, nil
-	}
 	sc.out = out
 	if streaming {
 		w.Write(out)

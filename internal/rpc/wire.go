@@ -2,9 +2,10 @@ package rpc
 
 // The partition wire codec: a pooled request parser and response encoder
 // for /v1/partition, the daemon's hot path. One wireScratch — body buffer,
-// parse scratch, response buffer, allocation arena — is pooled per
-// request, and the fixed response shapes are encoded by hand,
-// byte-identical to encoding/json.
+// parse scratch, response buffer — is pooled per request, and the fixed
+// response shapes are encoded by hand, byte-identical to encoding/json. A
+// plan's reply is formatted once, by encodePlan, and kept with the plan in
+// the plan cache; every answer of it copies those bytes around its tier.
 //
 // Parser contract: every body means what json.Decoder.Decode makes of it
 // in the reference structs below, a partitionBatch when the top-level
@@ -72,19 +73,15 @@ var (
 )
 
 // wireItem is the per-request state of a batch: a validation error, a
-// quota rejection, a cache hit (its allocation copied into the scratch
-// arena), or a miss (its request, then the plan computed for it).
+// quota rejection, a cache hit, or a miss (its request, then the plan
+// computed for it).
 type wireItem struct {
 	err  error
 	tier plancache.Tier
-	// req and alloc are a miss's request and its allocation; a hit's
-	// allocation is arena[allocOff : allocOff+allocLen].
-	req      planRequest
-	alloc    core.Allocation
-	slope    float64
-	stats    core.Stats
-	allocOff int
-	allocLen int
+	// req is a miss's request; enc is the plan's encoding, a hit's or a
+	// computed miss's, read-only.
+	req planRequest
+	enc plancache.Encoding
 	// ts is the element's tenant counter block, resolved during the
 	// admission pass and charged during the encode pass.
 	ts *fabric.TenantStats
@@ -102,7 +99,6 @@ type wireScratch struct {
 	reqs   []wireRequest // parsed requests (len 1 for a single)
 	items  []wireItem    // batch serving state
 	misses []int         // indices of the batch items that missed
-	arena  core.Allocation
 }
 
 var wirePool = sync.Pool{New: func() any { return &wireScratch{} }}
@@ -484,6 +480,20 @@ func appendReply(dst []byte, alloc []int64, slope float64, tier string, st *core
 // appendReplyHead appends a partitionReply object up to its error field,
 // which is last, leaving the object open.
 func appendReplyHead(dst []byte, alloc []int64, slope float64, tier string, st *core.Stats) []byte {
+	dst = appendPlanHead(dst, alloc, slope)
+	if tier != "" {
+		dst = append(dst, `"tier":`...)
+		dst = appendJSONString(dst, tier)
+		dst = append(dst, ',')
+	}
+	dst = append(dst, `"stats":`...)
+	return appendStats(dst, st)
+}
+
+// appendPlanHead appends a partitionReply object up to its tier field: the
+// brace, then alloc and slope, each with its comma, each omitted when
+// empty.
+func appendPlanHead(dst []byte, alloc []int64, slope float64) []byte {
 	dst = append(dst, '{')
 	if len(alloc) > 0 {
 		dst = append(dst, `"alloc":[`...)
@@ -500,13 +510,40 @@ func appendReplyHead(dst []byte, alloc []int64, slope float64, tier string, st *
 		dst = appendJSONFloat(dst, slope)
 		dst = append(dst, ',')
 	}
-	if tier != "" {
-		dst = append(dst, `"tier":`...)
-		dst = appendJSONString(dst, tier)
-		dst = append(dst, ',')
-	}
-	dst = append(dst, `"stats":`...)
-	return appendStats(dst, st)
+	return dst
+}
+
+// encodePool holds the scratch encodePlan formats in.
+var encodePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodePlan is the plan cache's encoder: a plan's whole reply but its
+// tier, cut where appendPlanReply writes the tier of each answer. It
+// formats into pooled scratch and returns an exact-size copy, so a cached
+// encoding carries no slack.
+func encodePlan(res core.Result) plancache.Encoding {
+	buf := encodePool.Get().(*[]byte)
+	b := appendPlanHead((*buf)[:0], res.Alloc, res.Slope)
+	cut := len(b)
+	b = append(appendStats(append(b, `"stats":`...), &res.Stats), '}')
+	enc := plancache.Encoding{Bytes: bytes.Clone(b), Cut: cut}
+	*buf = b
+	encodePool.Put(buf)
+	return enc
+}
+
+// tierFields are the bytes an answer writes at its encoding's cut.
+var tierFields = [...]string{
+	plancache.TierMiss:   `"tier":"miss",`,
+	plancache.TierHit:    `"tier":"hit",`,
+	plancache.TierShared: `"tier":"shared",`,
+}
+
+// appendPlanReply appends the reply answering a plan at tier: what
+// appendReply appends for it, copied from its encoding.
+func appendPlanReply(dst []byte, enc plancache.Encoding, tier plancache.Tier) []byte {
+	dst = append(dst, enc.Bytes[:enc.Cut]...)
+	dst = append(dst, tierFields[tier]...)
+	return append(dst, enc.Bytes[enc.Cut:]...)
 }
 
 // appendAskError appends the text of err, an error of wireToServe or of

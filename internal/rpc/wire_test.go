@@ -20,6 +20,7 @@ import (
 
 	"heteropart/internal/core"
 	"heteropart/internal/geometry"
+	"heteropart/internal/plancache"
 )
 
 // toOpts is the reference option validation wireRequest.toOpts must
@@ -219,6 +220,11 @@ func checkParseDifferential(t testing.TB, body []byte) bool {
 		var pb partitionBatch
 		refErr := json.NewDecoder(bytes.NewReader(body)).Decode(&pb)
 		if (wireErr == nil) != (refErr == nil) {
+			// The single branch's documented tightening, for the element
+			// that carries it.
+			if wireErr != nil && refErr == nil && maxStepsOverflow(wireErr, pb.Requests) {
+				return false
+			}
 			t.Fatalf("batch divergence on %q: wire=%v ref=%v", body, wireErr, refErr)
 		}
 		if wireErr != nil {
@@ -256,6 +262,19 @@ func checkParseDifferential(t testing.TB, body []byte) bool {
 	}
 	checkOptsDifferential(t, body, sc, &sc.reqs[0], want.Options)
 	return true
+}
+
+// maxStepsOverflow reports whether err is the wire's int32 bound on an
+// ask's maxSteps: its text is exactly "maxSteps <v>: integer overflow",
+// and an ask the reference decoded has maxSteps v, outside int32 range.
+func maxStepsOverflow(err error, asks []partitionRequest) bool {
+	for _, a := range asks {
+		if o := a.Options; o != nil && o.MaxSteps != int(int32(o.MaxSteps)) &&
+			err.Error() == fmt.Sprintf("maxSteps %d: integer overflow", o.MaxSteps) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestParseDifferentialGolden(t *testing.T) {
@@ -325,6 +344,7 @@ func TestParseDifferentialGolden(t *testing.T) {
 		`{"n":1.0}`,
 		`{"options":{"elasticity":1e400}}`,
 		" \t{ \"requests\" :\n[ { \"model\" : \"t1/p540\" , \"n\" : 5 } ,\r{ \"model\" : \"m\" } ] } ",
+		`{"requests":[{"model":"m","options":{"maxSteps":2147483648}}]}`,
 	}
 	okCount := 0
 	for _, b := range bodies {
@@ -378,6 +398,7 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add([]byte(`{"requests":[{"model":"\ud83d\ude00","n":-1}]}`))
 	f.Add([]byte(`{"n":9223372036854775807,"x":[{}]}`))
 	f.Add([]byte(`{"model":"\ud800\udc00\ufffd"}`))
+	f.Add([]byte(`{"requests":[{"model":"m","options":{"maxSteps":2147483648}}]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkParseDifferential(t, body)
 
@@ -414,6 +435,15 @@ func FuzzWireCodec(f *testing.F) {
 		got := wireReply(pr)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("reply encoding diverged:\n got %q\nwant %q", got, want)
+		}
+		// A cached plan's encoding, answered at each tier, is appendReply's
+		// reply.
+		res := core.Result{Alloc: pr.Alloc, Slope: pr.Slope, Stats: pr.Stats}
+		enc := encodePlan(res)
+		for tier, name := range map[plancache.Tier]string{plancache.TierMiss: "miss", plancache.TierHit: "hit", plancache.TierShared: "shared"} {
+			if got, want := appendPlanReply(nil, enc, tier), appendReply(nil, pr.Alloc, pr.Slope, name, &pr.Stats, ""); !bytes.Equal(got, want) {
+				t.Fatalf("cached %s reply diverged:\n got %q\nwant %q", name, got, want)
+			}
 		}
 		var eb bytes.Buffer
 		if err := json.NewEncoder(&eb).Encode(map[string]string{"error": s}); err != nil {

@@ -65,8 +65,10 @@
 #      model
 #  14. wire-codec allocation guard: the daemon's warm single-request
 #      handler path (pooled codec + synchronous cache hit, everything
-#      above net/http), its warm 16-plan batch and its 400s for an unknown
-#      model and an unknown algorithm must report 0 B/op and 0 allocs/op
+#      above net/http), its warm 16-plan batch, a resident plan on a
+#      1080-processor model (its reply copied from the plan's cached
+#      encoding) and its 400s for an unknown model and an unknown
+#      algorithm must report 0 B/op and 0 allocs/op
 #      — the gate's first budget was <= 8 B/op and <= 1 alloc/op; it pins
 #      the achieved zero so a regression to "just one alloc" still fails
 #      loudly (at -cpu 1, which keeps the runtime's background allocations
@@ -175,14 +177,14 @@ END {
 	if (warm == "" || cached == "" || warm == "?" || cached == "?") { print "FAIL: no p=1080 warm/cached ns/op parsed" > "/dev/stderr"; exit 1 }
 	if (cached + 0 > 0.1 * warm) { printf "FAIL: p=1080 cached %s ns/op > 0.1 x warm %s ns/op\n", cached, warm > "/dev/stderr"; exit 1 }
 }'
-echo "==> wire-codec allocs/op guard: warm, batch16, unknown-model and unknown-algorithm handler paths 0 B/op, 0 allocs/op" >&2
+echo "==> wire-codec allocs/op guard: warm, batch16, hit1080, unknown-model and unknown-algorithm handler paths 0 B/op, 0 allocs/op" >&2
 # 200x amortizes the pool warm-up allocations of the first iterations; the
 # steady-state handler path owns every byte it touches. -cpu 1 keeps the
 # runtime's background allocations out of the count: at GOMAXPROCS=2 they
 # read as 1-6 B/op over 200 iterations, on a path that allocates nothing.
-go test -run '^$' -bench 'DaemonHandler/(warm|batch16|error|badalgo)$' -benchtime=200x -benchmem -cpu 1 . |
+go test -run '^$' -bench 'DaemonHandler/(warm|batch16|hit1080|error|badalgo)$' -benchtime=200x -benchmem -cpu 1 . |
 awk '
-/^BenchmarkDaemonHandler\/(warm|batch16|error|badalgo)[-[:space:]]/ {
+/^BenchmarkDaemonHandler\/(warm|batch16|hit1080|error|badalgo)[-[:space:]]/ {
 	seen++
 	bop = allocs = "?"
 	for (i = 3; i < NF; i++) {
@@ -193,8 +195,8 @@ awk '
 	if (bop == "?" || allocs == "?" || bop + 0 > 0 || allocs + 0 > 0) { bad = 1 }
 }
 END {
-	if (bad) { print "FAIL: warm, batch16, unknown-model or unknown-algorithm wire handler path allocates" > "/dev/stderr"; exit 1 }
-	if (seen != 4) { print "FAIL: no DaemonHandler warm/batch16/error/badalgo benchmark output parsed" > "/dev/stderr"; exit 1 }
+	if (bad) { print "FAIL: warm, batch16, hit1080, unknown-model or unknown-algorithm wire handler path allocates" > "/dev/stderr"; exit 1 }
+	if (seen != 5) { print "FAIL: no DaemonHandler warm/batch16/hit1080/error/badalgo benchmark output parsed" > "/dev/stderr"; exit 1 }
 }'
 echo "==> over-HTTP allocs/op guard: DaemonThroughput warm, batch16 and errors 0 allocs/op" >&2
 # 20000x amortizes the first iterations' pool and buffer growth.
